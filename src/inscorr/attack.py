@@ -1,10 +1,23 @@
-"""Targeted input perturbation: nudge an instance toward a chosen label.
+"""Targeted input perturbation: nudge instances toward chosen labels.
 
 Projected gradient descent on the targeted cross-entropy, under an Linf
 or L2 budget, with the perturbed input clamped to [0, 1] after every
-step. The result carries the best iterate seen (the perturbation with
-the lowest targeted loss, the unperturbed input included), so the
-reported loss never exceeds the starting loss.
+step. All rows of a call are attacked at once: each step is one forward
+and one backward pass over the whole (m, d) batch. The rows never mix,
+so a row's result matches the one it gets alone, up to the rounding of
+batched matmuls:
+
+  * the backward seed is ones over the per-row losses, not a mean, so
+    every row gets its own single-row input gradient;
+  * random starts come from default_rng([seed, j]), j the row's index
+    in the call;
+  * each row keeps its best iterate (the lowest targeted loss, the
+    unperturbed start counting as iteration 0, replaced only on a
+    strict improvement), so the reported loss never exceeds the start;
+  * Linf clips to the budget, L2 rescales only the rows above it, and
+    every row is then clamped to [0, 1];
+  * a row whose gradient turns non-finite leaves the batch and comes
+    back unperturbed with the error; the other rows go on.
 """
 
 from dataclasses import dataclass
@@ -16,6 +29,8 @@ from .tensor import Tensor
 
 LINF = "linf"
 L2 = "l2"
+
+NON_FINITE = "non-finite gradient during input correction"
 
 
 @dataclass(frozen=True)
@@ -51,80 +66,128 @@ class CorrectionResult:
     error: str = None
 
 
+def _losses_and_grads(model, x, targets):
+    """Targeted losses of the rows of x and each row's input gradient."""
+    xt = Tensor(x, requires_grad=True)
+    losses = model.forward(xt, trainable=False).softmax_cross_entropy(targets)
+    losses.backward(np.ones(len(x)))
+    return losses.data, xt.grad
+
+
 def _targeted_loss_and_grad(model, x, target):
-    xt = Tensor(x[None, :], requires_grad=True)
-    loss = model.forward(xt, trainable=False).softmax_cross_entropy(
-        np.array([target], dtype=np.int64)
-    ).mean()
-    loss.backward()
-    grad = xt.grad[0]
+    loss, grad = _losses_and_grads(model, x[None, :], np.array([target]))
     if not np.all(np.isfinite(grad)):
-        raise NumericError("non-finite gradient during input correction")
-    return float(loss.data), grad
+        raise NumericError(NON_FINITE)
+    return float(loss[0]), grad[0]
+
+
+def _check_instance(x, target, num_classes):
+    if x.ndim != 1:
+        raise ContractError(f"expected a flat instance, got shape {x.shape}")
+    # written so that NaN fails too
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ContractError("instance values must lie in [0, 1]")
+    if not 0 <= target < num_classes:
+        raise LabelError(f"target {target} outside [0, {num_classes})")
+
+
+def _start(x, cfg, rng):
+    """The starting perturbation of one row: zero, or a draw from rng."""
+    if not cfg.random_start:
+        return np.zeros_like(x)
+    if cfg.norm == LINF:
+        delta = rng.uniform(-cfg.budget, cfg.budget, size=x.shape)
+    else:
+        raw = rng.normal(size=x.shape)
+        radius = cfg.budget * rng.uniform() ** (1.0 / x.size)
+        delta = raw * (radius / max(float(np.linalg.norm(raw)), 1e-12))
+    return np.clip(x + delta, 0.0, 1.0) - x
 
 
 def _project(delta, cfg):
+    """Project each row of delta onto the budget ball, in place."""
     if cfg.norm == LINF:
-        return np.clip(delta, -cfg.budget, cfg.budget)
-    norm = float(np.linalg.norm(delta))
-    if norm > cfg.budget:
-        return delta * (cfg.budget / norm)
-    return delta
+        np.clip(delta, -cfg.budget, cfg.budget, out=delta)
+    else:
+        norm = np.linalg.norm(delta, axis=1)
+        over = norm > cfg.budget
+        delta[over] *= (cfg.budget / norm[over])[:, None]
+
+
+def _unperturbed(x, error):
+    return CorrectionResult(np.clip(x, 0.0, 1.0), float("nan"), False, 0, error=error)
+
+
+def _correct_rows(model, x, targets, delta, cfg):
+    """Batched PGD over the rows of x from the starts delta; one result per row.
+
+    delta is updated in place, so the working set stays a few (m, d) arrays.
+    """
+    m = len(x)
+    best_delta = delta.copy()
+    best_loss = np.full(m, np.inf)
+    best_iter = np.zeros(m, dtype=np.int64)
+    failed = np.zeros(m, dtype=bool)
+    rows = np.arange(m)  # positions in x of the rows still attacked
+    xs, ts = x, targets
+    for k in range(cfg.steps + 1):
+        if not len(rows):
+            break
+        loss, grad = _losses_and_grads(model, xs + delta, ts)
+        finite = np.isfinite(grad).all(axis=1)
+        if not finite.all():
+            failed[rows[~finite]] = True
+            rows, xs, ts, delta, loss, grad = (
+                a[finite] for a in (rows, xs, ts, delta, loss, grad)
+            )
+        better = loss < best_loss[rows]
+        best_loss[rows[better]] = loss[better]
+        best_delta[rows[better]] = delta[better]
+        best_iter[rows[better]] = k
+        if k == cfg.steps:
+            break
+        if cfg.norm == LINF:
+            step = np.sign(grad, out=grad)
+        else:
+            step = grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-12)
+        step *= cfg.step_size
+        delta -= step
+        _project(delta, cfg)
+        # keep the perturbed inputs valid; clamping only shrinks delta
+        np.add(xs, delta, out=delta)
+        np.clip(delta, 0.0, 1.0, out=delta)
+        delta -= xs
+
+    corrected = x + best_delta
+    success = np.zeros(m, dtype=bool)
+    success[rows] = model.predict(corrected[rows]) == targets[rows]
+    return [
+        _unperturbed(x[i], NON_FINITE) if failed[i] else CorrectionResult(
+            corrected[i], float(best_loss[i]), bool(success[i]), int(best_iter[i]))
+        for i in range(m)
+    ]
 
 
 def correct_instance(model, x, target, cfg, rng=None):
     """Perturb x within the budget so the model favors the target label."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractError(f"expected a flat instance, got shape {x.shape}")
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ContractError("instance values must lie in [0, 1]")
-    c = model.spec.num_classes
-    if not 0 <= target < c:
-        raise LabelError(f"target {target} outside [0, {c})")
-    if cfg.random_start:
-        if rng is None:
-            raise ContractError("random_start needs an explicit rng")
-        if cfg.norm == LINF:
-            delta = rng.uniform(-cfg.budget, cfg.budget, size=x.shape)
-        else:
-            raw = rng.normal(size=x.shape)
-            radius = cfg.budget * rng.uniform() ** (1.0 / x.size)
-            delta = raw * (radius / max(float(np.linalg.norm(raw)), 1e-12))
-        delta = np.clip(x + delta, 0.0, 1.0) - x
-    else:
-        delta = np.zeros_like(x)
-
-    best_loss = np.inf
-    best_delta = delta
-    best_iter = 0
-    for k in range(cfg.steps + 1):
-        loss, grad = _targeted_loss_and_grad(model, x + delta, target)
-        if loss < best_loss:
-            best_loss = loss
-            best_delta = delta.copy()
-            best_iter = k
-        if k == cfg.steps:
-            break
-        if cfg.norm == LINF:
-            step = cfg.step_size * np.sign(grad)
-        else:
-            gnorm = max(float(np.linalg.norm(grad)), 1e-12)
-            step = cfg.step_size * (grad / gnorm)
-        delta = _project(delta - step, cfg)
-        # keep the perturbed input valid; clamping only shrinks delta
-        delta = np.clip(x + delta, 0.0, 1.0) - x
-
-    corrected = x + best_delta
-    success = int(model.predict(corrected[None, :])[0]) == int(target)
-    return CorrectionResult(corrected, best_loss, success, best_iter)
+    _check_instance(x, target, model.spec.num_classes)
+    if cfg.random_start and rng is None:
+        raise ContractError("random_start needs an explicit rng")
+    delta = _start(x, cfg, rng)
+    result = _correct_rows(model, x[None, :], np.array([target], dtype=np.int64),
+                           delta[None, :], cfg)[0]
+    if result.error is not None:
+        raise NumericError(result.error)
+    return result
 
 
 def correct_set(model, instances, targets, cfg, seed=None):
-    """correct_instance over rows, in order; model parameters read-only.
+    """Correct every row toward its target in one batched attack, in order.
 
-    A failing element yields an unperturbed result with success False
-    and the error message attached; the rest of the batch proceeds.
+    Model parameters are read-only. A failing row yields an unperturbed
+    result with success False and the error message attached; the rest
+    of the batch proceeds.
     """
     instances = np.asarray(instances, dtype=np.float64)
     targets = np.asarray(targets)
@@ -134,12 +197,24 @@ def correct_set(model, instances, targets, cfg, seed=None):
         )
     if cfg.random_start and seed is None:
         raise ContractError("random_start needs a seed for correct_set")
-    results = []
-    for j in range(len(instances)):
-        rng = np.random.default_rng([seed, j]) if cfg.random_start else None
+    results = [None] * len(instances)
+    valid = []
+    for j, x in enumerate(instances):
+        target = int(targets[j])
         try:
-            results.append(correct_instance(model, instances[j], int(targets[j]), cfg, rng))
-        except (ContractError, LabelError, NumericError) as e:
-            x = np.clip(instances[j], 0.0, 1.0)
-            results.append(CorrectionResult(x, float("nan"), False, 0, error=str(e)))
+            _check_instance(x, target, model.spec.num_classes)
+        except (ContractError, LabelError) as e:
+            results[j] = _unperturbed(x, str(e))
+            continue
+        valid.append(j)
+    if not valid:
+        return results
+    x = instances[valid]
+    delta = np.empty_like(x)
+    for i, j in enumerate(valid):
+        rng = np.random.default_rng([seed, j]) if cfg.random_start else None
+        delta[i] = _start(x[i], cfg, rng)
+    batch = _correct_rows(model, x, targets[valid].astype(np.int64), delta, cfg)
+    for j, result in zip(valid, batch):
+        results[j] = result
     return results

@@ -40,6 +40,11 @@ def _load(args):
     return apply_overrides(cfg, args.set or [])
 
 
+def _json_number(cell):
+    # "" marks a cell with no successful run; 0.0 is a real accuracy
+    return None if cell == "" else cell
+
+
 def _summary_line(run_dir, summary):
     tail = "n/a"
     if summary["last_ten_mean"] is not None:
@@ -145,8 +150,8 @@ def cmd_campaign(args):
         "grid_id": grid_id,
         "cells": [
             {"route": r[0], "rate": r[1], "method": r[2], "n_seeds": r[3],
-             "n_failed": r[4], "mean_acc": r[5] or None, "std_acc": r[6]
-             if r[6] != "" else None}
+             "n_failed": r[4], "mean_acc": _json_number(r[5]),
+             "std_acc": _json_number(r[6])}
             for r in rows
         ],
         "failures": [
@@ -213,8 +218,8 @@ def cmd_ablate(args):
     (sweep_dir / "ablation.json").write_text(json.dumps({
         "sweep_id": sweep_id,
         "interpretation": args.interpretation,
-        "rows": [{"lambda": r[0], "mean_acc": r[1] or None,
-                  "std_acc": r[2] if r[2] != "" else None} for r in rows],
+        "rows": [{"lambda": r[0], "mean_acc": _json_number(r[1]),
+                  "std_acc": _json_number(r[2])} for r in rows],
         "failures": failures,
     }, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"ablation written to {sweep_dir}")

@@ -1,10 +1,11 @@
 """JSON experiment configs: defaults, validation, overrides, hashing.
 
 A config is a nested dict with the sections below. Unknown keys are
-rejected by their dotted path. A null value means "derive the default":
-selection.tau follows noise.rate, training.warmup_epochs is half of
-training.total_epochs, data.pool_size matches data.n_train, and
-attack.step_size is 2.5 * budget / steps.
+rejected by their dotted path, and so is a value whose type differs from
+its default's (an integer may stand for a float). A null value means
+"derive the default": selection.tau follows noise.rate,
+training.warmup_epochs is half of training.total_epochs, data.pool_size
+matches data.n_train, and attack.step_size is 2.5 * budget / steps.
 
 The run identity is the first 12 hex digits of the sha256 of the fully
 resolved config serialized canonically, so two configs that resolve to
@@ -76,6 +77,53 @@ DEFAULT_CONFIG = {
 }
 
 
+# the type a non-null value must have where the default is null
+_NULLABLE = {
+    "data.pool_size": 0,
+    "selection.tau": 0.0,
+    "training.warmup_epochs": 0,
+    "attack.step_size": 0.0,
+}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _expected(value, default):
+    """What value should have been, or None if it may stand for default."""
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "true or false"
+    if isinstance(default, int):
+        return None if _is_int(value) else "an integer"
+    if isinstance(default, float):
+        return None if _is_int(value) or isinstance(value, float) else "a number"
+    if isinstance(default, str):
+        return None if isinstance(value, str) else "a string"
+    ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
+    return None if ok else "a list of integers"
+
+
+def _check_types(cfg, schema=DEFAULT_CONFIG, path=""):
+    for key, default in schema.items():
+        dotted = f"{path}{key}"
+        if key not in cfg:
+            raise ConfigError(f"missing config key: {dotted}")
+        value = cfg[key]
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {dotted} must be a section")
+            _check_types(value, default, dotted + ".")
+            continue
+        if default is None:
+            if value is None:
+                continue
+            default = _NULLABLE[dotted]
+        expected = _expected(value, default)
+        if expected is not None:
+            raise ConfigError(f"config key {dotted} must be {expected}, got {value!r}")
+
+
 def _check_keys(user, schema, path=""):
     for key, value in user.items():
         dotted = f"{path}{key}"
@@ -141,6 +189,7 @@ def apply_overrides(cfg, assignments):
 
 def resolve_config(cfg):
     """Fill every derived default in; the result has no nulls left."""
+    _check_types(cfg)
     out = copy.deepcopy(cfg)
     if out["selection"]["tau"] is None:
         out["selection"]["tau"] = out["noise"]["rate"]
@@ -157,7 +206,7 @@ def resolve_config(cfg):
             "training.refresh_correction only applies when method is InsCorr"
         )
     lam = out["training"]["lambda"]
-    if not isinstance(lam, (int, float)) or not 0.0 <= lam <= 1.0:
+    if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"training.lambda must lie in [0, 1], got {lam}")
     return out
 

@@ -1,0 +1,132 @@
+"""Batched correction: every row of a call behaves as if attacked alone."""
+
+import numpy as np
+import pytest
+
+from inscorr.attack import (
+    L2, LINF, AttackConfig, CorrectionResult, _targeted_loss_and_grad, correct_instance,
+    correct_set,
+)
+from inscorr.errors import ContractError, NumericError
+
+from test_attack import small_trained_model
+
+SEED = 31
+
+
+def solo(model, xs, targets, cfg, rows):
+    """Rows of a set through the batch-of-one path, each with the start its index gets."""
+    return [
+        correct_instance(model, xs[j], int(targets[j]), cfg,
+                         np.random.default_rng([SEED, j]) if cfg.random_start else None)
+        for j in rows
+    ]
+
+
+def reference_row(model, x, target, cfg, rng):
+    """The per-row PGD loop, one single-row gradient per step."""
+    if not cfg.random_start:
+        delta = np.zeros_like(x)
+    elif cfg.norm == LINF:
+        delta = rng.uniform(-cfg.budget, cfg.budget, size=x.shape)
+    else:
+        raw = rng.normal(size=x.shape)
+        radius = cfg.budget * rng.uniform() ** (1.0 / x.size)
+        delta = raw * (radius / max(float(np.linalg.norm(raw)), 1e-12))
+    delta = np.clip(x + delta, 0.0, 1.0) - x
+    best_loss, best_delta, best_iter = np.inf, delta, 0
+    for k in range(cfg.steps + 1):
+        loss, grad = _targeted_loss_and_grad(model, x + delta, target)
+        if loss < best_loss:
+            best_loss, best_delta, best_iter = loss, delta.copy(), k
+        if k == cfg.steps:
+            break
+        if cfg.norm == LINF:
+            delta = np.clip(delta - cfg.step_size * np.sign(grad), -cfg.budget, cfg.budget)
+        else:
+            delta = delta - cfg.step_size * grad / max(float(np.linalg.norm(grad)), 1e-12)
+            norm = float(np.linalg.norm(delta))
+            if norm > cfg.budget:
+                delta = delta * (cfg.budget / norm)
+        delta = np.clip(x + delta, 0.0, 1.0) - x
+    corrected = x + best_delta
+    success = int(model.predict(corrected[None, :])[0]) == target
+    return CorrectionResult(corrected, best_loss, success, best_iter)
+
+
+def assert_same(batched, alone):
+    assert batched.error is None
+    assert np.max(np.abs(batched.corrected - alone.corrected)) <= 1e-12
+    assert abs(batched.loss - alone.loss) <= 1e-12
+    assert batched.best_iteration == alone.best_iteration
+    assert batched.success == alone.success
+
+
+@pytest.mark.parametrize("norm,budget", [(LINF, 0.1), (L2, 0.3)])
+@pytest.mark.parametrize("random_start", [False, True])
+def test_batched_rows_match_solo_rows(norm, budget, random_start):
+    model = small_trained_model(seed=30)
+    rng = np.random.default_rng(32)
+    xs = np.clip(rng.normal(0.5, 0.2, size=(9, 12)), 0.0, 1.0)
+    targets = rng.integers(0, 2, size=9)
+    cfg = AttackConfig(norm=norm, budget=budget, steps=12, random_start=random_start)
+    batched = correct_set(model, xs, targets, cfg, seed=SEED)
+    for b, a in zip(batched, solo(model, xs, targets, cfg, range(9))):
+        assert_same(b, a)
+    for j, b in enumerate(batched):
+        rng = np.random.default_rng([SEED, j]) if random_start else None
+        assert_same(b, reference_row(model, xs[j], int(targets[j]), cfg, rng))
+    # the fixture exercises both outcomes and a best iterate past the start
+    assert any(r.success for r in batched) and not all(r.success for r in batched)
+    assert any(r.best_iteration > 0 for r in batched)
+
+
+def gated_overflow_model():
+    """Trained model plus a hidden unit that fires only when sum(x) > 10.
+
+    Its outgoing weights are near 1e308, so on an all-ones row the logits
+    overflow and the gradient is NaN; on other rows the unit is off and
+    its weights never meet a finite nonzero value.
+    """
+    model = small_trained_model(seed=33)
+    model.weights[0].data[:, 0] = 10.0
+    model.biases[0].data[0] = -100.0
+    model.weights[1].data[0] = [1e307, -1e307]
+    return model
+
+
+@pytest.mark.parametrize("random_start", [False, True])
+def test_non_finite_row_leaves_batch_alone(random_start):
+    model = gated_overflow_model()
+    rng = np.random.default_rng(34)
+    xs = np.clip(rng.normal(0.5, 0.2, size=(6, 12)), 0.0, 1.0)
+    xs[2] = 1.0
+    targets = np.array([1, 0, 1, 1, 0, 1])
+    cfg = AttackConfig(norm=LINF, budget=0.1, steps=8, random_start=random_start)
+    with np.errstate(all="ignore"):
+        batched = correct_set(model, xs, targets, cfg, seed=SEED)
+        alone = solo(model, xs, targets, cfg, (0, 1, 3, 4, 5))
+        with pytest.raises(NumericError, match="non-finite"):
+            correct_instance(model, xs[2], 1, cfg, np.random.default_rng(0))
+    bad = batched[2]
+    assert "non-finite" in bad.error
+    assert np.array_equal(bad.corrected, xs[2])
+    assert np.isnan(bad.loss) and not bad.success and bad.best_iteration == 0
+    for b, a in zip(batched[:2] + batched[3:], alone):
+        assert_same(b, a)
+
+
+@pytest.mark.parametrize("random_start", [False, True])
+def test_nan_pixel_rejected(random_start):
+    model = small_trained_model(seed=35)
+    cfg = AttackConfig(budget=0.1, steps=3, step_size=0.01, random_start=random_start)
+    x = np.full(12, 0.5)
+    x[3] = np.nan
+    with pytest.raises(ContractError, match=r"\[0, 1\]"):
+        correct_instance(model, x, 1, cfg, np.random.default_rng(0))
+    xs = np.stack([np.full(12, 0.3), x, np.full(12, 0.6)])
+    targets = np.array([1, 1, 0])
+    results = correct_set(model, xs, targets, cfg, seed=SEED)
+    assert "[0, 1]" in results[1].error and not results[1].success
+    for b, a in zip(results[::2], solo(model, xs, targets, cfg, (0, 2))):
+        assert_same(b, a)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from inscorr import cli
 from inscorr.cli import main
 from inscorr.data import NO_LABEL, load_dataset
 
@@ -59,6 +60,15 @@ def test_run_rejects_unknown_override(tmp_path, capsys):
                  "--output-root", str(tmp_path / "runs")])
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_run_rejects_ill_typed_override_by_key(tmp_path, capsys):
+    code = main(["run", "--set", 'training.total_epochs="abc"',
+                 "--output-root", str(tmp_path / "runs")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "training.total_epochs" in err and "integer" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_seed_override_changes_run_identity(tmp_path, tiny_cfg):
@@ -139,6 +149,24 @@ def test_campaign_grid_summary(tmp_path, tiny_cfg, capsys):
     runs = [p for p in root.iterdir() if p.is_dir() and p != campaign_dir]
     assert len(runs) == 2
     assert "gaussian rate=0.4 SelectionOnly:" in capsys.readouterr().out
+
+
+def test_zero_accuracy_is_reported_not_null(tmp_path, tiny_cfg, monkeypatch):
+    # a cell whose runs all scored 0.0 is a real mean, unlike a cell with no runs
+    monkeypatch.setattr(cli, "write_run",
+                        lambda resolved, root: (root, {"last_ten_mean": 0.0}))
+    root = tmp_path / "runs"
+    assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
+                 "--routes", "gaussian", "--rates", "0.4",
+                 "--methods", "SelectionOnly", "--seeds", "0"]) == 0
+    report = json.loads(next(root.glob("campaign-*/campaign.json")).read_text())
+    assert report["cells"][0]["mean_acc"] == 0.0
+    assert report["cells"][0]["std_acc"] == 0.0
+    assert main(["ablate", "--config", tiny_cfg, "--output-root", str(root),
+                 "--weights", "0.1", "--seeds", "0"]) == 0
+    report = json.loads(next(root.glob("ablate-*/ablation.json")).read_text())
+    assert report["rows"][0]["mean_acc"] == 0.0
+    assert report["rows"][0]["std_acc"] == 0.0
 
 
 def test_campaign_rejects_unknown_route(tmp_path, capsys):

@@ -114,6 +114,28 @@ def test_resolve_rejects_bad_lambda():
         resolve_config(apply_overrides(load_config(), ["training.lambda=1.5"]))
 
 
+@pytest.mark.parametrize("override,key", [
+    ('training.total_epochs="abc"', "training.total_epochs"),
+    ("training.total_epochs=60.5", "training.total_epochs"),
+    ("training.warmup_epochs=true", "training.warmup_epochs"),
+    ("attack.random_start=1", "attack.random_start"),
+    ("training.lambda=half", "training.lambda"),
+    ("model.hidden=[64.5]", "model.hidden"),
+    ("noise.route=3", "noise.route"),
+    ("seeds.data=null", "seeds.data"),
+])
+def test_resolve_rejects_ill_typed_values_by_key(override, key):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        resolve_config(apply_overrides(load_config(), [override]))
+
+
+def test_resolve_accepts_integers_for_numbers():
+    out = resolve_config(apply_overrides(load_config(), [
+        "training.lambda=1", "attack.step_size=1", "selection.tau=0",
+    ]))
+    assert out["training"]["lambda"] == 1 and out["attack"]["step_size"] == 1
+
+
 def test_resolved_config_round_trips_through_json():
     out = resolve_config(load_config())
     assert json.loads(json.dumps(out)) == out
