@@ -19,12 +19,13 @@ from .attack import AttackConfig, correct_set
 from .config import config_hash, resolve_config
 from .data import generate_ood_source, generate_synthetic
 from .errors import ContractError
-from .nn import Adam, Model, ModelSpec
+from .nn import Adam, Model, ModelSpec, cross_entropy
 from .noise import (
     KIND_NAMES,
     OPEN_SET,
     NoiseKind,
     NoiseSpec,
+    _round_half_up,
     apply_noise,
     corruption_transform,
 )
@@ -39,14 +40,9 @@ from .pipeline import (
     run_experiment,
 )
 from .select import SelectionSchedule, select_small_loss
-from .tensor import Tensor
 
 ORDERING_SEEDS = (0, 1, 2, 3, 4)
 MEMORIZATION_SEEDS = (0, 1, 2)
-
-
-def _round_half_up(x):
-    return int(np.floor(x + 0.5))
 
 
 # --- gradients ---------------------------------------------------------
@@ -93,15 +89,18 @@ def check_gradients():
         x = rng.uniform(0.0, 1.0, (b, d))
         y = rng.integers(0, c, b).astype(np.int64)
 
-        xt = Tensor(x.copy(), requires_grad=True)
+        outputs = model.forward(x)
+        _, probs = cross_entropy(outputs[-1], y)
+        row_weights = np.full(b, 1.0 / b)
         model.zero_grads()
-        model.forward(xt).softmax_cross_entropy(y).mean().backward()
+        model.backward(outputs, probs, y, row_weights)
+        grad_x = model.backward(outputs, probs, y, row_weights, input_grad=True)
 
         for p in model.parameters():
             fd = _fd_gradient_inplace(p.data, lambda: _loss_value(model, x, y))
             worst = max(worst, _max_rel_error(p.grad, fd))
         fd_x = _fd_gradient_inplace(x, lambda: _loss_value(model, x, y))
-        worst = max(worst, _max_rel_error(xt.grad, fd_x))
+        worst = max(worst, _max_rel_error(grad_x, fd_x))
     return worst < 1e-3, f"max relative error {worst:.2e} over 20 networks"
 
 
@@ -225,10 +224,7 @@ def _train_plain(model, ds, epochs, batch_size=128, seed=0):
         for lo in range(0, len(ds), batch_size):
             sel = perm[lo:lo + batch_size]
             model.zero_grads()
-            loss = model.forward(ds.X[sel]).softmax_cross_entropy(
-                ds.true_labels[sel]
-            ).mean()
-            loss.backward()
+            model.loss_and_grads(ds.X[sel], ds.true_labels[sel])
             optimizer.step(model)
     return model
 
@@ -302,11 +298,11 @@ def check_reductions():
     train = data[0]
     cx, cy = train.X[:40], train.given_labels[:40]
     rx, ry = train.X[40:60], train.given_labels[40:60]
-    lc = float(model.forward(cx).softmax_cross_entropy(cy).mean().data)
-    lr = float(model.forward(rx).softmax_cross_entropy(ry).mean().data)
+    lc = _loss_value(model, cx, cy)
+    lr = _loss_value(model, rx, ry)
     worst = 0.0
     for lam in (0.25, 0.5, 0.75):
-        got = float(mixed_loss(model, cx, cy, rx, ry, lam).data)
+        got = mixed_loss(model, cx, cy, rx, ry, lam)
         worst = max(worst, abs(got - (lam * (lc - lr) + lr)))
     if worst > 1e-12:
         return False, f"mixing not affine in the weight: residual {worst:.2e}"

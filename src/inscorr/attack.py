@@ -3,11 +3,12 @@
 Projected gradient descent on the targeted cross-entropy, under an Linf
 or L2 budget, with the perturbed input clamped to [0, 1] after every
 step. All rows of a call are attacked at once: each step is one forward
-and one backward pass over the whole (m, d) batch. The rows never mix,
-so a row's result matches the one it gets alone, up to the rounding of
-batched matmuls:
+and one backward pass over the whole (m, d) batch, the backward taking
+the input gradient and leaving the model's parameters alone. The rows
+never mix, so a row's result matches the one it gets alone, up to the
+rounding of batched matmuls:
 
-  * the backward seed is ones over the per-row losses, not a mean, so
+  * the backward weighs the per-row losses by ones, not by a mean, so
     every row gets its own single-row input gradient;
   * random starts come from default_rng([seed, j]), j the row's index
     in the call;
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, LabelError, NumericError, ParameterError
-from .tensor import Tensor
+from .nn import cross_entropy
 
 LINF = "linf"
 L2 = "l2"
@@ -68,10 +69,9 @@ class CorrectionResult:
 
 def _losses_and_grads(model, x, targets):
     """Targeted losses of the rows of x and each row's input gradient."""
-    xt = Tensor(x, requires_grad=True)
-    losses = model.forward(xt, trainable=False).softmax_cross_entropy(targets)
-    losses.backward(np.ones(len(x)))
-    return losses.data, xt.grad
+    outputs = model.forward(x)
+    losses, probs = cross_entropy(outputs[-1], targets)
+    return losses, model.backward(outputs, probs, targets, np.ones(len(x)), input_grad=True)
 
 
 def _targeted_loss_and_grad(model, x, target):

@@ -25,10 +25,8 @@ from .artifacts import config_hash, output_root, write_run
 from .config import apply_overrides, load_config, resolve_config
 from .data import generate_ood_source, generate_synthetic, save_dataset
 from .errors import ConfigError, InscorrError
-from .noise import KIND_NAMES, OPEN_SET, NoiseSpec, apply_noise
+from .noise import ALL_ROUTES, OPEN_SET, NoiseSpec, apply_noise
 from .pipeline import METHODS
-
-ALL_ROUTE_NAMES = (OPEN_SET,) + tuple(KIND_NAMES)
 
 
 def _split(text, parse=str):
@@ -75,7 +73,7 @@ def cmd_campaign(args):
     seeds = _split(args.seeds, int)
     methods = _split(args.methods)
     for route in routes:
-        if route not in ALL_ROUTE_NAMES:
+        if route not in ALL_ROUTES:
             raise ConfigError(f"unknown route {route!r}")
     for method in methods:
         if method not in METHODS:
@@ -189,9 +187,11 @@ def cmd_ablate(args):
 
     import numpy as np
 
+    # the swept weight is lambda itself, or its complement
+    sweep = sorted(((1.0 - w) if args.interpretation == "discarded" else w, w)
+                   for w in weights)
     rows, failures = [], []
-    for weight in weights:
-        lam = (1.0 - weight) if args.interpretation == "discarded" else weight
+    for lam, weight in sweep:
         accs = []
         for seed in seeds:
             cfg = copy.deepcopy(base)
@@ -207,19 +207,19 @@ def cmd_ablate(args):
                 accs.append(summary["last_ten_mean"])
         mean = float(np.mean(accs)) if accs else ""
         std = float(np.std(accs)) if accs else ""
-        rows.append([weight, mean, std])
-        print(f"lambda={weight}: "
+        rows.append([weight, lam, mean, std])
+        print(f"weight={weight} lambda={lam}: "
               + (f"{mean:.4f}+-{std:.4f}" if accs else "failed"))
 
     with open(sweep_dir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "mean_acc", "std_acc"])
+        writer.writerow(["weight", "lambda", "mean_acc", "std_acc"])
         writer.writerows(rows)
     (sweep_dir / "ablation.json").write_text(json.dumps({
         "sweep_id": sweep_id,
         "interpretation": args.interpretation,
-        "rows": [{"lambda": r[0], "mean_acc": _json_number(r[1]),
-                  "std_acc": _json_number(r[2])} for r in rows],
+        "rows": [{"weight": r[0], "lambda": r[1], "mean_acc": _json_number(r[2]),
+                  "std_acc": _json_number(r[3])} for r in rows],
         "failures": failures,
     }, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"ablation written to {sweep_dir}")
@@ -272,7 +272,7 @@ def build_parser():
 
     p_camp = sub.add_parser("campaign", help="run a grid of experiments")
     add_config_args(p_camp)
-    p_camp.add_argument("--routes", default=",".join(ALL_ROUTE_NAMES))
+    p_camp.add_argument("--routes", default=",".join(ALL_ROUTES))
     p_camp.add_argument("--rates", default="0.2,0.4")
     p_camp.add_argument("--seeds", default="0,1,2")
     p_camp.add_argument("--methods", default=",".join(METHODS))
@@ -298,7 +298,7 @@ def build_parser():
     p_data.add_argument("--seed", type=int, default=0)
     p_data.add_argument("--ood", action="store_true",
                         help="draw from the out-of-distribution pool instead")
-    p_data.add_argument("--route", choices=ALL_ROUTE_NAMES,
+    p_data.add_argument("--route", choices=ALL_ROUTES,
                         help="inject noise into the generated data")
     p_data.add_argument("--rate", type=float, default=0.4)
     p_data.add_argument("--noise-seed", type=int, default=0)

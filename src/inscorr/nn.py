@@ -1,9 +1,15 @@
 """Fully connected relu networks, optimizers, and checkpointing.
 
-A Model owns its parameters as persistent Tensors so optimizer state
-stays attached across epochs. forward() builds an autodiff graph for
-training; infer_logits() is a plain numpy path for evaluation, where no
-gradients are needed.
+A Model owns its parameters as persistent Tensors (.data, .grad) so
+optimizer state stays attached across epochs. The model is always a relu
+MLP under a softmax cross-entropy loss, so gradients are written out by
+hand rather than taken from a general autodiff engine: forward() returns
+every layer's output, and backward() walks those cached outputs once in
+reverse, adding the row-weighted loss's gradient into each parameter's
+.grad or, on request, returning the input gradient instead. Callers may
+pass backward() the same rows of each cached output (a kept subset of a
+batch) without running forward again. infer_logits() is the evaluation
+path, where no outputs need keeping.
 
 Checkpoint container (version 1), fields in order after magic+version:
     input_dim u64 | n_hidden u32 | hidden widths u64 each | num_classes u32
@@ -22,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .containers import ContainerReader, ContainerWriter, read_file
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, LabelError
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"INSCCKPT"
@@ -86,25 +92,51 @@ class Model:
                 f"input shape {x.shape} does not match (n, {self.spec.input_dim})"
             )
 
-    def forward(self, x, trainable=True):
-        """Graph-building forward pass. x may be a Tensor or an ndarray.
-
-        With trainable=False the parameters enter the graph as constants,
-        so backward() reaches the input without touching parameter grads.
-        """
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        self._check_input(x.data)
-        h = x
+    def forward(self, x):
+        """Every layer's output for the rows of x: the input first, then
+        each hidden layer after its relu, the logits last. No graph is kept."""
+        h = np.asarray(x, dtype=np.float64)
+        self._check_input(h)
+        outputs = [h]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if not trainable:
-                w = Tensor(w.data)
-                b = Tensor(b.data)
-            h = h @ w + b
+            h = h @ w.data + b.data
             if i != last:
-                h = h.relu()
-        return h
+                # relu with subgradient 0 at the kink; NaN maps to 0
+                h = np.where(h > 0.0, h, 0.0)
+            outputs.append(h)
+        return outputs
+
+    def backward(self, outputs, probs, labels, row_weights, input_grad=False):
+        """Backpropagate sum_i row_weights[i] * loss_i through forward's outputs.
+
+        outputs is forward's list, or the same rows of each of its entries;
+        its last entry, the logits, is not read and may be left out. probs
+        are the softmax probabilities of those rows (from cross_entropy).
+        Each parameter's gradient is added into its .grad. With
+        input_grad=True the parameters are left alone and the gradient with
+        respect to the input rows is returned instead.
+        """
+        labels = np.asarray(labels, dtype=np.int64)
+        g = kernels.xent_backward(probs, labels, np.asarray(row_weights, dtype=np.float64))
+        for i in reversed(range(len(self.weights))):
+            if not input_grad:
+                _accumulate(self.biases[i], g.sum(axis=0))
+                _accumulate(self.weights[i], outputs[i].T @ g)
+            if i:
+                g = g @ self.weights[i].data.T
+                # a hidden output is positive exactly where its relu passed
+                g *= outputs[i] > 0.0
+        return g @ self.weights[0].data.T if input_grad else None
+
+    def loss_and_grads(self, x, labels, weight=1.0):
+        """Add the gradients of weight * (mean loss over the rows of x) into
+        the parameters' .grad; returns that weighted loss as a float."""
+        outputs = self.forward(x)
+        losses, probs = cross_entropy(outputs[-1], labels)
+        n = len(losses)
+        self.backward(outputs, probs, labels, np.full(n, weight / n))
+        return float(losses.sum() / n * weight)
 
     def infer_logits(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -117,21 +149,38 @@ class Model:
                 h = np.maximum(h, 0.0)
         return h
 
-    def predict_proba(self, x):
-        logits = self.infer_logits(x)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-
     def predict(self, x):
         # argmax breaks ties toward the lower class index
         return np.argmax(self.infer_logits(x), axis=1)
 
     def per_example_losses(self, x, labels):
-        """Cross-entropy losses without building a graph."""
-        logits = np.ascontiguousarray(self.infer_logits(x))
-        losses, _ = kernels.softmax_xent(logits, np.asarray(labels, dtype=np.int64))
+        """Cross-entropy loss of each row, without keeping layer outputs."""
+        losses, _ = cross_entropy(self.infer_logits(x), labels)
         return losses
+
+
+def cross_entropy(logits, labels):
+    """(per-row losses, softmax probabilities) of 2-D logits against labels."""
+    if logits.ndim != 2:
+        raise DimensionError(f"cross entropy: expected 2-D logits, got shape {logits.shape}")
+    b, c = logits.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (b,):
+        raise DimensionError(
+            f"cross entropy: labels shape {labels.shape} does not match batch {b}"
+        )
+    bad = (labels < 0) | (labels >= c)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise LabelError(f"label {int(labels[i])} at index {i} outside [0, {c})")
+    return kernels.softmax_xent(np.ascontiguousarray(logits), labels)
+
+
+def _accumulate(param, grad):
+    if param.grad is None:
+        param.grad = grad
+    else:
+        param.grad += grad
 
 
 class Sgd:

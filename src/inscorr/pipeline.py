@@ -33,9 +33,8 @@ from .attack import AttackConfig, correct_set
 from .data import NO_LABEL, generate_ood_source, generate_synthetic, split_validation
 from .errors import ContractError
 from .nn import Model, ModelSpec, make_optimizer
-from .noise import OPEN_SET, ALL_ROUTES, NoiseSpec, apply_noise
+from .noise import OPEN_SET, ALL_ROUTES, NoiseSpec, _round_half_up, apply_noise
 from .select import SelectionSchedule, self_teach_epoch
-from .tensor import Tensor
 
 SELECTION_ONLY = "SelectionOnly"
 MIX = "Mix"
@@ -45,10 +44,6 @@ METHODS = (SELECTION_ONLY, MIX, INSCORR)
 AGREEMENT = "agreement"
 SMALL_LOSS_GLOBAL = "small_loss_global"
 PARTITION_RULES = (AGREEMENT, SMALL_LOSS_GLOBAL)
-
-
-def _round_half_up(x):
-    return int(np.floor(x + 0.5))
 
 
 @dataclass(frozen=True)
@@ -201,12 +196,14 @@ def partition_clean_mislabeled(model, train, rule=AGREEMENT, tau=None):
 
 def mixed_loss(model, clean_x, clean_y, corr_x, corr_y, lam):
     """lam * mean loss over the clean batch + (1 - lam) * mean loss over
-    the corrected batch, as one graph scalar.
+    the corrected batch: adds its gradients into the parameters' .grad and
+    returns its value as a float.
 
-    An empty batch contributes nothing; a term whose weight is exactly 0
-    is omitted from the graph rather than multiplied in, so the other
-    path's gradients are untouched bit for bit. Both batches empty is a
-    caller bug.
+    Each batch runs its own forward and backward pass, clean first. An
+    empty batch contributes nothing; a term whose weight is exactly 0 is
+    skipped rather than multiplied in, so the other term's gradients are
+    untouched bit for bit. When no term is left the loss is 0.0 and no
+    .grad is touched. Both batches empty is a caller bug.
     """
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda must lie in [0, 1], got {lam}")
@@ -216,14 +213,11 @@ def mixed_loss(model, clean_x, clean_y, corr_x, corr_y, lam):
         raise ContractError("mixed loss needs at least one non-empty batch")
     total = None
     if n_clean and lam != 0.0:
-        total = model.forward(clean_x).softmax_cross_entropy(clean_y).mean() * lam
+        total = model.loss_and_grads(clean_x, clean_y, lam)
     if n_corr and lam != 1.0:
-        term = model.forward(corr_x).softmax_cross_entropy(corr_y).mean() * (1.0 - lam)
+        term = model.loss_and_grads(corr_x, corr_y, 1.0 - lam)
         total = term if total is None else total + term
-    if total is None:
-        # the only surviving term had weight zero; nothing can flow
-        return Tensor(np.zeros(()))
-    return total
+    return 0.0 if total is None else total
 
 
 def last_ten_summary(metrics):
@@ -259,12 +253,11 @@ def _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y, lam,
         cy = train.given_labels[sel] if sel.size else None
         rx = corr_x[rpos] if rpos.size else None
         ry = corr_y[rpos] if rpos.size else None
-        loss = mixed_loss(model, cx, cy, rx, ry, lam)
-        if loss.requires_grad:
-            model.zero_grads()
-            loss.backward()
+        model.zero_grads()
+        loss_sum += mixed_loss(model, cx, cy, rx, ry, lam)
+        # no gradient means every term had weight zero: nothing to step on
+        if model.weights[0].grad is not None:
             optimizer.step(model)
-        loss_sum += float(loss.data)
     return loss_sum / steps
 
 
@@ -381,30 +374,3 @@ def run_clean_partition_only(cfg, data=None, on_epoch=None):
             on_epoch(epoch, model)
     return RunResult(model, optimizer, metrics)
 
-
-def select_warmup_length(cfg, candidates, data=None):
-    """Pick the warmup length whose snapshot scores best on validation.
-
-    Trains once to max(candidates) with the selection schedule and
-    scores each candidate's snapshot against the noisy validation
-    labels; ties go to the shorter warmup.
-    """
-    if not candidates:
-        raise ContractError("need at least one candidate")
-    candidates = sorted(set(int(c) for c in candidates))
-    if candidates[0] < 0:
-        raise ContractError(f"warmup candidates must be non-negative, got {candidates[0]}")
-    train, val, _ = data if data is not None else prepare_data(cfg)
-    model = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr).attach(model)
-    schedule = cfg.schedule()
-    scores = {}
-    for epoch in range(max(candidates) + 1):
-        if epoch in candidates:
-            scores[epoch] = accuracy_on_given(model, val)
-        if epoch == max(candidates):
-            break
-        rng = np.random.default_rng([cfg.seed_epochs, epoch])
-        self_teach_epoch(model, optimizer, train, schedule, epoch, cfg.batch_size, rng)
-    best = max(candidates, key=lambda c: (scores[c], -c))
-    return best, scores

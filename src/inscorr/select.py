@@ -5,6 +5,10 @@ linearly over the first ramp_epochs epochs to 1 - noise_rate and stays
 there. Training updates use only the kept examples, on the premise that
 the network fits clean data before noisy data, so low loss early in
 training marks probably-clean examples.
+
+Each batch runs forward once: the per-example losses that pick the kept
+rows come from the same layer outputs that the update then backpropagates
+through, restricted to the kept rows.
 """
 
 from dataclasses import dataclass
@@ -13,6 +17,7 @@ import numpy as np
 
 from .data import permutation_batches
 from .errors import ContractError, DataError
+from .nn import cross_entropy
 
 
 @dataclass(frozen=True)
@@ -79,23 +84,27 @@ class SelfTeachStats:
 def self_teach_epoch(model, optimizer, train, schedule, epoch, batch_size, rng):
     """One epoch of select-then-update over a seeded batch permutation.
 
-    Per batch: per-example losses without a graph, small-loss selection
-    at this epoch's keep fraction, then one optimizer step on the mean
-    loss over the kept examples only.
+    Per batch: one forward pass and the per-example losses, small-loss
+    selection at this epoch's keep fraction, then one optimizer step on
+    the mean loss over the kept examples only, backpropagated through
+    the kept rows of the same forward pass.
     """
     keep = schedule.keep_fraction(epoch)
     stats = SelfTeachStats()
     clean = train.provenance == 0
     for batch_idx in permutation_batches(rng, len(train), batch_size):
-        losses = model.per_example_losses(train.X[batch_idx], train.given_labels[batch_idx])
+        labels = train.given_labels[batch_idx]
+        outputs = model.forward(train.X[batch_idx])
+        losses, probs = cross_entropy(outputs[-1], labels)
         kept, _ = select_small_loss(losses, keep)
-        sel = batch_idx[kept]
+        k = kept.size
         model.zero_grads()
-        loss = model.forward(train.X[sel]).softmax_cross_entropy(train.given_labels[sel]).mean()
-        loss.backward()
+        model.backward([h[kept] for h in outputs[:-1]], probs[kept], labels[kept],
+                       np.full(k, 1.0 / k))
         optimizer.step(model)
+        sel = batch_idx[kept]
         stats.batches += 1
-        stats.kept_total += sel.size
+        stats.kept_total += k
         stats.kept_clean += int(np.sum(clean[sel]))
-        stats.loss_sum += float(loss.data)
+        stats.loss_sum += float(losses[kept].sum() / k)
     return stats

@@ -6,7 +6,6 @@ import pytest
 from inscorr.attack import L2, LINF, AttackConfig, _targeted_loss_and_grad, correct_instance, correct_set
 from inscorr.errors import ContractError, LabelError, NumericError, ParameterError
 from inscorr.nn import Adam, Model, ModelSpec
-from inscorr.tensor import Tensor
 
 from helpers import fd_gradient, max_rel_error
 
@@ -23,7 +22,7 @@ def small_trained_model(seed=0):
     opt = Adam(lr=0.01)
     for _ in range(120):
         model.zero_grads()
-        model.forward(x).softmax_cross_entropy(y).mean().backward()
+        model.loss_and_grads(x, y)
         opt.step(model)
     return model
 

@@ -107,13 +107,17 @@ def test_ablate_writes_sorted_sweep(tmp_path, tiny_cfg, capsys):
     sweep_dir = next(root.glob("ablate-*"))
     with open(sweep_dir / "ablation.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda", "mean_acc", "std_acc"]
-    assert [r[0] for r in rows[1:]] == ["0.1", "0.3"]
-    assert all(0.0 <= float(r[1]) <= 1.0 for r in rows[1:])
+    assert rows[0] == ["weight", "lambda", "mean_acc", "std_acc"]
+    # discarded interpretation: lambda = 1 - weight, rows sorted by lambda
+    assert [r[:2] for r in rows[1:]] == [["0.3", "0.7"], ["0.1", "0.9"]]
+    assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
     report = json.loads((sweep_dir / "ablation.json").read_text())
     assert report["interpretation"] == "discarded"
+    assert [(r["weight"], r["lambda"]) for r in report["rows"]] == [(0.3, 0.7), (0.1, 0.9)]
     assert report["failures"] == []
-    assert "corrected-term" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "corrected-term" in out
+    assert "weight=0.3 lambda=0.7:" in out
 
 
 def test_ablate_interpretations_weight_opposite_terms(tmp_path, tiny_cfg):

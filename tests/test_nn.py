@@ -16,13 +16,12 @@ from inscorr.nn import (
     Model,
     ModelSpec,
     Sgd,
+    cross_entropy,
     load_checkpoint,
     make_optimizer,
     save_checkpoint,
 )
 from inscorr.tensor import Tensor
-
-from helpers import softmax_rows
 
 SPEC = ModelSpec(8, (16,), 3)
 
@@ -67,7 +66,7 @@ def test_forward_graph_matches_infer_path_exactly():
     rng = np.random.default_rng(1)
     model = Model.init(SPEC, seed=2)
     x = rng.normal(size=(10, 8))
-    assert np.array_equal(model.forward(x).data, model.infer_logits(x))
+    assert np.array_equal(model.forward(x)[-1], model.infer_logits(x))
 
 
 def test_forward_rejects_wrong_width():
@@ -76,32 +75,24 @@ def test_forward_rejects_wrong_width():
         model.infer_logits(np.zeros((3, 5)))
 
 
-def test_predict_proba_matches_oracle():
-    rng = np.random.default_rng(3)
-    model = Model.init(SPEC, seed=4)
-    x = rng.normal(size=(6, 8))
-    p = model.predict_proba(x)
-    assert np.allclose(p.sum(axis=1), 1.0)
-    assert np.allclose(p, softmax_rows(model.infer_logits(x)), rtol=1e-12)
-
-
 def test_per_example_losses_match_graph_losses():
     rng = np.random.default_rng(4)
     model = Model.init(SPEC, seed=5)
     x = rng.normal(size=(9, 8))
     labels = rng.integers(0, 3, size=9)
     fast = model.per_example_losses(x, labels)
-    graph = model.forward(x).softmax_cross_entropy(labels).data
+    graph, _ = cross_entropy(model.forward(x)[-1], labels)
     assert np.array_equal(fast, graph)
 
 
 def test_forward_non_trainable_leaves_param_grads_alone():
     rng = np.random.default_rng(5)
     model = Model.init(SPEC, seed=6)
-    x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-    loss = model.forward(x, trainable=False).softmax_cross_entropy(np.zeros(4, dtype=int)).mean()
-    loss.backward()
-    assert x.grad is not None
+    labels = np.zeros(4, dtype=int)
+    outputs = model.forward(rng.normal(size=(4, 8)))
+    _, probs = cross_entropy(outputs[-1], labels)
+    grad_x = model.backward(outputs, probs, labels, np.full(4, 0.25), input_grad=True)
+    assert grad_x is not None and grad_x.shape == (4, 8)
     for p in model.parameters():
         assert p.grad is None
 
@@ -153,7 +144,7 @@ def test_make_optimizer():
 def _train_steps(model, opt, x, labels, steps):
     for _ in range(steps):
         model.zero_grads()
-        model.forward(x).softmax_cross_entropy(labels).mean().backward()
+        model.loss_and_grads(x, labels)
         opt.step(model)
 
 

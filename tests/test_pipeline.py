@@ -23,7 +23,6 @@ from inscorr.pipeline import (
     prepare_data,
     run_clean_partition_only,
     run_experiment,
-    select_warmup_length,
 )
 
 
@@ -215,14 +214,13 @@ class TestMixedLoss:
         self.ry = rng.integers(0, 4, 5).astype(np.int32)
 
     def term(self, x, y):
-        return float(self.model.forward(x).softmax_cross_entropy(y).mean().data)
+        return float(self.model.per_example_losses(x, y).mean())
 
     def test_affine_in_lambda(self):
         lc = self.term(self.cx, self.cy)
         lr = self.term(self.rx, self.ry)
         for lam in (0.25, 0.5, 0.75):
-            got = float(mixed_loss(self.model, self.cx, self.cy,
-                                   self.rx, self.ry, lam).data)
+            got = mixed_loss(self.model, self.cx, self.cy, self.rx, self.ry, lam)
             assert abs(got - (lam * (lc - lr) + lr)) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -230,18 +228,17 @@ class TestMixedLoss:
     def test_affine_property(self, lam):
         lc = self.term(self.cx, self.cy)
         lr = self.term(self.rx, self.ry)
-        got = float(mixed_loss(self.model, self.cx, self.cy,
-                               self.rx, self.ry, lam).data)
+        got = mixed_loss(self.model, self.cx, self.cy, self.rx, self.ry, lam)
         assert abs(got - (lam * (lc - lr) + lr)) <= 1e-12
 
     def test_empty_clean_keeps_coefficient(self):
         lr = self.term(self.rx, self.ry)
-        got = float(mixed_loss(self.model, None, None, self.rx, self.ry, 0.3).data)
+        got = mixed_loss(self.model, None, None, self.rx, self.ry, 0.3)
         assert got == 0.7 * lr
 
     def test_empty_corrected_keeps_coefficient(self):
         lc = self.term(self.cx, self.cy)
-        got = float(mixed_loss(self.model, self.cx, self.cy, None, None, 0.3).data)
+        got = mixed_loss(self.model, self.cx, self.cy, None, None, 0.3)
         assert got == 0.3 * lc
 
     def test_both_empty_rejected(self):
@@ -251,19 +248,19 @@ class TestMixedLoss:
     def test_weight_zero_term_leaves_no_gradient_trace(self):
         # lam=1 must produce the exact gradients of clean-only training
         self.model.zero_grads()
-        mixed_loss(self.model, self.cx, self.cy, self.rx, self.ry, 1.0).backward()
+        mixed_loss(self.model, self.cx, self.cy, self.rx, self.ry, 1.0)
         mixed = [p.grad.copy() for p in self.model.parameters()]
 
         self.model.zero_grads()
-        loss = self.model.forward(self.cx).softmax_cross_entropy(self.cy).mean() * 1.0
-        loss.backward()
+        self.model.loss_and_grads(self.cx, self.cy, 1.0)
         for got, want in zip(mixed, (p.grad for p in self.model.parameters())):
             assert np.array_equal(got, want)
 
     def test_zero_weight_on_only_batch_gives_constant(self):
+        self.model.zero_grads()
         loss = mixed_loss(self.model, None, None, self.rx, self.ry, 1.0)
-        assert float(loss.data) == 0.0
-        assert not loss.requires_grad
+        assert loss == 0.0
+        assert all(p.grad is None for p in self.model.parameters())
 
 
 class TestLastTen:
@@ -367,26 +364,3 @@ class TestReductions:
                  for pa, pb in zip(model_a.parameters(), model_b.parameters())]
         assert any(diffs)
 
-
-class TestWarmupSelection:
-    def test_picks_best_candidate(self):
-        cfg = tiny_config(noise_rate=0.0, total_epochs=8)
-        best, scores = select_warmup_length(cfg, [0, 6])
-        assert set(scores) == {0, 6}
-        assert scores[6] > scores[0]
-        assert best == 6
-
-    def test_tie_prefers_shorter_warmup(self):
-        cfg = tiny_config(n_train=200, num_classes=2, noise_rate=0.0,
-                          lr=0.02, total_epochs=14)
-        best, scores = select_warmup_length(cfg, [10, 12])
-        assert scores[10] == scores[12] == 1.0
-        assert best == 10
-
-    def test_rejects_empty_candidates(self):
-        with pytest.raises(ContractError, match="candidate"):
-            select_warmup_length(tiny_config(), [])
-
-    def test_rejects_negative_candidates(self):
-        with pytest.raises(ContractError, match="non-negative"):
-            select_warmup_length(tiny_config(), [-1, 3])

@@ -143,7 +143,7 @@ def test_self_teach_zero_rate_equals_plain_training_bitwise():
     opt_b = Adam()
     for idx in permutation_batches(np.random.default_rng(6), 90, 32):
         b.zero_grads()
-        b.forward(train.X[idx]).softmax_cross_entropy(train.given_labels[idx]).mean().backward()
+        b.loss_and_grads(train.X[idx], train.given_labels[idx])
         opt_b.step(b)
 
     for pa, pb in zip(a.parameters(), b.parameters()):
