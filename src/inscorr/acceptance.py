@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .attack import AttackConfig, correct_set
 from .config import config_hash, resolve_config
 from .data import generate_ood_source, generate_synthetic
@@ -439,7 +438,6 @@ def run_all(only=None, out=print):
         unknown = [n for n in only if n not in names]
         if unknown:
             raise ContractError(f"unknown checks: {', '.join(unknown)}")
-    kernels.warmup()
     outcomes = []
     for name, fn in CHECKS:
         if only is not None and name not in only:

@@ -10,16 +10,21 @@ A run writes into <output_root>/<config_hash>/:
 
 metrics.* and summary.json contain nothing non-deterministic, so a
 repeated run with the same resolved config reproduces them byte for
-byte (on the same kernel backend). Wall-clock time lives only in the
-manifest.
+byte. Wall-clock time lives only in the manifest.
+
+A run directory is complete or absent: write_run fills a temporary
+sibling, writes manifest.json last and renames the directory into place.
 """
 
 import csv
+import errno
 import hashlib
 import io
 import json
 import os
+import shutil
 import time
+import uuid
 from pathlib import Path
 
 from .config import config_hash, to_experiment_config
@@ -71,11 +76,11 @@ def write_run(resolved, root, data=None):
     """Execute the resolved config and persist its artifacts.
 
     Returns (run_dir, summary dict). The run directory is keyed by the
-    config hash; rerunning overwrites it in place.
+    config hash; rerunning replaces it. Nothing is left under root when
+    the run or a write fails.
     """
     digest = config_hash(resolved)
     run_dir = Path(root) / digest
-    run_dir.mkdir(parents=True, exist_ok=True)
 
     cfg = to_experiment_config(resolved)
     started = time.perf_counter()
@@ -104,27 +109,60 @@ def write_run(resolved, root, data=None):
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
     ).encode("utf-8")
 
-    for name, blob in files.items():
-        (run_dir / name).write_bytes(blob)
-    save_checkpoint(
-        run_dir / "model.ckpt",
-        result.model,
-        result.optimizer,
-        epoch=len(result.metrics),
-        seed=cfg.seed_epochs,
-    )
-    files["model.ckpt"] = (run_dir / "model.ckpt").read_bytes()
+    run_dir.parent.mkdir(parents=True, exist_ok=True)
+    tmp_dir = _unique_sibling(run_dir, "tmp")
+    tmp_dir.mkdir()
+    try:
+        for name, blob in files.items():
+            (tmp_dir / name).write_bytes(blob)
+        save_checkpoint(
+            tmp_dir / "model.ckpt",
+            result.model,
+            result.optimizer,
+            epoch=len(result.metrics),
+            seed=cfg.seed_epochs,
+        )
+        files["model.ckpt"] = (tmp_dir / "model.ckpt").read_bytes()
 
-    manifest = {
-        "config_hash": digest,
-        "config": resolved,
-        "artifacts": {
-            name: {"sha256": _sha256(blob), "bytes": len(blob)}
-            for name, blob in sorted(files.items())
-        },
-        "wall_seconds": wall,
-    }
-    (run_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+        manifest = {
+            "config_hash": digest,
+            "config": resolved,
+            "artifacts": {
+                name: {"sha256": _sha256(blob), "bytes": len(blob)}
+                for name, blob in sorted(files.items())
+            },
+            "wall_seconds": wall,
+        }
+        (tmp_dir / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+        _move_into_place(tmp_dir, run_dir)
+    except BaseException:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        raise
     return run_dir, summary
+
+
+def _unique_sibling(path, tag):
+    return path.with_name(f".{path.name}.{uuid.uuid4().hex}.{tag}")
+
+
+def _move_into_place(src, dst):
+    """Rename the directory src to dst, replacing a directory already there.
+
+    Two writers of the same run may race here; each retries until its own
+    rename lands, so dst ends up as one writer's complete directory.
+    """
+    while True:
+        try:
+            os.rename(src, dst)
+            return
+        except OSError as error:
+            if error.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                raise
+        old = _unique_sibling(dst, "old")
+        try:
+            os.rename(dst, old)
+        except FileNotFoundError:
+            continue  # another writer moved it first
+        shutil.rmtree(old, ignore_errors=True)

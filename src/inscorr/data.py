@@ -278,14 +278,3 @@ def load_dataset(path):
     r.finish()
     shape = (h, wdt) if has_shape else None
     return Dataset(X, given, true, prov, int(num_classes), shape)
-
-
-def export_csv(path, ds):
-    """Instance values then given label, one row per instance, with header."""
-    d = ds.dim
-    with open(path, "w") as fh:
-        fh.write(",".join([f"x{j}" for j in range(d)] + ["given_label"]) + "\n")
-        for i in range(len(ds)):
-            cells = [repr(float(v)) for v in ds.X[i]]
-            cells.append(str(int(ds.given_labels[i])))
-            fh.write(",".join(cells) + "\n")

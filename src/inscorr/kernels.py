@@ -1,14 +1,7 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels in numpy.
 
-The backend is chosen once at import time from the INSCORR_KERNELS
-environment variable: "numba" (default when numba imports cleanly) or
-"numpy". Within a backend every kernel is deterministic and repeated
-calls are bit-identical. Across backends, kernels built from +,*,/,sqrt
-agree exactly; kernels that call exp/log or reduce many terms
-(softmax_xent, block_resample) agree to a few ulps because libm
-implementations and numpy's pairwise summation differ from the
-sequential loops used in the jitted code. Hold the backend fixed when
-byte-level reproducibility matters.
+Every kernel is deterministic: repeated calls on the same inputs are
+bit-identical.
 
 Kernels:
     softmax_xent(logits, labels)        -> (losses, probs)
@@ -18,99 +11,32 @@ Kernels:
     block_resample(grid, factor)        -> block-average down + nearest up
 """
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("INSCORR_KERNELS", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"INSCORR_KERNELS must be 'numba' or 'numpy', got {_env!r}"
-    )
-
-if _env == "numpy":
-    HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-        if _env == "numba":
-            raise ImportError(
-                "INSCORR_KERNELS=numba but numba is not importable"
-            ) from None
-
-USE_NUMBA = HAVE_NUMBA
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
-if not HAVE_NUMBA:
-    def njit(*args, **kwargs):
-        # identity decorator so the _nb symbols still exist for benchmarks
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
+# BACKEND and warmup() stay only because the benchmark (perfbench/run.py)
+# records the backend in its environment line and times warmup() in setup_s.
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
 # softmax cross entropy, forward and backward
 # ---------------------------------------------------------------------------
 
-def _softmax_xent_np(logits, labels):
-    b, c = logits.shape
+def softmax_xent(logits, labels):
+    b = logits.shape[0]
     mx = np.max(logits, axis=1)
     shifted = logits - mx[:, None]
     ex = np.exp(shifted)
-    # accumulate columns in index order (mirrors the jitted loop)
-    s = ex[:, 0].copy()
-    for j in range(1, c):
-        s += ex[:, j]
+    s = ex.sum(axis=1)
     losses = np.log(s) - shifted[np.arange(b), labels]
     probs = ex / s[:, None]
     return losses, probs
 
 
-@njit(cache=True)
-def _softmax_xent_nb(logits, labels):
-    b, c = logits.shape
-    losses = np.empty(b)
-    probs = np.empty((b, c))
-    for i in range(b):
-        mx = logits[i, 0]
-        for j in range(1, c):
-            if logits[i, j] > mx:
-                mx = logits[i, j]
-        s = 0.0
-        for j in range(c):
-            e = np.exp(logits[i, j] - mx)
-            probs[i, j] = e
-            s += e
-        losses[i] = np.log(s) - (logits[i, labels[i]] - mx)
-        for j in range(c):
-            probs[i, j] = probs[i, j] / s
-    return losses, probs
-
-
-def _xent_backward_np(probs, labels, gout):
+def xent_backward(probs, labels, gout):
     b = probs.shape[0]
     grad = probs * gout[:, None]
     grad[np.arange(b), labels] -= gout
-    return grad
-
-
-@njit(cache=True)
-def _xent_backward_nb(probs, labels, gout):
-    b, c = probs.shape
-    grad = np.empty((b, c))
-    for i in range(b):
-        g = gout[i]
-        for j in range(c):
-            grad[i, j] = probs[i, j] * g
-        grad[i, labels[i]] -= g
     return grad
 
 
@@ -118,7 +44,7 @@ def _xent_backward_nb(probs, labels, gout):
 # fused Adam update (flat views, in place)
 # ---------------------------------------------------------------------------
 
-def _adam_update_np(p, g, m, v, lr, b1, b2, eps, c1, c2):
+def adam_update(p, g, m, v, lr, b1, b2, eps, c1, c2):
     one_mb1 = 1.0 - b1
     one_mb2 = 1.0 - b2
     m *= b1
@@ -128,24 +54,11 @@ def _adam_update_np(p, g, m, v, lr, b1, b2, eps, c1, c2):
     p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-@njit(cache=True)
-def _adam_update_nb(p, g, m, v, lr, b1, b2, eps, c1, c2):
-    one_mb1 = 1.0 - b1
-    one_mb2 = 1.0 - b2
-    for i in range(p.size):
-        gi = g[i]
-        mi = b1 * m[i] + one_mb1 * gi
-        vi = b2 * v[i] + one_mb2 * (gi * gi)
-        m[i] = mi
-        v[i] = vi
-        p[i] = p[i] - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
-
-
 # ---------------------------------------------------------------------------
 # line convolution with reflect-101 padding (motion blur)
 # ---------------------------------------------------------------------------
 
-def _reflect_index_np(idx, n):
+def _reflect_index(idx, n):
     idx = np.abs(idx)
     while np.any(idx > n - 1):
         idx = np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
@@ -153,7 +66,7 @@ def _reflect_index_np(idx, n):
     return idx
 
 
-def _line_blur_np(grid, dys, dxs):
+def line_blur(grid, dys, dxs):
     h, w = grid.shape
     k = dys.size
     wgt = 1.0 / k
@@ -161,37 +74,9 @@ def _line_blur_np(grid, dys, dxs):
     xs = np.arange(w)[None, :]
     out = np.zeros((h, w))
     for t in range(k):
-        yy = _reflect_index_np(ys + dys[t], h)
-        xx = _reflect_index_np(xs + dxs[t], w)
+        yy = _reflect_index(ys + dys[t], h)
+        xx = _reflect_index(xs + dxs[t], w)
         out += wgt * grid[yy, xx]
-    return out
-
-
-@njit(cache=True)
-def _reflect_index_nb(idx, n):
-    if idx < 0:
-        idx = -idx
-    while idx > n - 1:
-        idx = 2 * (n - 1) - idx
-        if idx < 0:
-            idx = -idx
-    return idx
-
-
-@njit(cache=True)
-def _line_blur_nb(grid, dys, dxs):
-    h, w = grid.shape
-    k = dys.size
-    wgt = 1.0 / k
-    out = np.zeros((h, w))
-    for t in range(k):
-        dy = dys[t]
-        dx = dxs[t]
-        for i in range(h):
-            yy = _reflect_index_nb(i + dy, h)
-            for j in range(w):
-                xx = _reflect_index_nb(j + dx, w)
-                out[i, j] += wgt * grid[yy, xx]
     return out
 
 
@@ -199,7 +84,7 @@ def _line_blur_nb(grid, dys, dxs):
 # block-average downsample + nearest-neighbor upsample (resolution loss)
 # ---------------------------------------------------------------------------
 
-def _block_resample_np(grid, factor):
+def block_resample(grid, factor):
     h, w = grid.shape
     out = np.empty((h, w))
     for bi in range(0, h, factor):
@@ -210,45 +95,8 @@ def _block_resample_np(grid, factor):
     return out
 
 
-@njit(cache=True)
-def _block_resample_nb(grid, factor):
-    h, w = grid.shape
-    out = np.empty((h, w))
-    for bi in range(0, h, factor):
-        i1 = min(bi + factor, h)
-        for bj in range(0, w, factor):
-            j1 = min(bj + factor, w)
-            s = 0.0
-            for i in range(bi, i1):
-                for j in range(bj, j1):
-                    s += grid[i, j]
-            mean = s / ((i1 - bi) * (j1 - bj))
-            for i in range(bi, i1):
-                for j in range(bj, j1):
-                    out[i, j] = mean
-    return out
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    softmax_xent = _softmax_xent_nb
-    xent_backward = _xent_backward_nb
-    adam_update = _adam_update_nb
-    line_blur = _line_blur_nb
-    block_resample = _block_resample_nb
-else:
-    softmax_xent = _softmax_xent_np
-    xent_backward = _xent_backward_np
-    adam_update = _adam_update_np
-    line_blur = _line_blur_np
-    block_resample = _block_resample_np
-
-
 def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
+    """Call every kernel once on tiny inputs."""
     logits = np.zeros((2, 3))
     labels = np.zeros(2, dtype=np.int64)
     losses, probs = softmax_xent(logits, labels)

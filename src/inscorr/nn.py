@@ -8,8 +8,8 @@ every layer's output, and backward() walks those cached outputs once in
 reverse, adding the row-weighted loss's gradient into each parameter's
 .grad or, on request, returning the input gradient instead. Callers may
 pass backward() the same rows of each cached output (a kept subset of a
-batch) without running forward again. infer_logits() is the evaluation
-path, where no outputs need keeping.
+batch) without running forward again. Evaluation (predict,
+per_example_losses) takes the logits from the same forward().
 
 Checkpoint container (version 1), fields in order after magic+version:
     input_dim u64 | n_hidden u32 | hidden widths u64 each | num_classes u32
@@ -102,8 +102,8 @@ class Model:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w.data + b.data
             if i != last:
-                # relu with subgradient 0 at the kink; NaN maps to 0
-                h = np.where(h > 0.0, h, 0.0)
+                # relu with subgradient 0 at the kink; NaN propagates
+                h = np.maximum(h, 0.0)
             outputs.append(h)
         return outputs
 
@@ -138,24 +138,13 @@ class Model:
         self.backward(outputs, probs, labels, np.full(n, weight / n))
         return float(losses.sum() / n * weight)
 
-    def infer_logits(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        self._check_input(x)
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
-            if i != last:
-                h = np.maximum(h, 0.0)
-        return h
-
     def predict(self, x):
         # argmax breaks ties toward the lower class index
-        return np.argmax(self.infer_logits(x), axis=1)
+        return np.argmax(self.forward(x)[-1], axis=1)
 
     def per_example_losses(self, x, labels):
-        """Cross-entropy loss of each row, without keeping layer outputs."""
-        losses, _ = cross_entropy(self.infer_logits(x), labels)
+        """Cross-entropy loss of each row."""
+        losses, _ = cross_entropy(self.forward(x)[-1], labels)
         return losses
 
 

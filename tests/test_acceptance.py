@@ -7,15 +7,7 @@ even when the numbers still come out right.
 
 import time
 
-import pytest
-
-from inscorr import acceptance, kernels
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    # compile jitted kernels up front so budgets measure the checks alone
-    kernels.warmup()
+from inscorr import acceptance
 
 
 def _timed(check):

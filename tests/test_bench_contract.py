@@ -4,7 +4,8 @@ perfbench/layers.py wraps pipeline, nn, tensor and kernels functions by
 name from outside the package. Renaming or deleting one of them would
 leave its spans empty without failing any run, so this test traces one
 tiny Mix run, which covers both selection epochs and mixed epochs, and
-requires the per-layer counts those entry points feed.
+requires the per-layer counts those entry points feed. perfbench/run.py
+also reads kernels.BACKEND and times kernels.warmup().
 """
 
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from inscorr import artifacts
+from inscorr import artifacts, kernels
 from inscorr.config import apply_overrides, load_config, resolve_config
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -51,3 +52,10 @@ def test_tracer_sees_selection_forward_and_mixed_loss(tmp_path, perfbench_layers
     assert metrics["pipeline.mixed_loss_calls"] > 0
     assert metrics["kernels.xent_backward_calls"] > 0
     assert metrics["nn.optimizer_steps"] > 0
+
+
+def test_bench_reads_kernel_names():
+    assert kernels.BACKEND == "numpy"
+    kernels.warmup()
+    for name in ("softmax_xent", "xent_backward", "adam_update"):
+        assert callable(getattr(kernels, name, None)), name

@@ -1,12 +1,13 @@
 """CLI verbs end to end on very small experiments."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from inscorr import cli
+from inscorr import artifacts, cli
 from inscorr.cli import main
 from inscorr.data import NO_LABEL, load_dataset
 
@@ -69,6 +70,27 @@ def test_run_rejects_ill_typed_override_by_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "training.total_epochs" in err and "integer" in err
     assert not (tmp_path / "runs").exists()
+
+
+def test_failed_run_leaves_no_run_directory(tmp_path, tiny_cfg, capsys):
+    root = tmp_path / "runs"
+    code = main(["run", "--config", tiny_cfg, "--set", "noise.route=bogus",
+                 "--output-root", str(root)])
+    assert code == 1
+    assert "bogus" in capsys.readouterr().err
+    assert not root.exists()
+
+
+def test_failed_write_leaves_no_run_directory(tmp_path, tiny_cfg, monkeypatch):
+    def broken_save(path, *args, **kwargs):
+        path.write_bytes(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(artifacts, "save_checkpoint", broken_save)
+    root = tmp_path / "runs"
+    with pytest.raises(OSError, match="disk full"):
+        main(["run", "--config", tiny_cfg, "--output-root", str(root)])
+    assert list(root.iterdir()) == []
 
 
 def test_seed_override_changes_run_identity(tmp_path, tiny_cfg):
@@ -153,6 +175,24 @@ def test_campaign_grid_summary(tmp_path, tiny_cfg, capsys):
     runs = [p for p in root.iterdir() if p.is_dir() and p != campaign_dir]
     assert len(runs) == 2
     assert "gaussian rate=0.4 SelectionOnly:" in capsys.readouterr().out
+
+
+def test_duplicate_campaign_jobs_leave_one_complete_run(tmp_path, tiny_cfg):
+    root = tmp_path / "runs"
+    assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
+                 "--routes", "gaussian", "--rates", "0.4",
+                 "--methods", "SelectionOnly", "--seeds", "0,0",
+                 "--workers", "2"]) == 0
+    runs = [p for p in root.iterdir() if not p.name.startswith("campaign-")]
+    assert len(runs) == 1
+    run_dir = runs[0]
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    listed = manifest["artifacts"]
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted([*listed, "manifest.json"])
+    for name, meta in listed.items():
+        blob = (run_dir / name).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == meta["sha256"], name
+        assert len(blob) == meta["bytes"], name
 
 
 def test_zero_accuracy_is_reported_not_null(tmp_path, tiny_cfg, monkeypatch):

@@ -1,7 +1,5 @@
 """Synthetic data properties, splits, and container round trips."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from inscorr.data import (
     NO_LABEL,
     Dataset,
     Provenance,
-    export_csv,
     generate_ood_source,
     generate_synthetic,
     load_dataset,
@@ -206,16 +203,3 @@ def test_dataset_file_corruption_detected(tmp_path):
     with pytest.raises(ChecksumError):
         load_dataset(str(tmp_path / "flip.bin"))
 
-
-def test_export_csv_round_trips_values(tmp_path):
-    ds = generate_synthetic(5, 2, height=4, width=4, seed=18)
-    path = tmp_path / "ds.csv"
-    export_csv(str(path), ds)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == [f"x{j}" for j in range(16)] + ["given_label"]
-    assert len(rows) == 6
-    for i, row in enumerate(rows[1:]):
-        vals = np.array([float(v) for v in row[:-1]])
-        assert np.array_equal(vals, ds.X[i])
-        assert int(row[-1]) == ds.given_labels[i]

@@ -66,13 +66,25 @@ def test_forward_graph_matches_infer_path_exactly():
     rng = np.random.default_rng(1)
     model = Model.init(SPEC, seed=2)
     x = rng.normal(size=(10, 8))
-    assert np.array_equal(model.forward(x)[-1], model.infer_logits(x))
+    (w0, w1), (b0, b1) = [p.data for p in model.weights], [p.data for p in model.biases]
+    logits = model.forward(x)[-1]
+    assert np.array_equal(logits, np.maximum(x @ w0 + b0, 0.0) @ w1 + b1)
+    assert np.array_equal(model.predict(x), np.argmax(logits, axis=1))
+
+    # a NaN weight reaches training, evaluation and the attack alike
+    nan_net = Model.init(ModelSpec(4, (3,), 2), seed=3)
+    nan_net.weights[0].data[0, 0] = np.nan
+    x = rng.random((6, 4))
+    labels = np.zeros(6, dtype=int)
+    assert np.all(np.isnan(nan_net.forward(x)[-1]))
+    assert np.all(np.isnan(nan_net.per_example_losses(x, labels)))
+    assert np.isnan(nan_net.loss_and_grads(x, labels))
 
 
 def test_forward_rejects_wrong_width():
     model = Model.init(SPEC, seed=2)
     with pytest.raises(DimensionError, match=r"\(3, 5\)"):
-        model.infer_logits(np.zeros((3, 5)))
+        model.predict(np.zeros((3, 5)))
 
 
 def test_per_example_losses_match_graph_losses():
