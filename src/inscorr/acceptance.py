@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackConfig, correct_set
-from .config import config_hash, resolve_config
+from .config import (
+    apply_overrides,
+    config_hash,
+    load_config,
+    resolve_config,
+    to_experiment_config,
+)
 from .data import generate_ood_source, generate_synthetic
 from .errors import ContractError
 from .nn import Adam, Model, ModelSpec, cross_entropy
@@ -39,6 +45,7 @@ from .pipeline import (
     run_experiment,
 )
 from .select import SelectionSchedule, select_small_loss
+from .sweep import sweep
 
 ORDERING_SEEDS = (0, 1, 2, 3, 4)
 MEMORIZATION_SEEDS = (0, 1, 2)
@@ -152,51 +159,38 @@ def check_selection():
 # --- ordering ----------------------------------------------------------
 
 
-def _ordering_config(route, method, seed, lam=0.5):
-    # lr doubles the config default: at 60 epochs the shorter runs need
-    # the larger step for the method gaps to separate from seed noise
-    return ExperimentConfig(
-        method=method,
-        hidden=(64,),
-        lr=0.002,
-        n_train=2000,
-        n_test=1000,
-        num_classes=4,
-        height=16,
-        width=16,
-        noise_route=route,
-        noise_rate=0.4,
-        lam=lam,
-        warmup_epochs=30,
-        total_epochs=60,
-        batch_size=128,
-        seed_data=seed,
-        seed_noise=seed,
-        seed_init=seed,
-        seed_epochs=seed,
-    )
+# lr doubles the config default: at 60 epochs the shorter runs need the
+# larger step for the method gaps to separate from seed noise
+_ORDERING_BASE = (
+    "model.hidden=[64]", "model.lr=0.002", "data.n_train=2000", "data.n_test=1000",
+    "data.num_classes=4", "data.height=16", "data.width=16", "noise.rate=0.4",
+    "training.warmup_epochs=30", "training.total_epochs=60", "training.batch_size=128",
+)
 
 
-def _last_ten_mean(metrics):
+def _ordering_config(route, method, lam=0.5):
+    return {"method": method, "noise": {"route": route}, "training": {"lambda": lam}}
+
+
+def _ordering_run(resolved, data):
+    metrics = run_experiment(to_experiment_config(resolved), data=data).metrics
     return float(np.mean([m.test_accuracy for m in metrics[-10:]]))
-
-
-def _mean_over_seeds(route, method, lam=0.5):
-    accs = []
-    for seed in ORDERING_SEEDS:
-        cfg = _ordering_config(route, method, seed, lam)
-        accs.append(_last_ten_mean(run_experiment(cfg).metrics))
-    return float(np.mean(accs))
 
 
 def check_ordering():
     """Corrected instances help under corruption; raw replaced ones hurt."""
-    details = []
-    wins = 0
-    ok = True
-    for route in ("fog", "occlusion", "resolution"):
-        ins = _mean_over_seeds(route, INSCORR)
-        sel = _mean_over_seeds(route, SELECTION_ONLY)
+    corruptions = ("fog", "occlusion", "resolution")
+    cells = [_ordering_config(route, method)
+             for route in corruptions for method in (INSCORR, SELECTION_ONLY)]
+    cells += [_ordering_config(OPEN_SET, SELECTION_ONLY),
+              _ordering_config(OPEN_SET, MIX, lam=0.7)]
+    base = apply_overrides(load_config(), _ORDERING_BASE)
+    results, failures = sweep(base, cells, ORDERING_SEEDS, _ordering_run)
+    if failures:
+        return False, f"{len(failures)} runs failed, first: {failures[0][2]}"
+    means = [result.mean for result in results]
+    details, wins, ok = [], 0, True
+    for route, ins, sel in zip(corruptions, means[0:6:2], means[1:6:2]):
         details.append(f"{route}: corrected {ins:.4f} vs selection {sel:.4f}")
         if ins < sel - 0.005:
             ok = False
@@ -204,8 +198,7 @@ def check_ordering():
             wins += 1
     if wins < 2:
         ok = False
-    sel = _mean_over_seeds(OPEN_SET, SELECTION_ONLY)
-    mix = _mean_over_seeds(OPEN_SET, MIX, lam=0.7)
+    sel, mix = means[6:]
     details.append(f"open_set: selection {sel:.4f} vs raw mix {mix:.4f}")
     if sel - mix < 0.02:
         ok = False

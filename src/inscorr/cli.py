@@ -13,8 +13,6 @@ variable, or ./runs, keyed by config hash.
 """
 
 import argparse
-import concurrent.futures
-import copy
 import csv
 import json
 import sys
@@ -27,20 +25,24 @@ from .data import generate_ood_source, generate_synthetic, save_dataset
 from .errors import ConfigError, InscorrError
 from .noise import ALL_ROUTES, OPEN_SET, NoiseSpec, apply_noise
 from .pipeline import METHODS
+from .sweep import sweep
 
 
-def _split(text, parse=str):
-    return [parse(part) for part in text.split(",") if part]
+def _split(args, flag, parse=str):
+    """The comma list of --flag, which must hold at least one value."""
+    text = getattr(args, flag)
+    try:
+        values = [parse(part) for part in text.split(",") if part]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"--{flag} needs a comma list of values, got {text!r}")
+    return values
 
 
 def _load(args):
     cfg = load_config(args.config)
     return apply_overrides(cfg, args.set or [])
-
-
-def _json_number(cell):
-    # "" marks a cell with no successful run; 0.0 is a real accuracy
-    return None if cell == "" else cell
 
 
 def _summary_line(run_dir, summary):
@@ -60,18 +62,38 @@ def cmd_run(args):
     return 0
 
 
-def _one_campaign_run(resolved, root):
-    # module level so process pools can pickle it
-    _, summary = write_run(resolved, root)
-    return summary
+def _sweep_job(resolved, data, root):
+    # module level so process pools can pickle it; write_run is looked up
+    # at call time, so a patched cli.write_run reaches forked workers too
+    return write_run(resolved, root, data=data)[1]["last_ten_mean"]
+
+
+def _cell_text(result):
+    return "failed" if result.mean is None else f"{result.mean:.4f}+-{result.std:.4f}"
+
+
+def _write_report(directory, stem, header, rows, report):
+    """Write directory/stem.csv (header and rows) and directory/stem.json."""
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        # "" marks a cell with no successful run; 0.0 is a real accuracy
+        writer.writerows(["" if v is None else v for v in row] for row in rows)
+    (directory / f"{stem}.json").write_text(
+        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    print(f"{stem} written to {directory}")
 
 
 def cmd_campaign(args):
     base = _load(args)
-    routes = _split(args.routes)
-    rates = _split(args.rates, float)
-    seeds = _split(args.seeds, int)
-    methods = _split(args.methods)
+    routes = _split(args, "routes")
+    rates = _split(args, "rates", float)
+    seeds = _split(args, "seeds", int)
+    methods = _split(args, "methods")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     for route in routes:
         if route not in ALL_ROUTES:
             raise ConfigError(f"unknown route {route!r}")
@@ -79,102 +101,38 @@ def cmd_campaign(args):
         if method not in METHODS:
             raise ConfigError(f"unknown method {method!r}")
 
-    jobs = []
-    for route in routes:
-        for rate in rates:
-            for method in methods:
-                for seed in seeds:
-                    cfg = copy.deepcopy(base)
-                    cfg["noise"]["route"] = route
-                    cfg["noise"]["rate"] = rate
-                    cfg["method"] = method
-                    for stream in cfg["seeds"]:
-                        cfg["seeds"][stream] = seed
-                    jobs.append(((route, rate, method), seed, resolve_config(cfg)))
-
+    grid = [(route, rate, method)
+            for route in routes for rate in rates for method in methods]
+    cells = [{"noise": {"route": route, "rate": rate}, "method": method}
+             for route, rate, method in grid]
     root = output_root(args.output_root)
     grid_id = config_hash({
         "base": resolve_config(base),
         "routes": routes, "rates": rates, "seeds": seeds, "methods": methods,
     })
-    campaign_dir = root / f"campaign-{grid_id}"
-    campaign_dir.mkdir(parents=True, exist_ok=True)
+    results, failures = sweep(base, cells, seeds, _sweep_job, (root,), args.workers)
 
-    results, failures = {}, []
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.workers) as pool:
-            futures = {
-                pool.submit(_one_campaign_run, resolved, root): (cell, seed)
-                for cell, seed, resolved in jobs
-            }
-            for future in concurrent.futures.as_completed(futures):
-                cell, seed = futures[future]
-                error = future.exception()
-                if error is not None:
-                    failures.append({"cell": cell, "seed": seed, "error": str(error)})
-                else:
-                    results.setdefault(cell, []).append(future.result())
-    else:
-        for cell, seed, resolved in jobs:
-            try:
-                results.setdefault(cell, []).append(_one_campaign_run(resolved, root))
-            except Exception as error:
-                results.setdefault(cell, [])
-                failures.append({"cell": cell, "seed": seed, "error": str(error)})
-
-    import numpy as np
-
+    header = ["route", "rate", "method", "n_seeds", "n_failed", "mean_acc", "std_acc"]
     rows = []
-    for route in routes:
-        for rate in rates:
-            for method in methods:
-                cell = (route, rate, method)
-                summaries = results.get(cell, [])
-                accs = [s["last_ten_mean"] for s in summaries
-                        if s["last_ten_mean"] is not None]
-                mean = float(np.mean(accs)) if accs else ""
-                std = float(np.std(accs)) if accs else ""
-                rows.append([route, rate, method, len(seeds),
-                             len(seeds) - len(summaries), mean, std])
-                print(f"{route} rate={rate} {method}: "
-                      + (f"{mean:.4f}+-{std:.4f}" if accs else "failed"))
-
-    with open(campaign_dir / "campaign.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["route", "rate", "method", "n_seeds", "n_failed",
-                         "mean_acc", "std_acc"])
-        writer.writerows(rows)
-    report = {
+    for (route, rate, method), result in zip(grid, results):
+        rows.append([route, rate, method, len(seeds), *result])
+        print(f"{route} rate={rate} {method}: {_cell_text(result)}")
+    _write_report(root / f"campaign-{grid_id}", "campaign", header, rows, {
         "grid_id": grid_id,
-        "cells": [
-            {"route": r[0], "rate": r[1], "method": r[2], "n_seeds": r[3],
-             "n_failed": r[4], "mean_acc": _json_number(r[5]),
-             "std_acc": _json_number(r[6])}
-            for r in rows
-        ],
-        "failures": [
-            {"route": f["cell"][0], "rate": f["cell"][1], "method": f["cell"][2],
-             "seed": f["seed"], "error": f["error"]}
-            for f in failures
-        ],
-    }
-    (campaign_dir / "campaign.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"campaign written to {campaign_dir}")
+        "cells": [dict(zip(header, row)) for row in rows],
+        "failures": [dict(zip(header, grid[c]), seed=seed, error=error)
+                     for c, seed, error in failures],
+    })
     return 1 if failures else 0
 
 
 def cmd_ablate(args):
     base = _load(args)
-    weights = sorted(_split(args.weights, float))
-    seeds = _split(args.seeds, int)
-    if args.interpretation not in ("discarded", "clean"):
-        raise ConfigError(
-            f"interpretation must be 'discarded' or 'clean', got {args.interpretation!r}"
-        )
+    weights = sorted(_split(args, "weights", float))
+    seeds = _split(args, "seeds", int)
+    discarded = args.interpretation == "discarded"
     print(f"sweeping {len(weights)} weights as the "
-          f"{'corrected-term' if args.interpretation == 'discarded' else 'clean-term'}"
+          f"{'corrected-term' if discarded else 'clean-term'}"
           f" coefficient ({args.interpretation} interpretation)")
 
     root = output_root(args.output_root)
@@ -182,47 +140,23 @@ def cmd_ablate(args):
         "base": resolve_config(base), "weights": weights, "seeds": seeds,
         "interpretation": args.interpretation,
     })
-    sweep_dir = root / f"ablate-{sweep_id}"
-    sweep_dir.mkdir(parents=True, exist_ok=True)
-
-    import numpy as np
-
     # the swept weight is lambda itself, or its complement
-    sweep = sorted(((1.0 - w) if args.interpretation == "discarded" else w, w)
-                   for w in weights)
-    rows, failures = [], []
-    for lam, weight in sweep:
-        accs = []
-        for seed in seeds:
-            cfg = copy.deepcopy(base)
-            cfg["training"]["lambda"] = lam
-            for stream in cfg["seeds"]:
-                cfg["seeds"][stream] = seed
-            try:
-                _, summary = write_run(resolve_config(cfg), root)
-            except Exception as error:
-                failures.append({"weight": weight, "seed": seed, "error": str(error)})
-                continue
-            if summary["last_ten_mean"] is not None:
-                accs.append(summary["last_ten_mean"])
-        mean = float(np.mean(accs)) if accs else ""
-        std = float(np.std(accs)) if accs else ""
-        rows.append([weight, lam, mean, std])
-        print(f"weight={weight} lambda={lam}: "
-              + (f"{mean:.4f}+-{std:.4f}" if accs else "failed"))
+    grid = sorted(((1.0 - w) if discarded else w, w) for w in weights)
+    cells = [{"training": {"lambda": lam}} for lam, _ in grid]
+    results, failures = sweep(base, cells, seeds, _sweep_job, (root,))
 
-    with open(sweep_dir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["weight", "lambda", "mean_acc", "std_acc"])
-        writer.writerows(rows)
-    (sweep_dir / "ablation.json").write_text(json.dumps({
+    header = ["weight", "lambda", "mean_acc", "std_acc"]
+    rows = []
+    for (lam, weight), result in zip(grid, results):
+        rows.append([weight, lam, result.mean, result.std])
+        print(f"weight={weight} lambda={lam}: {_cell_text(result)}")
+    _write_report(root / f"ablate-{sweep_id}", "ablation", header, rows, {
         "sweep_id": sweep_id,
         "interpretation": args.interpretation,
-        "rows": [{"weight": r[0], "lambda": r[1], "mean_acc": _json_number(r[2]),
-                  "std_acc": _json_number(r[3])} for r in rows],
-        "failures": failures,
-    }, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"ablation written to {sweep_dir}")
+        "rows": [dict(zip(header, row)) for row in rows],
+        "failures": [{"weight": grid[c][1], "seed": seed, "error": error}
+                     for c, seed, error in failures],
+    })
     return 1 if failures else 0
 
 
@@ -248,7 +182,7 @@ def cmd_make_data(args):
 
 
 def cmd_verify(args):
-    only = _split(args.only) if args.only else None
+    only = _split(args, "only") if args.only else None
     report = acceptance.run_all(only=only)
     return 0 if report.all_passed else 1
 

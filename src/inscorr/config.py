@@ -3,9 +3,10 @@
 A config is a nested dict with the sections below. Unknown keys are
 rejected by their dotted path, and so is a value whose type differs from
 its default's (an integer may stand for a float). A null value means
-"derive the default": selection.tau follows noise.rate,
-training.warmup_epochs is half of training.total_epochs, data.pool_size
-matches data.n_train, and attack.step_size is 2.5 * budget / steps.
+"derive the default"; these are all the derived defaults, computed by
+ExperimentConfig and AttackConfig: selection.tau follows noise.rate,
+training.warmup_epochs is training.total_epochs // 2, data.pool_size
+matches data.n_train, and attack.step_size is 2.5 * budget / max(steps, 1).
 
 The run identity is the first 12 hex digits of the sha256 of the fully
 resolved config serialized canonically, so two configs that resolve to
@@ -135,11 +136,11 @@ def _check_keys(user, schema, path=""):
             _check_keys(value, schema[key], dotted + ".")
 
 
-def _deep_merge(base, user):
+def deep_merge(base, user):
     out = copy.deepcopy(base)
     for key, value in user.items():
         if isinstance(value, dict):
-            out[key] = _deep_merge(base[key], value)
+            out[key] = deep_merge(base[key], value)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -157,7 +158,7 @@ def load_config(path=None):
     if not isinstance(user, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     _check_keys(user, DEFAULT_CONFIG)
-    return _deep_merge(DEFAULT_CONFIG, user)
+    return deep_merge(DEFAULT_CONFIG, user)
 
 
 def apply_overrides(cfg, assignments):
@@ -188,19 +189,14 @@ def apply_overrides(cfg, assignments):
 
 
 def resolve_config(cfg):
-    """Fill every derived default in; the result has no nulls left."""
+    """Fill every derived default in; the result has no nulls left.
+
+    The derived values are read back from the runnable config that
+    to_experiment_config builds, so each formula lives in its dataclass
+    and a config that cannot run fails here, with a ConfigError.
+    """
     _check_types(cfg)
     out = copy.deepcopy(cfg)
-    if out["selection"]["tau"] is None:
-        out["selection"]["tau"] = out["noise"]["rate"]
-    if out["training"]["warmup_epochs"] is None:
-        out["training"]["warmup_epochs"] = out["training"]["total_epochs"] // 2
-    if out["data"]["pool_size"] is None:
-        out["data"]["pool_size"] = out["data"]["n_train"]
-    if out["attack"]["step_size"] is None:
-        budget = out["attack"]["budget"]
-        steps = out["attack"]["steps"]
-        out["attack"]["step_size"] = 2.5 * budget / max(steps, 1)
     if out["training"]["refresh_correction"] and out["method"] != INSCORR:
         raise ConfigError(
             "training.refresh_correction only applies when method is InsCorr"
@@ -208,6 +204,11 @@ def resolve_config(cfg):
     lam = out["training"]["lambda"]
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"training.lambda must lie in [0, 1], got {lam}")
+    runnable = to_experiment_config(out)
+    out["selection"]["tau"] = runnable.tau
+    out["training"]["warmup_epochs"] = runnable.warmup_epochs
+    out["data"]["pool_size"] = runnable.pool_size
+    out["attack"]["step_size"] = runnable.attack.step_size
     return out
 
 
@@ -218,53 +219,25 @@ def config_hash(resolved):
 
 
 def to_experiment_config(resolved):
-    """Build the runnable config; value errors surface as ConfigError."""
-    noise = resolved["noise"]
+    """Build the runnable config; value errors surface as ConfigError.
+
+    Each key fills the dataclass field of its name, except noise.route,
+    noise.rate, training.lambda and seeds.<stream> (seed_<stream>).
+    """
+    _check_types(resolved)
+    noise = dict(resolved["noise"])
+    training = dict(resolved["training"])
     try:
-        spec = NoiseSpec(
-            gaussian_sigma=noise["gaussian_sigma"],
-            occlusion_fraction=noise["occlusion_fraction"],
-            resolution_factor=noise["resolution_factor"],
-            fog_intensity=noise["fog_intensity"],
-            fog_decay=noise["fog_decay"],
-            blur_length=noise["blur_length"],
-            blur_angle_deg=noise["blur_angle_deg"],
-        )
-        attack = AttackConfig(
-            norm=resolved["attack"]["norm"],
-            budget=resolved["attack"]["budget"],
-            steps=resolved["attack"]["steps"],
-            step_size=resolved["attack"]["step_size"],
-            random_start=resolved["attack"]["random_start"],
-        )
         return ExperimentConfig(
             method=resolved["method"],
-            hidden=tuple(resolved["model"]["hidden"]),
-            optimizer=resolved["model"]["optimizer"],
-            lr=resolved["model"]["lr"],
-            n_train=resolved["data"]["n_train"],
-            n_test=resolved["data"]["n_test"],
-            num_classes=resolved["data"]["num_classes"],
-            height=resolved["data"]["height"],
-            width=resolved["data"]["width"],
-            val_fraction=resolved["data"]["val_fraction"],
-            pool_size=resolved["data"]["pool_size"],
-            noise_route=noise["route"],
-            noise_rate=noise["rate"],
-            noise_spec=spec,
-            tau=resolved["selection"]["tau"],
-            ramp_epochs=resolved["selection"]["ramp_epochs"],
-            attack=attack,
-            lam=resolved["training"]["lambda"],
-            warmup_epochs=resolved["training"]["warmup_epochs"],
-            total_epochs=resolved["training"]["total_epochs"],
-            batch_size=resolved["training"]["batch_size"],
-            refresh_correction=resolved["training"]["refresh_correction"],
-            partition_rule=resolved["training"]["partition_rule"],
-            seed_data=resolved["seeds"]["data"],
-            seed_noise=resolved["seeds"]["noise"],
-            seed_init=resolved["seeds"]["init"],
-            seed_epochs=resolved["seeds"]["epochs"],
+            **resolved["model"], **resolved["data"], **resolved["selection"],
+            noise_route=noise.pop("route"),
+            noise_rate=noise.pop("rate"),
+            noise_spec=NoiseSpec(**noise),
+            attack=AttackConfig(**resolved["attack"]),
+            lam=training.pop("lambda"),
+            **training,
+            **{f"seed_{stream}": seed for stream, seed in resolved["seeds"].items()},
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc

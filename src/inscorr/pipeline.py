@@ -31,7 +31,7 @@ import numpy as np
 
 from .attack import AttackConfig, correct_set
 from .data import NO_LABEL, generate_ood_source, generate_synthetic, split_validation
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .nn import Model, ModelSpec, make_optimizer
 from .noise import OPEN_SET, ALL_ROUTES, NoiseSpec, _round_half_up, apply_noise
 from .select import SelectionSchedule, self_teach_epoch
@@ -129,45 +129,57 @@ class RunResult:
     metrics: list
 
 
+def data_key(cfg):
+    """Everything prepare_data reads: configs with equal keys get equal data.
+
+    pool_size counts only on the open_set route, the one that draws a pool.
+    """
+    return (cfg.n_train, cfg.n_test, cfg.num_classes, cfg.height, cfg.width,
+            cfg.val_fraction, cfg.pool_size if cfg.noise_route == OPEN_SET else None,
+            cfg.noise_route, cfg.noise_rate, cfg.noise_spec, cfg.seed_data, cfg.seed_noise)
+
+
 def prepare_data(cfg):
-    """(train, validation, test) per the config's data and noise settings.
+    """(train, validation, test) per the config's data key.
 
     Noise is injected into the training pool first; the validation split
     is carved from the noisy data, so validation labels are noisy too.
     """
-    full = generate_synthetic(
-        cfg.n_train, cfg.num_classes, cfg.height, cfg.width,
-        seed=[cfg.seed_data, 0],
-    )
-    test = generate_synthetic(
-        cfg.n_test, cfg.num_classes, cfg.height, cfg.width,
-        seed=[cfg.seed_data, 1],
-    )
+    (n_train, n_test, classes, height, width, val_fraction, pool_size,
+     route, rate, spec, seed_data, seed_noise) = data_key(cfg)
+    full = generate_synthetic(n_train, classes, height, width, seed=[seed_data, 0])
+    test = generate_synthetic(n_test, classes, height, width, seed=[seed_data, 1])
     pool = None
-    if cfg.noise_route == OPEN_SET:
-        pool = generate_ood_source(
-            cfg.pool_size, cfg.height, cfg.width, seed=[cfg.seed_data, 2]
-        )
-    noisy = apply_noise(full, cfg.noise_route, cfg.noise_rate, cfg.noise_spec,
-                        seed=cfg.seed_noise, pool=pool)
-    train, val = split_validation(noisy, cfg.val_fraction, seed=[cfg.seed_data, 3])
+    if route == OPEN_SET:
+        pool = generate_ood_source(pool_size, height, width, seed=[seed_data, 2])
+    noisy = apply_noise(full, route, rate, spec, seed=seed_noise, pool=pool)
+    train, val = split_validation(noisy, val_fraction, seed=[seed_data, 3])
     return train, val, test
 
 
+def _accuracy(model, x, labels, unlabeled):
+    if np.any(labels == NO_LABEL):
+        raise ContractError(unlabeled)
+    logits = model.forward(x)[-1]
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("non-finite logits during evaluation")
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
 def evaluate(model, ds):
-    """Fraction of instances whose predicted class equals the true label."""
-    if np.any(ds.true_labels == NO_LABEL):
-        raise ContractError("evaluation set has instances without a true label")
-    return float(np.mean(model.predict(ds.X) == ds.true_labels))
+    """Fraction of instances whose predicted class equals the true label;
+    NumericError when a logit is not finite."""
+    return _accuracy(model, ds.X, ds.true_labels,
+                     "evaluation set has instances without a true label")
 
 
 def accuracy_on_given(model, ds):
-    """Accuracy against the (possibly noisy) given labels; 0.0 when empty."""
+    """Accuracy against the (possibly noisy) given labels; 0.0 when empty,
+    NumericError when a logit is not finite."""
     if len(ds) == 0:
         return 0.0
-    if np.any(ds.given_labels == NO_LABEL):
-        raise ContractError("dataset has instances without a given label")
-    return float(np.mean(model.predict(ds.X) == ds.given_labels))
+    return _accuracy(model, ds.X, ds.given_labels,
+                     "dataset has instances without a given label")
 
 
 def partition_clean_mislabeled(model, train, rule=AGREEMENT, tau=None):
@@ -296,6 +308,7 @@ def run_experiment(cfg, data=None, on_epoch=None):
     for epoch in range(cfg.total_epochs):
         precision = None
         attack_success = None
+        rng = np.random.default_rng([cfg.seed_epochs, epoch])
         if two_phase and epoch >= cfg.warmup_epochs:
             if epoch == cfg.warmup_epochs:
                 clean_idx, noisy_idx = partition_clean_mislabeled(
@@ -307,13 +320,11 @@ def run_experiment(cfg, data=None, on_epoch=None):
                 corr_x, corr_y, attack_success = _build_corrected(
                     cfg, model, train, noisy_idx, epoch
                 )
-            rng = np.random.default_rng([cfg.seed_epochs, epoch])
             train_loss = _mixed_epoch(
                 model, optimizer, train, clean_idx, corr_x, corr_y,
                 cfg.lam, cfg.batch_size, len(train), rng,
             )
         else:
-            rng = np.random.default_rng([cfg.seed_epochs, epoch])
             stats = self_teach_epoch(
                 model, optimizer, train, schedule, epoch, cfg.batch_size, rng
             )
@@ -346,18 +357,17 @@ def run_clean_partition_only(cfg, data=None, on_epoch=None):
     metrics = []
     for epoch in range(cfg.total_epochs):
         precision = None
+        rng = np.random.default_rng([cfg.seed_epochs, epoch])
         if epoch >= cfg.warmup_epochs:
             if clean_idx is None:
                 clean_idx, _ = partition_clean_mislabeled(
                     model, train, cfg.partition_rule, cfg.tau
                 )
-            rng = np.random.default_rng([cfg.seed_epochs, epoch])
             train_loss = _mixed_epoch(
                 model, optimizer, train, clean_idx, None, None,
                 1.0, cfg.batch_size, len(train), rng,
             )
         else:
-            rng = np.random.default_rng([cfg.seed_epochs, epoch])
             stats = self_teach_epoch(
                 model, optimizer, train, schedule, epoch, cfg.batch_size, rng
             )

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from inscorr import artifacts, kernels
+from inscorr import artifacts, cli, kernels
 from inscorr.config import apply_overrides, load_config, resolve_config
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -59,3 +59,24 @@ def test_bench_reads_kernel_names():
     kernels.warmup()
     for name in ("softmax_xent", "xent_backward", "adam_update"):
         assert callable(getattr(kernels, name, None)), name
+
+
+def test_campaign_workers_reach_the_patched_write_run(tmp_path, perfbench_layers):
+    # the sweep's pool workers must call write_run through cli's module
+    # global, which the tracer patches; each run then exports one cell
+    Tracer, _ = perfbench_layers
+    (tmp_path / "exports").mkdir()
+    tracer = Tracer(tmp_path / "exports")
+    argv = ["campaign", "--routes", "gaussian,fog", "--rates", "0.3",
+            "--methods", "SelectionOnly,Mix", "--seeds", "0", "--workers", "2",
+            "--output-root", str(tmp_path / "runs")]
+    for item in TINY_MIX[1:]:
+        if not item.startswith("noise."):
+            argv += ["--set", item]
+    tracer.install()
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    snap = tracer.merge_exports(tracer.snapshot())
+    assert snap["cells"] == 4

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def test_duplicate_campaign_jobs_leave_one_complete_run(tmp_path, tiny_cfg):
 def test_zero_accuracy_is_reported_not_null(tmp_path, tiny_cfg, monkeypatch):
     # a cell whose runs all scored 0.0 is a real mean, unlike a cell with no runs
     monkeypatch.setattr(cli, "write_run",
-                        lambda resolved, root: (root, {"last_ten_mean": 0.0}))
+                        lambda resolved, root, data=None: (root, {"last_ten_mean": 0.0}))
     root = tmp_path / "runs"
     assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
                  "--routes", "gaussian", "--rates", "0.4",
@@ -229,3 +230,49 @@ def test_verify_runs_selected_checks(capsys):
 def test_verify_rejects_unknown_check(capsys):
     assert main(["verify", "--only", "nonsense"]) == 1
     assert "unknown checks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["campaign", "--routes", ""], "--routes"),
+    (["campaign", "--rates", ""], "--rates"),
+    (["campaign", "--rates", "0.4,high"], "--rates"),
+    (["campaign", "--methods", ","], "--methods"),
+    (["campaign", "--seeds", ""], "--seeds"),
+    (["campaign", "--workers", "0"], "--workers"),
+    (["campaign", "--workers", "-1"], "--workers"),
+    (["ablate", "--weights", ""], "--weights"),
+    (["ablate", "--seeds", ""], "--seeds"),
+])
+def test_sweeps_reject_bad_grid_flags(tmp_path, tiny_cfg, capsys, argv, flag):
+    root = tmp_path / "runs"
+    # the rest of the grid is one tiny run, should the flag be let through
+    grid = {"campaign": ["--routes", "gaussian", "--rates", "0.4",
+                         "--methods", "SelectionOnly"],
+            "ablate": ["--weights", "0.1"]}[argv[0]]
+    assert main([argv[0], "--config", tiny_cfg, "--output-root", str(root),
+                 "--seeds", "0", *grid, *argv[1:]]) == 1
+    assert flag in capsys.readouterr().err
+    assert not root.exists()
+
+
+def test_campaign_failures_follow_grid_order(tmp_path, tiny_cfg, monkeypatch):
+    # forked workers inherit the patch; the first failing job is the slow one,
+    # so it finishes after the second
+    def fail_on_seed_zero(resolved, root, data=None):
+        route = resolved["noise"]["route"]
+        if resolved["seeds"]["data"] == 0:
+            if route == "gaussian":
+                time.sleep(1.0)
+            raise RuntimeError(f"{route} failed")
+        return root, {"last_ten_mean": 0.5}
+
+    monkeypatch.setattr(cli, "write_run", fail_on_seed_zero)
+    root = tmp_path / "runs"
+    assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
+                 "--routes", "gaussian,fog", "--rates", "0.4",
+                 "--methods", "SelectionOnly", "--seeds", "0,1",
+                 "--workers", "2"]) == 1
+    report = json.loads(next(root.glob("campaign-*/campaign.json")).read_text())
+    assert [(f["route"], f["seed"], f["error"]) for f in report["failures"]] == [
+        ("gaussian", 0, "gaussian failed"), ("fog", 0, "fog failed")]
+    assert [(c["n_failed"], c["mean_acc"]) for c in report["cells"]] == [(1, 0.5)] * 2

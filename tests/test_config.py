@@ -170,9 +170,11 @@ def test_to_experiment_config_maps_fields():
 
 
 def test_to_experiment_config_wraps_value_errors():
-    resolved = resolve_config(apply_overrides(load_config(), ["attack.norm=l1"]))
-    with pytest.raises(ConfigError):
-        to_experiment_config(resolved)
-    resolved = resolve_config(apply_overrides(load_config(), ["method=Other"]))
-    with pytest.raises(ConfigError):
-        to_experiment_config(resolved)
+    for section, key, bad in (("attack", "norm", "l1"), (None, "method", "Other")):
+        resolved = resolve_config(load_config())
+        (resolved[section] if section else resolved)[key] = bad
+        with pytest.raises(ConfigError):
+            to_experiment_config(resolved)
+        # resolve_config builds the runnable config, so it rejects the same value
+        with pytest.raises(ConfigError, match=bad):
+            resolve_config(resolved)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from inscorr.attack import AttackConfig
 from inscorr.data import NO_LABEL, Dataset, generate_synthetic
-from inscorr.errors import ContractError
-from inscorr.nn import Model
+from inscorr.errors import ContractError, NumericError
+from inscorr.nn import Model, ModelSpec
 from inscorr.pipeline import (
     AGREEMENT,
     INSCORR,
@@ -364,3 +364,13 @@ class TestReductions:
                  for pa, pb in zip(model_a.parameters(), model_b.parameters())]
         assert any(diffs)
 
+
+
+def test_evaluation_rejects_non_finite_logits():
+    model = Model.init(ModelSpec(4, (3,), 2), seed=0)
+    model.weights[0].data[0, 0] = np.nan
+    ds = generate_synthetic(6, 2, 2, 2, seed=1)
+    with pytest.raises(NumericError, match="non-finite"):
+        evaluate(model, ds)
+    with pytest.raises(NumericError, match="non-finite"):
+        accuracy_on_given(model, ds)
