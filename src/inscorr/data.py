@@ -108,13 +108,21 @@ class Dataset:
         return self.X[i].reshape(self.grid_shape)
 
 
+# rows rendered per block: larger blocks are no faster and raise peak memory
+_BLOCK_ROWS = 64
+
+
 def _bar_image(height, width, theta, cy, cx, fg, bg, bar_width, bar_length):
-    ys = np.arange(height)[:, None] - cy
-    xs = np.arange(width)[None, :] - cx
+    """(n, height, width) stack of bars, one per entry of the (n,) arrays
+    theta, cy and cx."""
+    ys = np.arange(height)[None, :, None] - cy[:, None, None]
+    xs = np.arange(width)[None, None, :] - cx[:, None, None]
+    sin = np.sin(theta)[:, None, None]
+    cos = np.cos(theta)[:, None, None]
     # perpendicular and longitudinal coordinates of the segment through
     # (cy, cx) at angle theta
-    perp = np.abs(xs * np.sin(theta) - ys * np.cos(theta))
-    longi = xs * np.cos(theta) + ys * np.sin(theta)
+    perp = np.abs(xs * sin - ys * cos)
+    longi = xs * cos + ys * sin
     envelope = np.exp(-0.5 * ((perp / bar_width) ** 2 + (longi / bar_length) ** 2))
     return bg + (fg - bg) * envelope
 
@@ -151,16 +159,22 @@ def generate_synthetic(
     labels = rng.integers(0, num_classes, size=n)
     X = np.empty((n, height * width))
     jitter_rad = np.deg2rad(angle_jitter_deg)
-    for i in range(n):
-        theta = np.pi * labels[i] / num_classes + rng.normal(0.0, jitter_rad)
-        cy = (height - 1) / 2.0 + rng.normal(0.0, center_jitter)
-        cx = (width - 1) / 2.0 + rng.normal(0.0, center_jitter)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        # per row: angle, centre y, centre x, then the pixel noise; one
+        # standard-normal draw per block consumes the stream in the same
+        # order as a row-by-row rng.normal(loc, scale), which computes
+        # loc + scale * z
+        z = rng.standard_normal((hi - lo, 3 + height * width))
+        theta = np.pi * labels[lo:hi] / num_classes + (0.0 + jitter_rad * z[:, 0])
+        cy = (height - 1) / 2.0 + (0.0 + center_jitter * z[:, 1])
+        cx = (width - 1) / 2.0 + (0.0 + center_jitter * z[:, 2])
         img = _bar_image(
             height, width, theta, cy, cx,
             fg=fg, bg=bg, bar_width=bar_width, bar_length=bar_length,
         )
-        img += rng.normal(0.0, pixel_noise, size=(height, width))
-        X[i] = np.clip(img, 0.0, 1.0).ravel()
+        img += (0.0 + pixel_noise * z[:, 3:]).reshape(-1, height, width)
+        np.clip(img.reshape(hi - lo, -1), 0.0, 1.0, out=X[lo:hi])
     lab = labels.astype(np.int32)
     return Dataset(
         X, lab, lab.copy(),
@@ -207,18 +221,27 @@ def generate_ood_source(
     rng = np.random.default_rng(seed)
     spacing = np.pi / num_classes
     X = np.empty((n, height * width))
-    for i in range(n):
-        k = rng.integers(num_classes)
-        off = np.deg2rad(rng.uniform(margin_lo_deg, margin_hi_deg)) * rng.choice((-1, 1))
-        theta = (k * spacing + off) % np.pi
-        cy = height / 2 + rng.uniform(-center_jitter, center_jitter)
-        cx = width / 2 + rng.uniform(-center_jitter, center_jitter)
-        seg = _bar_image(
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        theta, cy, cx = np.empty((3, hi - lo))
+        noise = np.empty((hi - lo, height, width))
+        # the draws stay per row, in their original order; (-1, 1)[integers(2)]
+        # draws what rng.choice((-1, 1)) does
+        for j in range(hi - lo):
+            k = rng.integers(num_classes)
+            off = np.deg2rad(rng.uniform(margin_lo_deg, margin_hi_deg)) * (-1, 1)[rng.integers(2)]
+            theta[j] = (k * spacing + off) % np.pi
+            cy[j] = height / 2 + rng.uniform(-center_jitter, center_jitter)
+            cx[j] = width / 2 + rng.uniform(-center_jitter, center_jitter)
+            noise[j] = rng.normal(0.0, pixel_noise, size=(height, width))
+        img = _bar_image(
             height, width, theta, cy, cx,
             fg=1.0, bg=0.0, bar_width=bar_width, bar_length=bar_length,
         )
-        img = bg + (fg - bg) * seg + rng.normal(0.0, pixel_noise, size=(height, width))
-        X[i] = np.clip(img, 0.0, 1.0).ravel()
+        img *= fg - bg
+        img += bg
+        img += noise
+        np.clip(img.reshape(hi - lo, -1), 0.0, 1.0, out=X[lo:hi])
     absent = np.full(n, NO_LABEL, dtype=np.int32)
     return Dataset(
         X, absent, absent.copy(),

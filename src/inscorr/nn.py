@@ -1,8 +1,11 @@
 """Fully connected relu networks, optimizers, and checkpointing.
 
 A Model owns its parameters as persistent Tensors (.data, .grad) so
-optimizer state stays attached across epochs. The model is always a relu
-MLP under a softmax cross-entropy loss, so gradients are written out by
+optimizer state stays attached across epochs. All of its weights and
+biases live in one contiguous float64 vector, Model.flat, and each .data
+is a reshaped view of it, so an optimizer updates every parameter in one
+call per step. The model is always a relu MLP under a softmax
+cross-entropy loss, so gradients are written out by
 hand rather than taken from a general autodiff engine: forward() returns
 every layer's output, and backward() walks those cached outputs once in
 reverse, adding the row-weighted loss's gradient into each parameter's
@@ -58,11 +61,32 @@ class ModelSpec:
         return list(zip(dims[:-1], dims[1:]))
 
 
+def _views(flat, shapes):
+    """Consecutive slices of flat, each reshaped to the next of shapes."""
+    out, lo = [], 0
+    for shape in shapes:
+        hi = lo + math.prod(shape)
+        out.append(flat[lo:hi].reshape(shape))
+        lo = hi
+    return out
+
+
+def _pack_parameters(params):
+    """Copy the params' .data, in order, into one new contiguous float64
+    vector and make each .data a view of it; returns the vector."""
+    flat = np.empty(sum(p.data.size for p in params))
+    for p, view in zip(params, _views(flat, [p.data.shape for p in params])):
+        view[...] = p.data
+        p.data = view
+    return flat
+
+
 class Model:
     def __init__(self, spec, weights, biases):
         self.spec = spec
         self.weights = weights
         self.biases = biases
+        self.flat = _pack_parameters(self.parameters())
 
     @classmethod
     def init(cls, spec, seed):
@@ -172,7 +196,27 @@ def _accumulate(param, grad):
         param.grad += grad
 
 
-class Sgd:
+class _FlatStep:
+    """The model's parameters as one flat vector, and their gradients
+    gathered into one preallocated flat buffer of the same layout."""
+
+    _grad = None
+
+    def _flat_pair(self, model):
+        params = model.parameters()
+        if any(p.grad is None for p in params):
+            raise ContractError("optimizer step before backward: a parameter has no gradient")
+        # a bare parameter holder has no .flat: pack its parameters on the spot
+        flat = getattr(model, "flat", None)
+        if flat is None:
+            flat = _pack_parameters(params)
+        if self._grad is None or self._grad.size != flat.size:
+            self._grad = np.empty(flat.size)
+        np.concatenate([p.grad.reshape(-1) for p in params], out=self._grad)
+        return flat, self._grad
+
+
+class Sgd(_FlatStep):
     kind = "sgd"
 
     def __init__(self, lr=0.001):
@@ -182,13 +226,14 @@ class Sgd:
         return self
 
     def step(self, model):
-        for p in model.parameters():
-            if p.grad is None:
-                raise ContractError("optimizer step before backward: a parameter has no gradient")
-            p.data -= self.lr * p.grad
+        flat, grad = self._flat_pair(model)
+        flat -= self.lr * grad
 
 
-class Adam:
+class Adam(_FlatStep):
+    """Adam over the flat parameter vector. The moments are flat vectors
+    too; _m and _v hold their per-parameter views, in parameter order."""
+
     kind = "adam"
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -197,13 +242,14 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self._m = None
-        self._v = None
+        self._m = self._v = self._m_flat = self._v_flat = None
 
     def attach(self, model):
         if self._m is None:
-            self._m = [np.zeros_like(p.data) for p in model.parameters()]
-            self._v = [np.zeros_like(p.data) for p in model.parameters()]
+            shapes = [p.data.shape for p in model.parameters()]
+            self._m_flat, self._v_flat = np.zeros((2, sum(math.prod(s) for s in shapes)))
+            self._m = _views(self._m_flat, shapes)
+            self._v = _views(self._v_flat, shapes)
         return self
 
     def step(self, model):
@@ -214,17 +260,15 @@ class Adam:
             raise ContractError(
                 f"optimizer holds state for {len(self._m)} parameters, model has {len(params)}"
             )
+        flat, grad = self._flat_pair(model)
         self.step_count += 1
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count
-        for p, m, v in zip(params, self._m, self._v):
-            if p.grad is None:
-                raise ContractError("optimizer step before backward: a parameter has no gradient")
-            kernels.adam_update(
-                p.data.reshape(-1), p.grad.reshape(-1),
-                m.reshape(-1), v.reshape(-1),
-                self.lr, self.beta1, self.beta2, self.eps, c1, c2,
-            )
+        # one call over every parameter: Adam is per coordinate
+        kernels.adam_update(
+            flat, grad, self._m_flat, self._v_flat,
+            self.lr, self.beta1, self.beta2, self.eps, c1, c2,
+        )
 
 
 def make_optimizer(kind, lr):
@@ -280,13 +324,11 @@ def load_checkpoint(path):
     (lr,) = r.unpack("<d")
     if kind == "adam":
         beta1, beta2, eps = r.unpack("<ddd")
-        opt = Adam(lr, beta1, beta2, eps)
+        opt = Adam(lr, beta1, beta2, eps).attach(model)
         (opt.step_count,) = r.unpack("<Q")
-        opt._m = []
-        opt._v = []
-        for p in model.parameters():
-            opt._m.append(r.array(np.float64, p.data.shape))
-            opt._v.append(r.array(np.float64, p.data.shape))
+        for m, v in zip(opt._m, opt._v):
+            m[...] = r.array(np.float64, m.shape)
+            v[...] = r.array(np.float64, v.shape)
     else:
         opt = Sgd(lr)
     (epoch,) = r.unpack("<Q")

@@ -52,6 +52,10 @@ def test_tracer_sees_selection_forward_and_mixed_loss(tmp_path, perfbench_layers
     assert metrics["pipeline.mixed_loss_calls"] > 0
     assert metrics["kernels.xent_backward_calls"] > 0
     assert metrics["nn.optimizer_steps"] > 0
+    # data generation is wrapped as pipeline looks it up, and Adam steps
+    # the whole flat parameter vector in one kernel call
+    assert metrics["data.gen_calls"] > 0
+    assert metrics["kernels.adam_update_calls"] == metrics["nn.optimizer_steps"]
 
 
 def test_bench_reads_kernel_names():

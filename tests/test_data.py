@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from inscorr import data
 from inscorr.data import (
     NO_LABEL,
     Dataset,
@@ -68,6 +69,65 @@ def test_synthetic_needs_hundreds_of_examples():
     large = linear_probe_accuracy(generate_synthetic(1000, 4, seed=3), test)
     assert small <= 0.85
     assert large >= 0.99
+
+
+def _reference_bar(height, width, theta, cy, cx, fg, bg, bar_width, bar_length):
+    ys = np.arange(height)[:, None] - cy
+    xs = np.arange(width)[None, :] - cx
+    perp = np.abs(xs * np.sin(theta) - ys * np.cos(theta))
+    longi = xs * np.cos(theta) + ys * np.sin(theta)
+    envelope = np.exp(-0.5 * ((perp / bar_width) ** 2 + (longi / bar_length) ** 2))
+    return bg + (fg - bg) * envelope
+
+
+def _reference_synthetic(n, num_classes, height, width, seed):
+    """generate_synthetic's pixels drawn and rendered one row at a time,
+    with the default shape parameters."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, num_classes, size=n)
+    X = np.empty((n, height * width))
+    for i in range(n):
+        theta = np.pi * labels[i] / num_classes + rng.normal(0.0, np.deg2rad(3.5))
+        cy = (height - 1) / 2.0 + rng.normal(0.0, 0.3)
+        cx = (width - 1) / 2.0 + rng.normal(0.0, 0.3)
+        img = _reference_bar(height, width, theta, cy, cx, 0.92, 0.08, 0.8, 3.5)
+        img += rng.normal(0.0, 0.18, size=(height, width))
+        X[i] = np.clip(img, 0.0, 1.0).ravel()
+    return X, labels
+
+
+def _reference_ood(n, height, width, seed, num_classes=4):
+    """generate_ood_source's pixels drawn and rendered one row at a time,
+    with the default shape parameters."""
+    rng = np.random.default_rng(seed)
+    spacing = np.pi / num_classes
+    X = np.empty((n, height * width))
+    for i in range(n):
+        k = rng.integers(num_classes)
+        off = np.deg2rad(rng.uniform(4.0, 12.0)) * rng.choice((-1, 1))
+        theta = (k * spacing + off) % np.pi
+        cy = height / 2 + rng.uniform(-0.9, 0.9)
+        cx = width / 2 + rng.uniform(-0.9, 0.9)
+        seg = _reference_bar(height, width, theta, cy, cx, 1.0, 0.0, 0.8, 3.0)
+        img = 0.08 + (0.92 - 0.08) * seg + rng.normal(0.0, 0.2, size=(height, width))
+        X[i] = np.clip(img, 0.0, 1.0).ravel()
+    return X
+
+
+@pytest.mark.parametrize("n, height, width", [
+    (1, 16, 16),
+    (data._BLOCK_ROWS + 1, 16, 16),
+    (70, 12, 20),
+])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_generators_match_row_loop_reference_bitwise(n, height, width, seed):
+    # block rendering must draw the stream in the original per-row order
+    ds = generate_synthetic(n, 4, height, width, seed=seed)
+    X, labels = _reference_synthetic(n, 4, height, width, seed)
+    assert np.array_equal(ds.X, X)
+    assert np.array_equal(ds.given_labels, labels)
+    pool = generate_ood_source(n, height, width, seed=seed)
+    assert np.array_equal(pool.X, _reference_ood(n, height, width, seed))
 
 
 def test_ood_pool_has_no_labels_and_valid_range():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from inscorr import kernels
+from inscorr.containers import ContainerWriter
 from inscorr.errors import (
     ChecksumError,
     ContractError,
@@ -12,6 +14,8 @@ from inscorr.errors import (
     VersionError,
 )
 from inscorr.nn import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     Adam,
     Model,
     ModelSpec,
@@ -160,6 +164,133 @@ def _train_steps(model, opt, x, labels, steps):
         opt.step(model)
 
 
+DEEP = ModelSpec(8, (16, 8), 3)
+
+
+class _PerParameterAdam:
+    """Adam stepped one parameter at a time: the reference for the fused
+    step over the flat vector."""
+
+    kind = "adam"
+
+    def __init__(self, lr):
+        self.lr, self.beta1, self.beta2, self.eps = lr, 0.9, 0.999, 1e-8
+        self.step_count = 0
+        self.m = self.v = None
+
+    def step(self, model):
+        params = model.parameters()
+        if self.m is None:
+            self.m = [np.zeros_like(p.data) for p in params]
+            self.v = [np.zeros_like(p.data) for p in params]
+        self.step_count += 1
+        c1 = 1.0 - self.beta1 ** self.step_count
+        c2 = 1.0 - self.beta2 ** self.step_count
+        for p, m, v in zip(params, self.m, self.v):
+            kernels.adam_update(
+                p.data.reshape(-1), p.grad.reshape(-1), m.reshape(-1), v.reshape(-1),
+                self.lr, self.beta1, self.beta2, self.eps, c1, c2,
+            )
+
+
+class _PerParameterSgd:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, model):
+        for p in model.parameters():
+            p.data -= self.lr * p.grad
+
+
+def _reference_checkpoint_bytes(model, opt, epoch, seed):
+    """Checkpoint format v1 written field by field from per-parameter arrays."""
+    w = ContainerWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    spec = model.spec
+    w.pack("<QI", spec.input_dim, len(spec.hidden))
+    for h in spec.hidden:
+        w.pack("<Q", h)
+    w.pack("<I", spec.num_classes)
+    for p in model.parameters():
+        w.array(p.data, np.float64)
+    w.pack("<Bd", 2, opt.lr)
+    w.pack("<dddQ", opt.beta1, opt.beta2, opt.eps, opt.step_count)
+    for m, v in zip(opt.m, opt.v):
+        w.array(m, np.float64)
+        w.array(v, np.float64)
+    w.pack("<Qq", epoch, seed)
+    return w.to_bytes()
+
+
+def _deep_problem():
+    rng = np.random.default_rng(21)
+    return rng.normal(size=(24, 8)), rng.integers(0, 3, size=24)
+
+
+def test_model_parameters_are_views_of_one_flat_vector(tmp_path):
+    model = Model.init(DEEP, seed=3)
+    params = model.parameters()
+    assert model.flat.size == sum(p.data.size for p in params)
+    assert np.array_equal(model.flat, np.concatenate([p.data.ravel() for p in params]))
+    for p in params:
+        assert np.shares_memory(p.data, model.flat)
+    save_checkpoint(tmp_path / "ckpt.bin", model, Adam(), epoch=0, seed=0)
+    loaded, opt, _, _ = load_checkpoint(tmp_path / "ckpt.bin")
+    for p in loaded.parameters():
+        assert np.shares_memory(p.data, loaded.flat)
+    for m, v in zip(opt._m, opt._v):
+        assert np.shares_memory(m, opt._m_flat) and np.shares_memory(v, opt._v_flat)
+
+
+def test_flat_adam_matches_per_parameter_steps_bitwise(tmp_path):
+    x, labels = _deep_problem()
+    fused, reference = Model.init(DEEP, seed=4), Model.init(DEEP, seed=4)
+    opt, ref_opt = Adam(lr=0.01), _PerParameterAdam(lr=0.01)
+    _train_steps(fused, opt, x, labels, 5)
+    _train_steps(reference, ref_opt, x, labels, 5)
+    for a, b in zip(fused.parameters(), reference.parameters()):
+        assert np.array_equal(a.data, b.data)
+    for a, b in zip(opt._m + opt._v, ref_opt.m + ref_opt.v):
+        assert np.array_equal(a, b)
+
+    # checkpoint format v1 is unchanged: same bytes as the field-by-field writer
+    path = tmp_path / "fused.ckpt"
+    save_checkpoint(path, fused, opt, epoch=5, seed=77)
+    assert path.read_bytes() == _reference_checkpoint_bytes(reference, ref_opt, 5, 77)
+
+
+def test_flat_sgd_matches_per_parameter_steps_bitwise():
+    x, labels = _deep_problem()
+    fused, reference = Model.init(DEEP, seed=5), Model.init(DEEP, seed=5)
+    _train_steps(fused, Sgd(lr=0.05), x, labels, 5)
+    _train_steps(reference, _PerParameterSgd(0.05), x, labels, 5)
+    for a, b in zip(fused.parameters(), reference.parameters()):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_adam_calls_the_kernel_once_per_step(monkeypatch):
+    calls = []
+    fused_kernel = kernels.adam_update
+
+    def counted(*args):
+        calls.append(args[0].size)
+        fused_kernel(*args)
+
+    monkeypatch.setattr(kernels, "adam_update", counted)
+    x, labels = _deep_problem()
+    model = Model.init(DEEP, seed=6)
+    _train_steps(model, Adam(), x, labels, 4)
+    assert calls == [model.flat.size] * 4
+
+
+def test_adam_rejects_a_model_with_another_parameter_count():
+    x, labels = _deep_problem()
+    opt = Adam().attach(Model.init(SPEC, seed=7))
+    model = Model.init(DEEP, seed=7)
+    model.loss_and_grads(x, labels)
+    with pytest.raises(ContractError, match="holds state for 4 parameters, model has 6"):
+        opt.step(model)
+
+
 def test_training_reduces_loss_to_separation():
     rng = np.random.default_rng(6)
     x = np.concatenate([
@@ -176,7 +307,7 @@ def test_training_reduces_loss_to_separation():
     assert np.array_equal(model.predict(x), labels)
 
 
-def test_checkpoint_round_trip_exact():
+def test_checkpoint_round_trip_exact(tmp_path):
     rng = np.random.default_rng(8)
     model = Model.init(SPEC, seed=9)
     opt = Adam(lr=0.005)
@@ -184,7 +315,7 @@ def test_checkpoint_round_trip_exact():
     labels = rng.integers(0, 3, size=12)
     _train_steps(model, opt, x, labels, 5)
 
-    path = "/tmp/ckpt_roundtrip.bin"
+    path = tmp_path / "ckpt_roundtrip.bin"
     save_checkpoint(path, model, opt, epoch=5, seed=123)
     model2, opt2, epoch, seed = load_checkpoint(path)
 
@@ -199,7 +330,7 @@ def test_checkpoint_round_trip_exact():
         assert np.array_equal(a, b)
 
 
-def test_checkpoint_resume_matches_uninterrupted_run():
+def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(20, 8))
     labels = rng.integers(0, 3, size=20)
@@ -211,7 +342,7 @@ def test_checkpoint_resume_matches_uninterrupted_run():
     half = Model.init(SPEC, seed=10)
     opt_h = Adam(lr=0.01)
     _train_steps(half, opt_h, x, labels, 3)
-    path = "/tmp/ckpt_resume.bin"
+    path = tmp_path / "ckpt_resume.bin"
     save_checkpoint(path, half, opt_h, epoch=3, seed=10)
     resumed, opt_r, _, _ = load_checkpoint(path)
     _train_steps(resumed, opt_r, x, labels, 3)
@@ -220,38 +351,38 @@ def test_checkpoint_resume_matches_uninterrupted_run():
         assert np.array_equal(a.data, b.data)
 
 
-def test_checkpoint_sgd_round_trip():
+def test_checkpoint_sgd_round_trip(tmp_path):
     model = Model.init(SPEC, seed=11)
-    path = "/tmp/ckpt_sgd.bin"
+    path = tmp_path / "ckpt_sgd.bin"
     save_checkpoint(path, model, Sgd(lr=0.02), epoch=0, seed=1)
     _, opt, _, _ = load_checkpoint(path)
     assert isinstance(opt, Sgd)
     assert opt.lr == 0.02
 
 
-def test_checkpoint_error_cases():
+def test_checkpoint_error_cases(tmp_path):
     model = Model.init(SPEC, seed=12)
-    path = "/tmp/ckpt_errs.bin"
+    path = tmp_path / "ckpt_errs.bin"
     save_checkpoint(path, model, Sgd(), epoch=1, seed=2)
     raw = open(path, "rb").read()
 
     bad_magic = b"XXXXXXXX" + raw[8:]
-    open("/tmp/ckpt_badmagic.bin", "wb").write(bad_magic)
+    open(tmp_path / "ckpt_badmagic.bin", "wb").write(bad_magic)
     with pytest.raises(FormatError, match="magic"):
-        load_checkpoint("/tmp/ckpt_badmagic.bin")
+        load_checkpoint(tmp_path / "ckpt_badmagic.bin")
 
     flipped = bytearray(raw)
     flipped[len(raw) // 2] ^= 0xFF
-    open("/tmp/ckpt_flip.bin", "wb").write(bytes(flipped))
+    open(tmp_path / "ckpt_flip.bin", "wb").write(bytes(flipped))
     with pytest.raises(ChecksumError, match="crc"):
-        load_checkpoint("/tmp/ckpt_flip.bin")
+        load_checkpoint(tmp_path / "ckpt_flip.bin")
 
-    open("/tmp/ckpt_trunc.bin", "wb").write(raw[: len(raw) // 2])
+    open(tmp_path / "ckpt_trunc.bin", "wb").write(raw[: len(raw) // 2])
     with pytest.raises(TruncatedError):
-        load_checkpoint("/tmp/ckpt_trunc.bin")
+        load_checkpoint(tmp_path / "ckpt_trunc.bin")
 
     future = bytearray(raw)
     future[8] = 99
-    open("/tmp/ckpt_future.bin", "wb").write(bytes(future))
+    open(tmp_path / "ckpt_future.bin", "wb").write(bytes(future))
     with pytest.raises(VersionError, match="99"):
-        load_checkpoint("/tmp/ckpt_future.bin")
+        load_checkpoint(tmp_path / "ckpt_future.bin")
