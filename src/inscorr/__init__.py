@@ -3,108 +3,20 @@
 The package trains small MLPs on synthetic oriented-bar images whose
 labels have been corrupted through one of several routes, selects
 low-loss samples on a ramped keep schedule, rewrites the discarded
-instances with a targeted attack, and retrains on the mixture. The
-public surface below covers data generation, noise injection,
-selection, correction, the experiment pipeline, and configuration;
-`inscorr.acceptance.run_all` drives the end-to-end checks behind the
-`inscorr verify` command.
+instances with a targeted attack, and retrains on the mixture.
+
+Each job has one home module; import from it directly:
+
+  * `inscorr.config`: defaults, overrides, resolution and hashing
+    (`load_config`, `apply_overrides`, `resolve_config`,
+    `to_experiment_config`, `config_hash`);
+  * `inscorr.pipeline.run_experiment`: one run in memory;
+  * `inscorr.artifacts.write_run`: one run written to its directory;
+  * `inscorr.sweep.sweep`: a grid of runs sharing generated data;
+  * `inscorr.attack.correct_set`: the batched targeted correction;
+  * `inscorr.acceptance.run_all`: the checks behind `inscorr verify`.
+
+Importing the package itself loads none of them.
 """
 
-from .attack import AttackConfig, CorrectionResult, correct_instance, correct_set
-from .config import (
-    DEFAULT_CONFIG,
-    apply_overrides,
-    config_hash,
-    load_config,
-    resolve_config,
-    to_experiment_config,
-)
-from .data import (
-    NO_LABEL,
-    Dataset,
-    Provenance,
-    generate_ood_source,
-    generate_synthetic,
-    load_dataset,
-    save_dataset,
-    split_validation,
-)
-from .errors import ConfigError, ContractError, DatasetLoadError, InscorrError
-from .nn import Model, ModelSpec, load_checkpoint, make_optimizer, save_checkpoint
-from .noise import (
-    ALL_ROUTES,
-    OPEN_SET,
-    NoiseKind,
-    NoiseSpec,
-    apply_noise,
-    corruption_transform,
-    inject_corruption,
-    inject_open_set,
-)
-from .pipeline import (
-    INSCORR,
-    METHODS,
-    MIX,
-    SELECTION_ONLY,
-    ExperimentConfig,
-    RunResult,
-    mixed_loss,
-    partition_clean_mislabeled,
-    run_experiment,
-)
-from .select import SelectionSchedule, select_small_loss, self_teach_epoch
-from .tensor import Tensor
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_ROUTES",
-    "AttackConfig",
-    "ConfigError",
-    "ContractError",
-    "CorrectionResult",
-    "DEFAULT_CONFIG",
-    "Dataset",
-    "DatasetLoadError",
-    "ExperimentConfig",
-    "INSCORR",
-    "InscorrError",
-    "METHODS",
-    "MIX",
-    "Model",
-    "ModelSpec",
-    "NO_LABEL",
-    "NoiseKind",
-    "NoiseSpec",
-    "OPEN_SET",
-    "Provenance",
-    "RunResult",
-    "SELECTION_ONLY",
-    "SelectionSchedule",
-    "Tensor",
-    "apply_noise",
-    "apply_overrides",
-    "config_hash",
-    "correct_instance",
-    "correct_set",
-    "corruption_transform",
-    "generate_ood_source",
-    "generate_synthetic",
-    "inject_corruption",
-    "inject_open_set",
-    "load_checkpoint",
-    "load_config",
-    "load_dataset",
-    "make_optimizer",
-    "mixed_loss",
-    "partition_clean_mislabeled",
-    "resolve_config",
-    "run_experiment",
-    "save_checkpoint",
-    "save_dataset",
-    "select_small_loss",
-    "self_teach_epoch",
-    "split_validation",
-    "to_experiment_config",
-    "__version__",
-]

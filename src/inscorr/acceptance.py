@@ -344,16 +344,14 @@ def check_noise():
 
 def check_memorization():
     """Early selection is much cleaner than the noise base rate."""
+    base = apply_overrides(load_config(), _ORDERING_BASE + (
+        f"method={SELECTION_ONLY}", f"noise.route={OPEN_SET}",
+        "training.warmup_epochs=11", "training.total_epochs=11",
+    ))
     precisions = []
     for seed in MEMORIZATION_SEEDS:
-        cfg = ExperimentConfig(
-            method=SELECTION_ONLY, hidden=(64,), lr=0.002, n_train=2000,
-            n_test=1000, num_classes=4, height=16, width=16,
-            noise_route=OPEN_SET, noise_rate=0.4, warmup_epochs=11,
-            total_epochs=11, batch_size=128,
-            seed_data=seed, seed_noise=seed, seed_init=seed, seed_epochs=seed,
-        )
-        metrics = run_experiment(cfg).metrics
+        seeds = [f"seeds.{stream}={seed}" for stream in ("data", "noise", "init", "epochs")]
+        metrics = run_experiment(to_experiment_config(apply_overrides(base, seeds))).metrics
         precisions.append(metrics[10].selection_precision)
     mean = float(np.mean(precisions))
     passed = mean >= 0.9 and mean > 0.6
@@ -367,23 +365,13 @@ def check_reproducibility():
     """The same config hash yields byte-identical metrics files."""
     from .artifacts import write_run
 
-    resolved = resolve_config({
-        "method": "InsCorr",
-        "model": {"hidden": [16], "optimizer": "adam", "lr": 0.001},
-        "data": {"n_train": 300, "n_test": 100, "num_classes": 4,
-                 "height": 8, "width": 8, "val_fraction": 0.1, "pool_size": None},
-        "noise": {"route": "gaussian", "rate": 0.3, "gaussian_sigma": 0.25,
-                  "occlusion_fraction": 0.25, "resolution_factor": 4,
-                  "fog_intensity": 0.8, "fog_decay": 1.0, "blur_length": 5,
-                  "blur_angle_deg": 0.0},
-        "selection": {"tau": None, "ramp_epochs": 10},
-        "attack": {"norm": "linf", "budget": 8.0 / 255.0, "steps": 5,
-                   "step_size": None, "random_start": False},
-        "training": {"lambda": 0.5, "warmup_epochs": 6, "total_epochs": 12,
-                     "batch_size": 64, "refresh_correction": False,
-                     "partition_rule": "agreement"},
-        "seeds": {"data": 1, "noise": 2, "init": 3, "epochs": 4},
-    })
+    # InsCorr, the default method, on a small gaussian-noise problem
+    resolved = resolve_config(apply_overrides(load_config(), (
+        "model.hidden=[16]", "data.n_train=300", "data.n_test=100", "data.height=8",
+        "data.width=8", "noise.route=gaussian", "noise.rate=0.3", "attack.steps=5",
+        "training.warmup_epochs=6", "training.total_epochs=12", "training.batch_size=64",
+        "seeds.data=1", "seeds.noise=2", "seeds.init=3", "seeds.epochs=4",
+    )))
     digest = config_hash(resolved)
     with tempfile.TemporaryDirectory() as tmp:
         dir_a, _ = write_run(resolved, Path(tmp) / "a")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, LabelError, NumericError, ParameterError
+from .errors import ContractError, ParameterError
 from .nn import cross_entropy
 
 LINF = "linf"
@@ -74,33 +74,21 @@ def _losses_and_grads(model, x, targets):
     return losses, model.backward(outputs, probs, targets, np.ones(len(x)), input_grad=True)
 
 
-def _targeted_loss_and_grad(model, x, target):
-    loss, grad = _losses_and_grads(model, x[None, :], np.array([target]))
-    if not np.all(np.isfinite(grad)):
-        raise NumericError(NON_FINITE)
-    return float(loss[0]), grad[0]
-
-
-def _check_instance(x, target, num_classes):
-    if x.ndim != 1:
-        raise ContractError(f"expected a flat instance, got shape {x.shape}")
-    # written so that NaN fails too
-    if not np.all((x >= 0.0) & (x <= 1.0)):
-        raise ContractError("instance values must lie in [0, 1]")
-    if not 0 <= target < num_classes:
-        raise LabelError(f"target {target} outside [0, {num_classes})")
-
-
-def _start(x, cfg, rng):
-    """The starting perturbation of one row: zero, or a draw from rng."""
+def _starts(x, cfg, seed, rows):
+    """The starting perturbations of the rows of x: zeros, or for a random
+    start one draw per row from default_rng([seed, j]), j from rows."""
     if not cfg.random_start:
         return np.zeros_like(x)
-    if cfg.norm == LINF:
-        delta = rng.uniform(-cfg.budget, cfg.budget, size=x.shape)
-    else:
-        raw = rng.normal(size=x.shape)
-        radius = cfg.budget * rng.uniform() ** (1.0 / x.size)
-        delta = raw * (radius / max(float(np.linalg.norm(raw)), 1e-12))
+    delta = np.empty_like(x)
+    d = x.shape[1]
+    for i, j in enumerate(rows):
+        rng = np.random.default_rng([seed, j])
+        if cfg.norm == LINF:
+            delta[i] = rng.uniform(-cfg.budget, cfg.budget, size=d)
+        else:
+            raw = rng.normal(size=d)
+            radius = cfg.budget * rng.uniform() ** (1.0 / d)
+            delta[i] = raw * (radius / max(float(np.linalg.norm(raw)), 1e-12))
     return np.clip(x + delta, 0.0, 1.0) - x
 
 
@@ -168,52 +156,38 @@ def _correct_rows(model, x, targets, delta, cfg):
     ]
 
 
-def correct_instance(model, x, target, cfg, rng=None):
-    """Perturb x within the budget so the model favors the target label."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_instance(x, target, model.spec.num_classes)
-    if cfg.random_start and rng is None:
-        raise ContractError("random_start needs an explicit rng")
-    delta = _start(x, cfg, rng)
-    result = _correct_rows(model, x[None, :], np.array([target], dtype=np.int64),
-                           delta[None, :], cfg)[0]
-    if result.error is not None:
-        raise NumericError(result.error)
-    return result
-
-
 def correct_set(model, instances, targets, cfg, seed=None):
     """Correct every row toward its target in one batched attack, in order.
 
-    Model parameters are read-only. A failing row yields an unperturbed
-    result with success False and the error message attached; the rest
-    of the batch proceeds.
+    Model parameters are read-only. A row with a pixel outside [0, 1]
+    (NaN included), a target out of range, or a gradient that turns
+    non-finite yields an unperturbed result with success False and the
+    error message attached; the rest of the batch proceeds.
     """
     instances = np.asarray(instances, dtype=np.float64)
     targets = np.asarray(targets)
+    if instances.ndim != 2:
+        raise ContractError(f"expected a 2-D batch of instances, got shape {instances.shape}")
     if len(instances) != len(targets):
         raise ContractError(
             f"{len(instances)} instances vs {len(targets)} targets"
         )
     if cfg.random_start and seed is None:
         raise ContractError("random_start needs a seed for correct_set")
+    num_classes = model.spec.num_classes
+    # written so that NaN fails too
+    bad_pixels = ~((instances >= 0.0) & (instances <= 1.0)).all(axis=1)
+    bad = bad_pixels | (targets < 0) | (targets >= num_classes)
     results = [None] * len(instances)
-    valid = []
-    for j, x in enumerate(instances):
-        target = int(targets[j])
-        try:
-            _check_instance(x, target, model.spec.num_classes)
-        except (ContractError, LabelError) as e:
-            results[j] = _unperturbed(x, str(e))
-            continue
-        valid.append(j)
-    if not valid:
+    for j in np.flatnonzero(bad):
+        error = ("instance values must lie in [0, 1]" if bad_pixels[j]
+                 else f"target {int(targets[j])} outside [0, {num_classes})")
+        results[j] = _unperturbed(instances[j], error)
+    valid = np.flatnonzero(~bad)
+    if not valid.size:
         return results
     x = instances[valid]
-    delta = np.empty_like(x)
-    for i, j in enumerate(valid):
-        rng = np.random.default_rng([seed, j]) if cfg.random_start else None
-        delta[i] = _start(x[i], cfg, rng)
+    delta = _starts(x, cfg, seed, valid)
     batch = _correct_rows(model, x, targets[valid].astype(np.int64), delta, cfg)
     for j, result in zip(valid, batch):
         results[j] = result

@@ -256,9 +256,12 @@ class Adam(_FlatStep):
         params = model.parameters()
         if self._m is None:
             self.attach(model)
-        if len(self._m) != len(params):
+        state_shapes = [m.shape for m in self._m]
+        param_shapes = [p.data.shape for p in params]
+        if state_shapes != param_shapes:
             raise ContractError(
-                f"optimizer holds state for {len(self._m)} parameters, model has {len(params)}"
+                f"optimizer holds state for {len(self._m)} parameters, model has "
+                f"{len(params)}: state shapes {state_shapes}, parameter shapes {param_shapes}"
             )
         flat, grad = self._flat_pair(model)
         self.step_count += 1

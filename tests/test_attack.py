@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from inscorr.attack import L2, LINF, AttackConfig, _targeted_loss_and_grad, correct_instance, correct_set
-from inscorr.errors import ContractError, LabelError, NumericError, ParameterError
+from inscorr.attack import L2, LINF, AttackConfig, _losses_and_grads, correct_set
+from inscorr.errors import ContractError, ParameterError
 from inscorr.nn import Adam, Model, ModelSpec
 
 from helpers import fd_gradient, max_rel_error
@@ -27,6 +27,12 @@ def small_trained_model(seed=0):
     return model
 
 
+def correct_row(model, x, target, cfg):
+    """x attacked as a one-row batch."""
+    (result,) = correct_set(model, x[None, :], [target], cfg)
+    return result
+
+
 def test_attack_config_validation():
     with pytest.raises(ParameterError, match="norm"):
         AttackConfig(norm="l1")
@@ -41,7 +47,7 @@ def test_attack_config_validation():
 def test_zero_steps_is_identity():
     model = small_trained_model()
     x = np.full(12, 0.3)
-    res = correct_instance(model, x, target=1, cfg=AttackConfig(steps=0))
+    res = correct_row(model, x, 1, AttackConfig(steps=0))
     assert np.array_equal(res.corrected, x)
     assert res.best_iteration == 0
     assert res.loss == pytest.approx(float(model.per_example_losses(x[None, :], [1])[0]))
@@ -58,7 +64,7 @@ def test_single_linear_step_matches_hand_gradient():
     model.biases[0].data[:] = 0.0
     x = np.full(3, 0.5)
     cfg = AttackConfig(norm=LINF, budget=0.2, steps=1, step_size=0.05)
-    res = correct_instance(model, x, target=1, cfg=cfg)
+    res = correct_row(model, x, 1, cfg)
     assert np.allclose(res.corrected, x + 0.05)
     assert res.best_iteration == 1
 
@@ -67,12 +73,12 @@ def test_attack_gradient_matches_finite_differences():
     model = small_trained_model(seed=3)
     x = np.clip(np.random.default_rng(4).normal(0.5, 0.1, size=12), 0.0, 1.0)
 
-    _, grad = _targeted_loss_and_grad(model, x, target=1)
+    _, grad = _losses_and_grads(model, x[None, :], np.array([1]))
 
     def f(v):
         return float(model.per_example_losses(v[None, :], [1])[0])
 
-    assert max_rel_error(grad, fd_gradient(f, x)) < 1e-3
+    assert max_rel_error(grad[0], fd_gradient(f, x)) < 1e-3
 
 
 def test_linf_budget_and_clamp_exact():
@@ -82,7 +88,7 @@ def test_linf_budget_and_clamp_exact():
     for _ in range(20):
         x = np.clip(rng.normal(0.5, 0.3, size=12), 0.0, 1.0)
         target = int(rng.integers(0, 2))
-        res = correct_instance(model, x, target, cfg)
+        res = correct_row(model, x, target, cfg)
         delta = res.corrected - x
         assert np.max(np.abs(delta)) <= cfg.budget + 1e-9
         assert res.corrected.min() >= 0.0 and res.corrected.max() <= 1.0
@@ -95,7 +101,7 @@ def test_l2_budget_and_clamp_exact():
     for _ in range(20):
         x = np.clip(rng.normal(0.5, 0.3, size=12), 0.0, 1.0)
         target = int(rng.integers(0, 2))
-        res = correct_instance(model, x, target, cfg)
+        res = correct_row(model, x, target, cfg)
         assert np.linalg.norm(res.corrected - x) <= cfg.budget + 1e-9
         assert res.corrected.min() >= 0.0 and res.corrected.max() <= 1.0
 
@@ -104,7 +110,7 @@ def test_l2_first_step_has_step_size_norm():
     model = small_trained_model(seed=9)
     x = np.full(12, 0.5)
     cfg = AttackConfig(norm=L2, budget=0.5, steps=1, step_size=0.03)
-    res = correct_instance(model, x, target=1, cfg=cfg)
+    res = correct_row(model, x, 1, cfg)
     if res.best_iteration == 1:
         assert np.linalg.norm(res.corrected - x) == pytest.approx(0.03, rel=1e-9)
 
@@ -117,15 +123,15 @@ def test_best_iterate_never_worse_than_start():
         x = np.clip(rng.normal(0.5, 0.2, size=12), 0.0, 1.0)
         target = int(rng.integers(0, 2))
         initial = float(model.per_example_losses(x[None, :], [target])[0])
-        res = correct_instance(model, x, target, cfg)
+        res = correct_row(model, x, target, cfg)
         assert res.loss <= initial + 1e-12
 
 
 def test_larger_budget_never_hurts_on_fixture():
     model = small_trained_model(seed=12)
     x = np.full(12, 0.31)
-    small = correct_instance(model, x, 1, AttackConfig(norm=LINF, budget=0.05, steps=20))
-    large = correct_instance(model, x, 1, AttackConfig(norm=LINF, budget=0.10, steps=20))
+    small = correct_row(model, x, 1, AttackConfig(norm=LINF, budget=0.05, steps=20))
+    large = correct_row(model, x, 1, AttackConfig(norm=LINF, budget=0.10, steps=20))
     assert large.loss <= small.loss + 1e-12
 
 
@@ -139,21 +145,32 @@ def test_attack_flips_prediction_with_room():
     assert np.mean([r.success for r in results]) >= 0.9
 
 
-def test_correct_instance_validation():
+def test_correct_set_validation():
     model = small_trained_model(seed=15)
-    with pytest.raises(LabelError, match="target"):
-        correct_instance(model, np.full(12, 0.5), 5, AttackConfig())
-    with pytest.raises(ContractError, match=r"\[0, 1\]"):
-        correct_instance(model, np.full(12, 1.5), 1, AttackConfig())
-    with pytest.raises(ContractError, match="rng"):
-        correct_instance(model, np.full(12, 0.5), 1, AttackConfig(random_start=True))
+    res = correct_row(model, np.full(12, 0.5), 5, AttackConfig())
+    assert res.error == "target 5 outside [0, 2)"
+    assert np.array_equal(res.corrected, np.full(12, 0.5))
+    assert not res.success and np.isnan(res.loss) and res.best_iteration == 0
+    res = correct_row(model, np.full(12, 1.5), 1, AttackConfig())
+    assert res.error == "instance values must lie in [0, 1]"
+    assert np.array_equal(res.corrected, np.full(12, 1.0)) and not res.success
+    # the whole call is refused when the batch itself is malformed
+    for instances, targets, match in (
+        (np.full(12, 0.5), [1], "2-D"),
+        (np.full((2, 3, 12), 0.5), [1, 1], "2-D"),
+        (np.full((2, 12), 0.5), [1], "2 instances vs 1 targets"),
+    ):
+        with pytest.raises(ContractError, match=match):
+            correct_set(model, instances, targets, AttackConfig())
 
 
-def test_non_finite_gradient_raises_numeric_error():
+def test_non_finite_gradient_reports_error():
     model = small_trained_model(seed=16)
     model.weights[0].data[0, 0] = np.nan
-    with pytest.raises(NumericError, match="non-finite"):
-        correct_instance(model, np.full(12, 0.5), 1, AttackConfig(steps=2))
+    res = correct_row(model, np.full(12, 0.5), 1, AttackConfig(steps=2))
+    assert "non-finite" in res.error
+    assert np.array_equal(res.corrected, np.full(12, 0.5))
+    assert not res.success and np.isnan(res.loss) and res.best_iteration == 0
 
 
 def test_correct_set_isolates_failures_and_keeps_order():
@@ -190,7 +207,7 @@ def test_parameters_read_only_through_attack():
     model = small_trained_model(seed=22)
     model.zero_grads()
     before = [p.data.copy() for p in model.parameters()]
-    correct_instance(model, np.full(12, 0.5), 1, AttackConfig(steps=10))
+    correct_set(model, np.full((3, 12), 0.5), [1, 0, 1], AttackConfig(steps=10))
     for p, snap in zip(model.parameters(), before):
         assert np.array_equal(p.data, snap)
         assert p.grad is None

@@ -3,24 +3,20 @@
 import numpy as np
 import pytest
 
-from inscorr.attack import (
-    L2, LINF, AttackConfig, CorrectionResult, _targeted_loss_and_grad, correct_instance,
-    correct_set,
-)
-from inscorr.errors import ContractError, NumericError
+from inscorr.attack import L2, LINF, AttackConfig, CorrectionResult, correct_set
+from inscorr.nn import cross_entropy
 
 from test_attack import small_trained_model
 
 SEED = 31
 
 
-def solo(model, xs, targets, cfg, rows):
-    """Rows of a set through the batch-of-one path, each with the start its index gets."""
-    return [
-        correct_instance(model, xs[j], int(targets[j]), cfg,
-                         np.random.default_rng([SEED, j]) if cfg.random_start else None)
-        for j in rows
-    ]
+def loss_and_grad(model, x, target):
+    """One row's targeted loss and input gradient from the model's own backward."""
+    outputs = model.forward(x[None, :])
+    loss, probs = cross_entropy(outputs[-1], [target])
+    grad = model.backward(outputs, probs, [target], [1.0], input_grad=True)
+    return float(loss[0]), grad[0]
 
 
 def reference_row(model, x, target, cfg, rng):
@@ -36,7 +32,7 @@ def reference_row(model, x, target, cfg, rng):
     delta = np.clip(x + delta, 0.0, 1.0) - x
     best_loss, best_delta, best_iter = np.inf, delta, 0
     for k in range(cfg.steps + 1):
-        loss, grad = _targeted_loss_and_grad(model, x + delta, target)
+        loss, grad = loss_and_grad(model, x + delta, target)
         if loss < best_loss:
             best_loss, best_delta, best_iter = loss, delta.copy(), k
         if k == cfg.steps:
@@ -52,6 +48,15 @@ def reference_row(model, x, target, cfg, rng):
     corrected = x + best_delta
     success = int(model.predict(corrected[None, :])[0]) == target
     return CorrectionResult(corrected, best_loss, success, best_iter)
+
+
+def reference_rows(model, xs, targets, cfg, rows):
+    """reference_row over the given rows, each with the start its index gets."""
+    return [
+        reference_row(model, xs[j], int(targets[j]), cfg,
+                      np.random.default_rng([SEED, j]) if cfg.random_start else None)
+        for j in rows
+    ]
 
 
 def assert_same(batched, alone):
@@ -71,11 +76,8 @@ def test_batched_rows_match_solo_rows(norm, budget, random_start):
     targets = rng.integers(0, 2, size=9)
     cfg = AttackConfig(norm=norm, budget=budget, steps=12, random_start=random_start)
     batched = correct_set(model, xs, targets, cfg, seed=SEED)
-    for b, a in zip(batched, solo(model, xs, targets, cfg, range(9))):
+    for b, a in zip(batched, reference_rows(model, xs, targets, cfg, range(9))):
         assert_same(b, a)
-    for j, b in enumerate(batched):
-        rng = np.random.default_rng([SEED, j]) if random_start else None
-        assert_same(b, reference_row(model, xs[j], int(targets[j]), cfg, rng))
     # the fixture exercises both outcomes and a best iterate past the start
     assert any(r.success for r in batched) and not all(r.success for r in batched)
     assert any(r.best_iteration > 0 for r in batched)
@@ -105,9 +107,9 @@ def test_non_finite_row_leaves_batch_alone(random_start):
     cfg = AttackConfig(norm=LINF, budget=0.1, steps=8, random_start=random_start)
     with np.errstate(all="ignore"):
         batched = correct_set(model, xs, targets, cfg, seed=SEED)
-        alone = solo(model, xs, targets, cfg, (0, 1, 3, 4, 5))
-        with pytest.raises(NumericError, match="non-finite"):
-            correct_instance(model, xs[2], 1, cfg, np.random.default_rng(0))
+        alone = reference_rows(model, xs, targets, cfg, (0, 1, 3, 4, 5))
+        (solo,) = correct_set(model, xs[2:3], targets[2:3], cfg, seed=SEED)
+    assert "non-finite" in solo.error
     bad = batched[2]
     assert "non-finite" in bad.error
     assert np.array_equal(bad.corrected, xs[2])
@@ -122,11 +124,10 @@ def test_nan_pixel_rejected(random_start):
     cfg = AttackConfig(budget=0.1, steps=3, step_size=0.01, random_start=random_start)
     x = np.full(12, 0.5)
     x[3] = np.nan
-    with pytest.raises(ContractError, match=r"\[0, 1\]"):
-        correct_instance(model, x, 1, cfg, np.random.default_rng(0))
     xs = np.stack([np.full(12, 0.3), x, np.full(12, 0.6)])
     targets = np.array([1, 1, 0])
     results = correct_set(model, xs, targets, cfg, seed=SEED)
-    assert "[0, 1]" in results[1].error and not results[1].success
-    for b, a in zip(results[::2], solo(model, xs, targets, cfg, (0, 2))):
+    assert results[1].error == "instance values must lie in [0, 1]"
+    assert not results[1].success and np.isnan(results[1].corrected[3])
+    for b, a in zip(results[::2], reference_rows(model, xs, targets, cfg, (0, 2))):
         assert_same(b, a)

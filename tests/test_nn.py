@@ -283,12 +283,20 @@ def test_adam_calls_the_kernel_once_per_step(monkeypatch):
 
 
 def test_adam_rejects_a_model_with_another_parameter_count():
+    """Or with as many parameters of other shapes; the model is left alone."""
     x, labels = _deep_problem()
-    opt = Adam().attach(Model.init(SPEC, seed=7))
-    model = Model.init(DEEP, seed=7)
-    model.loss_and_grads(x, labels)
-    with pytest.raises(ContractError, match="holds state for 4 parameters, model has 6"):
-        opt.step(model)
+    for spec, match in (
+        (DEEP, "holds state for 4 parameters, model has 6"),
+        (ModelSpec(8, (32,), 3), r"state shapes \[\(8, 16\), \(16,\), \(16, 3\), \(3,\)\], "
+                                 r"parameter shapes \[\(8, 32\), \(32,\), \(32, 3\), \(3,\)\]"),
+    ):
+        opt = Adam().attach(Model.init(SPEC, seed=7))
+        model = Model.init(spec, seed=7)
+        model.loss_and_grads(x, labels)
+        before = model.flat.copy()
+        with pytest.raises(ContractError, match=match):
+            opt.step(model)
+        assert opt.step_count == 0 and np.array_equal(model.flat, before)
 
 
 def test_training_reduces_loss_to_separation():
