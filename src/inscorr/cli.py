@@ -21,8 +21,8 @@ from pathlib import Path
 from . import acceptance
 from .artifacts import config_hash, output_root, write_run
 from .config import apply_overrides, load_config, resolve_config
-from .data import generate_ood_source, generate_synthetic, save_dataset
-from .errors import ConfigError, InscorrError
+from .data import check_pool_margins, generate_ood_source, generate_synthetic, save_dataset
+from .errors import ConfigError, ContractError, InscorrError
 from .noise import ALL_ROUTES, OPEN_SET, NoiseSpec, apply_noise
 from .pipeline import METHODS
 from .sweep import sweep
@@ -161,8 +161,16 @@ def cmd_ablate(args):
 
 
 def cmd_make_data(args):
+    if args.ood or args.route == OPEN_SET:
+        try:
+            check_pool_margins(args.classes)
+        except ContractError as exc:
+            raise ConfigError(
+                f"--classes {args.classes} leaves no room for the pool: {exc}"
+            ) from exc
     if args.ood:
-        ds = generate_ood_source(args.n, args.height, args.width, seed=args.seed)
+        ds = generate_ood_source(args.n, args.height, args.width, seed=args.seed,
+                                 num_classes=args.classes)
     else:
         ds = generate_synthetic(args.n, args.classes, args.height, args.width,
                                 seed=args.seed)
@@ -170,7 +178,8 @@ def cmd_make_data(args):
             pool = None
             if args.route == OPEN_SET:
                 pool = generate_ood_source(args.pool_size or args.n, args.height,
-                                           args.width, seed=[args.seed, 1])
+                                           args.width, seed=[args.seed, 1],
+                                           num_classes=args.classes)
             ds = apply_noise(ds, args.route, args.rate, NoiseSpec(),
                              seed=args.noise_seed, pool=pool)
     path = Path(args.out)

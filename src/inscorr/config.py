@@ -19,8 +19,9 @@ import hashlib
 import json
 
 from .attack import AttackConfig
-from .errors import ConfigError
-from .noise import NoiseSpec
+from .data import check_pool_margins
+from .errors import ConfigError, ContractError
+from .noise import OPEN_SET, NoiseSpec
 from .pipeline import INSCORR, ExperimentConfig
 
 DEFAULT_CONFIG = {
@@ -204,6 +205,14 @@ def resolve_config(cfg):
     lam = out["training"]["lambda"]
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"training.lambda must lie in [0, 1], got {lam}")
+    if out["noise"]["route"] == OPEN_SET:
+        classes = out["data"]["num_classes"]
+        try:
+            check_pool_margins(classes)
+        except ContractError as exc:
+            raise ConfigError(
+                f"data.num_classes={classes} leaves no room for the open_set pool: {exc}"
+            ) from exc
     runnable = to_experiment_config(out)
     out["selection"]["tau"] = runnable.tau
     out["training"]["warmup_epochs"] = runnable.warmup_epochs

@@ -2,9 +2,9 @@
 
 Instances are 16x16 (by default) grayscale grids flattened to rows of a
 float64 matrix, values in [0, 1]. In-distribution classes are oriented
-bars; the out-of-distribution pool holds periodic textures
-(checkerboards and stripes) that share the pixel space but none of the
-class structure.
+bars; the out-of-distribution pool holds shorter, noisier bars at
+angles offset from every class angle, so they share the pixel space
+and the visual family but none of the label space.
 
 Provenance records how each instance entered the training set: drawn
 clean, swapped in from the out-of-distribution pool (label kept, truth
@@ -88,12 +88,13 @@ class Dataset:
         return self.X.shape[1]
 
     def subset(self, indices):
+        # indexing with an array already copies
         idx = np.asarray(indices)
         return Dataset(
-            self.X[idx].copy(),
-            self.given_labels[idx].copy(),
-            self.true_labels[idx].copy(),
-            self.provenance[idx].copy(),
+            self.X[idx],
+            self.given_labels[idx],
+            self.true_labels[idx],
+            self.provenance[idx],
             self.num_classes,
             self.grid_shape,
         )
@@ -183,6 +184,20 @@ def generate_synthetic(
     )
 
 
+def check_pool_margins(num_classes, margin_lo_deg=4.0, margin_hi_deg=12.0):
+    """ContractError unless the pool's angle margins fit between the class
+    angles: 0 < margin_lo < margin_hi <= half the class spacing. With the
+    default margins that allows at most 7 classes."""
+    if num_classes < 2:
+        raise ContractError(f"num_classes must be at least 2, got {num_classes}")
+    half_gap = 180.0 / num_classes / 2.0
+    if not 0.0 < margin_lo_deg < margin_hi_deg <= half_gap:
+        raise ContractError(
+            f"need 0 < margin_lo < margin_hi <= {half_gap} degrees for "
+            f"{num_classes} classes, got ({margin_lo_deg}, {margin_hi_deg})"
+        )
+
+
 def generate_ood_source(
     n,
     height=16,
@@ -210,38 +225,44 @@ def generate_ood_source(
     """
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
-    if num_classes < 2:
-        raise ContractError(f"num_classes must be at least 2, got {num_classes}")
-    half_gap = 180.0 / num_classes / 2.0
-    if not 0.0 < margin_lo_deg < margin_hi_deg <= half_gap:
-        raise ContractError(
-            f"need 0 < margin_lo < margin_hi <= {half_gap} degrees, "
-            f"got ({margin_lo_deg}, {margin_hi_deg})"
-        )
+    check_pool_margins(num_classes, margin_lo_deg, margin_hi_deg)
     rng = np.random.default_rng(seed)
     spacing = np.pi / num_classes
+    # rng.uniform(low, high) computes low + (high - low) * rng.random()
+    margin_span = margin_hi_deg - margin_lo_deg
+    centre_span = center_jitter - -center_jitter
+    middle = np.array([height / 2, width / 2])
     X = np.empty((n, height * width))
     for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        theta, cy, cx = np.empty((3, hi - lo))
-        noise = np.empty((hi - lo, height, width))
-        # the draws stay per row, in their original order; (-1, 1)[integers(2)]
-        # draws what rng.choice((-1, 1)) does
-        for j in range(hi - lo):
-            k = rng.integers(num_classes)
-            off = np.deg2rad(rng.uniform(margin_lo_deg, margin_hi_deg)) * (-1, 1)[rng.integers(2)]
-            theta[j] = (k * spacing + off) % np.pi
-            cy[j] = height / 2 + rng.uniform(-center_jitter, center_jitter)
-            cx[j] = width / 2 + rng.uniform(-center_jitter, center_jitter)
-            noise[j] = rng.normal(0.0, pixel_noise, size=(height, width))
+        m = min(lo + _BLOCK_ROWS, n) - lo
+        k, side = np.empty((2, m), dtype=np.int64)
+        u = np.empty(m)
+        centre = np.empty((m, 2))
+        noise = np.empty((m, height, width))
+        # the draws stay per row, in their original order: class, margin,
+        # sign ((-1, 1)[integers(2)] is what rng.choice((-1, 1)) draws),
+        # centre y and x, pixel noise; scalar integer draws cannot be
+        # batched without changing the bits they take from the stream
+        for j in range(m):
+            k[j] = rng.integers(num_classes)
+            u[j] = rng.random()
+            side[j] = rng.integers(2)
+            rng.random(out=centre[j])
+            rng.standard_normal(out=noise[j])
+        off = np.deg2rad(margin_lo_deg + margin_span * u) * (2 * side - 1)
+        theta = (k * spacing + off) % np.pi
+        cy, cx = (middle + (-center_jitter + centre_span * centre)).T
         img = _bar_image(
             height, width, theta, cy, cx,
             fg=1.0, bg=0.0, bar_width=bar_width, bar_length=bar_length,
         )
         img *= fg - bg
         img += bg
+        # rng.normal(0.0, scale) computes 0.0 + scale * z
+        noise *= pixel_noise
+        noise += 0.0
         img += noise
-        np.clip(img.reshape(hi - lo, -1), 0.0, 1.0, out=X[lo:hi])
+        np.clip(img.reshape(m, -1), 0.0, 1.0, out=X[lo:lo + m])
     absent = np.full(n, NO_LABEL, dtype=np.int32)
     return Dataset(
         X, absent, absent.copy(),

@@ -7,8 +7,11 @@ Kernels:
     softmax_xent(logits, labels)        -> (losses, probs)
     xent_backward(probs, labels, gout)  -> dL/dlogits
     adam_update(p, g, m, v, ...)        -> in-place fused Adam step
-    line_blur(grid, dys, dxs)           -> 1-D line convolution, reflect pad
-    block_resample(grid, factor)        -> block-average down + nearest up
+    line_blur(grids, dys, dxs)          -> 1-D line convolution, reflect pad
+    block_resample(grids, factor)       -> block-average down + nearest up
+
+The two image kernels take a (h, w) grid or a stack (..., h, w) of them
+and treat every grid on its own, with the same arithmetic either way.
 """
 
 import numpy as np
@@ -66,17 +69,19 @@ def _reflect_index(idx, n):
     return idx
 
 
-def line_blur(grid, dys, dxs):
-    h, w = grid.shape
+def line_blur(grids, dys, dxs):
+    h, w = grids.shape[-2:]
     k = dys.size
     wgt = 1.0 / k
     ys = np.arange(h)[:, None]
     xs = np.arange(w)[None, :]
-    out = np.zeros((h, w))
+    out = np.zeros(grids.shape)
     for t in range(k):
         yy = _reflect_index(ys + dys[t], h)
         xx = _reflect_index(xs + dxs[t], w)
-        out += wgt * grid[yy, xx]
+        tap = grids[..., yy, xx]
+        tap *= wgt
+        out += tap
     return out
 
 
@@ -84,14 +89,16 @@ def line_blur(grid, dys, dxs):
 # block-average downsample + nearest-neighbor upsample (resolution loss)
 # ---------------------------------------------------------------------------
 
-def block_resample(grid, factor):
-    h, w = grid.shape
-    out = np.empty((h, w))
+def block_resample(grids, factor):
+    h, w = grids.shape[-2:]
+    out = np.empty(grids.shape)
     for bi in range(0, h, factor):
         i1 = min(bi + factor, h)
         for bj in range(0, w, factor):
             j1 = min(bj + factor, w)
-            out[bi:i1, bj:j1] = grid[bi:i1, bj:j1].mean()
+            out[..., bi:i1, bj:j1] = grids[..., bi:i1, bj:j1].mean(
+                axis=(-2, -1), keepdims=True
+            )
     return out
 
 

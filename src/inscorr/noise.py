@@ -82,39 +82,54 @@ def _round_half_up(x):
     return int(np.floor(x + 0.5))
 
 
-def corruption_transform(grid, kind, spec, rng):
-    """Damaged copy of one grid; output clamped to [0, 1], shape kept."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 2:
-        raise ContractError(f"expected a 2-D grid, got shape {grid.shape}")
-    h, w = grid.shape
+def corruption_transform(grids, kind, spec, rng):
+    """Damaged copy of one (h, w) grid or of a (k, h, w) stack of grids;
+    output clamped to [0, 1], shape kept.
+
+    A stack draws from rng exactly as its grids would one after another.
+    """
+    grids = np.asarray(grids, dtype=np.float64)
+    if grids.ndim not in (2, 3):
+        raise ContractError(f"expected a 2-D grid or a 3-D stack, got shape {grids.shape}")
+    # a single grid is a stack of one
+    stack = grids[None] if grids.ndim == 2 else grids
+    count, h, w = stack.shape
 
     if kind == NoiseKind.GAUSSIAN:
-        out = grid + rng.normal(0.0, spec.gaussian_sigma, size=(h, w))
+        # one block draw takes the same numbers as one draw per grid
+        out = rng.normal(0.0, spec.gaussian_sigma, size=stack.shape)
+        out += stack
     elif kind == NoiseKind.OCCLUSION:
         side = np.sqrt(spec.occlusion_fraction)
         rh = _round_half_up(h * side)
         rw = _round_half_up(w * side)
-        top = int(rng.integers(0, h - rh + 1))
-        left = int(rng.integers(0, w - rw + 1))
-        out = grid.copy()
-        out[top:top + rh, left:left + rw] = 0.5
+        # top then left, one scalar draw each, grid by grid
+        corners = np.array([
+            (rng.integers(0, h - rh + 1), rng.integers(0, w - rw + 1))
+            for _ in range(count)
+        ], dtype=np.int64).reshape(count, 2, 1)
+        rows = np.arange(h) - corners[:, 0]
+        cols = np.arange(w) - corners[:, 1]
+        inside = (((rows >= 0) & (rows < rh))[:, :, None]
+                  & ((cols >= 0) & (cols < rw))[:, None, :])
+        out = np.where(inside, 0.5, stack)
     elif kind == NoiseKind.RESOLUTION:
-        out = kernels.block_resample(grid, int(spec.resolution_factor))
+        out = kernels.block_resample(stack, int(spec.resolution_factor))
     elif kind == NoiseKind.FOG:
         rows = np.arange(h, dtype=np.float64)[:, None]
         t = spec.fog_intensity * np.exp(-spec.fog_decay * rows / h)
-        out = (1.0 - t) * grid + t * 1.0
+        out = (1.0 - t) * stack
+        out += t * 1.0
     elif kind == NoiseKind.MOTION_BLUR:
         length = int(spec.blur_length)
         theta = np.deg2rad(spec.blur_angle_deg)
         offsets = np.arange(length, dtype=np.float64) - (length - 1) / 2.0
         dxs = np.array([_round_half_up(t * np.cos(theta)) for t in offsets], dtype=np.int64)
         dys = np.array([_round_half_up(t * np.sin(theta)) for t in offsets], dtype=np.int64)
-        out = kernels.line_blur(grid, dys, dxs)
+        out = kernels.line_blur(stack, dys, dxs)
     else:
         raise ParameterError(f"unknown corruption kind {kind!r}")
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(out, 0.0, 1.0, out=out).reshape(grids.shape)
 
 
 def inject_corruption(ds, kind, rate, spec, seed):
@@ -133,11 +148,11 @@ def inject_corruption(ds, kind, rate, spec, seed):
     hit = np.sort(which_rng.choice(n, size=k, replace=False))
     transform_rng = np.random.default_rng([seed, 1, int(kind)])
     out = ds.copy()
-    for i in hit:
-        out.X[i] = corruption_transform(
-            ds.grid(i), kind, spec, transform_rng
-        ).ravel()
-        out.provenance[i] = Provenance.CORRUPTED
+    # the hit rows in ascending order, as one stack
+    out.X[hit] = corruption_transform(
+        ds.X[hit].reshape(k, *ds.grid_shape), kind, spec, transform_rng
+    ).reshape(k, ds.dim)
+    out.provenance[hit] = Provenance.CORRUPTED
     return out
 
 
@@ -181,10 +196,9 @@ def inject_open_set(ds, pool, rate, seed):
     sources = pool_rng.choice(len(pool), size=k, replace=False)
 
     out = ds.copy()
-    for dst, src in zip(targets, sources):
-        out.X[dst] = pool.X[src]
-        out.true_labels[dst] = NO_LABEL
-        out.provenance[dst] = Provenance.OPEN_SET
+    out.X[targets] = pool.X[sources]
+    out.true_labels[targets] = NO_LABEL
+    out.provenance[targets] = Provenance.OPEN_SET
     return out
 
 

@@ -144,16 +144,23 @@ def prepare_data(cfg):
 
     Noise is injected into the training pool first; the validation split
     is carved from the noisy data, so validation labels are noisy too.
+    Each set draws from a seed stream of its own, so the order they are
+    made in does not matter; each intermediate set is dropped as soon as
+    the next step has what it needs, so at most the clean set, the pool
+    and one noisy copy are alive together.
     """
     (n_train, n_test, classes, height, width, val_fraction, pool_size,
      route, rate, spec, seed_data, seed_noise) = data_key(cfg)
     full = generate_synthetic(n_train, classes, height, width, seed=[seed_data, 0])
-    test = generate_synthetic(n_test, classes, height, width, seed=[seed_data, 1])
     pool = None
     if route == OPEN_SET:
-        pool = generate_ood_source(pool_size, height, width, seed=[seed_data, 2])
+        pool = generate_ood_source(pool_size, height, width, seed=[seed_data, 2],
+                                   num_classes=classes)
     noisy = apply_noise(full, route, rate, spec, seed=seed_noise, pool=pool)
+    del full, pool
     train, val = split_validation(noisy, val_fraction, seed=[seed_data, 3])
+    del noisy
+    test = generate_synthetic(n_test, classes, height, width, seed=[seed_data, 1])
     return train, val, test
 
 

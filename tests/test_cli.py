@@ -121,6 +121,15 @@ def test_make_data_ood_pool(tmp_path):
     assert pool.num_classes == 0
 
 
+@pytest.mark.parametrize("source", [["--ood"], ["--route", "open_set"]])
+def test_make_data_rejects_too_many_classes_for_the_pool(tmp_path, capsys, source):
+    out = tmp_path / "data.bin"
+    assert main(["make-data", "--out", str(out), "--n", "20", "--classes", "8",
+                 *source]) == 1
+    assert "--classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_writes_sorted_sweep(tmp_path, tiny_cfg, capsys):
     root = tmp_path / "runs"
     code = main(["ablate", "--config", tiny_cfg, "--output-root", str(root),

@@ -109,6 +109,15 @@ def test_resolve_rejects_refresh_without_correction_method():
         resolve_config(cfg)
 
 
+def test_resolve_rejects_open_set_with_too_many_classes_for_the_pool():
+    # pool bars keep 4 to 12 degrees from every class angle, and class
+    # angles 180 / 8 = 22.5 degrees apart leave only 11.25 on each side
+    with pytest.raises(ConfigError, match=r"data\.num_classes"):
+        resolve_config(apply_overrides(load_config(), ["data.num_classes=8"]))
+    resolve_config(apply_overrides(load_config(), ["data.num_classes=7"]))
+    resolve_config(apply_overrides(load_config(), ["data.num_classes=8", "noise.route=fog"]))
+
+
 def test_resolve_rejects_bad_lambda():
     with pytest.raises(ConfigError, match="lambda"):
         resolve_config(apply_overrides(load_config(), ["training.lambda=1.5"]))

@@ -96,7 +96,7 @@ def _reference_synthetic(n, num_classes, height, width, seed):
     return X, labels
 
 
-def _reference_ood(n, height, width, seed, num_classes=4):
+def _reference_ood(n, height, width, seed, num_classes):
     """generate_ood_source's pixels drawn and rendered one row at a time,
     with the default shape parameters."""
     rng = np.random.default_rng(seed)
@@ -127,7 +127,22 @@ def test_generators_match_row_loop_reference_bitwise(n, height, width, seed):
     assert np.array_equal(ds.X, X)
     assert np.array_equal(ds.given_labels, labels)
     pool = generate_ood_source(n, height, width, seed=seed)
-    assert np.array_equal(pool.X, _reference_ood(n, height, width, seed))
+    assert np.array_equal(pool.X, _reference_ood(n, height, width, seed, 4))
+
+
+@pytest.mark.parametrize("n, height, width", [
+    (data._BLOCK_ROWS + 1, 16, 16),
+    (70, 12, 20),
+])
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("num_classes", [3, 5])
+def test_ood_pool_matches_row_loop_reference_at_other_class_counts(
+    n, height, width, seed, num_classes
+):
+    # integers(num_classes) has a bound that is no power of two here, so it
+    # may reject draws; the per-row calls must still take the same bits
+    pool = generate_ood_source(n, height, width, seed=seed, num_classes=num_classes)
+    assert np.array_equal(pool.X, _reference_ood(n, height, width, seed, num_classes))
 
 
 def test_ood_pool_has_no_labels_and_valid_range():

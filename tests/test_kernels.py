@@ -52,6 +52,16 @@ def _line_blur_loop(grid, dys, dxs):
     return out
 
 
+def _block_resample_loop(grid, factor):
+    """One block of one grid at a time, each averaged with its own mean()."""
+    h, w = grid.shape
+    out = np.empty((h, w))
+    for bi in range(0, h, factor):
+        for bj in range(0, w, factor):
+            out[bi:bi + factor, bj:bj + factor] = grid[bi:bi + factor, bj:bj + factor].mean()
+    return out
+
+
 def test_softmax_xent_matches_naive_oracle():
     rng = np.random.default_rng(3)
     logits = rng.normal(scale=3.0, size=(32, 7))
@@ -142,6 +152,18 @@ def test_line_blur_matches_loop_oracle():
                           _line_blur_loop(grid, dys, dxs))
 
 
+@pytest.mark.parametrize("shape", [(5, 16, 16), (3, 7, 11), (1, 6, 5)])
+def test_stacked_line_blur_matches_loop_oracle_per_grid(shape):
+    rng = np.random.default_rng(sum(shape))
+    grids = rng.random(shape)
+    dys = np.array([-2, -1, 0, 1, 2, 3], dtype=np.int64)
+    dxs = np.array([1, 0, 0, -1, -1, -2], dtype=np.int64)
+    out = K.line_blur(grids, dys, dxs)
+    assert out.shape == shape
+    for g in range(shape[0]):
+        assert np.array_equal(out[g], _line_blur_loop(grids[g], dys, dxs))
+
+
 def test_line_blur_identity_kernel():
     rng = np.random.default_rng(8)
     grid = rng.random((9, 9))
@@ -190,6 +212,18 @@ def test_block_resample_partial_edge_blocks():
     # bottom-right partial block is 3x3
     assert out[6, 6] == pytest.approx(grid[4:7, 4:7].mean(), rel=1e-12)
     assert np.all(out[4:7, 4:7] == out[4, 4])
+
+
+@pytest.mark.parametrize("shape", [(5, 16, 16), (3, 7, 11), (1, 12, 20)])
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 5])
+def test_stacked_block_resample_matches_loop_oracle_per_grid(shape, factor):
+    rng = np.random.default_rng(sum(shape) + factor)
+    grids = rng.random(shape)
+    out = K.block_resample(grids, factor)
+    assert out.shape == shape
+    for g in range(shape[0]):
+        assert np.array_equal(out[g], _block_resample_loop(grids[g], factor))
+    assert np.array_equal(K.block_resample(grids[0], factor), out[0])
 
 
 def test_block_resample_factor_one_is_identity():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inscorr import kernels
 from inscorr.data import NO_LABEL, Provenance, generate_ood_source, generate_synthetic
 from inscorr.errors import CapacityError, ContractError, ParameterError
 from inscorr.noise import (
@@ -22,6 +23,72 @@ SPEC = NoiseSpec()
 
 def fixed_grid(h=8, w=8, seed=0):
     return np.random.default_rng(seed).random((h, w))
+
+
+def _half_up(x):
+    return int(np.floor(x + 0.5))
+
+
+def _reference_transform(grid, kind, spec, rng):
+    """One (h, w) grid damaged on its own, as the transforms were first
+    written; the kernels' stacked forms have loop oracles of their own."""
+    h, w = grid.shape
+    if kind == NoiseKind.GAUSSIAN:
+        out = grid + rng.normal(0.0, spec.gaussian_sigma, size=(h, w))
+    elif kind == NoiseKind.OCCLUSION:
+        side = np.sqrt(spec.occlusion_fraction)
+        rh, rw = _half_up(h * side), _half_up(w * side)
+        top = int(rng.integers(0, h - rh + 1))
+        left = int(rng.integers(0, w - rw + 1))
+        out = grid.copy()
+        out[top:top + rh, left:left + rw] = 0.5
+    elif kind == NoiseKind.RESOLUTION:
+        out = kernels.block_resample(grid, int(spec.resolution_factor))
+    elif kind == NoiseKind.FOG:
+        rows = np.arange(h, dtype=np.float64)[:, None]
+        t = spec.fog_intensity * np.exp(-spec.fog_decay * rows / h)
+        out = (1.0 - t) * grid + t * 1.0
+    else:
+        offsets = np.arange(spec.blur_length, dtype=np.float64) - (spec.blur_length - 1) / 2.0
+        theta = np.deg2rad(spec.blur_angle_deg)
+        dxs = np.array([_half_up(t * np.cos(theta)) for t in offsets], dtype=np.int64)
+        dys = np.array([_half_up(t * np.sin(theta)) for t in offsets], dtype=np.int64)
+        out = kernels.line_blur(grid, dys, dxs)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _reference_corruption(ds, kind, rate, spec, seed):
+    """inject_corruption one hit row at a time."""
+    k = _half_up(rate * len(ds))
+    hit = np.sort(np.random.default_rng([seed, 0]).choice(len(ds), size=k, replace=False))
+    rng = np.random.default_rng([seed, 1, int(kind)])
+    X, prov = ds.X.copy(), ds.provenance.copy()
+    for i in hit:
+        X[i] = _reference_transform(ds.grid(i), kind, spec, rng).ravel()
+        prov[i] = Provenance.CORRUPTED
+    return X, prov
+
+
+def _reference_open_set(ds, pool, rate, seed):
+    """inject_open_set one replaced row at a time."""
+    n, c = len(ds), ds.num_classes
+    k = _half_up(rate * n)
+    which = np.random.default_rng([seed, 2])
+    counts = np.full(c, k // c)
+    if k % c:
+        counts[which.choice(c, size=k % c, replace=False)] += 1
+    targets = np.sort(np.concatenate([
+        which.choice(np.flatnonzero(ds.given_labels == cls), size=int(counts[cls]),
+                     replace=False)
+        for cls in range(c)
+    ]))
+    sources = np.random.default_rng([seed, 3]).choice(len(pool), size=k, replace=False)
+    X, true, prov = ds.X.copy(), ds.true_labels.copy(), ds.provenance.copy()
+    for dst, src in zip(targets, sources):
+        X[dst] = pool.X[src]
+        true[dst] = NO_LABEL
+        prov[dst] = Provenance.OPEN_SET
+    return X, true, prov
 
 
 # -- per-kind oracles -------------------------------------------------------
@@ -129,6 +196,50 @@ def test_spec_validation():
         NoiseSpec(fog_intensity=-0.2)
     with pytest.raises(ParameterError, match="blur_length"):
         NoiseSpec(blur_length=0)
+
+
+ODD_SPEC = NoiseSpec(gaussian_sigma=0.4, occlusion_fraction=0.3, resolution_factor=3,
+                     fog_intensity=0.6, fog_decay=2.0, blur_length=4, blur_angle_deg=30.0)
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+@pytest.mark.parametrize("spec", [SPEC, ODD_SPEC])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_transform_matches_per_grid_reference(kind, spec, seed):
+    # a non-square stack spilling past [0, 1] so the clamp acts as well
+    grids = np.random.default_rng(seed).uniform(-0.1, 1.1, size=(6, 7, 11))
+    out = corruption_transform(grids, kind, spec, np.random.default_rng([seed, 9]))
+    rng = np.random.default_rng([seed, 9])
+    for g in range(len(grids)):
+        assert np.array_equal(out[g], _reference_transform(grids[g], kind, spec, rng))
+    # a single grid is a stack of one and keeps its 2-D shape
+    single = corruption_transform(grids[0], kind, spec, np.random.default_rng([seed, 9]))
+    assert np.array_equal(single, out[0])
+
+
+def test_transform_rejects_other_ranks():
+    with pytest.raises(ContractError, match="2-D grid or a 3-D stack"):
+        corruption_transform(np.zeros(16), NoiseKind.FOG, SPEC, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_inject_corruption_matches_row_loop_reference(kind):
+    ds = generate_synthetic(90, 3, 12, 20, seed=30)
+    out = inject_corruption(ds, kind, 0.4, ODD_SPEC, seed=31)
+    X, prov = _reference_corruption(ds, kind, 0.4, ODD_SPEC, seed=31)
+    assert np.array_equal(out.X, X)
+    assert np.array_equal(out.provenance, prov)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.45])
+def test_inject_open_set_matches_row_loop_reference(rate):
+    ds = generate_synthetic(90, 4, 12, 20, seed=32)
+    pool = generate_ood_source(80, 12, 20, seed=33)
+    out = inject_open_set(ds, pool, rate, seed=34)
+    X, true, prov = _reference_open_set(ds, pool, rate, seed=34)
+    assert np.array_equal(out.X, X)
+    assert np.array_equal(out.true_labels, true)
+    assert np.array_equal(out.provenance, prov)
 
 
 # -- corruption injection ---------------------------------------------------

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inscorr.attack import AttackConfig
-from inscorr.data import NO_LABEL, Dataset, generate_synthetic
+from inscorr.data import NO_LABEL, Dataset, Provenance, generate_ood_source, generate_synthetic
 from inscorr.errors import ContractError, NumericError
 from inscorr.nn import Model, ModelSpec
 from inscorr.pipeline import (
@@ -128,6 +130,41 @@ class TestPrepareData:
     def test_test_set_is_clean(self):
         _, _, test = prepare_data(tiny_config(noise_rate=0.8))
         assert np.array_equal(test.given_labels, test.true_labels)
+
+    def test_open_set_pool_follows_the_class_count(self):
+        # the pool must avoid the angles of the data's own classes
+        cfg = tiny_config(noise_route="open_set", num_classes=3, n_train=150,
+                          val_fraction=0.0, noise_rate=0.4)
+        train, _, _ = prepare_data(cfg)
+        replaced = {row.tobytes() for row in train.X[train.provenance == Provenance.OPEN_SET]}
+        assert len(replaced) == 60
+
+        def pool_rows(num_classes):
+            pool = generate_ood_source(150, 8, 8, seed=[cfg.seed_data, 2],
+                                       num_classes=num_classes)
+            return {row.tobytes() for row in pool.X}
+
+        assert replaced <= pool_rows(3)
+        # the two pools share their class-0 rows, which draw the same bits
+        assert not replaced <= pool_rows(4)
+
+    @pytest.mark.parametrize("route, matrices", [
+        # the clean set, the pool and the noisy copy, plus the replacement rows
+        ("open_set", 3.5),
+        # the clean set and the noisy copy, plus the hit rows and their transform
+        ("fog", 3.0),
+    ])
+    def test_peak_memory_at_ordering_sizes(self, route, matrices):
+        cfg = ExperimentConfig(n_train=2000, n_test=1000, noise_route=route)
+        matrix = cfg.n_train * cfg.height * cfg.width * 8
+        tracemalloc.start()
+        try:
+            data = prepare_data(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(ds) for ds in data) == 3000
+        assert peak <= matrices * matrix, f"peak {peak / matrix:.2f} matrices"
 
 
 class TestEvaluate:
