@@ -172,8 +172,9 @@ def _ordering_config(route, method, lam=0.5):
     return {"method": method, "noise": {"route": route}, "training": {"lambda": lam}}
 
 
-def _ordering_run(resolved, data):
-    metrics = run_experiment(to_experiment_config(resolved), data=data).metrics
+def _ordering_run(resolved, data, prefix=None):
+    metrics = run_experiment(to_experiment_config(resolved), data=data,
+                             prefix=prefix).metrics
     return float(np.mean([m.test_accuracy for m in metrics[-10:]]))
 
 

@@ -72,19 +72,21 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def write_run(resolved, root, data=None):
+def write_run(resolved, root, data=None, prefix=None):
     """Execute the resolved config and persist its artifacts.
 
     Returns (run_dir, summary dict). The run directory is keyed by the
     config hash; rerunning replaces it. Nothing is left under root when
-    the run or a write fails.
+    the run or a write fails. data and prefix go to run_experiment; a run
+    that starts from a shared prefix counts only its own epochs in the
+    manifest's wall_seconds.
     """
     digest = config_hash(resolved)
     run_dir = Path(root) / digest
 
     cfg = to_experiment_config(resolved)
     started = time.perf_counter()
-    result = run_experiment(cfg, data=data)
+    result = run_experiment(cfg, data=data, prefix=prefix)
     wall = time.perf_counter() - started
 
     files = {

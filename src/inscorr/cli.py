@@ -62,10 +62,22 @@ def cmd_run(args):
     return 0
 
 
-def _sweep_job(resolved, data, root):
+def _sweep_job(resolved, data, root, prefix=None):
     # module level so process pools can pickle it; write_run is looked up
     # at call time, so a patched cli.write_run reaches forked workers too
-    return write_run(resolved, root, data=data)[1]["last_ten_mean"]
+    return write_run(resolved, root, data=data, prefix=prefix)[1]["last_ten_mean"]
+
+
+def _grid_base(base):
+    """The base config as a grid id covers it: resolved, as ids always
+    were, or as given when it cannot run on its own. The grid's cells may
+    still make it runnable (a fog-only grid with more classes than the
+    open_set pool allows); a job they do not fix fails when the sweep
+    resolves it."""
+    try:
+        return resolve_config(base)
+    except ConfigError:
+        return base
 
 
 def _cell_text(result):
@@ -107,7 +119,7 @@ def cmd_campaign(args):
              for route, rate, method in grid]
     root = output_root(args.output_root)
     grid_id = config_hash({
-        "base": resolve_config(base),
+        "base": _grid_base(base),
         "routes": routes, "rates": rates, "seeds": seeds, "methods": methods,
     })
     results, failures = sweep(base, cells, seeds, _sweep_job, (root,), args.workers)
@@ -137,7 +149,7 @@ def cmd_ablate(args):
 
     root = output_root(args.output_root)
     sweep_id = config_hash({
-        "base": resolve_config(base), "weights": weights, "seeds": seeds,
+        "base": _grid_base(base), "weights": weights, "seeds": seeds,
         "interpretation": args.interpretation,
     })
     # the swept weight is lambda itself, or its complement

@@ -99,6 +99,13 @@ class Model:
             biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
         return cls(spec, weights, biases)
 
+    def clone(self):
+        """An independent copy without gradients: Model() copies the
+        parameters into a flat vector of its own."""
+        weights = [Tensor(w.data, requires_grad=True) for w in self.weights]
+        biases = [Tensor(b.data, requires_grad=True) for b in self.biases]
+        return Model(self.spec, weights, biases)
+
     def parameters(self):
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -225,6 +232,9 @@ class Sgd(_FlatStep):
     def attach(self, model):
         return self
 
+    def clone(self):
+        return Sgd(self.lr)
+
     def step(self, model):
         flat, grad = self._flat_pair(model)
         flat -= self.lr * grad
@@ -251,6 +261,18 @@ class Adam(_FlatStep):
             self._m = _views(self._m_flat, shapes)
             self._v = _views(self._v_flat, shapes)
         return self
+
+    def clone(self):
+        """An independent copy: its moments are flat vectors of their own,
+        with per-parameter views into them, as attach() lays them out."""
+        twin = Adam(self.lr, self.beta1, self.beta2, self.eps)
+        twin.step_count = self.step_count
+        if self._m is not None:
+            shapes = [m.shape for m in self._m]
+            twin._m_flat, twin._v_flat = self._m_flat.copy(), self._v_flat.copy()
+            twin._m = _views(twin._m_flat, shapes)
+            twin._v = _views(twin._v_flat, shapes)
+        return twin
 
     def step(self, model):
         params = model.parameters()

@@ -21,7 +21,11 @@ cannot influence training (weight 1 on the clean term, or no corrected
 set at all) visit bit-identical clean batches.
 
 RNG streams: epoch shuffles use [seed_epochs, T]; attacks draw their
-optional random starts from [seed_noise, 4, T].
+optional random starts from [seed_noise, 4, T]. Since nothing else
+carries over from one epoch to the next but the model and its optimizer,
+runs with one prefix_key train bit-identical selection epochs until the
+first of them leaves selection, and a sweep trains those epochs once
+(SharedPrefix).
 """
 
 import math
@@ -137,6 +141,38 @@ def data_key(cfg):
     return (cfg.n_train, cfg.n_test, cfg.num_classes, cfg.height, cfg.width,
             cfg.val_fraction, cfg.pool_size if cfg.noise_route == OPEN_SET else None,
             cfg.noise_route, cfg.noise_rate, cfg.noise_spec, cfg.seed_data, cfg.seed_noise)
+
+
+def selection_epochs(cfg):
+    """How many epochs, from the first, the run trains by small-loss
+    selection: all of them for SelectionOnly or when the warmup covers the
+    whole run, else the warmup."""
+    if cfg.method == SELECTION_ONLY or cfg.warmup_epochs >= cfg.total_epochs:
+        return cfg.total_epochs
+    return cfg.warmup_epochs
+
+
+def prefix_key(cfg):
+    """Everything a run's selection epochs read: configs with equal keys
+    train bit-identical models through their common selection epochs.
+
+    Method, lambda, the attack, warmup and total epochs, the partition
+    rule and refresh only act once selection ends, so they are left out.
+    """
+    return (data_key(cfg), cfg.hidden, cfg.optimizer, cfg.lr, cfg.tau,
+            cfg.ramp_epochs, cfg.batch_size, cfg.seed_init, cfg.seed_epochs)
+
+
+@dataclass
+class SharedPrefix:
+    """The first `epochs` selection epochs of runs that share a prefix_key.
+
+    state stays None until a run given this holder ends epoch epochs - 1;
+    it then holds (prefix_key, model, optimizer, metrics) as they stood,
+    copied, and later runs start from a copy of it (run_experiment).
+    """
+    epochs: int
+    state: tuple = None
 
 
 def prepare_data(cfg):
@@ -297,31 +333,52 @@ def _build_corrected(cfg, model, train, noisy_idx, epoch):
     return corrected, ys, success
 
 
-def run_experiment(cfg, data=None, on_epoch=None):
+def run_experiment(cfg, data=None, on_epoch=None, prefix=None):
     """Train per the configured method; returns a RunResult.
 
     on_epoch(epoch, model), when given, runs after each epoch's updates;
     trajectory tests use it to snapshot parameters.
+
+    prefix, a SharedPrefix whose epochs lie in [1, selection_epochs(cfg)],
+    trains those epochs once for every run of one prefix_key. While its
+    state is empty, the run copies its model, optimizer and metrics into
+    it when epoch prefix.epochs - 1 ends. Once the state is set, the run
+    starts from a copy of it at epoch prefix.epochs, and on_epoch is not
+    called for the epochs it skips. Either way the result is bit for bit
+    that of a run without a prefix.
     """
     train, val, test = data if data is not None else prepare_data(cfg)
-    model = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr).attach(model)
+    n_select = selection_epochs(cfg)
+    if prefix is not None and not 1 <= prefix.epochs <= n_select:
+        raise ContractError(
+            f"a shared prefix of {prefix.epochs} epochs needs 1 to {n_select} "
+            "selection epochs in the run"
+        )
+    start = 0
+    if prefix is not None and prefix.state is not None:
+        key, *state = prefix.state
+        if key != prefix_key(cfg):
+            raise ContractError("the shared prefix was trained under another prefix_key")
+        model, optimizer, metrics = _copy_state(*state)
+        start = prefix.epochs
+    else:
+        model = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
+        optimizer = make_optimizer(cfg.optimizer, cfg.lr).attach(model)
+        metrics = []
     schedule = cfg.schedule()
-    two_phase = cfg.method != SELECTION_ONLY and cfg.warmup_epochs < cfg.total_epochs
 
     clean_idx = noisy_idx = None
     corr_x = corr_y = None
-    metrics = []
-    for epoch in range(cfg.total_epochs):
+    for epoch in range(start, cfg.total_epochs):
         precision = None
         attack_success = None
         rng = np.random.default_rng([cfg.seed_epochs, epoch])
-        if two_phase and epoch >= cfg.warmup_epochs:
-            if epoch == cfg.warmup_epochs:
+        if epoch >= n_select:
+            if epoch == n_select:
                 clean_idx, noisy_idx = partition_clean_mislabeled(
                     model, train, cfg.partition_rule, cfg.tau
                 )
-            if epoch == cfg.warmup_epochs or (
+            if epoch == n_select or (
                 cfg.refresh_correction and cfg.method == INSCORR
             ):
                 corr_x, corr_y, attack_success = _build_corrected(
@@ -347,7 +404,15 @@ def run_experiment(cfg, data=None, on_epoch=None):
         ))
         if on_epoch is not None:
             on_epoch(epoch, model)
+        if prefix is not None and prefix.state is None and epoch == prefix.epochs - 1:
+            prefix.state = (prefix_key(cfg), *_copy_state(model, optimizer, metrics))
     return RunResult(model, optimizer, metrics)
+
+
+def _copy_state(model, optimizer, metrics):
+    # an epoch's records are never changed once appended, so the list is
+    # copied but its entries are shared
+    return model.clone(), optimizer.clone(), list(metrics)
 
 
 def run_clean_partition_only(cfg, data=None, on_epoch=None):

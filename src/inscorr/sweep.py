@@ -7,6 +7,14 @@ chunks of at most ceil(jobs / workers) jobs when there are fewer groups
 than workers, so a one-group grid still keeps every worker busy. A
 failing prepare_data fails every job of its task; a failing job fails
 alone. Outcomes come back in grid order, whatever order tasks finish in.
+
+Inside a task, jobs that also share a pipeline.prefix_key (they differ
+only in what acts after selection: method, lambda, attack, warmup and
+total epochs, partition rule, refresh) share one pipeline.SharedPrefix.
+The first of them trains the selection epochs they have in common and
+the others branch from its copy, so that warmup runs once per group
+instead of once per method, with every result byte unchanged. A job
+that fails before the copy is made leaves the prefix to the next one.
 """
 
 import concurrent.futures
@@ -17,10 +25,27 @@ from collections import namedtuple
 import numpy as np
 
 from .config import deep_merge, resolve_config, to_experiment_config
-from .pipeline import data_key, prepare_data
+from .pipeline import SharedPrefix, data_key, prefix_key, prepare_data, selection_epochs
 
 # mean and population std over a cell's runs that gave a value, None if none did
 CellResult = namedtuple("CellResult", "n_failed mean std")
+
+
+def _shared_prefixes(cfgs):
+    """Per config, the SharedPrefix of its prefix_key, or None when no
+    other config has that key or the key's runs share no selection epoch.
+    A prefix spans the fewest selection epochs among its runs."""
+    groups = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(prefix_key(cfg), []).append(i)
+    prefixes = [None] * len(cfgs)
+    for members in groups.values():
+        epochs = min(selection_epochs(cfgs[i]) for i in members)
+        if len(members) >= 2 and epochs >= 1:
+            shared = SharedPrefix(epochs)
+            for i in members:
+                prefixes[i] = shared
+    return prefixes
 
 
 def _run_task(run, jobs, args):
@@ -29,21 +54,24 @@ def _run_task(run, jobs, args):
         data = prepare_data(to_experiment_config(jobs[0]))
     except Exception as error:
         return [(None, str(error))] * len(jobs)
+    prefixes = _shared_prefixes([to_experiment_config(resolved) for resolved in jobs])
     outcomes = []
-    for resolved in jobs:
+    for resolved, prefix in zip(jobs, prefixes):
         try:
-            outcomes.append((run(resolved, data, *args), None))
+            outcomes.append((run(resolved, data, *args, prefix=prefix), None))
         except Exception as error:
             outcomes.append((None, str(error)))
     return outcomes
 
 
 def sweep(base, cells, seeds, run, args=(), workers=1):
-    """Call run(resolved, data, *args) for every cell and seed.
+    """Call run(resolved, data, *args, prefix=prefix) for every cell and seed.
 
-    run returns the job's accuracy or None, and must be picklable when
-    workers > 1. Returns (one CellResult per cell, failures), failures
-    listing (cell index, seed, error message) in grid order.
+    prefix is the job's pipeline.SharedPrefix or None, for run to hand on
+    to run_experiment. run returns the job's accuracy or None, and must
+    be picklable when workers > 1. Returns (one CellResult per cell,
+    failures), failures listing (cell index, seed, error message) in grid
+    order.
     """
     jobs = []
     for cell in cells:

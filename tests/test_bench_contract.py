@@ -72,7 +72,7 @@ def test_bench_reads_kernel_names():
 def test_campaign_workers_reach_the_patched_write_run(tmp_path, perfbench_layers):
     # the sweep's pool workers must call write_run through cli's module
     # global, which the tracer patches; each run then exports one cell
-    Tracer, _ = perfbench_layers
+    Tracer, layer_metrics = perfbench_layers
     (tmp_path / "exports").mkdir()
     tracer = Tracer(tmp_path / "exports")
     argv = ["campaign", "--routes", "gaussian,fog", "--rates", "0.3",
@@ -88,3 +88,7 @@ def test_campaign_workers_reach_the_patched_write_run(tmp_path, perfbench_layers
         tracer.uninstall()
     snap = tracer.merge_exports(tracer.snapshot())
     assert snap["cells"] == 4
+    # the selection warmup runs inside each route's first write_run, which the
+    # tracer counts: per route 2 shared epochs, then SelectionOnly's other 2,
+    # 4 batches of 32 rows each over the 108 training rows
+    assert layer_metrics(snap)["select.batches"] == 2 * (2 + 2) * 4

@@ -10,6 +10,7 @@ import pytest
 
 from inscorr import artifacts, cli
 from inscorr.cli import main
+from inscorr.config import apply_overrides, config_hash, load_config, resolve_config
 from inscorr.data import NO_LABEL, load_dataset
 
 TINY = {
@@ -187,6 +188,34 @@ def test_campaign_grid_summary(tmp_path, tiny_cfg, capsys):
     assert "gaussian rate=0.4 SelectionOnly:" in capsys.readouterr().out
 
 
+def test_grid_id_hashes_a_runnable_base_resolved(tmp_path, tiny_cfg):
+    root = tmp_path / "runs"
+    assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
+                 "--routes", "gaussian", "--rates", "0.4",
+                 "--methods", "SelectionOnly", "--seeds", "0"]) == 0
+    grid_id = config_hash({"base": resolve_config(load_config(tiny_cfg)),
+                           "routes": ["gaussian"], "rates": [0.4], "seeds": [0],
+                           "methods": ["SelectionOnly"]})
+    assert (root / f"campaign-{grid_id}" / "campaign.json").is_file()
+
+
+def test_a_base_that_only_its_cells_make_runnable_is_swept(tmp_path, tiny_cfg):
+    # the open_set pool refuses 8 classes, but no job of this grid runs open_set
+    root = tmp_path / "runs"
+    assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
+                 "--routes", "fog", "--rates", "0.4", "--methods", "SelectionOnly",
+                 "--seeds", "0", "--set", "data.num_classes=8"]) == 0
+    grid_id = config_hash({"base": apply_overrides(load_config(tiny_cfg),
+                                                   ["data.num_classes=8"]),
+                           "routes": ["fog"], "rates": [0.4], "seeds": [0],
+                           "methods": ["SelectionOnly"]})
+    report = json.loads((root / f"campaign-{grid_id}" / "campaign.json").read_text())
+    assert report["failures"] == [] and report["cells"][0]["n_failed"] == 0
+    # every ablate cell sets lambda, so a base lambda outside [0, 1] never runs
+    assert main(["ablate", "--config", tiny_cfg, "--output-root", str(root),
+                 "--set", "training.lambda=1.5", "--weights", "0.1", "--seeds", "0"]) == 0
+
+
 def test_duplicate_campaign_jobs_leave_one_complete_run(tmp_path, tiny_cfg):
     root = tmp_path / "runs"
     assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
@@ -207,8 +236,9 @@ def test_duplicate_campaign_jobs_leave_one_complete_run(tmp_path, tiny_cfg):
 
 def test_zero_accuracy_is_reported_not_null(tmp_path, tiny_cfg, monkeypatch):
     # a cell whose runs all scored 0.0 is a real mean, unlike a cell with no runs
-    monkeypatch.setattr(cli, "write_run",
-                        lambda resolved, root, data=None: (root, {"last_ten_mean": 0.0}))
+    monkeypatch.setattr(
+        cli, "write_run",
+        lambda resolved, root, data=None, prefix=None: (root, {"last_ten_mean": 0.0}))
     root = tmp_path / "runs"
     assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
                  "--routes", "gaussian", "--rates", "0.4",
@@ -267,7 +297,7 @@ def test_sweeps_reject_bad_grid_flags(tmp_path, tiny_cfg, capsys, argv, flag):
 def test_campaign_failures_follow_grid_order(tmp_path, tiny_cfg, monkeypatch):
     # forked workers inherit the patch; the first failing job is the slow one,
     # so it finishes after the second
-    def fail_on_seed_zero(resolved, root, data=None):
+    def fail_on_seed_zero(resolved, root, data=None, prefix=None):
         route = resolved["noise"]["route"]
         if resolved["seeds"]["data"] == 0:
             if route == "gaussian":

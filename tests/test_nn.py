@@ -299,6 +299,48 @@ def test_adam_rejects_a_model_with_another_parameter_count():
         assert opt.step_count == 0 and np.array_equal(model.flat, before)
 
 
+def _checkpoint_bytes(tmp_path, model, opt):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, model, opt, epoch=3, seed=11)
+    return path.read_bytes()
+
+
+def test_clone_keeps_the_flat_views_and_steps_like_the_original(tmp_path):
+    x, labels = _deep_problem()
+    model, opt = Model.init(DEEP, seed=8), Adam(lr=0.01)
+    _train_steps(model, opt, x, labels, 3)
+    twin, twin_opt = model.clone(), opt.clone()
+
+    for p, q in zip(twin.parameters(), model.parameters()):
+        assert np.shares_memory(p.data, twin.flat) and not np.shares_memory(p.data, model.flat)
+        assert np.array_equal(p.data, q.data) and p.grad is None
+    for m, v in zip(twin_opt._m, twin_opt._v):
+        assert np.shares_memory(m, twin_opt._m_flat) and np.shares_memory(v, twin_opt._v_flat)
+        assert not np.shares_memory(m, opt._m_flat) and not np.shares_memory(v, opt._v_flat)
+    assert twin_opt.step_count == opt.step_count == 3
+
+    before = _checkpoint_bytes(tmp_path, model, opt)
+    assert _checkpoint_bytes(tmp_path, twin, twin_opt) == before
+    _train_steps(twin, twin_opt, x, labels, 1)
+    # the step moved the clone through its flat vectors, and only the clone
+    assert not np.array_equal(twin.flat, model.flat)
+    assert _checkpoint_bytes(tmp_path, model, opt) == before
+    _train_steps(model, opt, x, labels, 1)
+    for p, q in zip(twin.parameters(), model.parameters()):
+        assert np.array_equal(p.data, q.data)
+    assert _checkpoint_bytes(tmp_path, twin, twin_opt) == _checkpoint_bytes(tmp_path, model, opt)
+
+
+def test_sgd_clone_steps_like_the_original():
+    x, labels = _deep_problem()
+    model, opt = Model.init(DEEP, seed=9), Sgd(lr=0.05)
+    _train_steps(model, opt, x, labels, 2)
+    twin, twin_opt = model.clone(), opt.clone()
+    _train_steps(twin, twin_opt, x, labels, 2)
+    _train_steps(model, opt, x, labels, 2)
+    assert twin_opt.lr == opt.lr and np.array_equal(twin.flat, model.flat)
+
+
 def test_training_reduces_loss_to_separation():
     rng = np.random.default_rng(6)
     x = np.concatenate([
