@@ -91,7 +91,7 @@ def check_gradients():
         # zero-init biases put dead rows exactly on the relu kink, where
         # central differences disagree with any valid subgradient
         for bias in model.biases:
-            bias.data[:] = rng.normal(0.0, 0.05, bias.data.shape)
+            bias[:] = rng.normal(0.0, 0.05, bias.shape)
         x = rng.uniform(0.0, 1.0, (b, d))
         y = rng.integers(0, c, b).astype(np.int64)
 
@@ -102,9 +102,8 @@ def check_gradients():
         model.backward(outputs, probs, y, row_weights)
         grad_x = model.backward(outputs, probs, y, row_weights, input_grad=True)
 
-        for p in model.parameters():
-            fd = _fd_gradient_inplace(p.data, lambda: _loss_value(model, x, y))
-            worst = max(worst, _max_rel_error(p.grad, fd))
+        fd = _fd_gradient_inplace(model.flat, lambda: _loss_value(model, x, y))
+        worst = max(worst, _max_rel_error(model.grad, fd))
         fd_x = _fd_gradient_inplace(x, lambda: _loss_value(model, x, y))
         worst = max(worst, _max_rel_error(grad_x, fd_x))
     return worst < 1e-3, f"max relative error {worst:.2e} over 20 networks"
@@ -210,7 +209,7 @@ def check_ordering():
 
 
 def _train_plain(model, ds, epochs, batch_size=128, seed=0):
-    optimizer = Adam(0.001).attach(model)
+    optimizer = Adam(0.001)
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         perm = rng.permutation(len(ds))
@@ -257,7 +256,7 @@ def _trajectory(run, cfg, data):
     hashes = []
 
     def snap(epoch, model):
-        hashes.append(tuple(p.data.tobytes() for p in model.parameters()))
+        hashes.append(model.flat.tobytes())
 
     run(cfg, data=data, on_epoch=snap)
     return hashes

@@ -173,6 +173,11 @@ def cmd_ablate(args):
 
 
 def cmd_make_data(args):
+    for flag, value, least in (("--n", args.n, 1), ("--height", args.height, 1),
+                               ("--width", args.width, 1), ("--seed", args.seed, 0),
+                               ("--noise-seed", args.noise_seed, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     if args.ood or args.route == OPEN_SET:
         try:
             check_pool_margins(args.classes)

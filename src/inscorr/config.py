@@ -205,6 +205,12 @@ def resolve_config(cfg):
     lam = out["training"]["lambda"]
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"training.lambda must lie in [0, 1], got {lam}")
+    for key in ("n_train", "n_test", "height", "width"):
+        if out["data"][key] < 1:
+            raise ConfigError(f"data.{key} must be at least 1, got {out['data'][key]}")
+    for stream, seed in out["seeds"].items():
+        if seed < 0:
+            raise ConfigError(f"seeds.{stream} must be non-negative, got {seed}")
     if out["noise"]["route"] == OPEN_SET:
         classes = out["data"]["num_classes"]
         try:

@@ -1,17 +1,17 @@
 """Fully connected relu networks, optimizers, and checkpointing.
 
-A Model owns its parameters as persistent Tensors (.data, .grad) so
-optimizer state stays attached across epochs. All of its weights and
-biases live in one contiguous float64 vector, Model.flat, and each .data
-is a reshaped view of it, so an optimizer updates every parameter in one
-call per step. The model is always a relu MLP under a softmax
-cross-entropy loss, so gradients are written out by
-hand rather than taken from a general autodiff engine: forward() returns
-every layer's output, and backward() walks those cached outputs once in
-reverse, adding the row-weighted loss's gradient into each parameter's
-.grad or, on request, returning the input gradient instead. Callers may
-pass backward() the same rows of each cached output (a kept subset of a
-batch) without running forward again. Evaluation (predict,
+A Model owns its state as two float64 vectors. Model.flat holds every
+weight and bias, and Model.weights / Model.biases are reshaped views of
+it, so an optimizer updates every parameter in one call per step.
+Model.grad is the gradient over the same layout: None until a backward
+writes to it, and None again after zero_grads(). The model is always a
+relu MLP under a softmax cross-entropy loss, so gradients are written
+out by hand rather than taken from a general autodiff engine: forward()
+returns every layer's output, and backward() walks those cached outputs
+once in reverse, adding the row-weighted loss's gradient into views of
+Model.grad or, on request, returning the input gradient instead.
+Callers may pass backward() the same rows of each cached output (a kept
+subset of a batch) without running forward again. Evaluation (predict,
 per_example_losses) takes the logits from the same forward().
 
 Checkpoint container (version 1), fields in order after magic+version:
@@ -32,7 +32,6 @@ import numpy as np
 from . import kernels
 from .containers import ContainerReader, ContainerWriter, read_file
 from .errors import ContractError, DimensionError, LabelError
-from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"INSCCKPT"
 CHECKPOINT_VERSION = 1
@@ -56,9 +55,10 @@ class ModelSpec:
         if any(h < 1 for h in self.hidden):
             raise ContractError(f"hidden widths must be positive, got {self.hidden}")
 
-    def layer_dims(self):
+    def shapes(self):
+        """Parameter shapes in Model.flat order: each layer's W, then its b."""
         dims = (self.input_dim, *self.hidden, self.num_classes)
-        return list(zip(dims[:-1], dims[1:]))
+        return [s for n_in, n_out in zip(dims[:-1], dims[1:]) for s in ((n_in, n_out), (n_out,))]
 
 
 def _views(flat, shapes):
@@ -71,51 +71,33 @@ def _views(flat, shapes):
     return out
 
 
-def _pack_parameters(params):
-    """Copy the params' .data, in order, into one new contiguous float64
-    vector and make each .data a view of it; returns the vector."""
-    flat = np.empty(sum(p.data.size for p in params))
-    for p, view in zip(params, _views(flat, [p.data.shape for p in params])):
-        view[...] = p.data
-        p.data = view
-    return flat
-
-
 class Model:
-    def __init__(self, spec, weights, biases):
+    def __init__(self, spec, flat=None):
+        """flat, the parameter vector the model takes over, defaults to zeros."""
+        shapes = spec.shapes()
+        if flat is None:
+            flat = np.zeros(sum(math.prod(s) for s in shapes))
         self.spec = spec
-        self.weights = weights
-        self.biases = biases
-        self.flat = _pack_parameters(self.parameters())
+        self.flat = flat
+        views = _views(flat, shapes)
+        self.weights, self.biases = views[0::2], views[1::2]
+        self.grad = None
 
     @classmethod
     def init(cls, spec, seed):
         """He-normal weights, zero biases; layer draws in input-to-output order."""
         rng = np.random.default_rng(seed)
-        weights, biases = [], []
-        for fan_in, fan_out in spec.layer_dims():
-            w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            weights.append(Tensor(w, requires_grad=True))
-            biases.append(Tensor(np.zeros(fan_out), requires_grad=True))
-        return cls(spec, weights, biases)
+        model = cls(spec)
+        for w in model.weights:
+            w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+        return model
 
     def clone(self):
-        """An independent copy without gradients: Model() copies the
-        parameters into a flat vector of its own."""
-        weights = [Tensor(w.data, requires_grad=True) for w in self.weights]
-        biases = [Tensor(b.data, requires_grad=True) for b in self.biases]
-        return Model(self.spec, weights, biases)
-
-    def parameters(self):
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """An independent copy without a gradient."""
+        return Model(self.spec, self.flat.copy())
 
     def zero_grads(self):
-        for p in self.parameters():
-            p.zero_grad()
+        self.grad = None
 
     def _check_input(self, x):
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
@@ -131,7 +113,7 @@ class Model:
         outputs = [h]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
+            h = h @ w + b
             if i != last:
                 # relu with subgradient 0 at the kink; NaN propagates
                 h = np.maximum(h, 0.0)
@@ -144,25 +126,30 @@ class Model:
         outputs is forward's list, or the same rows of each of its entries;
         its last entry, the logits, is not read and may be left out. probs
         are the softmax probabilities of those rows (from cross_entropy).
-        Each parameter's gradient is added into its .grad. With
-        input_grad=True the parameters are left alone and the gradient with
-        respect to the input rows is returned instead.
+        The parameters' gradient is added into self.grad, which starts
+        from zeros when it is None. With input_grad=True self.grad is left
+        alone and the gradient with respect to the input rows is returned
+        instead.
         """
         labels = np.asarray(labels, dtype=np.int64)
         g = kernels.xent_backward(probs, labels, np.asarray(row_weights, dtype=np.float64))
+        if not input_grad:
+            if self.grad is None:
+                self.grad = np.zeros(self.flat.size)
+            grads = _views(self.grad, self.spec.shapes())
         for i in reversed(range(len(self.weights))):
             if not input_grad:
-                _accumulate(self.biases[i], g.sum(axis=0))
-                _accumulate(self.weights[i], outputs[i].T @ g)
+                grads[2 * i + 1] += g.sum(axis=0)
+                grads[2 * i] += outputs[i].T @ g
             if i:
-                g = g @ self.weights[i].data.T
+                g = g @ self.weights[i].T
                 # a hidden output is positive exactly where its relu passed
                 g *= outputs[i] > 0.0
-        return g @ self.weights[0].data.T if input_grad else None
+        return g @ self.weights[0].T if input_grad else None
 
     def loss_and_grads(self, x, labels, weight=1.0):
-        """Add the gradients of weight * (mean loss over the rows of x) into
-        the parameters' .grad; returns that weighted loss as a float."""
+        """Add the gradient of weight * (mean loss over the rows of x) into
+        self.grad; returns that weighted loss as a float."""
         outputs = self.forward(x)
         losses, probs = cross_entropy(outputs[-1], labels)
         n = len(losses)
@@ -196,53 +183,29 @@ def cross_entropy(logits, labels):
     return kernels.softmax_xent(np.ascontiguousarray(logits), labels)
 
 
-def _accumulate(param, grad):
-    if param.grad is None:
-        param.grad = grad
-    else:
-        param.grad += grad
+def _grad(model):
+    if model.grad is None:
+        raise ContractError("optimizer step before backward: the model has no gradient")
+    return model.grad
 
 
-class _FlatStep:
-    """The model's parameters as one flat vector, and their gradients
-    gathered into one preallocated flat buffer of the same layout."""
-
-    _grad = None
-
-    def _flat_pair(self, model):
-        params = model.parameters()
-        if any(p.grad is None for p in params):
-            raise ContractError("optimizer step before backward: a parameter has no gradient")
-        # a bare parameter holder has no .flat: pack its parameters on the spot
-        flat = getattr(model, "flat", None)
-        if flat is None:
-            flat = _pack_parameters(params)
-        if self._grad is None or self._grad.size != flat.size:
-            self._grad = np.empty(flat.size)
-        np.concatenate([p.grad.reshape(-1) for p in params], out=self._grad)
-        return flat, self._grad
-
-
-class Sgd(_FlatStep):
+class Sgd:
     kind = "sgd"
 
     def __init__(self, lr=0.001):
         self.lr = float(lr)
 
-    def attach(self, model):
-        return self
-
     def clone(self):
         return Sgd(self.lr)
 
     def step(self, model):
-        flat, grad = self._flat_pair(model)
-        flat -= self.lr * grad
+        model.flat -= self.lr * _grad(model)
 
 
-class Adam(_FlatStep):
-    """Adam over the flat parameter vector. The moments are flat vectors
-    too; _m and _v hold their per-parameter views, in parameter order."""
+class Adam:
+    """Adam over the flat parameter vector. Its moments are flat vectors
+    too, allocated at the first step or save for the parameter shapes of
+    that model; a model of other shapes is refused from then on."""
 
     kind = "adam"
 
@@ -252,46 +215,38 @@ class Adam(_FlatStep):
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self._m = self._v = self._m_flat = self._v_flat = None
-
-    def attach(self, model):
-        if self._m is None:
-            shapes = [p.data.shape for p in model.parameters()]
-            self._m_flat, self._v_flat = np.zeros((2, sum(math.prod(s) for s in shapes)))
-            self._m = _views(self._m_flat, shapes)
-            self._v = _views(self._v_flat, shapes)
-        return self
+        self._shapes = self._m = self._v = None
 
     def clone(self):
-        """An independent copy: its moments are flat vectors of their own,
-        with per-parameter views into them, as attach() lays them out."""
+        """An independent copy, with moment vectors of its own."""
         twin = Adam(self.lr, self.beta1, self.beta2, self.eps)
         twin.step_count = self.step_count
         if self._m is not None:
-            shapes = [m.shape for m in self._m]
-            twin._m_flat, twin._v_flat = self._m_flat.copy(), self._v_flat.copy()
-            twin._m = _views(twin._m_flat, shapes)
-            twin._v = _views(twin._v_flat, shapes)
+            twin._shapes, twin._m, twin._v = self._shapes, self._m.copy(), self._v.copy()
         return twin
 
-    def step(self, model):
-        params = model.parameters()
+    def _moments(self, model):
+        """(first, second) moment vectors for model, zeros at first use."""
+        shapes = model.spec.shapes()
         if self._m is None:
-            self.attach(model)
-        state_shapes = [m.shape for m in self._m]
-        param_shapes = [p.data.shape for p in params]
-        if state_shapes != param_shapes:
+            self._shapes = shapes
+            self._m, self._v = np.zeros((2, model.flat.size))
+        elif shapes != self._shapes:
             raise ContractError(
-                f"optimizer holds state for {len(self._m)} parameters, model has "
-                f"{len(params)}: state shapes {state_shapes}, parameter shapes {param_shapes}"
+                f"optimizer holds state for {len(self._shapes)} parameters, model has "
+                f"{len(shapes)}: state shapes {self._shapes}, parameter shapes {shapes}"
             )
-        flat, grad = self._flat_pair(model)
+        return self._m, self._v
+
+    def step(self, model):
+        m, v = self._moments(model)
+        grad = _grad(model)
         self.step_count += 1
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count
         # one call over every parameter: Adam is per coordinate
         kernels.adam_update(
-            flat, grad, self._m_flat, self._v_flat,
+            model.flat, grad, m, v,
             self.lr, self.beta1, self.beta2, self.eps, c1, c2,
         )
 
@@ -312,18 +267,16 @@ def save_checkpoint(path, model, optimizer, epoch, seed):
     for h in spec.hidden:
         w.pack("<Q", h)
     w.pack("<I", spec.num_classes)
-    for wt, bt in zip(model.weights, model.biases):
-        w.array(wt.data, np.float64)
-        w.array(bt.data, np.float64)
+    w.array(model.flat, np.float64)
     w.pack("<B", _OPT_KIND_CODE[optimizer.kind])
     w.pack("<d", optimizer.lr)
     if optimizer.kind == "adam":
-        optimizer.attach(model)
+        m, v = optimizer._moments(model)
         w.pack("<ddd", optimizer.beta1, optimizer.beta2, optimizer.eps)
         w.pack("<Q", optimizer.step_count)
-        for m, v in zip(optimizer._m, optimizer._v):
-            w.array(m, np.float64)
-            w.array(v, np.float64)
+        for m_p, v_p in zip(_views(m, spec.shapes()), _views(v, spec.shapes())):
+            w.array(m_p, np.float64)
+            w.array(v_p, np.float64)
     w.pack("<Q", epoch)
     w.pack("<q", seed)
     w.save(path)
@@ -337,11 +290,8 @@ def load_checkpoint(path):
     hidden = tuple(r.unpack("<Q")[0] for _ in range(n_hidden))
     (num_classes,) = r.unpack("<I")
     spec = ModelSpec(int(input_dim), hidden, int(num_classes))
-    weights, biases = [], []
-    for fan_in, fan_out in spec.layer_dims():
-        weights.append(Tensor(r.array(np.float64, (fan_in, fan_out)), requires_grad=True))
-        biases.append(Tensor(r.array(np.float64, (fan_out,)), requires_grad=True))
-    model = Model(spec, weights, biases)
+    model = Model(spec)
+    model.flat[...] = r.array(np.float64, model.flat.shape)
     (kind_code,) = r.unpack("<B")
     kind = _OPT_CODE_KIND.get(kind_code)
     if kind is None:
@@ -349,11 +299,12 @@ def load_checkpoint(path):
     (lr,) = r.unpack("<d")
     if kind == "adam":
         beta1, beta2, eps = r.unpack("<ddd")
-        opt = Adam(lr, beta1, beta2, eps).attach(model)
+        opt = Adam(lr, beta1, beta2, eps)
         (opt.step_count,) = r.unpack("<Q")
-        for m, v in zip(opt._m, opt._v):
-            m[...] = r.array(np.float64, m.shape)
-            v[...] = r.array(np.float64, v.shape)
+        m, v = opt._moments(model)
+        for m_p, v_p in zip(_views(m, spec.shapes()), _views(v, spec.shapes())):
+            m_p[...] = r.array(np.float64, m_p.shape)
+            v_p[...] = r.array(np.float64, v_p.shape)
     else:
         opt = Sgd(lr)
     (epoch,) = r.unpack("<Q")

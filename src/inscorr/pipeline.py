@@ -251,14 +251,14 @@ def partition_clean_mislabeled(model, train, rule=AGREEMENT, tau=None):
 
 def mixed_loss(model, clean_x, clean_y, corr_x, corr_y, lam):
     """lam * mean loss over the clean batch + (1 - lam) * mean loss over
-    the corrected batch: adds its gradients into the parameters' .grad and
-    returns its value as a float.
+    the corrected batch: adds its gradient into model.grad and returns its
+    value as a float.
 
     Each batch runs its own forward and backward pass, clean first. An
     empty batch contributes nothing; a term whose weight is exactly 0 is
     skipped rather than multiplied in, so the other term's gradients are
-    untouched bit for bit. When no term is left the loss is 0.0 and no
-    .grad is touched. Both batches empty is a caller bug.
+    untouched bit for bit. When no term is left the loss is 0.0 and
+    model.grad is left alone. Both batches empty is a caller bug.
     """
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda must lie in [0, 1], got {lam}")
@@ -311,7 +311,7 @@ def _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y, lam,
         model.zero_grads()
         loss_sum += mixed_loss(model, cx, cy, rx, ry, lam)
         # no gradient means every term had weight zero: nothing to step on
-        if model.weights[0].grad is not None:
+        if model.grad is not None:
             optimizer.step(model)
     return loss_sum / steps
 
@@ -363,7 +363,7 @@ def run_experiment(cfg, data=None, on_epoch=None, prefix=None):
         start = prefix.epochs
     else:
         model = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
-        optimizer = make_optimizer(cfg.optimizer, cfg.lr).attach(model)
+        optimizer = make_optimizer(cfg.optimizer, cfg.lr)
         metrics = []
     schedule = cfg.schedule()
 
@@ -423,7 +423,7 @@ def run_clean_partition_only(cfg, data=None, on_epoch=None):
     """
     train, val, test = data if data is not None else prepare_data(cfg)
     model = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr).attach(model)
+    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
     schedule = cfg.schedule()
     clean_idx = None
     metrics = []

@@ -60,8 +60,8 @@ def test_single_linear_step_matches_hand_gradient():
     spec = ModelSpec(3, (), 2)
     model = Model.init(spec, seed=0)
     w = np.array([0.5, 1.0, 2.0])
-    model.weights[0].data[:] = np.stack([np.zeros(3), w], axis=1)
-    model.biases[0].data[:] = 0.0
+    model.weights[0][:] = np.stack([np.zeros(3), w], axis=1)
+    model.biases[0][:] = 0.0
     x = np.full(3, 0.5)
     cfg = AttackConfig(norm=LINF, budget=0.2, steps=1, step_size=0.05)
     res = correct_row(model, x, 1, cfg)
@@ -166,7 +166,7 @@ def test_correct_set_validation():
 
 def test_non_finite_gradient_reports_error():
     model = small_trained_model(seed=16)
-    model.weights[0].data[0, 0] = np.nan
+    model.weights[0][0, 0] = np.nan
     res = correct_row(model, np.full(12, 0.5), 1, AttackConfig(steps=2))
     assert "non-finite" in res.error
     assert np.array_equal(res.corrected, np.full(12, 0.5))
@@ -206,8 +206,7 @@ def test_random_start_deterministic_per_seed():
 def test_parameters_read_only_through_attack():
     model = small_trained_model(seed=22)
     model.zero_grads()
-    before = [p.data.copy() for p in model.parameters()]
+    before = model.flat.copy()
     correct_set(model, np.full((3, 12), 0.5), [1, 0, 1], AttackConfig(steps=10))
-    for p, snap in zip(model.parameters(), before):
-        assert np.array_equal(p.data, snap)
-        assert p.grad is None
+    assert np.array_equal(model.flat, before)
+    assert model.grad is None

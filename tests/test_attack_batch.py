@@ -91,9 +91,9 @@ def gated_overflow_model():
     its weights never meet a finite nonzero value.
     """
     model = small_trained_model(seed=33)
-    model.weights[0].data[:, 0] = 10.0
-    model.biases[0].data[0] = -100.0
-    model.weights[1].data[0] = [1e307, -1e307]
+    model.weights[0][:, 0] = 10.0
+    model.biases[0][0] = -100.0
+    model.weights[1][0] = [1e307, -1e307]
     return model
 
 

@@ -131,6 +131,21 @@ def test_make_data_rejects_too_many_classes_for_the_pool(tmp_path, capsys, sourc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["--seed", "-1"], "--seed"),
+    (["--noise-seed", "-2", "--route", "fog"], "--noise-seed"),
+    (["--height", "0"], "--height"),
+    (["--width", "0"], "--width"),
+    (["--n", "0"], "--n"),
+])
+def test_make_data_rejects_out_of_range_flags_by_name(tmp_path, capsys, argv, flag):
+    out = tmp_path / "data.bin"
+    assert main(["make-data", "--out", str(out), "--n", "20", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be at least ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_ablate_writes_sorted_sweep(tmp_path, tiny_cfg, capsys):
     root = tmp_path / "runs"
     code = main(["ablate", "--config", tiny_cfg, "--output-root", str(root),

@@ -123,6 +123,29 @@ def test_resolve_rejects_bad_lambda():
         resolve_config(apply_overrides(load_config(), ["training.lambda=1.5"]))
 
 
+@pytest.mark.parametrize("key", ["seeds.data", "seeds.noise", "seeds.init", "seeds.epochs"])
+def test_resolve_rejects_a_negative_seed_by_key(key):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.") + " must be non-negative"):
+        resolve_config(apply_overrides(load_config(), [f"{key}=-1"]))
+    resolve_config(apply_overrides(load_config(), [f"{key}=0"]))
+
+
+@pytest.mark.parametrize("key", ["data.height", "data.width", "data.n_train", "data.n_test"])
+def test_resolve_rejects_an_empty_data_size_by_key(key):
+    for bad in (0, -2):
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.") + " must be at least 1"):
+            resolve_config(apply_overrides(load_config(), [f"{key}={bad}"]))
+
+
+def test_size_and_seed_checks_leave_valid_hashes_alone():
+    # hashes as they were before these checks: the defaults, and every
+    # checked size at its floor
+    assert config_hash(resolve_config(load_config())) == "77b25c6c7085"
+    floor = ["data.height=1", "data.width=1", "data.n_train=1", "data.n_test=1",
+             "noise.route=fog"]
+    assert config_hash(resolve_config(apply_overrides(load_config(), floor))) == "82f8c245bad1"
+
+
 @pytest.mark.parametrize("override,key", [
     ('training.total_epochs="abc"', "training.total_epochs"),
     ("training.total_epochs=60.5", "training.total_epochs"),

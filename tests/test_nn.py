@@ -25,19 +25,26 @@ from inscorr.nn import (
     make_optimizer,
     save_checkpoint,
 )
-from inscorr.tensor import Tensor
 
 SPEC = ModelSpec(8, (16,), 3)
 
 
-class _ParamHolder:
-    """Minimal stand-in exposing parameters() for optimizer unit tests."""
+def _bare_model(values):
+    """A one-input, two-class model without hidden layers (W then b: four
+    parameters) whose flat vector holds values."""
+    return Model(ModelSpec(1, (), 2), np.array(values, dtype=np.float64))
 
-    def __init__(self, *tensors):
-        self._params = list(tensors)
 
-    def parameters(self):
-        return self._params
+def _values(model):
+    """Each parameter's view, in flat order: per layer, W then b."""
+    return [p for pair in zip(model.weights, model.biases) for p in pair]
+
+
+def _grads(model):
+    """model.grad cut into one array per parameter, in flat order."""
+    values = _values(model)
+    cuts = np.cumsum([p.size for p in values])[:-1]
+    return [g.reshape(p.shape) for g, p in zip(np.split(model.grad, cuts), values)]
 
 
 def test_spec_validation():
@@ -53,31 +60,30 @@ def test_init_deterministic_per_seed():
     m1 = Model.init(SPEC, seed=7)
     m2 = Model.init(SPEC, seed=7)
     m3 = Model.init(SPEC, seed=8)
-    for a, b in zip(m1.parameters(), m2.parameters()):
-        assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(m1.weights[0].data, m3.weights[0].data)
+    assert np.array_equal(m1.flat, m2.flat)
+    assert not np.array_equal(m1.weights[0], m3.weights[0])
 
 
 def test_init_he_scale_and_zero_biases():
     wide = Model.init(ModelSpec(64, (512,), 4), seed=0)
-    w = wide.weights[0].data
+    w = wide.weights[0]
     assert w.std() == pytest.approx(np.sqrt(2.0 / 64), rel=0.05)
     for b in wide.biases:
-        assert np.all(b.data == 0.0)
+        assert np.all(b == 0.0)
 
 
 def test_forward_graph_matches_infer_path_exactly():
     rng = np.random.default_rng(1)
     model = Model.init(SPEC, seed=2)
     x = rng.normal(size=(10, 8))
-    (w0, w1), (b0, b1) = [p.data for p in model.weights], [p.data for p in model.biases]
+    (w0, w1), (b0, b1) = model.weights, model.biases
     logits = model.forward(x)[-1]
     assert np.array_equal(logits, np.maximum(x @ w0 + b0, 0.0) @ w1 + b1)
     assert np.array_equal(model.predict(x), np.argmax(logits, axis=1))
 
     # a NaN weight reaches training, evaluation and the attack alike
     nan_net = Model.init(ModelSpec(4, (3,), 2), seed=3)
-    nan_net.weights[0].data[0, 0] = np.nan
+    nan_net.weights[0][0, 0] = np.nan
     x = rng.random((6, 4))
     labels = np.zeros(6, dtype=int)
     assert np.all(np.isnan(nan_net.forward(x)[-1]))
@@ -109,45 +115,43 @@ def test_forward_non_trainable_leaves_param_grads_alone():
     _, probs = cross_entropy(outputs[-1], labels)
     grad_x = model.backward(outputs, probs, labels, np.full(4, 0.25), input_grad=True)
     assert grad_x is not None and grad_x.shape == (4, 8)
-    for p in model.parameters():
-        assert p.grad is None
+    assert model.grad is None
 
 
 def test_sgd_step_moves_against_gradient():
-    p = Tensor(np.array([1.0, -1.0]), requires_grad=True)
-    p.grad = np.array([0.5, -0.25])
-    Sgd(lr=0.1).step(_ParamHolder(p))
-    assert np.allclose(p.data, [0.95, -0.975])
+    model = _bare_model([1.0, -1.0, 1.0, -1.0])
+    model.grad = np.array([0.5, -0.25, 0.5, -0.25])
+    Sgd(lr=0.1).step(model)
+    assert np.allclose(model.flat, [0.95, -0.975, 0.95, -0.975])
 
 
 def test_step_without_gradient_raises():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    holder = _ParamHolder(p)
+    model = _bare_model([1.0, 1.0, 1.0, 1.0])
     with pytest.raises(ContractError, match="no gradient"):
-        Sgd().step(holder)
+        Sgd().step(model)
     with pytest.raises(ContractError, match="no gradient"):
-        Adam().step(holder)
+        Adam().step(model)
+    assert np.array_equal(model.flat, [1.0, 1.0, 1.0, 1.0])
 
 
 def test_adam_converges_on_scalar_quadratic():
-    # minimize (w - 3)^2 from w = 0; the oracle is the known minimum
-    w = Tensor(np.array([0.0]), requires_grad=True)
-    holder = _ParamHolder(w)
+    # minimize (w - 3)^2 from w = 0 in every coordinate; the oracle is the
+    # known minimum
+    model = _bare_model([0.0, 0.0, 0.0, 0.0])
     opt = Adam(lr=0.1)
     for _ in range(400):
-        w.zero_grad()
-        w.grad = 2.0 * (w.data - 3.0)
-        opt.step(holder)
-    assert w.data[0] == pytest.approx(3.0, abs=1e-3)
+        model.zero_grads()
+        model.grad = 2.0 * (model.flat - 3.0)
+        opt.step(model)
+    assert model.flat == pytest.approx([3.0] * 4, abs=1e-3)
 
 
 def test_adam_first_step_size_near_lr():
-    w = Tensor(np.array([5.0, -2.0]), requires_grad=True)
-    w.grad = np.array([0.3, -40.0])
-    Adam(lr=0.01).step(_ParamHolder(w))
+    model = _bare_model([5.0, -2.0, 5.0, -2.0])
+    model.grad = np.array([0.3, -40.0, 0.3, -40.0])
+    Adam(lr=0.01).step(model)
     # bias-corrected first step is lr * sign(g) up to the eps term
-    assert w.data[0] == pytest.approx(5.0 - 0.01, abs=1e-6)
-    assert w.data[1] == pytest.approx(-2.0 + 0.01, abs=1e-6)
+    assert model.flat == pytest.approx([5.0 - 0.01, -2.0 + 0.01] * 2, abs=1e-6)
 
 
 def test_make_optimizer():
@@ -179,16 +183,16 @@ class _PerParameterAdam:
         self.m = self.v = None
 
     def step(self, model):
-        params = model.parameters()
+        params = _values(model)
         if self.m is None:
-            self.m = [np.zeros_like(p.data) for p in params]
-            self.v = [np.zeros_like(p.data) for p in params]
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
         self.step_count += 1
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count
-        for p, m, v in zip(params, self.m, self.v):
+        for p, g, m, v in zip(params, _grads(model), self.m, self.v):
             kernels.adam_update(
-                p.data.reshape(-1), p.grad.reshape(-1), m.reshape(-1), v.reshape(-1),
+                p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1),
                 self.lr, self.beta1, self.beta2, self.eps, c1, c2,
             )
 
@@ -198,8 +202,8 @@ class _PerParameterSgd:
         self.lr = lr
 
     def step(self, model):
-        for p in model.parameters():
-            p.data -= self.lr * p.grad
+        for p, g in zip(_values(model), _grads(model)):
+            p -= self.lr * g
 
 
 def _reference_checkpoint_bytes(model, opt, epoch, seed):
@@ -210,8 +214,8 @@ def _reference_checkpoint_bytes(model, opt, epoch, seed):
     for h in spec.hidden:
         w.pack("<Q", h)
     w.pack("<I", spec.num_classes)
-    for p in model.parameters():
-        w.array(p.data, np.float64)
+    for p in _values(model):
+        w.array(p, np.float64)
     w.pack("<Bd", 2, opt.lr)
     w.pack("<dddQ", opt.beta1, opt.beta2, opt.eps, opt.step_count)
     for m, v in zip(opt.m, opt.v):
@@ -228,17 +232,18 @@ def _deep_problem():
 
 def test_model_parameters_are_views_of_one_flat_vector(tmp_path):
     model = Model.init(DEEP, seed=3)
-    params = model.parameters()
-    assert model.flat.size == sum(p.data.size for p in params)
-    assert np.array_equal(model.flat, np.concatenate([p.data.ravel() for p in params]))
+    params = _values(model)
+    assert [p.shape for p in params] == DEEP.shapes()
+    assert model.flat.size == sum(p.size for p in params)
+    assert np.array_equal(model.flat, np.concatenate([p.ravel() for p in params]))
     for p in params:
-        assert np.shares_memory(p.data, model.flat)
+        assert np.shares_memory(p, model.flat)
     save_checkpoint(tmp_path / "ckpt.bin", model, Adam(), epoch=0, seed=0)
     loaded, opt, _, _ = load_checkpoint(tmp_path / "ckpt.bin")
-    for p in loaded.parameters():
-        assert np.shares_memory(p.data, loaded.flat)
-    for m, v in zip(opt._m, opt._v):
-        assert np.shares_memory(m, opt._m_flat) and np.shares_memory(v, opt._v_flat)
+    assert np.array_equal(loaded.flat, model.flat) and loaded.grad is None
+    for p in _values(loaded):
+        assert np.shares_memory(p, loaded.flat)
+    assert opt._m.shape == opt._v.shape == loaded.flat.shape
 
 
 def test_flat_adam_matches_per_parameter_steps_bitwise(tmp_path):
@@ -247,10 +252,9 @@ def test_flat_adam_matches_per_parameter_steps_bitwise(tmp_path):
     opt, ref_opt = Adam(lr=0.01), _PerParameterAdam(lr=0.01)
     _train_steps(fused, opt, x, labels, 5)
     _train_steps(reference, ref_opt, x, labels, 5)
-    for a, b in zip(fused.parameters(), reference.parameters()):
-        assert np.array_equal(a.data, b.data)
-    for a, b in zip(opt._m + opt._v, ref_opt.m + ref_opt.v):
-        assert np.array_equal(a, b)
+    assert np.array_equal(fused.flat, reference.flat)
+    for flat, per_parameter in ((opt._m, ref_opt.m), (opt._v, ref_opt.v)):
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in per_parameter]))
 
     # checkpoint format v1 is unchanged: same bytes as the field-by-field writer
     path = tmp_path / "fused.ckpt"
@@ -263,8 +267,7 @@ def test_flat_sgd_matches_per_parameter_steps_bitwise():
     fused, reference = Model.init(DEEP, seed=5), Model.init(DEEP, seed=5)
     _train_steps(fused, Sgd(lr=0.05), x, labels, 5)
     _train_steps(reference, _PerParameterSgd(0.05), x, labels, 5)
-    for a, b in zip(fused.parameters(), reference.parameters()):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(fused.flat, reference.flat)
 
 
 def test_adam_calls_the_kernel_once_per_step(monkeypatch):
@@ -290,13 +293,17 @@ def test_adam_rejects_a_model_with_another_parameter_count():
         (ModelSpec(8, (32,), 3), r"state shapes \[\(8, 16\), \(16,\), \(16, 3\), \(3,\)\], "
                                  r"parameter shapes \[\(8, 32\), \(32,\), \(32, 3\), \(3,\)\]"),
     ):
-        opt = Adam().attach(Model.init(SPEC, seed=7))
+        opt, first = Adam(), Model.init(SPEC, seed=7)
+        first.loss_and_grads(x, labels)
+        opt.step(first)
+        moments = opt._m.copy(), opt._v.copy()
         model = Model.init(spec, seed=7)
         model.loss_and_grads(x, labels)
         before = model.flat.copy()
         with pytest.raises(ContractError, match=match):
             opt.step(model)
-        assert opt.step_count == 0 and np.array_equal(model.flat, before)
+        assert opt.step_count == 1 and np.array_equal(model.flat, before)
+        assert np.array_equal(opt._m, moments[0]) and np.array_equal(opt._v, moments[1])
 
 
 def _checkpoint_bytes(tmp_path, model, opt):
@@ -311,12 +318,12 @@ def test_clone_keeps_the_flat_views_and_steps_like_the_original(tmp_path):
     _train_steps(model, opt, x, labels, 3)
     twin, twin_opt = model.clone(), opt.clone()
 
-    for p, q in zip(twin.parameters(), model.parameters()):
-        assert np.shares_memory(p.data, twin.flat) and not np.shares_memory(p.data, model.flat)
-        assert np.array_equal(p.data, q.data) and p.grad is None
-    for m, v in zip(twin_opt._m, twin_opt._v):
-        assert np.shares_memory(m, twin_opt._m_flat) and np.shares_memory(v, twin_opt._v_flat)
-        assert not np.shares_memory(m, opt._m_flat) and not np.shares_memory(v, opt._v_flat)
+    for p, q in zip(_values(twin), _values(model)):
+        assert np.shares_memory(p, twin.flat) and not np.shares_memory(p, model.flat)
+        assert np.array_equal(p, q)
+    assert twin.grad is None
+    assert np.array_equal(twin_opt._m, opt._m) and np.array_equal(twin_opt._v, opt._v)
+    assert not np.shares_memory(twin_opt._m, opt._m) and not np.shares_memory(twin_opt._v, opt._v)
     assert twin_opt.step_count == opt.step_count == 3
 
     before = _checkpoint_bytes(tmp_path, model, opt)
@@ -326,8 +333,7 @@ def test_clone_keeps_the_flat_views_and_steps_like_the_original(tmp_path):
     assert not np.array_equal(twin.flat, model.flat)
     assert _checkpoint_bytes(tmp_path, model, opt) == before
     _train_steps(model, opt, x, labels, 1)
-    for p, q in zip(twin.parameters(), model.parameters()):
-        assert np.array_equal(p.data, q.data)
+    assert np.array_equal(twin.flat, model.flat)
     assert _checkpoint_bytes(tmp_path, twin, twin_opt) == _checkpoint_bytes(tmp_path, model, opt)
 
 
@@ -371,13 +377,11 @@ def test_checkpoint_round_trip_exact(tmp_path):
 
     assert epoch == 5 and seed == 123
     assert model2.spec == SPEC
-    for a, b in zip(model.parameters(), model2.parameters()):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(model.flat, model2.flat)
     assert isinstance(opt2, Adam)
     assert opt2.step_count == opt.step_count
     assert (opt2.lr, opt2.beta1, opt2.beta2, opt2.eps) == (opt.lr, opt.beta1, opt.beta2, opt.eps)
-    for a, b in zip(opt._m + opt._v, opt2._m + opt2._v):
-        assert np.array_equal(a, b)
+    assert np.array_equal(opt._m, opt2._m) and np.array_equal(opt._v, opt2._v)
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
@@ -397,8 +401,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     resumed, opt_r, _, _ = load_checkpoint(path)
     _train_steps(resumed, opt_r, x, labels, 3)
 
-    for a, b in zip(straight.parameters(), resumed.parameters()):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(straight.flat, resumed.flat)
 
 
 def test_checkpoint_sgd_round_trip(tmp_path):
