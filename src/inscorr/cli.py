@@ -5,7 +5,8 @@ Verbs:
   * run: one experiment from a JSON config plus --set overrides.
   * campaign: a grid of routes x rates x methods x seeds.
   * ablate: sweep the mixing weight and tabulate last-ten accuracy.
-  * make-data: write synthetic dataset files.
+  * make-data: write the train, validation and test sets that run would
+    train and evaluate on, from the same --config and --set arguments.
   * verify: run the acceptance checks and report pass/fail per check.
 
 Runs land under --output-root, the INSCORR_OUTPUT_ROOT environment
@@ -20,11 +21,11 @@ from pathlib import Path
 
 from . import acceptance
 from .artifacts import config_hash, output_root, write_run
-from .config import apply_overrides, load_config, resolve_config
-from .data import check_pool_margins, generate_ood_source, generate_synthetic, save_dataset
-from .errors import ConfigError, ContractError, InscorrError
-from .noise import ALL_ROUTES, OPEN_SET, NoiseSpec, apply_noise
-from .pipeline import METHODS
+from .config import apply_overrides, load_config, resolve_config, to_experiment_config
+from .data import save_dataset
+from .errors import ConfigError, InscorrError
+from .noise import ALL_ROUTES
+from .pipeline import METHODS, prepare_data
 from .sweep import sweep
 
 
@@ -173,37 +174,14 @@ def cmd_ablate(args):
 
 
 def cmd_make_data(args):
-    for flag, value, least in (("--n", args.n, 1), ("--height", args.height, 1),
-                               ("--width", args.width, 1), ("--seed", args.seed, 0),
-                               ("--noise-seed", args.noise_seed, 0)):
-        if value < least:
-            raise ConfigError(f"{flag} must be at least {least}, got {value}")
-    if args.ood or args.route == OPEN_SET:
-        try:
-            check_pool_margins(args.classes)
-        except ContractError as exc:
-            raise ConfigError(
-                f"--classes {args.classes} leaves no room for the pool: {exc}"
-            ) from exc
-    if args.ood:
-        ds = generate_ood_source(args.n, args.height, args.width, seed=args.seed,
-                                 num_classes=args.classes)
-    else:
-        ds = generate_synthetic(args.n, args.classes, args.height, args.width,
-                                seed=args.seed)
-        if args.route is not None:
-            pool = None
-            if args.route == OPEN_SET:
-                pool = generate_ood_source(args.pool_size or args.n, args.height,
-                                           args.width, seed=[args.seed, 1],
-                                           num_classes=args.classes)
-            ds = apply_noise(ds, args.route, args.rate, NoiseSpec(),
-                             seed=args.noise_seed, pool=pool)
-    path = Path(args.out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(path, ds)
-    touched = int((ds.provenance != 0).sum())
-    print(f"wrote {path} ({len(ds)} instances, {touched} noisy)")
+    sets = prepare_data(to_experiment_config(resolve_config(_load(args))))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, ds in zip(("train", "val", "test"), sets):
+        path = out / f"{name}.inscd"
+        save_dataset(path, ds)
+        noisy = int((ds.provenance != 0).sum())
+        print(f"wrote {path} ({len(ds)} instances, {noisy} noisy)")
     return 0
 
 
@@ -224,14 +202,17 @@ def build_parser():
         p.add_argument("--config", help="JSON config file; defaults apply without it")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry, e.g. training.lambda=0.7")
+
+    def add_run_args(p):
+        add_config_args(p)
         p.add_argument("--output-root", help="directory for run artifacts")
 
     p_run = sub.add_parser("run", help="run one experiment")
-    add_config_args(p_run)
+    add_run_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_camp = sub.add_parser("campaign", help="run a grid of experiments")
-    add_config_args(p_camp)
+    add_run_args(p_camp)
     p_camp.add_argument("--routes", default=",".join(ALL_ROUTES))
     p_camp.add_argument("--rates", default="0.2,0.4")
     p_camp.add_argument("--seeds", default="0,1,2")
@@ -240,7 +221,7 @@ def build_parser():
     p_camp.set_defaults(func=cmd_campaign)
 
     p_abl = sub.add_parser("ablate", help="sweep the mixing weight")
-    add_config_args(p_abl)
+    add_run_args(p_abl)
     p_abl.add_argument("--weights", default="0.05,0.1,0.15,0.2,0.25,0.3")
     p_abl.add_argument("--interpretation", default="discarded",
                        choices=("discarded", "clean"),
@@ -249,20 +230,11 @@ def build_parser():
     p_abl.add_argument("--seeds", default="0,1,2")
     p_abl.set_defaults(func=cmd_ablate)
 
-    p_data = sub.add_parser("make-data", help="write a synthetic dataset file")
-    p_data.add_argument("--out", required=True)
-    p_data.add_argument("--n", type=int, default=2000)
-    p_data.add_argument("--classes", type=int, default=4)
-    p_data.add_argument("--height", type=int, default=16)
-    p_data.add_argument("--width", type=int, default=16)
-    p_data.add_argument("--seed", type=int, default=0)
-    p_data.add_argument("--ood", action="store_true",
-                        help="draw from the out-of-distribution pool instead")
-    p_data.add_argument("--route", choices=ALL_ROUTES,
-                        help="inject noise into the generated data")
-    p_data.add_argument("--rate", type=float, default=0.4)
-    p_data.add_argument("--noise-seed", type=int, default=0)
-    p_data.add_argument("--pool-size", type=int)
+    p_data = sub.add_parser("make-data",
+                            help="write the train, validation and test sets a run uses")
+    p_data.add_argument("--out", required=True, metavar="DIR",
+                        help="directory for train.inscd, val.inscd and test.inscd")
+    add_config_args(p_data)
     p_data.set_defaults(func=cmd_make_data)
 
     p_ver = sub.add_parser("verify", help="run the acceptance checks")

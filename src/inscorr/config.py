@@ -21,6 +21,7 @@ import json
 from .attack import AttackConfig
 from .data import check_pool_margins
 from .errors import ConfigError, ContractError
+from .nn import OPTIMIZERS
 from .noise import OPEN_SET, NoiseSpec
 from .pipeline import INSCORR, ExperimentConfig
 
@@ -86,6 +87,33 @@ _NULLABLE = {
     "training.warmup_epochs": 0,
     "attack.step_size": 0.0,
 }
+
+
+# what a value must satisfy beyond its type: (dotted key, test, the rule
+# as an error states it); a null is skipped, and the default derived for
+# it is held to the same rule once it is filled in
+_RULES = (
+    ("training.lambda", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    *((f"data.{key}", lambda v: v >= 1, "be at least 1")
+      for key in ("n_train", "n_test", "height", "width", "pool_size")),
+    ("data.num_classes", lambda v: v >= 2, "be at least 2"),
+    ("data.val_fraction", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    ("noise.rate", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    ("selection.tau", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    ("selection.ramp_epochs", lambda v: v >= 1, "be at least 1"),
+    ("model.optimizer", lambda v: v in OPTIMIZERS, f"be one of {tuple(OPTIMIZERS)}"),
+    ("model.lr", lambda v: v > 0.0, "be positive"),
+    *((f"seeds.{stream}", lambda v: v >= 0, "be non-negative")
+      for stream in DEFAULT_CONFIG["seeds"]),
+)
+
+
+def _check_rules(cfg):
+    for dotted, test, rule in _RULES:
+        section, key = dotted.split(".")
+        value = cfg[section][key]
+        if value is not None and not test(value):
+            raise ConfigError(f"{dotted} must {rule}, got {value!r}")
 
 
 def _is_int(value):
@@ -202,15 +230,7 @@ def resolve_config(cfg):
         raise ConfigError(
             "training.refresh_correction only applies when method is InsCorr"
         )
-    lam = out["training"]["lambda"]
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"training.lambda must lie in [0, 1], got {lam}")
-    for key in ("n_train", "n_test", "height", "width"):
-        if out["data"][key] < 1:
-            raise ConfigError(f"data.{key} must be at least 1, got {out['data'][key]}")
-    for stream, seed in out["seeds"].items():
-        if seed < 0:
-            raise ConfigError(f"seeds.{stream} must be non-negative, got {seed}")
+    _check_rules(out)
     if out["noise"]["route"] == OPEN_SET:
         classes = out["data"]["num_classes"]
         try:
@@ -224,6 +244,8 @@ def resolve_config(cfg):
     out["training"]["warmup_epochs"] = runnable.warmup_epochs
     out["data"]["pool_size"] = runnable.pool_size
     out["attack"]["step_size"] = runnable.attack.step_size
+    # a null selection.tau takes noise.rate, which may be 1
+    _check_rules(out)
     return out
 
 

@@ -112,6 +112,21 @@ class Dataset:
 # rows rendered per block: larger blocks are no faster and raise peak memory
 _BLOCK_ROWS = 64
 
+# bar shapes: class bars, then the pool's, which are shorter and noisier
+# and keep 4 to 12 degrees from every class angle
+_FG = 0.92
+_BG = 0.08
+_BAR_WIDTH = 0.8
+_BAR_LENGTH = 3.5
+_ANGLE_JITTER_DEG = 3.5
+_CENTER_JITTER = 0.3
+_PIXEL_NOISE = 0.18
+_POOL_BAR_LENGTH = 3.0
+_POOL_MARGIN_LO_DEG = 4.0
+_POOL_MARGIN_HI_DEG = 12.0
+_POOL_CENTER_JITTER = 0.9
+_POOL_PIXEL_NOISE = 0.2
+
 
 def _bar_image(height, width, theta, cy, cx, fg, bg, bar_width, bar_length):
     """(n, height, width) stack of bars, one per entry of the (n,) arrays
@@ -128,20 +143,7 @@ def _bar_image(height, width, theta, cy, cx, fg, bg, bar_width, bar_length):
     return bg + (fg - bg) * envelope
 
 
-def generate_synthetic(
-    n,
-    num_classes,
-    height=16,
-    width=16,
-    seed=0,
-    angle_jitter_deg=3.5,
-    center_jitter=0.3,
-    pixel_noise=0.18,
-    fg=0.92,
-    bg=0.08,
-    bar_width=0.8,
-    bar_length=3.5,
-):
+def generate_synthetic(n, num_classes, height=16, width=16, seed=0):
     """Oriented-segment classes: class k is a short thin bar at angle
     pi*k/num_classes through the (jittered) image center.
 
@@ -159,7 +161,7 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, num_classes, size=n)
     X = np.empty((n, height * width))
-    jitter_rad = np.deg2rad(angle_jitter_deg)
+    jitter_rad = np.deg2rad(_ANGLE_JITTER_DEG)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         # per row: angle, centre y, centre x, then the pixel noise; one
@@ -168,13 +170,13 @@ def generate_synthetic(
         # loc + scale * z
         z = rng.standard_normal((hi - lo, 3 + height * width))
         theta = np.pi * labels[lo:hi] / num_classes + (0.0 + jitter_rad * z[:, 0])
-        cy = (height - 1) / 2.0 + (0.0 + center_jitter * z[:, 1])
-        cx = (width - 1) / 2.0 + (0.0 + center_jitter * z[:, 2])
+        cy = (height - 1) / 2.0 + (0.0 + _CENTER_JITTER * z[:, 1])
+        cx = (width - 1) / 2.0 + (0.0 + _CENTER_JITTER * z[:, 2])
         img = _bar_image(
             height, width, theta, cy, cx,
-            fg=fg, bg=bg, bar_width=bar_width, bar_length=bar_length,
+            fg=_FG, bg=_BG, bar_width=_BAR_WIDTH, bar_length=_BAR_LENGTH,
         )
-        img += (0.0 + pixel_noise * z[:, 3:]).reshape(-1, height, width)
+        img += (0.0 + _PIXEL_NOISE * z[:, 3:]).reshape(-1, height, width)
         np.clip(img.reshape(hi - lo, -1), 0.0, 1.0, out=X[lo:hi])
     lab = labels.astype(np.int32)
     return Dataset(
@@ -184,53 +186,39 @@ def generate_synthetic(
     )
 
 
-def check_pool_margins(num_classes, margin_lo_deg=4.0, margin_hi_deg=12.0):
+def check_pool_margins(num_classes):
     """ContractError unless the pool's angle margins fit between the class
-    angles: 0 < margin_lo < margin_hi <= half the class spacing. With the
-    default margins that allows at most 7 classes."""
+    angles: the outer margin may be at most half the class spacing, which
+    allows at most 7 classes."""
     if num_classes < 2:
         raise ContractError(f"num_classes must be at least 2, got {num_classes}")
     half_gap = 180.0 / num_classes / 2.0
-    if not 0.0 < margin_lo_deg < margin_hi_deg <= half_gap:
+    if _POOL_MARGIN_HI_DEG > half_gap:
         raise ContractError(
-            f"need 0 < margin_lo < margin_hi <= {half_gap} degrees for "
-            f"{num_classes} classes, got ({margin_lo_deg}, {margin_hi_deg})"
+            f"pool bars keep {_POOL_MARGIN_LO_DEG} to {_POOL_MARGIN_HI_DEG} degrees "
+            f"from every class angle, but {num_classes} classes leave {half_gap} "
+            f"on each side"
         )
 
 
-def generate_ood_source(
-    n,
-    height=16,
-    width=16,
-    seed=0,
-    num_classes=4,
-    margin_lo_deg=4.0,
-    margin_hi_deg=12.0,
-    fg=0.92,
-    bg=0.08,
-    bar_width=0.8,
-    bar_length=3.0,
-    pixel_noise=0.2,
-    center_jitter=0.9,
-):
+def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4):
     """Bars at orientations deliberately offset from every class angle;
     labels absent.
 
-    Each instance is a bar whose angle sits between margin_lo_deg and
-    margin_hi_deg away from the nearest class orientation: the same
-    visual family as the labeled classes, but orientation categories
-    outside the label space. Pool bars are shorter and noisier than
+    Each instance is a bar whose angle sits 4 to 12 degrees away from
+    the nearest class orientation: the same visual family as the labeled
+    classes, but orientation categories outside the label space. Pool bars are shorter and noisier than
     class bars, so a partially trained classifier stays uncertain about
     them instead of adopting the nearest class early.
     """
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
-    check_pool_margins(num_classes, margin_lo_deg, margin_hi_deg)
+    check_pool_margins(num_classes)
     rng = np.random.default_rng(seed)
     spacing = np.pi / num_classes
     # rng.uniform(low, high) computes low + (high - low) * rng.random()
-    margin_span = margin_hi_deg - margin_lo_deg
-    centre_span = center_jitter - -center_jitter
+    margin_span = _POOL_MARGIN_HI_DEG - _POOL_MARGIN_LO_DEG
+    centre_span = _POOL_CENTER_JITTER - -_POOL_CENTER_JITTER
     middle = np.array([height / 2, width / 2])
     X = np.empty((n, height * width))
     for lo in range(0, n, _BLOCK_ROWS):
@@ -249,17 +237,17 @@ def generate_ood_source(
             side[j] = rng.integers(2)
             rng.random(out=centre[j])
             rng.standard_normal(out=noise[j])
-        off = np.deg2rad(margin_lo_deg + margin_span * u) * (2 * side - 1)
+        off = np.deg2rad(_POOL_MARGIN_LO_DEG + margin_span * u) * (2 * side - 1)
         theta = (k * spacing + off) % np.pi
-        cy, cx = (middle + (-center_jitter + centre_span * centre)).T
+        cy, cx = (middle + (-_POOL_CENTER_JITTER + centre_span * centre)).T
         img = _bar_image(
             height, width, theta, cy, cx,
-            fg=1.0, bg=0.0, bar_width=bar_width, bar_length=bar_length,
+            fg=1.0, bg=0.0, bar_width=_BAR_WIDTH, bar_length=_POOL_BAR_LENGTH,
         )
-        img *= fg - bg
-        img += bg
+        img *= _FG - _BG
+        img += _BG
         # rng.normal(0.0, scale) computes 0.0 + scale * z
-        noise *= pixel_noise
+        noise *= _POOL_PIXEL_NOISE
         noise += 0.0
         img += noise
         np.clip(img.reshape(m, -1), 0.0, 1.0, out=X[lo:lo + m])

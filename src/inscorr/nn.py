@@ -251,12 +251,13 @@ class Adam:
         )
 
 
+OPTIMIZERS = {"sgd": Sgd, "adam": Adam}
+
+
 def make_optimizer(kind, lr):
-    if kind == "sgd":
-        return Sgd(lr)
-    if kind == "adam":
-        return Adam(lr)
-    raise ContractError(f"unknown optimizer kind {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ContractError(f"unknown optimizer kind {kind!r}")
+    return OPTIMIZERS[kind](lr)
 
 
 def save_checkpoint(path, model, optimizer, epoch, seed):

@@ -3,15 +3,25 @@
 import csv
 import hashlib
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from inscorr import artifacts, cli
 from inscorr.cli import main
-from inscorr.config import apply_overrides, config_hash, load_config, resolve_config
-from inscorr.data import NO_LABEL, load_dataset
+from inscorr.config import (
+    apply_overrides,
+    config_hash,
+    load_config,
+    resolve_config,
+    to_experiment_config,
+)
+from inscorr.data import Provenance, load_dataset
+from inscorr.pipeline import prepare_data
 
 TINY = {
     "data": {"n_train": 120, "n_test": 60, "pool_size": 120},
@@ -104,46 +114,79 @@ def test_seed_override_changes_run_identity(tmp_path, tiny_cfg):
 
 
 def test_make_data_injects_requested_noise(tmp_path, capsys):
-    out = tmp_path / "data" / "train.bin"
-    code = main(["make-data", "--out", str(out), "--n", "100",
-                 "--route", "open_set", "--rate", "0.3", "--seed", "4"])
+    out = tmp_path / "data"
+    code = main(["make-data", "--out", str(out), "--set", "data.n_train=100",
+                 "--set", "data.n_test=40", "--set", "noise.rate=0.3",
+                 "--set", "seeds.data=4"])
     assert code == 0
-    ds = load_dataset(str(out))
-    assert len(ds) == 100
-    assert int((ds.provenance != 0).sum()) == 30
-    assert "30 noisy" in capsys.readouterr().out
+    train, val, test = (load_dataset(str(out / f"{name}.inscd"))
+                        for name in ("train", "val", "test"))
+    assert (len(train), len(val), len(test)) == (90, 10, 40)
+    noisy = [int((ds.provenance != 0).sum()) for ds in (train, val, test)]
+    # 30 of the 100 training rows come from the pool; the test set is clean
+    assert noisy[0] + noisy[1] == 30 and noisy[2] == 0
+    assert np.all(train.provenance[train.provenance != 0] == Provenance.OPEN_SET)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"wrote {out / name}.inscd ({n} instances, {k} noisy)"
+                     for name, n, k in zip(("train", "val", "test"), (90, 10, 40), noisy)]
 
 
-def test_make_data_ood_pool(tmp_path):
-    out = tmp_path / "pool.bin"
-    assert main(["make-data", "--out", str(out), "--n", "50", "--ood"]) == 0
-    pool = load_dataset(str(out))
-    assert np.all(pool.given_labels == NO_LABEL)
-    assert pool.num_classes == 0
+@pytest.mark.parametrize("route", ["open_set", "fog"])
+def test_make_data_writes_the_sets_a_run_trains_on(tmp_path, tiny_cfg, route):
+    argv = ["--config", tiny_cfg, "--set", f"noise.route={route}"]
+    resolved = resolve_config(apply_overrides(load_config(tiny_cfg), argv[3:]))
+    sets = prepare_data(to_experiment_config(resolved))
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["make-data", "--out", str(first), *argv]) == 0
+    assert main(["make-data", "--out", str(second), *argv]) == 0
+    for name, ds in zip(("train", "val", "test"), sets):
+        back = load_dataset(str(first / f"{name}.inscd"))
+        for field in ("X", "given_labels", "true_labels", "provenance"):
+            assert np.array_equal(getattr(back, field), getattr(ds, field)), (name, field)
+        assert (back.num_classes, back.grid_shape) == (ds.num_classes, ds.grid_shape)
+        blob = (first / f"{name}.inscd").read_bytes()
+        assert (second / f"{name}.inscd").read_bytes() == blob
+    assert sorted(p.name for p in first.iterdir()) == ["test.inscd", "train.inscd", "val.inscd"]
 
 
-@pytest.mark.parametrize("source", [["--ood"], ["--route", "open_set"]])
-def test_make_data_rejects_too_many_classes_for_the_pool(tmp_path, capsys, source):
-    out = tmp_path / "data.bin"
-    assert main(["make-data", "--out", str(out), "--n", "20", "--classes", "8",
-                 *source]) == 1
-    assert "--classes" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv,flag", [
-    (["--seed", "-1"], "--seed"),
-    (["--noise-seed", "-2", "--route", "fog"], "--noise-seed"),
-    (["--height", "0"], "--height"),
-    (["--width", "0"], "--width"),
-    (["--n", "0"], "--n"),
+@pytest.mark.parametrize("override", [
+    "seeds.data=-1",
+    "seeds.noise=-2",
+    "data.height=0",
+    "data.width=0",
+    "data.n_train=0",
+    # the open_set pool keeps 4 to 12 degrees from class angles 22.5 apart
+    "data.num_classes=8",
 ])
-def test_make_data_rejects_out_of_range_flags_by_name(tmp_path, capsys, argv, flag):
-    out = tmp_path / "data.bin"
-    assert main(["make-data", "--out", str(out), "--n", "20", *argv]) == 1
+def test_make_data_rejects_a_bad_config_by_key(tmp_path, capsys, override):
+    out = tmp_path / "data"
+    assert main(["make-data", "--out", str(out), "--set", override]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} must be at least ") and err.count("\n") == 1
+    key = override.split("=")[0]
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
     assert not out.exists()
+
+
+def readme_commands():
+    """The argument lists of every inscorr command in README's sh blocks."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["inscorr"]:
+                yield words[1:]
+
+
+def test_readme_commands_parse(capsys):
+    commands = list(readme_commands())
+    assert {argv[0] for argv in commands} == {
+        "verify", "run", "campaign", "ablate", "make-data"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"inscorr {shlex.join(argv)}: {capsys.readouterr().err}")
 
 
 def test_ablate_writes_sorted_sweep(tmp_path, tiny_cfg, capsys):

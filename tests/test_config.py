@@ -144,6 +144,32 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     floor = ["data.height=1", "data.width=1", "data.n_train=1", "data.n_test=1",
              "noise.route=fog"]
     assert config_hash(resolve_config(apply_overrides(load_config(), floor))) == "82f8c245bad1"
+    # and every value rule at its edge
+    edge = ["data.pool_size=1", "data.val_fraction=0", "noise.rate=1", "selection.tau=0.99",
+            "selection.ramp_epochs=1", "model.optimizer=sgd", "model.lr=1e-9",
+            "data.num_classes=2"]
+    assert config_hash(resolve_config(apply_overrides(load_config(), edge))) == "0243febd0704"
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ("data.pool_size=0", "data.pool_size"),
+    ("data.pool_size=-3", "data.pool_size"),
+    ("data.val_fraction=1.5", "data.val_fraction"),
+    ("data.val_fraction=-0.1", "data.val_fraction"),
+    ("data.num_classes=1 noise.route=fog", "data.num_classes"),
+    ("noise.rate=1.5", "noise.rate"),
+    ("noise.rate=-0.1", "noise.rate"),
+    ("selection.tau=1.0", "selection.tau"),
+    # a null tau takes noise.rate
+    ("noise.rate=1.0", "selection.tau"),
+    ("selection.ramp_epochs=0", "selection.ramp_epochs"),
+    ("model.optimizer=foo", "model.optimizer"),
+    ("model.lr=0", "model.lr"),
+    ("model.lr=-1", "model.lr"),
+])
+def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
+    with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + " must "):
+        resolve_config(apply_overrides(load_config(), overrides.split()))
 
 
 @pytest.mark.parametrize("override,key", [

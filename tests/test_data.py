@@ -81,8 +81,7 @@ def _reference_bar(height, width, theta, cy, cx, fg, bg, bar_width, bar_length):
 
 
 def _reference_synthetic(n, num_classes, height, width, seed):
-    """generate_synthetic's pixels drawn and rendered one row at a time,
-    with the default shape parameters."""
+    """generate_synthetic's pixels drawn and rendered one row at a time."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, num_classes, size=n)
     X = np.empty((n, height * width))
@@ -97,8 +96,7 @@ def _reference_synthetic(n, num_classes, height, width, seed):
 
 
 def _reference_ood(n, height, width, seed, num_classes):
-    """generate_ood_source's pixels drawn and rendered one row at a time,
-    with the default shape parameters."""
+    """generate_ood_source's pixels drawn and rendered one row at a time."""
     rng = np.random.default_rng(seed)
     spacing = np.pi / num_classes
     X = np.empty((n, height * width))
@@ -166,11 +164,12 @@ def _principal_angle_deg(img, grid=(16, 16)):
     return np.rad2deg(0.5 * np.arctan2(2 * sxy, sxx - syy)) % 180.0
 
 
-def test_ood_pool_orientations_avoid_class_angles():
+def test_ood_pool_orientations_avoid_class_angles(monkeypatch):
     # the pool contract: bar angles keep a margin from every labeled
     # orientation; measured on noiseless instances where the moment
     # estimator is reliable
-    pool = generate_ood_source(200, seed=9, pixel_noise=0.0)
+    monkeypatch.setattr(data, "_POOL_PIXEL_NOISE", 0.0)
+    pool = generate_ood_source(200, seed=9)
     class_angles = np.array([0.0, 45.0, 90.0, 135.0, 180.0])
     dists = np.array([
         np.min(np.abs(class_angles - _principal_angle_deg(pool.X[i])))

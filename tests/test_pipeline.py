@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -405,6 +406,22 @@ class TestReductions:
         model_a = run_experiment(tiny_config(method=INSCORR, lam=0.5), data=data).model
         model_b = run_experiment(tiny_config(method=MIX, lam=0.5), data=data).model
         assert not np.array_equal(model_a.flat, model_b.flat)
+
+    @pytest.mark.parametrize("route", ["gaussian", "fog", "open_set"])
+    def test_zero_step_correction_trains_as_mix(self, route):
+        # a zero-step attack without a random start hands the discarded
+        # rows back unchanged, so InsCorr mixes exactly what Mix does
+        attack = AttackConfig(budget=0.1, steps=0, random_start=False)
+        data = prepare_data(tiny_config(noise_route=route))
+        trajectories = []
+        for method in (INSCORR, MIX):
+            digests = []
+            run_experiment(
+                tiny_config(method=method, noise_route=route, attack=attack), data=data,
+                on_epoch=lambda t, m: digests.append(hashlib.sha256(m.flat.tobytes()).digest()))
+            trajectories.append(digests)
+        assert len(trajectories[0]) == 6
+        assert trajectories[0] == trajectories[1]
 
 
 
