@@ -39,6 +39,7 @@ from .pipeline import (
     MIX,
     SELECTION_ONLY,
     ExperimentConfig,
+    last_ten_summary,
     mixed_loss,
     prepare_data,
     run_clean_partition_only,
@@ -174,7 +175,7 @@ def _ordering_config(route, method, lam=0.5):
 def _ordering_run(resolved, data, prefix=None):
     metrics = run_experiment(to_experiment_config(resolved), data=data,
                              prefix=prefix).metrics
-    return float(np.mean([m.test_accuracy for m in metrics[-10:]]))
+    return last_ten_summary(metrics)[0]
 
 
 def check_ordering():
@@ -351,7 +352,8 @@ def check_memorization():
     precisions = []
     for seed in MEMORIZATION_SEEDS:
         seeds = [f"seeds.{stream}={seed}" for stream in ("data", "noise", "init", "epochs")]
-        metrics = run_experiment(to_experiment_config(apply_overrides(base, seeds))).metrics
+        resolved = resolve_config(apply_overrides(base, seeds))
+        metrics = run_experiment(to_experiment_config(resolved)).metrics
         precisions.append(metrics[10].selection_precision)
     mean = float(np.mean(precisions))
     passed = mean >= 0.9 and mean > 0.6

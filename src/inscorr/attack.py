@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError
 from .nn import cross_entropy
 
 LINF = "linf"
@@ -43,19 +43,11 @@ class AttackConfig:
     random_start: bool = False
 
     def __post_init__(self):
-        if self.norm not in (LINF, L2):
-            raise ParameterError(f"norm must be '{LINF}' or '{L2}', got {self.norm!r}")
-        if self.budget <= 0:
-            raise ParameterError(f"budget must be positive, got {self.budget}")
-        if self.steps < 0:
-            raise ParameterError(f"steps must be non-negative, got {self.steps}")
         if self.step_size is None:
             # standard heuristic: cross the ball a couple of times over the run
             object.__setattr__(
                 self, "step_size", 2.5 * self.budget / max(self.steps, 1)
             )
-        if self.step_size <= 0:
-            raise ParameterError(f"step_size must be positive, got {self.step_size}")
 
 
 @dataclass

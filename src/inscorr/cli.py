@@ -107,12 +107,6 @@ def cmd_campaign(args):
     methods = _split(args, "methods")
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    for route in routes:
-        if route not in ALL_ROUTES:
-            raise ConfigError(f"unknown route {route!r}")
-    for method in methods:
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}")
 
     grid = [(route, rate, method)
             for route in routes for rate in rates for method in methods]

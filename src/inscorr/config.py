@@ -2,11 +2,17 @@
 
 A config is a nested dict with the sections below. Unknown keys are
 rejected by their dotted path, and so is a value whose type differs from
-its default's (an integer may stand for a float). A null value means
-"derive the default"; these are all the derived defaults, computed by
-ExperimentConfig and AttackConfig: selection.tau follows noise.rate,
-training.warmup_epochs is training.total_epochs // 2, data.pool_size
-matches data.n_train, and attack.step_size is 2.5 * budget / max(steps, 1).
+its default's (an integer may stand for a float) or that breaks a rule
+of _RULES, alone or, in _CROSS_RULES, against the keys it is tied to.
+This module is the only place that states a value's allowed range:
+to_experiment_config checks every key before it builds the runnable
+dataclasses, which trust their fields and only derive defaults.
+
+A null value means "derive the default"; these are all the derived
+defaults, computed by ExperimentConfig and AttackConfig: selection.tau
+follows noise.rate, training.warmup_epochs is training.total_epochs // 2,
+data.pool_size matches data.n_train, and attack.step_size is
+2.5 * budget / max(steps, 1).
 
 The run identity is the first 12 hex digits of the sha256 of the fully
 resolved config serialized canonically, so two configs that resolve to
@@ -18,12 +24,12 @@ import copy
 import hashlib
 import json
 
-from .attack import AttackConfig
+from .attack import L2, LINF, AttackConfig
 from .data import check_pool_margins
 from .errors import ConfigError, ContractError
 from .nn import OPTIMIZERS
-from .noise import OPEN_SET, NoiseSpec
-from .pipeline import INSCORR, ExperimentConfig
+from .noise import ALL_ROUTES, OPEN_SET, NoiseSpec, _round_half_up
+from .pipeline import INSCORR, METHODS, PARTITION_RULES, ExperimentConfig
 
 DEFAULT_CONFIG = {
     "method": "InsCorr",
@@ -89,31 +95,65 @@ _NULLABLE = {
 }
 
 
+def _one_of(dotted, choices):
+    return dotted, lambda v: v in choices, f"be one of {tuple(choices)}"
+
+
 # what a value must satisfy beyond its type: (dotted key, test, the rule
 # as an error states it); a null is skipped, and the default derived for
 # it is held to the same rule once it is filled in
 _RULES = (
-    ("training.lambda", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
-    *((f"data.{key}", lambda v: v >= 1, "be at least 1")
-      for key in ("n_train", "n_test", "height", "width", "pool_size")),
+    _one_of("method", METHODS),
+    ("model.hidden", lambda v: all(width >= 1 for width in v), "hold widths of at least 1"),
+    _one_of("model.optimizer", OPTIMIZERS),
+    _one_of("noise.route", ALL_ROUTES),
+    _one_of("attack.norm", (LINF, L2)),
+    _one_of("training.partition_rule", PARTITION_RULES),
+    *((dotted, lambda v: v >= 1, "be at least 1") for dotted in (
+        "data.n_train", "data.n_test", "data.height", "data.width", "data.pool_size",
+        "noise.resolution_factor", "noise.blur_length", "selection.ramp_epochs",
+        "training.batch_size")),
     ("data.num_classes", lambda v: v >= 2, "be at least 2"),
-    ("data.val_fraction", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
-    ("noise.rate", lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
-    ("selection.tau", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
-    ("selection.ramp_epochs", lambda v: v >= 1, "be at least 1"),
-    ("model.optimizer", lambda v: v in OPTIMIZERS, f"be one of {tuple(OPTIMIZERS)}"),
-    ("model.lr", lambda v: v > 0.0, "be positive"),
-    *((f"seeds.{stream}", lambda v: v >= 0, "be non-negative")
-      for stream in DEFAULT_CONFIG["seeds"]),
+    *((dotted, lambda v: v >= 0, "be non-negative") for dotted in (
+        "noise.gaussian_sigma", "noise.fog_decay", "attack.steps", "training.warmup_epochs",
+        "training.total_epochs", *(f"seeds.{stream}" for stream in DEFAULT_CONFIG["seeds"]))),
+    *((dotted, lambda v: v > 0, "be positive") for dotted in (
+        "model.lr", "attack.budget", "attack.step_size")),
+    *((dotted, lambda v: 0 <= v <= 1, "lie in [0, 1]") for dotted in (
+        "noise.rate", "noise.occlusion_fraction", "noise.fog_intensity", "training.lambda")),
+    *((dotted, lambda v: 0 <= v < 1, "lie in [0, 1)") for dotted in (
+        "data.val_fraction", "selection.tau")),
+)
+
+
+# rules that tie a key to others, in the same form except that the test
+# takes the whole config; checked once every key holds its own rule
+_CROSS_RULES = (
+    ("training.refresh_correction",
+     lambda c: not c["training"]["refresh_correction"] or c["method"] == INSCORR,
+     f"be false unless method is {INSCORR}"),
+    ("training.warmup_epochs",
+     lambda c: c["training"]["warmup_epochs"] <= c["training"]["total_epochs"],
+     "not exceed training.total_epochs"),
+    ("data.val_fraction",
+     lambda c: _round_half_up(c["data"]["val_fraction"] * c["data"]["n_train"])
+     < c["data"]["n_train"],
+     "leave at least one of data.n_train for training"),
+    # a null pool matches n_train, which always holds round(rate * n_train)
+    ("data.pool_size",
+     lambda c: c["noise"]["route"] != OPEN_SET
+     or c["data"]["pool_size"] >= _round_half_up(c["noise"]["rate"] * c["data"]["n_train"]),
+     f"be at least round(noise.rate * data.n_train) on the {OPEN_SET} route"),
 )
 
 
 def _check_rules(cfg):
-    for dotted, test, rule in _RULES:
-        section, key = dotted.split(".")
-        value = cfg[section][key]
-        if value is not None and not test(value):
-            raise ConfigError(f"{dotted} must {rule}, got {value!r}")
+    for rules, whole in ((_RULES, False), (_CROSS_RULES, True)):
+        for dotted, test, rule in rules:
+            *section, key = dotted.split(".")
+            value = (cfg[section[0]] if section else cfg)[key]
+            if value is not None and not test(cfg if whole else value):
+                raise ConfigError(f"{dotted} must {rule}, got {value!r}")
 
 
 def _is_int(value):
@@ -224,22 +264,8 @@ def resolve_config(cfg):
     to_experiment_config builds, so each formula lives in its dataclass
     and a config that cannot run fails here, with a ConfigError.
     """
-    _check_types(cfg)
+    runnable = to_experiment_config(cfg)
     out = copy.deepcopy(cfg)
-    if out["training"]["refresh_correction"] and out["method"] != INSCORR:
-        raise ConfigError(
-            "training.refresh_correction only applies when method is InsCorr"
-        )
-    _check_rules(out)
-    if out["noise"]["route"] == OPEN_SET:
-        classes = out["data"]["num_classes"]
-        try:
-            check_pool_margins(classes)
-        except ContractError as exc:
-            raise ConfigError(
-                f"data.num_classes={classes} leaves no room for the open_set pool: {exc}"
-            ) from exc
-    runnable = to_experiment_config(out)
     out["selection"]["tau"] = runnable.tau
     out["training"]["warmup_epochs"] = runnable.warmup_epochs
     out["data"]["pool_size"] = runnable.pool_size
@@ -255,26 +281,39 @@ def config_hash(resolved):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+def _check_config(cfg):
+    """ConfigError naming the first key that is unknown, missing, of the
+    wrong type or out of range, alone or against the keys it is tied to."""
+    _check_keys(cfg, DEFAULT_CONFIG)
+    _check_types(cfg)
+    _check_rules(cfg)
+    if cfg["noise"]["route"] == OPEN_SET:
+        classes = cfg["data"]["num_classes"]
+        try:
+            check_pool_margins(classes)
+        except ContractError as exc:
+            raise ConfigError(
+                f"data.num_classes={classes} leaves no room for the open_set pool: {exc}"
+            ) from exc
+
+
 def to_experiment_config(resolved):
-    """Build the runnable config; value errors surface as ConfigError.
+    """Build the runnable config, once _check_config passes it.
 
     Each key fills the dataclass field of its name, except noise.route,
     noise.rate, training.lambda and seeds.<stream> (seed_<stream>).
     """
-    _check_types(resolved)
+    _check_config(resolved)
     noise = dict(resolved["noise"])
     training = dict(resolved["training"])
-    try:
-        return ExperimentConfig(
-            method=resolved["method"],
-            **resolved["model"], **resolved["data"], **resolved["selection"],
-            noise_route=noise.pop("route"),
-            noise_rate=noise.pop("rate"),
-            noise_spec=NoiseSpec(**noise),
-            attack=AttackConfig(**resolved["attack"]),
-            lam=training.pop("lambda"),
-            **training,
-            **{f"seed_{stream}": seed for stream, seed in resolved["seeds"].items()},
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(
+        method=resolved["method"],
+        **resolved["model"], **resolved["data"], **resolved["selection"],
+        noise_route=noise.pop("route"),
+        noise_rate=noise.pop("rate"),
+        noise_spec=NoiseSpec(**noise),
+        attack=AttackConfig(**resolved["attack"]),
+        lam=training.pop("lambda"),
+        **training,
+        **{f"seed_{stream}": seed for stream, seed in resolved["seeds"].items()},
+    )

@@ -57,26 +57,6 @@ class NoiseSpec:
     blur_length: int = 5
     blur_angle_deg: float = 0.0
 
-    def __post_init__(self):
-        if self.gaussian_sigma < 0:
-            raise ParameterError(f"gaussian_sigma must be >= 0, got {self.gaussian_sigma}")
-        if not 0.0 <= self.occlusion_fraction <= 1.0:
-            raise ParameterError(
-                f"occlusion_fraction must lie in [0, 1], got {self.occlusion_fraction}"
-            )
-        if self.resolution_factor < 1 or int(self.resolution_factor) != self.resolution_factor:
-            raise ParameterError(
-                f"resolution_factor must be an integer >= 1, got {self.resolution_factor}"
-            )
-        if not 0.0 <= self.fog_intensity <= 1.0:
-            raise ParameterError(f"fog_intensity must lie in [0, 1], got {self.fog_intensity}")
-        if self.fog_decay < 0:
-            raise ParameterError(f"fog_decay must be >= 0, got {self.fog_decay}")
-        if self.blur_length < 1 or int(self.blur_length) != self.blur_length:
-            raise ParameterError(
-                f"blur_length must be an integer >= 1, got {self.blur_length}"
-            )
-
 
 def _round_half_up(x):
     return int(np.floor(x + 0.5))

@@ -37,7 +37,7 @@ from .attack import AttackConfig, correct_set
 from .data import NO_LABEL, generate_ood_source, generate_synthetic, split_validation
 from .errors import ContractError, NumericError
 from .nn import Model, ModelSpec, make_optimizer
-from .noise import OPEN_SET, ALL_ROUTES, NoiseSpec, _round_half_up, apply_noise
+from .noise import OPEN_SET, NoiseSpec, _round_half_up, apply_noise
 from .select import SelectionSchedule, self_teach_epoch
 
 SELECTION_ONLY = "SelectionOnly"
@@ -81,30 +81,10 @@ class ExperimentConfig:
     seed_epochs: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ContractError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.partition_rule not in PARTITION_RULES:
-            raise ContractError(
-                f"partition_rule must be one of {PARTITION_RULES}, got {self.partition_rule!r}"
-            )
-        if self.noise_route not in ALL_ROUTES:
-            raise ContractError(
-                f"noise_route must be one of {ALL_ROUTES}, got {self.noise_route!r}"
-            )
-        if not 0.0 <= self.lam <= 1.0:
-            raise ContractError(f"lambda must lie in [0, 1], got {self.lam}")
-        if self.total_epochs < 0:
-            raise ContractError(f"total_epochs must be non-negative, got {self.total_epochs}")
         if self.warmup_epochs is None:
             object.__setattr__(self, "warmup_epochs", self.total_epochs // 2)
-        if not 0 <= self.warmup_epochs <= self.total_epochs:
-            raise ContractError(
-                f"warmup_epochs must lie in [0, {self.total_epochs}], got {self.warmup_epochs}"
-            )
         if self.tau is None:
             object.__setattr__(self, "tau", self.noise_rate)
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be positive, got {self.batch_size}")
         if self.pool_size is None:
             object.__setattr__(self, "pool_size", self.n_train)
         object.__setattr__(self, "hidden", tuple(self.hidden))

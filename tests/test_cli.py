@@ -157,6 +157,9 @@ def test_make_data_writes_the_sets_a_run_trains_on(tmp_path, tiny_cfg, route):
     "data.n_train=0",
     # the open_set pool keeps 4 to 12 degrees from class angles 22.5 apart
     "data.num_classes=8",
+    # 800 of the 2000 training rows are replaced from the pool
+    "data.pool_size=10",
+    "attack.budget=0",
 ])
 def test_make_data_rejects_a_bad_config_by_key(tmp_path, capsys, override):
     out = tmp_path / "data"
@@ -315,7 +318,8 @@ def test_campaign_rejects_unknown_route(tmp_path, capsys):
     code = main(["campaign", "--routes", "sleet",
                  "--output-root", str(tmp_path / "runs")])
     assert code == 1
-    assert "unknown route" in capsys.readouterr().err
+    assert "noise.route must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_verify_runs_selected_checks(capsys):

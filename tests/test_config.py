@@ -13,6 +13,7 @@ from inscorr.config import (
     to_experiment_config,
 )
 from inscorr.errors import ConfigError
+from inscorr.pipeline import ExperimentConfig
 
 
 def test_load_without_file_copies_defaults():
@@ -144,11 +145,12 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     floor = ["data.height=1", "data.width=1", "data.n_train=1", "data.n_test=1",
              "noise.route=fog"]
     assert config_hash(resolve_config(apply_overrides(load_config(), floor))) == "82f8c245bad1"
-    # and every value rule at its edge
+    # and every value rule at its edge, on a route that draws no pool: on
+    # open_set a pool of 1 cannot replace the 2000 rows noise.rate=1 asks for
     edge = ["data.pool_size=1", "data.val_fraction=0", "noise.rate=1", "selection.tau=0.99",
             "selection.ramp_epochs=1", "model.optimizer=sgd", "model.lr=1e-9",
-            "data.num_classes=2"]
-    assert config_hash(resolve_config(apply_overrides(load_config(), edge))) == "0243febd0704"
+            "data.num_classes=2", "noise.route=fog"]
+    assert config_hash(resolve_config(apply_overrides(load_config(), edge))) == "6f5a2708bac8"
 
 
 @pytest.mark.parametrize("overrides,key", [
@@ -166,6 +168,31 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("model.optimizer=foo", "model.optimizer"),
     ("model.lr=0", "model.lr"),
     ("model.lr=-1", "model.lr"),
+    ("model.hidden=[0]", "model.hidden"),
+    ("model.hidden=[16,-2]", "model.hidden"),
+    ("method=Bagging", "method"),
+    ("noise.route=bogus", "noise.route"),
+    ("noise.gaussian_sigma=-0.1", "noise.gaussian_sigma"),
+    ("noise.occlusion_fraction=1.5", "noise.occlusion_fraction"),
+    ("noise.resolution_factor=0", "noise.resolution_factor"),
+    ("noise.fog_intensity=-0.2", "noise.fog_intensity"),
+    ("noise.fog_decay=-1", "noise.fog_decay"),
+    ("noise.blur_length=0", "noise.blur_length"),
+    ("attack.norm=l1", "attack.norm"),
+    ("attack.budget=0", "attack.budget"),
+    ("attack.steps=-1", "attack.steps"),
+    ("attack.step_size=0", "attack.step_size"),
+    ("training.lambda=1.5", "training.lambda"),
+    ("training.total_epochs=-1", "training.total_epochs"),
+    ("training.warmup_epochs=-1", "training.warmup_epochs"),
+    ("training.warmup_epochs=7 training.total_epochs=6", "training.warmup_epochs"),
+    ("training.batch_size=0", "training.batch_size"),
+    ("training.partition_rule=loss_median", "training.partition_rule"),
+    ("method=Mix training.refresh_correction=true", "training.refresh_correction"),
+    # open_set replaces round(0.4 * 2000) = 800 training rows from the pool
+    ("data.pool_size=799", "data.pool_size"),
+    # round(0.95 * 10) = 10 validation rows leave none to train on
+    ("data.val_fraction=0.95 data.n_train=10", "data.val_fraction"),
 ])
 def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
     with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + " must "):
@@ -185,6 +212,19 @@ def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
 def test_resolve_rejects_ill_typed_values_by_key(override, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
         resolve_config(apply_overrides(load_config(), [override]))
+
+
+def test_cross_key_rules_accept_their_edges():
+    resolve_config(apply_overrides(load_config(), ["data.pool_size=800"]))
+    # a pool is drawn only on the open_set route
+    resolve_config(apply_overrides(load_config(), ["data.pool_size=1", "noise.route=fog"]))
+    resolve_config(apply_overrides(load_config(), ["data.val_fraction=0.94", "data.n_train=10"]))
+    resolve_config(apply_overrides(load_config(), ["training.warmup_epochs=6",
+                                                   "training.total_epochs=6"]))
+
+
+def test_dataclass_defaults_match_default_config():
+    assert to_experiment_config(resolve_config(load_config())) == ExperimentConfig()
 
 
 def test_resolve_accepts_integers_for_numbers():

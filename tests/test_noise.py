@@ -185,19 +185,6 @@ def test_outputs_always_clamped():
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
-def test_spec_validation():
-    with pytest.raises(ParameterError, match="gaussian_sigma"):
-        NoiseSpec(gaussian_sigma=-0.1)
-    with pytest.raises(ParameterError, match="occlusion_fraction"):
-        NoiseSpec(occlusion_fraction=1.5)
-    with pytest.raises(ParameterError, match="resolution_factor"):
-        NoiseSpec(resolution_factor=0)
-    with pytest.raises(ParameterError, match="fog_intensity"):
-        NoiseSpec(fog_intensity=-0.2)
-    with pytest.raises(ParameterError, match="blur_length"):
-        NoiseSpec(blur_length=0)
-
-
 ODD_SPEC = NoiseSpec(gaussian_sigma=0.4, occlusion_fraction=0.3, resolution_factor=3,
                      fog_intensity=0.6, fog_decay=2.0, blur_length=4, blur_angle_deg=30.0)
 

@@ -70,22 +70,6 @@ class TestConfig:
         cfg = tiny_config(total_epochs=8, warmup_epochs=None)
         assert cfg.warmup_epochs == 4
 
-    def test_rejects_bad_method(self):
-        with pytest.raises(ContractError, match="method"):
-            tiny_config(method="Bagging")
-
-    def test_rejects_bad_lambda(self):
-        with pytest.raises(ContractError, match="lambda"):
-            tiny_config(lam=1.5)
-
-    def test_rejects_warmup_past_total(self):
-        with pytest.raises(ContractError, match="warmup"):
-            tiny_config(warmup_epochs=7, total_epochs=6)
-
-    def test_rejects_bad_partition_rule(self):
-        with pytest.raises(ContractError, match="partition_rule"):
-            tiny_config(partition_rule="loss_median")
-
 
 class TestPrepareData:
     def test_shapes_and_split(self):
