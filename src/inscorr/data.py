@@ -201,7 +201,7 @@ def check_pool_margins(num_classes):
         )
 
 
-def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4):
+def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4, rows=None):
     """Bars at orientations deliberately offset from every class angle;
     labels absent.
 
@@ -210,17 +210,30 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4):
     classes, but orientation categories outside the label space. Pool bars are shorter and noisier than
     class bars, so a partially trained classifier stays uncertain about
     them instead of adopting the nearest class early.
+
+    The pool has n rows. rows, distinct indices into it in any order,
+    picks the ones returned, in that order (all n when None): the pool
+    is drawn whole, since each row draws from the stream after the ones
+    before it, but only the picked rows are rendered and held, each with
+    the bits it has in the whole pool.
     """
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
     check_pool_margins(num_classes)
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    if (rows.ndim != 1 or np.any((rows < 0) | (rows >= n))
+            or np.unique(rows).size != rows.size):
+        raise ContractError(f"rows must be distinct indices into a pool of {n}")
+    # where[i]: the output row of pool row i, -1 for a row not picked
+    where = np.full(n, -1, dtype=np.int64)
+    where[rows] = np.arange(rows.size)
     rng = np.random.default_rng(seed)
     spacing = np.pi / num_classes
     # rng.uniform(low, high) computes low + (high - low) * rng.random()
     margin_span = _POOL_MARGIN_HI_DEG - _POOL_MARGIN_LO_DEG
     centre_span = _POOL_CENTER_JITTER - -_POOL_CENTER_JITTER
     middle = np.array([height / 2, width / 2])
-    X = np.empty((n, height * width))
+    X = np.empty((rows.size, height * width))
     for lo in range(0, n, _BLOCK_ROWS):
         m = min(lo + _BLOCK_ROWS, n) - lo
         k, side = np.empty((2, m), dtype=np.int64)
@@ -237,6 +250,12 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4):
             side[j] = rng.integers(2)
             rng.random(out=centre[j])
             rng.standard_normal(out=noise[j])
+        pos = where[lo:lo + m]
+        picked = pos >= 0
+        if not picked.any():
+            continue
+        k, side, u = k[picked], side[picked], u[picked]
+        centre, noise = centre[picked], noise[picked]
         off = np.deg2rad(_POOL_MARGIN_LO_DEG + margin_span * u) * (2 * side - 1)
         theta = (k * spacing + off) % np.pi
         cy, cx = (middle + (-_POOL_CENTER_JITTER + centre_span * centre)).T
@@ -250,11 +269,12 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4):
         noise *= _POOL_PIXEL_NOISE
         noise += 0.0
         img += noise
-        np.clip(img.reshape(m, -1), 0.0, 1.0, out=X[lo:lo + m])
-    absent = np.full(n, NO_LABEL, dtype=np.int32)
+        np.clip(img, 0.0, 1.0, out=img)
+        X[pos[picked]] = img.reshape(len(img), -1)
+    absent = np.full(rows.size, NO_LABEL, dtype=np.int32)
     return Dataset(
         X, absent, absent.copy(),
-        np.full(n, Provenance.CLEAN, dtype=np.uint8),
+        np.full(rows.size, Provenance.CLEAN, dtype=np.uint8),
         num_classes=0, grid_shape=(height, width),
     )
 

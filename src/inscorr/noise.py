@@ -17,7 +17,7 @@ that differ only in kind therefore damage the same subset.
     [seed, 0]            corruption: which instances
     [seed, 1, kind]      corruption: transform randomness
     [seed, 2]            replacement: which instances per class
-    [seed, 3]            replacement: which pool entries
+    [seed, 3]            replacement: which pool entries (pool_sources)
 
 Degenerate parameters are exact identities: sigma 0, occlusion fraction
 0, resolution factor 1, fog intensity 0, and blur length 1 all return
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import NO_LABEL, Dataset, Provenance
+from .data import _BLOCK_ROWS, NO_LABEL, Dataset, Provenance
 from .errors import CapacityError, ContractError, ParameterError
 
 
@@ -113,7 +113,11 @@ def corruption_transform(grids, kind, spec, rng):
 
 
 def inject_corruption(ds, kind, rate, spec, seed):
-    """Corrupt a uniform round(rate*n) subset in place (on a copy)."""
+    """Corrupt a uniform round(rate*n) subset in place (on a copy).
+
+    The hit rows are damaged in ascending order, _BLOCK_ROWS at a time,
+    which draws from the stream as one stack of them all would.
+    """
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"rate must lie in [0, 1], got {rate}")
     if ds.grid_shape is None:
@@ -128,20 +132,38 @@ def inject_corruption(ds, kind, rate, spec, seed):
     hit = np.sort(which_rng.choice(n, size=k, replace=False))
     transform_rng = np.random.default_rng([seed, 1, int(kind)])
     out = ds.copy()
-    # the hit rows in ascending order, as one stack
-    out.X[hit] = corruption_transform(
-        ds.X[hit].reshape(k, *ds.grid_shape), kind, spec, transform_rng
-    ).reshape(k, ds.dim)
+    for lo in range(0, k, _BLOCK_ROWS):
+        rows = hit[lo:lo + _BLOCK_ROWS]
+        out.X[rows] = corruption_transform(
+            ds.X[rows].reshape(len(rows), *ds.grid_shape), kind, spec, transform_rng
+        ).reshape(len(rows), ds.dim)
     out.provenance[hit] = Provenance.CORRUPTED
     return out
 
 
-def inject_open_set(ds, pool, rate, seed):
+def pool_sources(pool_size, n, rate, seed):
+    """The pool rows that replace round(rate*n) of n instances, in the
+    order inject_open_set writes them: distinct draws from range(pool_size)
+    on the [seed, 3] stream. CapacityError when the pool is too small."""
+    if not 0.0 <= rate <= 1.0:
+        raise ParameterError(f"rate must lie in [0, 1], got {rate}")
+    k = _round_half_up(rate * n)
+    if k > pool_size:
+        raise CapacityError(
+            f"need {k} replacement instances, pool holds {pool_size}"
+        )
+    return np.random.default_rng([seed, 3]).choice(pool_size, size=k, replace=False)
+
+
+def inject_open_set(ds, pool, rate, seed, drawn=False):
     """Replace a class-balanced round(rate*n) subset with pool instances.
 
-    Pool entries are used at most once. Counts per class are k // c with
-    the remainder spread over seeded distinct classes; a class without
-    enough members, or a pool smaller than k, raises CapacityError.
+    Pool entries are used at most once, in pool_sources order. pool is
+    the whole pool, or with drawn true only the rows pool_sources picks
+    from it, in that order (generate_ood_source's rows), which are then
+    written as they are. Counts per class are k // c with the remainder
+    spread over seeded distinct classes; a class without enough members,
+    or a pool smaller than k, raises CapacityError.
     """
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"rate must lie in [0, 1], got {rate}")
@@ -151,9 +173,13 @@ def inject_open_set(ds, pool, rate, seed):
         )
     n, c = len(ds), ds.num_classes
     k = _round_half_up(rate * n)
-    if k > len(pool):
-        raise CapacityError(
-            f"need {k} replacement instances, pool holds {len(pool)}"
+    if not drawn:
+        replacements = pool.X[pool_sources(len(pool), n, rate, seed)]
+    elif len(pool) == k:
+        replacements = pool.X
+    else:
+        raise ContractError(
+            f"a drawn pool must hold the {k} replacement rows, got {len(pool)}"
         )
     which_rng = np.random.default_rng([seed, 2])
     counts = np.full(c, k // c, dtype=np.int64)
@@ -172,22 +198,22 @@ def inject_open_set(ds, pool, rate, seed):
         targets.append(picked)
     targets = np.sort(np.concatenate(targets)) if targets else np.empty(0, dtype=np.int64)
 
-    pool_rng = np.random.default_rng([seed, 3])
-    sources = pool_rng.choice(len(pool), size=k, replace=False)
-
     out = ds.copy()
-    out.X[targets] = pool.X[sources]
+    out.X[targets] = replacements
     out.true_labels[targets] = NO_LABEL
     out.provenance[targets] = Provenance.OPEN_SET
     return out
 
 
-def apply_noise(ds, route, rate, spec, seed, pool=None):
-    """Dispatch on route name: 'open_set' or one of the corruption kinds."""
+def apply_noise(ds, route, rate, spec, seed, pool=None, drawn=False):
+    """Dispatch on route name: 'open_set' or one of the corruption kinds.
+
+    pool and drawn go to inject_open_set on the open_set route.
+    """
     if route == OPEN_SET:
         if pool is None:
             raise ContractError("open_set noise requires a replacement pool")
-        return inject_open_set(ds, pool, rate, seed)
+        return inject_open_set(ds, pool, rate, seed, drawn)
     if route in KIND_NAMES:
         return inject_corruption(ds, route, rate, spec, seed)
     raise ParameterError(f"unknown noise route {route!r}; valid: {ALL_ROUTES}")

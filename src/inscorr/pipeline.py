@@ -35,9 +35,9 @@ import numpy as np
 
 from .attack import AttackConfig, correct_set
 from .data import NO_LABEL, generate_ood_source, generate_synthetic, split_validation
-from .errors import ContractError, NumericError
+from .errors import CapacityError, ConfigError, ContractError, NumericError
 from .nn import Model, ModelSpec, make_optimizer
-from .noise import OPEN_SET, NoiseSpec, _round_half_up, apply_noise
+from .noise import OPEN_SET, NoiseSpec, _round_half_up, apply_noise, pool_sources
 from .select import SelectionSchedule, self_teach_epoch
 
 SELECTION_ONLY = "SelectionOnly"
@@ -161,18 +161,27 @@ def prepare_data(cfg):
     Noise is injected into the training pool first; the validation split
     is carved from the noisy data, so validation labels are noisy too.
     Each set draws from a seed stream of its own, so the order they are
-    made in does not matter; each intermediate set is dropped as soon as
-    the next step has what it needs, so at most the clean set, the pool
-    and one noisy copy are alive together.
+    made in does not matter. On the open_set route the pool rows the
+    noise reads are drawn first and only they are rendered, in the order
+    they are written. Each intermediate set is dropped as soon as the
+    next step has what it needs, so at most the clean set, the drawn
+    pool rows (or one block of corrupted rows) and one noisy copy are
+    alive together. A noise rate that asks for more replacements than a
+    class holds raises ConfigError naming noise.rate.
     """
     (n_train, n_test, classes, height, width, val_fraction, pool_size,
      route, rate, spec, seed_data, seed_noise) = data_key(cfg)
     full = generate_synthetic(n_train, classes, height, width, seed=[seed_data, 0])
     pool = None
-    if route == OPEN_SET:
-        pool = generate_ood_source(pool_size, height, width, seed=[seed_data, 2],
-                                   num_classes=classes)
-    noisy = apply_noise(full, route, rate, spec, seed=seed_noise, pool=pool)
+    try:
+        if route == OPEN_SET:
+            sources = pool_sources(pool_size, n_train, rate, seed_noise)
+            pool = generate_ood_source(pool_size, height, width, seed=[seed_data, 2],
+                                       num_classes=classes, rows=sources)
+        noisy = apply_noise(full, route, rate, spec, seed=seed_noise, pool=pool, drawn=True)
+    except CapacityError as error:
+        raise ConfigError(f"noise.rate={rate} asks for more open_set replacements "
+                          f"than the data allow: {error}") from error
     del full, pool
     train, val = split_validation(noisy, val_fraction, seed=[seed_data, 3])
     del noisy

@@ -55,9 +55,10 @@ def test_tracer_sees_selection_forward_and_mixed_loss(tmp_path, perfbench_layers
     # data generation is wrapped as pipeline looks it up, and Adam steps
     # the whole flat parameter vector in one kernel call
     assert metrics["data.gen_calls"] > 0
-    # the train set, the pool and the test set; 120 + 120 + 60 rows, 30% noisy
+    # the train set, the 36 pool rows it draws and the test set; 120 + 36 +
+    # 60 rows, 30% noisy
     assert metrics["data.gen_calls"] == 3
-    assert metrics["data.rows_generated"] == 300
+    assert metrics["data.rows_generated"] == 216
     assert metrics["noise.rows_touched"] == 36
     assert metrics["kernels.adam_update_calls"] == metrics["nn.optimizer_steps"]
 

@@ -170,6 +170,20 @@ def test_make_data_rejects_a_bad_config_by_key(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", [["make-data", "--out"], ["run", "--output-root"]])
+def test_open_set_rate_beyond_a_class_fails_by_key(tmp_path, capsys, verb):
+    # the class counts exist only once the data is made, so the config
+    # resolves and the failure comes from data preparation
+    out = tmp_path / "out"
+    argv = [*verb, str(out), "--set", "noise.rate=1", "--set", "selection.tau=0.5",
+            "--set", "data.n_train=101"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise.rate=1 ") and err.count("\n") == 1
+    assert "cannot replace" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def readme_commands():
     """The argument lists of every inscorr command in README's sh blocks."""
     text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

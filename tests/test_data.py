@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from inscorr import data
 from inscorr.data import (
@@ -141,6 +143,33 @@ def test_ood_pool_matches_row_loop_reference_at_other_class_counts(
     # may reject draws; the per-row calls must still take the same bits
     pool = generate_ood_source(n, height, width, seed=seed, num_classes=num_classes)
     assert np.array_equal(pool.X, _reference_ood(n, height, width, seed, num_classes))
+
+
+# a pool size and distinct rows of it, in any order
+pool_picks = st.integers(1, 2 * data._BLOCK_ROWS + 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(picks=pool_picks, num_classes=st.sampled_from([3, 4, 5]), seed=st.integers(0, 50))
+@example(picks=(data._BLOCK_ROWS + 1, []), num_classes=4, seed=0)
+@example(picks=(data._BLOCK_ROWS + 1, [data._BLOCK_ROWS]), num_classes=4, seed=0)
+@example(picks=(70, list(range(70))[::-1]), num_classes=4, seed=0)
+@example(picks=(70, list(range(70))), num_classes=4, seed=0)
+def test_ood_pool_rows_match_the_whole_pool_bitwise(picks, num_classes, seed):
+    # skipped rows still take their draws, so a picked row keeps its bits
+    n, rows = picks
+    whole = generate_ood_source(n, 8, 6, seed=seed, num_classes=num_classes)
+    part = generate_ood_source(n, 8, 6, seed=seed, num_classes=num_classes, rows=rows)
+    assert np.array_equal(part.X, whole.X[np.array(rows, dtype=np.int64)])
+    assert len(part) == len(rows) and part.grid_shape == (8, 6)
+    assert np.all(part.given_labels == NO_LABEL)
+
+
+@pytest.mark.parametrize("rows", [[3, 3], [-1], [10], [[0, 1]]])
+def test_ood_pool_rejects_rows_that_are_not_distinct_indices(rows):
+    with pytest.raises(ContractError, match="distinct indices"):
+        generate_ood_source(10, 8, 8, seed=0, rows=rows)
 
 
 def test_ood_pool_has_no_labels_and_valid_range():

@@ -16,6 +16,7 @@ from inscorr.noise import (
     corruption_transform,
     inject_corruption,
     inject_open_set,
+    pool_sources,
 )
 
 SPEC = NoiseSpec()
@@ -300,6 +301,19 @@ def test_inject_open_set_uses_distinct_pool_rows():
         assert row in pool_rows
         assert row not in seen
         seen.add(row)
+
+
+@pytest.mark.parametrize("pool_size", [40, 90])
+def test_inject_open_set_writes_drawn_rows_as_given(pool_size):
+    ds = generate_synthetic(100, 4, seed=35)
+    pool = generate_ood_source(pool_size, seed=36)
+    out = inject_open_set(ds, pool, 0.4, seed=37)
+    drawn = pool.subset(pool_sources(pool_size, 100, 0.4, seed=37))
+    fast = inject_open_set(ds, drawn, 0.4, seed=37, drawn=True)
+    for name in ("X", "true_labels", "provenance"):
+        assert np.array_equal(getattr(fast, name), getattr(out, name))
+    with pytest.raises(ContractError, match="40 replacement rows"):
+        inject_open_set(ds, pool.subset(np.arange(39)), 0.4, seed=37, drawn=True)
 
 
 def test_inject_open_set_capacity_errors():

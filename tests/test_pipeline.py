@@ -7,9 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inscorr.attack import AttackConfig
-from inscorr.data import NO_LABEL, Dataset, Provenance, generate_ood_source, generate_synthetic
-from inscorr.errors import ContractError, NumericError
+from inscorr.data import (
+    NO_LABEL,
+    Dataset,
+    Provenance,
+    generate_ood_source,
+    generate_synthetic,
+    split_validation,
+)
+from inscorr.errors import ConfigError, ContractError, NumericError
 from inscorr.nn import Adam, Model, ModelSpec
+from inscorr.noise import ALL_ROUTES, inject_open_set
 from inscorr.pipeline import (
     AGREEMENT,
     INSCORR,
@@ -124,23 +132,42 @@ class TestPrepareData:
         # the two pools share their class-0 rows, which draw the same bits
         assert not replaced <= pool_rows(4)
 
-    @pytest.mark.parametrize("route, matrices", [
-        # the clean set, the pool and the noisy copy, plus the replacement rows
-        ("open_set", 3.5),
-        # the clean set and the noisy copy, plus the hit rows and their transform
-        ("fog", 3.0),
-    ])
-    def test_peak_memory_at_ordering_sizes(self, route, matrices):
-        cfg = ExperimentConfig(n_train=2000, n_test=1000, noise_route=route)
-        matrix = cfg.n_train * cfg.height * cfg.width * 8
+    @pytest.mark.parametrize("pool_size", [None, 48, 300])
+    def test_open_set_matches_rendering_the_whole_pool(self, pool_size):
+        # 48 is exactly the round(0.4 * 120) rows replaced
+        cfg = tiny_config(noise_route="open_set", noise_rate=0.4, pool_size=pool_size)
+        full = generate_synthetic(cfg.n_train, 4, 8, 8, seed=[cfg.seed_data, 0])
+        pool = generate_ood_source(cfg.pool_size, 8, 8, seed=[cfg.seed_data, 2])
+        noisy = inject_open_set(full, pool, cfg.noise_rate, cfg.seed_noise)
+        train, val = split_validation(noisy, cfg.val_fraction, seed=[cfg.seed_data, 3])
+        test = generate_synthetic(cfg.n_test, 4, 8, 8, seed=[cfg.seed_data, 1])
+        for got, want in zip(prepare_data(cfg), (train, val, test)):
+            for name in ("X", "given_labels", "true_labels", "provenance"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_open_set_names_the_rate_when_a_class_runs_short(self):
+        cfg = tiny_config(noise_route="open_set", noise_rate=1.0)
+        with pytest.raises(ConfigError, match=r"noise\.rate=1\.0 .*class \d+ has"):
+            prepare_data(cfg)
+
+    @pytest.mark.parametrize("route", ALL_ROUTES)
+    def test_peak_memory_stays_near_the_returned_sets(self, route):
+        # the clean set and the drawn pool rows, or one block of corrupted
+        # rows, fit in 4 MiB; the whole pool or a stack of every hit row
+        # beside them does not
+        cfg = ExperimentConfig(n_train=2000, n_test=1000, height=16, width=16,
+                               noise_rate=0.4, noise_route=route)
         tracemalloc.start()
         try:
             data = prepare_data(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        returned = sum(a.nbytes for ds in data
+                       for a in (ds.X, ds.given_labels, ds.true_labels, ds.provenance))
         assert sum(len(ds) for ds in data) == 3000
-        assert peak <= matrices * matrix, f"peak {peak / matrix:.2f} matrices"
+        over = (peak - returned) / 2**20
+        assert over <= 4.0, f"peak {over:.2f} MiB above the returned sets"
 
 
 class TestEvaluate:
