@@ -2,14 +2,13 @@
 
 Each check is a named function returning (passed, detail). run_all
 executes a selection of them, prints one PASS/FAIL line per check, and
-reports overall success. The same functions back the acceptance test
+returns overall success. The same functions back the acceptance test
 module, which pins the thresholds and runtime budgets used here.
 """
 
 import math
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +32,7 @@ from .noise import (
     _round_half_up,
     apply_noise,
     corruption_transform,
+    pool_sources,
 )
 from .pipeline import (
     INSCORR,
@@ -309,10 +309,10 @@ def check_noise():
     """Injection counts, label multisets, ranges, and exact identities."""
     n = 150
     ds = generate_synthetic(n, 4, 8, 8, seed=42)
-    pool = generate_ood_source(n, 8, 8, seed=43)
     spec = NoiseSpec()
     for route in (OPEN_SET,) + tuple(KIND_NAMES):
         for rate in (0.0, 0.2, 0.8):
+            pool = generate_ood_source(n, 8, 8, seed=43, rows=pool_sources(n, n, rate, 5))
             out = apply_noise(ds, route, rate, spec, seed=5, pool=pool)
             if sorted(out.given_labels) != sorted(ds.given_labels):
                 return False, f"label multiset changed for {route} at {rate}"
@@ -397,41 +397,23 @@ CHECKS = (
 )
 
 
-@dataclass
-class CheckOutcome:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-
-
-@dataclass
-class Report:
-    outcomes: list
-
-    @property
-    def all_passed(self):
-        return all(o.passed for o in self.outcomes)
-
-
-def run_all(only=None, out=print):
-    """Run the named checks (all by default) and print one line each."""
+def run_all(only=None):
+    """Run the named checks (all by default), print one line each, and
+    return whether every one passed."""
     names = [name for name, _ in CHECKS]
     if only is not None:
         unknown = [n for n in only if n not in names]
         if unknown:
             raise ContractError(f"unknown checks: {', '.join(unknown)}")
-    outcomes = []
+    verdicts = []
     for name, fn in CHECKS:
         if only is not None and name not in only:
             continue
         started = time.perf_counter()
         passed, detail = fn()
         seconds = time.perf_counter() - started
-        outcomes.append(CheckOutcome(name, passed, detail, seconds))
-        status = "PASS" if passed else "FAIL"
-        out(f"{status} {name}: {detail} ({seconds:.1f}s)")
-    report = Report(outcomes)
-    out(f"{'all checks passed' if report.all_passed else 'CHECKS FAILED'}"
-        f" ({len(outcomes)} run)")
-    return report
+        verdicts.append(passed)
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail} ({seconds:.1f}s)")
+    all_passed = all(verdicts)
+    print(f"{'all checks passed' if all_passed else 'CHECKS FAILED'} ({len(verdicts)} run)")
+    return all_passed

@@ -17,6 +17,7 @@ sibling, writes manifest.json last and renames the directory into place.
 """
 
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
@@ -29,16 +30,9 @@ from pathlib import Path
 
 from .config import config_hash, to_experiment_config
 from .nn import save_checkpoint
-from .pipeline import last_ten_summary, run_experiment
+from .pipeline import EpochMetrics, last_ten_summary, run_experiment
 
-METRIC_FIELDS = (
-    "epoch",
-    "train_loss",
-    "val_accuracy",
-    "test_accuracy",
-    "selection_precision",
-    "attack_success",
-)
+METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(EpochMetrics))
 
 ENV_OUTPUT_ROOT = "INSCORR_OUTPUT_ROOT"
 

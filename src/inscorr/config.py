@@ -2,8 +2,9 @@
 
 A config is a nested dict with the sections below. Unknown keys are
 rejected by their dotted path, and so is a value whose type differs from
-its default's (an integer may stand for a float) or that breaks a rule
-of _RULES, alone or, in _CROSS_RULES, against the keys it is tied to.
+its default's (an integer may stand for a float; a float must be finite)
+or that breaks a rule of _RULES, alone or, in _CROSS_RULES, against the
+keys it is tied to.
 This module is the only place that states a value's allowed range:
 to_experiment_config checks every key before it builds the runnable
 dataclasses, which trust their fields and only derive defaults.
@@ -23,6 +24,7 @@ defaults were spelled out.
 import copy
 import hashlib
 import json
+import math
 
 from .attack import L2, LINF, AttackConfig
 from .data import check_pool_margins
@@ -167,7 +169,9 @@ def _expected(value, default):
     if isinstance(default, int):
         return None if _is_int(value) else "an integer"
     if isinstance(default, float):
-        return None if _is_int(value) or isinstance(value, float) else "a number"
+        if isinstance(value, float):
+            return None if math.isfinite(value) else "a finite number"
+        return None if _is_int(value) else "a number"
     if isinstance(default, str):
         return None if isinstance(value, str) else "a string"
     ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
@@ -206,9 +210,11 @@ def _check_keys(user, schema, path=""):
 
 
 def deep_merge(base, user):
+    """base overlaid with user, recursing only where base holds a section;
+    a section given for a value replaces it, for _check_types to reject."""
     out = copy.deepcopy(base)
     for key, value in user.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
             out[key] = deep_merge(base[key], value)
         else:
             out[key] = copy.deepcopy(value)
@@ -219,11 +225,17 @@ def load_config(path=None):
     """Defaults overlaid with the JSON file at path, if given."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    try:
+        user = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     _check_keys(user, DEFAULT_CONFIG)

@@ -215,7 +215,8 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4, rows=None
     picks the ones returned, in that order (all n when None): the pool
     is drawn whole, since each row draws from the stream after the ones
     before it, but only the picked rows are rendered and held, each with
-    the bits it has in the whole pool.
+    the bits it has in the whole pool. With rows=noise.pool_sources(...)
+    the result is the one form inject_open_set takes.
     """
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")

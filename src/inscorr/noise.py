@@ -4,8 +4,10 @@ Two injection routes, both label-preserving (the given label never
 changes; what changes is whether the instance still matches it):
 
   * open-set replacement: a class-balanced subset of instances is
-    swapped for draws from an out-of-distribution pool. The original
-    label is kept, the true label becomes absent.
+    swapped for rows of an out-of-distribution pool. pool_sources draws
+    which pool rows are used before any pool exists, and
+    inject_open_set takes only those rows. The original label is kept,
+    the true label becomes absent.
   * corruption: a uniform subset of instances is damaged in place by
     one of five pixel transforms. The true label is retained since the
     underlying class is unchanged.
@@ -115,17 +117,16 @@ def corruption_transform(grids, kind, spec, rng):
 def inject_corruption(ds, kind, rate, spec, seed):
     """Corrupt a uniform round(rate*n) subset in place (on a copy).
 
-    The hit rows are damaged in ascending order, _BLOCK_ROWS at a time,
-    which draws from the stream as one stack of them all would.
+    kind is a NoiseKind; apply_noise maps a route name to it. The hit
+    rows are damaged in ascending order, _BLOCK_ROWS at a time, which
+    draws from the stream as one stack of them all would.
     """
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"rate must lie in [0, 1], got {rate}")
     if ds.grid_shape is None:
         raise ContractError("corruption needs grid-shaped instances")
-    if isinstance(kind, str):
-        if kind not in KIND_NAMES:
-            raise ParameterError(f"unknown corruption kind {kind!r}")
-        kind = KIND_NAMES[kind]
+    if not isinstance(kind, NoiseKind):
+        raise ParameterError(f"unknown corruption kind {kind!r}")
     n = len(ds)
     k = _round_half_up(rate * n)
     which_rng = np.random.default_rng([seed, 0])
@@ -155,15 +156,15 @@ def pool_sources(pool_size, n, rate, seed):
     return np.random.default_rng([seed, 3]).choice(pool_size, size=k, replace=False)
 
 
-def inject_open_set(ds, pool, rate, seed, drawn=False):
-    """Replace a class-balanced round(rate*n) subset with pool instances.
+def inject_open_set(ds, pool, rate, seed):
+    """Replace a class-balanced round(rate*n) subset with pool rows.
 
-    Pool entries are used at most once, in pool_sources order. pool is
-    the whole pool, or with drawn true only the rows pool_sources picks
-    from it, in that order (generate_ood_source's rows), which are then
-    written as they are. Counts per class are k // c with the remainder
-    spread over seeded distinct classes; a class without enough members,
-    or a pool smaller than k, raises CapacityError.
+    pool holds exactly the k = round(rate*n) rows that pool_sources
+    draws, in its order (generate_ood_source's rows); any other length
+    raises ContractError. They are written as they are, the i-th drawn
+    row into the i-th replaced instance in ascending order. Counts per
+    class are k // c with the remainder spread over seeded distinct
+    classes; a class without enough members raises CapacityError.
     """
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"rate must lie in [0, 1], got {rate}")
@@ -173,11 +174,7 @@ def inject_open_set(ds, pool, rate, seed, drawn=False):
         )
     n, c = len(ds), ds.num_classes
     k = _round_half_up(rate * n)
-    if not drawn:
-        replacements = pool.X[pool_sources(len(pool), n, rate, seed)]
-    elif len(pool) == k:
-        replacements = pool.X
-    else:
+    if len(pool) != k:
         raise ContractError(
             f"a drawn pool must hold the {k} replacement rows, got {len(pool)}"
         )
@@ -199,21 +196,22 @@ def inject_open_set(ds, pool, rate, seed, drawn=False):
     targets = np.sort(np.concatenate(targets)) if targets else np.empty(0, dtype=np.int64)
 
     out = ds.copy()
-    out.X[targets] = replacements
+    out.X[targets] = pool.X
     out.true_labels[targets] = NO_LABEL
     out.provenance[targets] = Provenance.OPEN_SET
     return out
 
 
-def apply_noise(ds, route, rate, spec, seed, pool=None, drawn=False):
+def apply_noise(ds, route, rate, spec, seed, pool=None):
     """Dispatch on route name: 'open_set' or one of the corruption kinds.
 
-    pool and drawn go to inject_open_set on the open_set route.
+    On the open_set route pool goes to inject_open_set; a corruption
+    route becomes the NoiseKind that inject_corruption takes.
     """
     if route == OPEN_SET:
         if pool is None:
             raise ContractError("open_set noise requires a replacement pool")
-        return inject_open_set(ds, pool, rate, seed, drawn)
+        return inject_open_set(ds, pool, rate, seed)
     if route in KIND_NAMES:
-        return inject_corruption(ds, route, rate, spec, seed)
+        return inject_corruption(ds, KIND_NAMES[route], rate, spec, seed)
     raise ParameterError(f"unknown noise route {route!r}; valid: {ALL_ROUTES}")

@@ -178,7 +178,7 @@ def prepare_data(cfg):
             sources = pool_sources(pool_size, n_train, rate, seed_noise)
             pool = generate_ood_source(pool_size, height, width, seed=[seed_data, 2],
                                        num_classes=classes, rows=sources)
-        noisy = apply_noise(full, route, rate, spec, seed=seed_noise, pool=pool, drawn=True)
+        noisy = apply_noise(full, route, rate, spec, seed=seed_noise, pool=pool)
     except CapacityError as error:
         raise ConfigError(f"noise.rate={rate} asks for more open_set replacements "
                           f"than the data allow: {error}") from error

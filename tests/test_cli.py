@@ -14,6 +14,7 @@ import pytest
 from inscorr import artifacts, cli
 from inscorr.cli import main
 from inscorr.config import (
+    DEFAULT_CONFIG,
     apply_overrides,
     config_hash,
     load_config,
@@ -182,6 +183,56 @@ def test_open_set_rate_beyond_a_class_fails_by_key(tmp_path, capsys, verb):
     assert err.startswith("error: noise.rate=1 ") and err.count("\n") == 1
     assert "cannot replace" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# every key whose value is a float, the two nullable ones included
+FLOAT_KEYS = sorted({f"{section}.{key}" for section, values in DEFAULT_CONFIG.items()
+                     if isinstance(values, dict)
+                     for key, default in values.items() if isinstance(default, float)}
+                    | {"selection.tau", "attack.step_size"})
+VERBS = [pytest.param(["make-data", "--out"], id="make-data"),
+         pytest.param(["run", "--output-root"], id="run")]
+
+
+def assert_fails_by_name(verb, out, source, name, capsys):
+    """verb exits 1 with one error line naming name and writes nothing."""
+    assert main([*verb, str(out), *source]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_non_finite_number_fails_by_key(tmp_path, capsys, verb, text, key):
+    section, name = key.split(".")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {name: float(text)}}))
+    expected = f"config key {key} must be a finite number, got {float(text)!r}"
+    for source in (["--set", f"{key}={text}"], ["--config", str(path)]):
+        assert_fails_by_name(verb, tmp_path / "out", source, expected, capsys)
+
+
+@pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("name,content,message", [pytest.param(*case, id=case[0]) for case in (
+    ("missing", None, "cannot read config file PATH: No such file or directory"),
+    ("directory", "dir", "cannot read config file PATH: Is a directory"),
+    ("latin1", b'{"method": "Mix\xe9"}', "PATH is not UTF-8 text"),
+    ("section", b'{"model": {"lr": {"x": 1}}}',
+     "config key model.lr must be a number, got {'x': 1}"),
+    # an empty section used to leave the default lr in place
+    ("empty_section", b'{"model": {"lr": {}}}', "config key model.lr must be a number, got {}"),
+)])
+def test_an_unusable_config_file_fails_by_name(tmp_path, capsys, verb, name, content, message):
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert_fails_by_name(verb, tmp_path / "out", ["--config", str(path)],
+                         message.replace("PATH", str(path)), capsys)
 
 
 def readme_commands():

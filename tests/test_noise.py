@@ -223,7 +223,7 @@ def test_inject_corruption_matches_row_loop_reference(kind):
 def test_inject_open_set_matches_row_loop_reference(rate):
     ds = generate_synthetic(90, 4, 12, 20, seed=32)
     pool = generate_ood_source(80, 12, 20, seed=33)
-    out = inject_open_set(ds, pool, rate, seed=34)
+    out = inject_open_set(ds, pool.subset(pool_sources(80, 90, rate, seed=34)), rate, seed=34)
     X, true, prov = _reference_open_set(ds, pool, rate, seed=34)
     assert np.array_equal(out.X, X)
     assert np.array_equal(out.true_labels, true)
@@ -276,7 +276,7 @@ def test_inject_corruption_rate_bounds():
 def test_inject_open_set_counts_balance_and_truth():
     ds = generate_synthetic(200, 4, seed=15)
     pool = generate_ood_source(150, seed=16)
-    out = inject_open_set(ds, pool, 0.4, seed=17)
+    out = inject_open_set(ds, pool.subset(pool_sources(150, 200, 0.4, seed=17)), 0.4, seed=17)
     hit = out.provenance == Provenance.OPEN_SET
     assert hit.sum() == 80
     # labels stay put even where the instance was swapped
@@ -292,7 +292,7 @@ def test_inject_open_set_counts_balance_and_truth():
 def test_inject_open_set_uses_distinct_pool_rows():
     ds = generate_synthetic(100, 4, seed=18)
     pool = generate_ood_source(60, seed=19)
-    out = inject_open_set(ds, pool, 0.5, seed=20)
+    out = inject_open_set(ds, pool.subset(pool_sources(60, 100, 0.5, seed=20)), 0.5, seed=20)
     hit = np.flatnonzero(out.provenance == Provenance.OPEN_SET)
     pool_rows = {tuple(row) for row in pool.X}
     seen = set()
@@ -307,33 +307,33 @@ def test_inject_open_set_uses_distinct_pool_rows():
 def test_inject_open_set_writes_drawn_rows_as_given(pool_size):
     ds = generate_synthetic(100, 4, seed=35)
     pool = generate_ood_source(pool_size, seed=36)
-    out = inject_open_set(ds, pool, 0.4, seed=37)
     drawn = pool.subset(pool_sources(pool_size, 100, 0.4, seed=37))
-    fast = inject_open_set(ds, drawn, 0.4, seed=37, drawn=True)
-    for name in ("X", "true_labels", "provenance"):
-        assert np.array_equal(getattr(fast, name), getattr(out, name))
+    out = inject_open_set(ds, drawn, 0.4, seed=37)
+    # the i-th drawn row lands in the i-th replaced instance
+    hit = np.flatnonzero(out.provenance == Provenance.OPEN_SET)
+    assert np.array_equal(out.X[hit], drawn.X)
     with pytest.raises(ContractError, match="40 replacement rows"):
-        inject_open_set(ds, pool.subset(np.arange(39)), 0.4, seed=37, drawn=True)
+        inject_open_set(ds, pool.subset(np.arange(39)), 0.4, seed=37)
 
 
 def test_inject_open_set_capacity_errors():
     ds = generate_synthetic(100, 4, seed=21)
-    small_pool = generate_ood_source(10, seed=22)
-    with pytest.raises(CapacityError, match="pool"):
-        inject_open_set(ds, small_pool, 0.5, seed=23)
+    with pytest.raises(CapacityError, match="pool holds 10"):
+        pool_sources(10, len(ds), 0.5, seed=23)
 
     lopsided = generate_synthetic(40, 4, seed=24)
     lopsided.given_labels[:] = 0
     lopsided.true_labels[:] = 0
     pool = generate_ood_source(40, seed=25)
     with pytest.raises(CapacityError, match="class"):
-        inject_open_set(lopsided, pool, 0.5, seed=26)
+        inject_open_set(lopsided, pool.subset(pool_sources(40, 40, 0.5, seed=26)), 0.5, seed=26)
 
 
 def test_apply_noise_dispatch():
     ds = generate_synthetic(40, 4, seed=27)
     pool = generate_ood_source(30, seed=28)
-    out = apply_noise(ds, "open_set", 0.25, SPEC, seed=29, pool=pool)
+    drawn = pool.subset(pool_sources(30, 40, 0.25, seed=29))
+    out = apply_noise(ds, "open_set", 0.25, SPEC, seed=29, pool=drawn)
     assert int(np.sum(out.provenance == Provenance.OPEN_SET)) == 10
     out2 = apply_noise(ds, "fog", 0.25, SPEC, seed=29)
     assert int(np.sum(out2.provenance == Provenance.CORRUPTED)) == 10
@@ -342,6 +342,12 @@ def test_apply_noise_dispatch():
     with pytest.raises(ParameterError, match="route"):
         apply_noise(ds, "saltpepper", 0.25, SPEC, seed=29)
     assert "open_set" in ALL_ROUTES and "fog" in ALL_ROUTES
+    # the whole pool is not the 10 rows pool_sources draws from it
+    with pytest.raises(ContractError, match="10 replacement rows, got 30"):
+        apply_noise(ds, "open_set", 0.25, SPEC, seed=29, pool=pool)
+    # a route name is apply_noise's input, not inject_corruption's
+    with pytest.raises(ParameterError, match="corruption kind 'fog'"):
+        inject_corruption(ds, "fog", 0.25, SPEC, seed=29)
 
 
 @settings(max_examples=25, deadline=None)

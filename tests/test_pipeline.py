@@ -17,7 +17,7 @@ from inscorr.data import (
 )
 from inscorr.errors import ConfigError, ContractError, NumericError
 from inscorr.nn import Adam, Model, ModelSpec
-from inscorr.noise import ALL_ROUTES, inject_open_set
+from inscorr.noise import ALL_ROUTES, inject_open_set, pool_sources
 from inscorr.pipeline import (
     AGREEMENT,
     INSCORR,
@@ -138,7 +138,8 @@ class TestPrepareData:
         cfg = tiny_config(noise_route="open_set", noise_rate=0.4, pool_size=pool_size)
         full = generate_synthetic(cfg.n_train, 4, 8, 8, seed=[cfg.seed_data, 0])
         pool = generate_ood_source(cfg.pool_size, 8, 8, seed=[cfg.seed_data, 2])
-        noisy = inject_open_set(full, pool, cfg.noise_rate, cfg.seed_noise)
+        sources = pool_sources(cfg.pool_size, cfg.n_train, cfg.noise_rate, cfg.seed_noise)
+        noisy = inject_open_set(full, pool.subset(sources), cfg.noise_rate, cfg.seed_noise)
         train, val = split_validation(noisy, cfg.val_fraction, seed=[cfg.seed_data, 3])
         test = generate_synthetic(cfg.n_test, 4, 8, 8, seed=[cfg.seed_data, 1])
         for got, want in zip(prepare_data(cfg), (train, val, test)):
