@@ -23,7 +23,7 @@ from .config import (
 )
 from .data import generate_ood_source, generate_synthetic
 from .errors import ContractError
-from .nn import Adam, Model, ModelSpec, cross_entropy
+from .nn import Adam, Model, ModelSpec, cross_entropy, make_optimizer
 from .noise import (
     KIND_NAMES,
     OPEN_SET,
@@ -39,13 +39,15 @@ from .pipeline import (
     MIX,
     SELECTION_ONLY,
     ExperimentConfig,
+    _mixed_epoch,
+    evaluate,
     last_ten_summary,
     mixed_loss,
+    partition_clean_mislabeled,
     prepare_data,
-    run_clean_partition_only,
     run_experiment,
 )
-from .select import SelectionSchedule, select_small_loss
+from .select import SelectionSchedule, select_small_loss, self_teach_epoch
 from .sweep import sweep
 
 ORDERING_SEEDS = (0, 1, 2, 3, 4)
@@ -253,6 +255,32 @@ def check_attack():
 # --- reductions --------------------------------------------------------
 
 
+def _clean_partition_only(cfg, data, on_epoch=None):
+    """The reductions oracle: selection warmup, then training on the clean
+    partition alone through the mixed-phase engine with no corrected set,
+    which a run whose corrected term has weight zero must match bit for
+    bit. Returns the model and each epoch's test accuracy."""
+    train, _, test = data
+    model = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
+    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
+    clean_idx = None
+    accuracies = []
+    for epoch in range(cfg.total_epochs):
+        rng = np.random.default_rng([cfg.seed_epochs, epoch])
+        if epoch < cfg.warmup_epochs:
+            self_teach_epoch(model, optimizer, train, cfg.schedule(), epoch, cfg.batch_size, rng)
+        else:
+            if clean_idx is None:
+                clean_idx, _ = partition_clean_mislabeled(
+                    model, train, cfg.partition_rule, cfg.tau)
+            _mixed_epoch(model, optimizer, train, clean_idx, None, None,
+                         1.0, cfg.batch_size, len(train), rng)
+        accuracies.append(evaluate(model, test))
+        if on_epoch is not None:
+            on_epoch(epoch, model)
+    return model, accuracies
+
+
 def _trajectory(run, cfg, data):
     hashes = []
 
@@ -283,7 +311,7 @@ def check_reductions():
     lam1 = dict(base, lam=1.0)
     a = _trajectory(run_experiment, ExperimentConfig(method=INSCORR, **lam1), data)
     b = _trajectory(run_experiment, ExperimentConfig(method=MIX, **lam1), data)
-    c = _trajectory(run_clean_partition_only, ExperimentConfig(method=INSCORR, **lam1), data)
+    c = _trajectory(_clean_partition_only, ExperimentConfig(method=INSCORR, **lam1), data)
     if not (a == b == c):
         return False, "weight-1 runs diverged from clean-partition training"
 

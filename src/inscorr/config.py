@@ -2,9 +2,10 @@
 
 A config is a nested dict with the sections below. Unknown keys are
 rejected by their dotted path, and so is a value whose type differs from
-its default's (an integer may stand for a float; a float must be finite)
-or that breaks a rule of _RULES, alone or, in _CROSS_RULES, against the
-keys it is tied to.
+its default's (an integer may stand for a float; a number that stands for
+a float must be finite; an integer must fit in 64 bits unless it is a
+seed) or that breaks a rule of _RULES, alone or, in _CROSS_RULES, against
+the keys it is tied to.
 This module is the only place that states a value's allowed range:
 to_experiment_config checks every key before it builds the runnable
 dataclasses, which trust their fields and only derive defaults.
@@ -24,7 +25,7 @@ defaults were spelled out.
 import copy
 import hashlib
 import json
-import math
+import sys
 
 from .attack import L2, LINF, AttackConfig
 from .data import check_pool_margins
@@ -162,20 +163,28 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _expected(value, default):
+def _is_int64(value):
+    return _is_int(value) and -2**63 <= value < 2**63
+
+
+def _expected(value, default, dotted):
     """What value should have been, or None if it may stand for default."""
     if isinstance(default, bool):
         return None if isinstance(value, bool) else "true or false"
     if isinstance(default, int):
-        return None if _is_int(value) else "an integer"
+        if dotted.startswith("seeds."):
+            # a seed only feeds numpy's seed sequence, which takes any size
+            return None if _is_int(value) else "an integer"
+        return None if _is_int64(value) else "an integer that fits in 64 bits"
     if isinstance(default, float):
-        if isinstance(value, float):
-            return None if math.isfinite(value) else "a finite number"
-        return None if _is_int(value) else "a number"
+        if not (_is_int(value) or isinstance(value, float)):
+            return "a number"
+        # false for inf, NaN and an integer past the float range
+        return None if abs(value) <= sys.float_info.max else "a finite number"
     if isinstance(default, str):
         return None if isinstance(value, str) else "a string"
-    ok = isinstance(value, (list, tuple)) and all(_is_int(v) for v in value)
-    return None if ok else "a list of integers"
+    ok = isinstance(value, (list, tuple)) and all(_is_int64(v) for v in value)
+    return None if ok else "a list of integers that fit in 64 bits"
 
 
 def _check_types(cfg, schema=DEFAULT_CONFIG, path=""):
@@ -193,7 +202,7 @@ def _check_types(cfg, schema=DEFAULT_CONFIG, path=""):
             if value is None:
                 continue
             default = _NULLABLE[dotted]
-        expected = _expected(value, default)
+        expected = _expected(value, default, dotted)
         if expected is not None:
             raise ConfigError(f"config key {dotted} must be {expected}, got {value!r}")
 
@@ -234,7 +243,7 @@ def load_config(path=None):
         raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         user = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer past the digit limit
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"{path} must hold a JSON object")
@@ -255,7 +264,7 @@ def apply_overrides(cfg, assignments):
         dotted, raw = item.split("=", 1)
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer past the digit limit
             value = raw
         parts = dotted.split(".")
         node, schema = cfg, DEFAULT_CONFIG

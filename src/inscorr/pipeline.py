@@ -7,7 +7,8 @@ Three methods share one engine:
   * inscorr: selection warmup for the first warmup_epochs epochs; then a
     one-time split of the training set into clean and mislabeled parts,
     targeted correction of the mislabeled instances toward their given
-    labels, and retraining on a weighted mix of both parts.
+    labels, and further training of the same model on a weighted mix of
+    both parts.
   * mix: identical, except the mislabeled instances enter the mix
     unmodified.
 
@@ -402,46 +403,3 @@ def _copy_state(model, optimizer, metrics):
     # an epoch's records are never changed once appended, so the list is
     # copied but its entries are shared
     return model.clone(), optimizer.clone(), list(metrics)
-
-
-def run_clean_partition_only(cfg, data=None, on_epoch=None):
-    """Reduction target: after warmup, train on the clean partition alone.
-
-    Shares the mixed-phase engine with no corrected set, so a run whose
-    corrected term has weight zero must match it bit for bit.
-    """
-    train, val, test = data if data is not None else prepare_data(cfg)
-    model = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
-    optimizer = make_optimizer(cfg.optimizer, cfg.lr)
-    schedule = cfg.schedule()
-    clean_idx = None
-    metrics = []
-    for epoch in range(cfg.total_epochs):
-        precision = None
-        rng = np.random.default_rng([cfg.seed_epochs, epoch])
-        if epoch >= cfg.warmup_epochs:
-            if clean_idx is None:
-                clean_idx, _ = partition_clean_mislabeled(
-                    model, train, cfg.partition_rule, cfg.tau
-                )
-            train_loss = _mixed_epoch(
-                model, optimizer, train, clean_idx, None, None,
-                1.0, cfg.batch_size, len(train), rng,
-            )
-        else:
-            stats = self_teach_epoch(
-                model, optimizer, train, schedule, epoch, cfg.batch_size, rng
-            )
-            train_loss = stats.mean_loss
-            precision = stats.precision
-        metrics.append(EpochMetrics(
-            epoch=epoch,
-            train_loss=train_loss,
-            val_accuracy=accuracy_on_given(model, val),
-            test_accuracy=evaluate(model, test),
-            selection_precision=precision,
-        ))
-        if on_epoch is not None:
-            on_epoch(epoch, model)
-    return RunResult(model, optimizer, metrics)
-

@@ -1,288 +1,10 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Placeholder left where the autodiff graph was; no module in src/ imports it.
 
-A Tensor wraps an ndarray and remembers how it was produced. Calling
-backward() on a scalar result walks the graph once in reverse
-topological order and accumulates dresult/dnode into node.grad for every
-node created with requires_grad=True. Gradients accumulate across
-backward() calls; callers zero them explicitly between steps.
-
-Supported broadcasting is deliberately narrow: elementwise ops require
-equal shapes, addition also accepts a Python float or a 1-D bias
-broadcast over the rows of a 2-D tensor. Anything else raises
-DimensionError naming both shapes.
-"""
-
-import numpy as np
-
-from . import kernels
-from .errors import ContractError, DimensionError, LabelError
+perfbench/layers.py imports inscorr.tensor and wraps Tensor.backward, which
+nothing calls (tensor.backward_calls is always 0), like kernels.BACKEND and
+warmup(); this module goes with the benchmark's tensor.* metrics."""
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
-
-    def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
-
-    def _accum(self, value):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += value
-
-    # -- graph construction helpers ------------------------------------
-
-    @staticmethod
-    def _child(data, parents, backward):
-        out = Tensor(data)
-        out.requires_grad = any(p.requires_grad for p in parents)
-        if out.requires_grad:
-            out._parents = parents
-            out._backward = backward
-        return out
-
-    # -- operations -----------------------------------------------------
-
-    def matmul(self, other):
-        a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise DimensionError(
-                f"matmul: left shape {a.shape} incompatible with right shape {b.shape}"
-            )
-        out_data = a @ b
-
-        def backward(out):
-            g = out.grad
-            if self.requires_grad:
-                self._accum(g @ b.T)
-            if other.requires_grad:
-                other._accum(a.T @ g)
-
-        return self._child(out_data, (self, other), backward)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
-
-    def add(self, other):
-        if not isinstance(other, Tensor):
-            val = float(other)
-            out_data = self.data + val
-
-            def backward_const(out):
-                if self.requires_grad:
-                    self._accum(out.grad)
-
-            return self._child(out_data, (self,), backward_const)
-
-        a, b = self.data, other.data
-        if a.shape == b.shape:
-            bias_rows = False
-        elif a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[1]:
-            bias_rows = True
-        else:
-            raise DimensionError(
-                f"add: shape {a.shape} incompatible with shape {b.shape}"
-            )
-        out_data = a + b
-
-        def backward(out):
-            g = out.grad
-            if self.requires_grad:
-                self._accum(g)
-            if other.requires_grad:
-                other._accum(g.sum(axis=0) if bias_rows else g)
-
-        return self._child(out_data, (self, other), backward)
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __neg__(self):
-        def backward(out):
-            if self.requires_grad:
-                self._accum(-out.grad)
-
-        return self._child(-self.data, (self,), backward)
-
-    def sub(self, other):
-        if not isinstance(other, Tensor):
-            return self.add(-float(other))
-        return self.add(other.__neg__())
-
-    def __sub__(self, other):
-        return self.sub(other)
-
-    def mul(self, other):
-        if not isinstance(other, Tensor):
-            val = float(other)
-            out_data = self.data * val
-
-            def backward_const(out):
-                if self.requires_grad:
-                    self._accum(out.grad * val)
-
-            return self._child(out_data, (self,), backward_const)
-
-        a, b = self.data, other.data
-        if a.shape != b.shape:
-            raise DimensionError(
-                f"mul: shape {a.shape} incompatible with shape {b.shape}"
-            )
-        out_data = a * b
-
-        def backward(out):
-            g = out.grad
-            if self.requires_grad:
-                self._accum(g * b)
-            if other.requires_grad:
-                other._accum(g * a)
-
-        return self._child(out_data, (self, other), backward)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def __rmul__(self, other):
-        return self.mul(other)
-
-    def relu(self):
-        # subgradient at 0 is 0
-        mask = self.data > 0.0
-        out_data = np.where(mask, self.data, 0.0)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(out.grad * mask)
-
-        return self._child(out_data, (self,), backward)
-
-    def sum(self):
-        out_data = np.asarray(self.data.sum())
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(np.broadcast_to(out.grad, self.data.shape))
-
-        return self._child(out_data, (self,), backward)
-
-    def mean(self):
-        n = self.data.size
-        out_data = np.asarray(self.data.sum() / n)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(np.broadcast_to(out.grad / n, self.data.shape))
-
-        return self._child(out_data, (self,), backward)
-
-    def gather_rows(self, indices):
-        idx = np.asarray(indices)
-        if self.data.ndim != 2:
-            raise DimensionError(
-                f"gather_rows: expected a 2-D tensor, got shape {self.data.shape}"
-            )
-        if idx.ndim != 1:
-            raise DimensionError(
-                f"gather_rows: expected 1-D indices, got shape {idx.shape}"
-            )
-        n = self.data.shape[0]
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise DimensionError(
-                f"gather_rows: index out of range for {n} rows"
-            )
-        out_data = self.data[idx]
-
-        def backward(out):
-            if self.requires_grad:
-                if self.grad is None:
-                    self.grad = np.zeros_like(self.data)
-                np.add.at(self.grad, idx, out.grad)
-
-        return self._child(out_data, (self,), backward)
-
-    def softmax_cross_entropy(self, labels):
-        """Per-example cross entropy of a softmax over the last axis.
-
-        Fused forward/backward via the kernel backend; returns a 1-D
-        tensor of losses, one per row of logits.
-        """
-        if self.data.ndim != 2:
-            raise DimensionError(
-                f"softmax_cross_entropy: expected 2-D logits, got shape {self.data.shape}"
-            )
-        b, c = self.data.shape
-        lab = np.asarray(labels, dtype=np.int64)
-        if lab.shape != (b,):
-            raise DimensionError(
-                f"softmax_cross_entropy: labels shape {lab.shape} does not match batch {b}"
-            )
-        bad = (lab < 0) | (lab >= c)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise LabelError(
-                f"label {int(lab[i])} at index {i} outside [0, {c})"
-            )
-        losses, probs = kernels.softmax_xent(np.ascontiguousarray(self.data), lab)
-
-        def backward(out):
-            if self.requires_grad:
-                self._accum(kernels.xent_backward(probs, lab, out.grad))
-
-        return self._child(losses, (self,), backward)
-
-    # -- reverse pass ----------------------------------------------------
-
-    def backward(self, seed=None):
-        """Accumulate gradients of this tensor into the graph.
-
-        Without a seed the tensor must hold a single element. The walk
-        is iterative, so graph depth is not limited by Python recursion.
-        """
-        if seed is None:
-            if self.data.size != 1:
-                raise ContractError(
-                    f"backward() without seed requires a scalar, got shape {self.data.shape}"
-                )
-            seed = np.ones_like(self.data)
-        else:
-            seed = np.asarray(seed, dtype=np.float64)
-            if seed.shape != self.data.shape:
-                raise DimensionError(
-                    f"backward seed shape {seed.shape} does not match tensor shape {self.data.shape}"
-                )
-        if not self.requires_grad:
-            raise ContractError("backward() on a tensor that does not require grad")
-
-        topo = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-
-        self._accum(seed)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node)
+    def backward(self):
+        """Never called: Model.backward is the one gradient path."""

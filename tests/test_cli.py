@@ -216,10 +216,23 @@ def test_a_non_finite_number_fails_by_key(tmp_path, capsys, verb, text, key):
 
 
 @pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("key,rule", [
+    ("model.lr", "a finite number"),
+    ("data.n_train", "an integer that fits in 64 bits"),
+    ("data.n_test", "an integer that fits in 64 bits"),
+])
+def test_a_huge_integer_fails_by_key(tmp_path, capsys, verb, key, rule):
+    assert_fails_by_name(verb, tmp_path / "out", ["--set", f"{key}={10**400}"],
+                         f"config key {key} must be {rule}, got {10**400}", capsys)
+
+
+@pytest.mark.parametrize("verb", VERBS)
 @pytest.mark.parametrize("name,content,message", [pytest.param(*case, id=case[0]) for case in (
     ("missing", None, "cannot read config file PATH: No such file or directory"),
     ("directory", "dir", "cannot read config file PATH: Is a directory"),
     ("latin1", b'{"method": "Mix\xe9"}', "PATH is not UTF-8 text"),
+    # past Python's 4300-digit limit on integer parsing
+    ("digits", b'{"seeds": {"data": 1' + b"0" * 5000 + b"}}", "PATH is not valid JSON"),
     ("section", b'{"model": {"lr": {"x": 1}}}',
      "config key model.lr must be a number, got {'x': 1}"),
     # an empty section used to leave the default lr in place

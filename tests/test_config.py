@@ -208,6 +208,10 @@ def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
     ("model.hidden=[64.5]", "model.hidden"),
     ("noise.route=3", "noise.route"),
     ("seeds.data=null", "seeds.data"),
+    # integers past the float range or past int64
+    *(pytest.param(f"{key}={value}", key, id=f"{key}-huge") for key, value in (
+        ("model.lr", 10**400), ("data.n_train", 10**400), ("data.n_test", 10**400),
+        ("data.pool_size", 2**63), ("model.hidden", [2**63]), ("seeds.data", "1" + "0" * 5000))),
 ])
 def test_resolve_rejects_ill_typed_values_by_key(override, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -228,10 +232,13 @@ def test_dataclass_defaults_match_default_config():
 
 
 def test_resolve_accepts_integers_for_numbers():
+    # seeds feed numpy's seed sequence, which takes an integer of any size
     out = resolve_config(apply_overrides(load_config(), [
-        "training.lambda=1", "attack.step_size=1", "selection.tau=0",
+        "training.lambda=1", "attack.step_size=1", "selection.tau=0", f"model.lr={2**1000}",
+        f"data.n_test={2**63 - 1}", f"seeds.data={10**400}",
     ]))
     assert out["training"]["lambda"] == 1 and out["attack"]["step_size"] == 1
+    assert out["data"]["n_test"] == 2**63 - 1 and out["seeds"]["data"] == 10**400
 
 
 def test_resolved_config_round_trips_through_json():

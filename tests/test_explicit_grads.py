@@ -1,20 +1,20 @@
-"""The explicit relu-MLP backward against the reverse-mode Tensor graph.
+"""Model.backward against a numpy reference backward, bit for bit.
 
-The graph in inscorr.tensor is the reference: the same network built
-from Tensor ops, each parameter a Tensor over the model's view of it,
-must give bit-identical parameter and input gradients for a full batch,
-for a kept subset of a batch that reuses the batch's forward pass, and
-for the two-term mixed loss, where a weight of 1.0 or 0.0 drops a term.
-The graph's per-parameter gradients are compared in the flat order of
-Model.grad.
+The reference runs the relu MLP's forward graph and its chain rule layer
+by layer in plain numpy, sharing only the softmax kernel. The two must
+agree on parameter and input gradients for a full batch, for a kept
+subset of a batch that reuses the batch's forward pass, and for the
+two-term mixed loss, where a weight of 1.0 or 0.0 drops a term.
+acceptance.check_gradients checks the same gradients against finite
+differences.
 """
 
 import numpy as np
 import pytest
 
+from inscorr.kernels import softmax_xent
 from inscorr.nn import Model, ModelSpec, cross_entropy
 from inscorr.pipeline import mixed_loss
-from inscorr.tensor import Tensor
 
 SEEDS = range(12)
 
@@ -33,34 +33,27 @@ def random_case(seed):
     return rng, model, x, y
 
 
-def graph_parameters(model):
-    """A Tensor over each of the model's parameter views, W then b per layer."""
-    return [Tensor(p, requires_grad=True)
-            for pair in zip(model.weights, model.biases) for p in pair]
-
-
-def graph_logits(params, x):
-    """The relu MLP as a Tensor graph over params (from graph_parameters)."""
-    h = x
-    last = len(params) // 2 - 1
-    for i in range(last + 1):
-        h = h @ params[2 * i] + params[2 * i + 1]
-        if i != last:
-            h = h.relu()
-    return h
-
-
-def flat_grad(params):
-    """The graph's parameter gradients in Model.grad's flat order."""
-    return np.concatenate([p.grad.ravel() for p in params])
-
-
-def graph_grads(model, x, y):
-    """(flat parameter grad, input grad) of the mean loss, through the graph."""
-    params = graph_parameters(model)
-    xt = Tensor(x, requires_grad=True)
-    graph_logits(params, xt).softmax_cross_entropy(y).mean().backward()
-    return flat_grad(params), xt.grad
+def reference_grads(model, x, y, weight=1.0):
+    """(loss, flat parameter grad, input grad) of weight * the mean loss
+    over the rows of x, by its own forward pass and chain rule."""
+    ws, bs = model.weights, model.biases
+    hs = [x]
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        z = hs[-1] @ w + b
+        hs.append(z if i == len(ws) - 1 else np.where(z > 0.0, z, 0.0))
+    losses, probs = softmax_xent(hs[-1], y)
+    n = len(y)
+    dloss = np.full(n, weight / n)
+    g = probs * dloss[:, None]
+    g[np.arange(n), y] -= dloss
+    grads = []
+    for i in reversed(range(len(ws))):
+        grads[:0] = [hs[i].T @ g, g.sum(axis=0)]
+        g = g @ ws[i].T
+        if i:
+            g = g * (hs[i] > 0.0)
+    flat = np.concatenate([p.ravel() for p in grads])
+    return float(losses.sum() / n * weight), flat, g
 
 
 def explicit_grads(model, outputs, probs, y):
@@ -81,19 +74,19 @@ def test_full_batch_matches_graph(seed):
     outputs = model.forward(x)
     _, probs = cross_entropy(outputs[-1], y)
     grad, grad_x = explicit_grads(model, outputs, probs, y)
-    want, want_x = graph_grads(model, x, y)
+    _, want, want_x = reference_grads(model, x, y)
     assert np.array_equal(grad, want)
     assert np.array_equal(grad_x, want_x)
 
 
-def kept_rows_case(rng, model, x, y, kept):
-    """Explicit grads on the kept rows of the batch forward, the graph's
+def kept_rows_case(model, x, y, kept):
+    """Explicit grads on the kept rows of the batch forward, the reference
     grads on a forward of those rows alone, and whether the two forwards
     agree on those rows bit for bit."""
     outputs = model.forward(x)
-    losses, probs = cross_entropy(outputs[-1], y)
+    _, probs = cross_entropy(outputs[-1], y)
     got = explicit_grads(model, [h[kept] for h in outputs[:-1]], probs[kept], y[kept])
-    want = graph_grads(model, x[kept], y[kept])
+    want = reference_grads(model, x[kept], y[kept])[1:]
     alone = model.forward(x[kept])
     same_forward = all(np.array_equal(h[kept], a) for h, a in zip(outputs, alone))
     return got, want, same_forward
@@ -111,7 +104,7 @@ def test_kept_rows_match_graph_bitwise_at_training_shapes(seed, rows, keep):
     x = rng.uniform(0.0, 1.0, (rows, 256))
     y = rng.integers(0, 4, rows).astype(np.int64)
     kept = np.sort(rng.choice(rows, size=int(np.ceil(keep * rows)), replace=False))
-    (grad, grad_x), (want, want_x), same_forward = kept_rows_case(rng, model, x, y, kept)
+    (grad, grad_x), (want, want_x), same_forward = kept_rows_case(model, x, y, kept)
     assert same_forward
     assert np.array_equal(grad, want)
     assert np.array_equal(grad_x, want_x)
@@ -126,24 +119,13 @@ def test_kept_rows_of_batch_forward_match_graph_on_those_rows(seed):
     rng, model, x, y = random_case(seed)
     kept = np.sort(rng.choice(len(x), size=int(rng.integers(1, len(x) + 1)),
                               replace=False))
-    (grad, grad_x), (want, want_x), same_forward = kept_rows_case(rng, model, x, y, kept)
+    (grad, grad_x), (want, want_x), same_forward = kept_rows_case(model, x, y, kept)
     if same_forward:
         assert np.array_equal(grad, want)
         assert np.array_equal(grad_x, want_x)
     else:
         for a, b in ((grad, want), (grad_x, want_x)):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
-
-
-def graph_mixed_loss(params, cx, cy, rx, ry, lam):
-    """The mixed loss as one graph scalar, zero-weight terms left out."""
-    total = None
-    if lam != 0.0:
-        total = graph_logits(params, Tensor(cx)).softmax_cross_entropy(cy).mean() * lam
-    if lam != 1.0:
-        term = graph_logits(params, Tensor(rx)).softmax_cross_entropy(ry).mean() * (1.0 - lam)
-        total = term if total is None else total + term
-    return total
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -156,8 +138,11 @@ def test_mixed_loss_matches_graph(seed, lam):
     model.zero_grads()
     got = mixed_loss(model, x, y, rx, ry, lam)
 
-    params = graph_parameters(model)
-    total = graph_mixed_loss(params, x, y, rx, ry, lam)
-    total.backward()
-    assert got == float(total.data)
-    assert np.array_equal(model.grad, flat_grad(params))
+    # the reference sum of both terms, a zero-weight term left out
+    want = want_grad = 0.0
+    for xs, ys, weight in ((x, y, lam), (rx, ry, 1.0 - lam)):
+        if weight != 0.0:
+            loss, grad, _ = reference_grads(model, xs, ys, weight)
+            want, want_grad = want + loss, want_grad + grad
+    assert got == want
+    assert np.array_equal(model.grad, want_grad)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inscorr import kernels as K
 
-from helpers import softmax_rows
+from helpers import fd_gradient, max_rel_error, softmax_rows
 
 
 def _xent_backward_loop(probs, labels, gout):
@@ -108,6 +110,38 @@ def test_xent_backward_matches_loop_oracle():
     gout = rng.normal(size=16)
     assert np.array_equal(K.xent_backward(probs, labels, gout),
                           _xent_backward_loop(probs, labels, gout))
+
+
+def _xent_grad(logits, labels, gout):
+    """d(sum_i gout[i] * loss_i)/dlogits through the two kernels."""
+    _, probs = K.softmax_xent(logits, labels)
+    return K.xent_backward(probs, labels, gout)
+
+
+def test_xent_grad_vs_fd():
+    rng = np.random.default_rng(5)
+    z0 = rng.normal(size=(4, 3))
+    labels = np.array([0, 2, 1, 1])
+
+    def f(x):
+        p = softmax_rows(x)
+        return float(np.mean(-np.log(p[np.arange(4), labels])))
+
+    grad = _xent_grad(z0, labels, np.full(4, 0.25))
+    assert max_rel_error(grad, fd_gradient(f, z0)) < 1e-7
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.integers(1, 6), c=st.integers(2, 5), data=st.data())
+def test_property_xent_grad_matches_closed_form(b, c, data):
+    # the gradient of the summed loss is softmax - one-hot
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    z0 = rng.normal(scale=2.0, size=(b, c))
+    labels = rng.integers(0, c, size=b)
+    expected = softmax_rows(z0)
+    expected[np.arange(b), labels] -= 1.0
+    assert np.allclose(_xent_grad(z0, labels, np.ones(b)), expected,
+                       rtol=1e-11, atol=1e-13)
 
 
 def test_adam_update_matches_loop_oracle():

@@ -10,6 +10,7 @@ from inscorr.errors import (
     ContractError,
     DimensionError,
     FormatError,
+    LabelError,
     TruncatedError,
     VersionError,
 )
@@ -116,6 +117,23 @@ def test_forward_non_trainable_leaves_param_grads_alone():
     grad_x = model.backward(outputs, probs, labels, np.full(4, 0.25), input_grad=True)
     assert grad_x is not None and grad_x.shape == (4, 8)
     assert model.grad is None
+
+
+def test_cross_entropy_label_out_of_range():
+    with pytest.raises(LabelError, match=r"label 3 at index 1 outside \[0, 3\)"):
+        cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+    with pytest.raises(LabelError, match=r"label -1 at index 0 outside \[0, 3\)"):
+        cross_entropy(np.zeros((2, 3)), np.array([-1, 0]))
+
+
+@pytest.mark.parametrize("shape,labels,message", [
+    ((2, 3), [0, 1, 2], r"labels shape \(3,\) does not match batch 2"),
+    ((2, 3), [[0], [1]], r"labels shape \(2, 1\) does not match batch 2"),
+    ((3,), [0], r"expected 2-D logits, got shape \(3,\)"),
+], ids=["labels-longer", "labels-2d", "logits-1d"])
+def test_cross_entropy_shape_errors(shape, labels, message):
+    with pytest.raises(DimensionError, match=message):
+        cross_entropy(np.zeros(shape), labels)
 
 
 def test_sgd_step_moves_against_gradient():

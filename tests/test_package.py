@@ -1,5 +1,6 @@
 """The package root is light: importing it loads none of its modules, and
-no module outside inscorr.tensor's own tests loads the autodiff graph."""
+no module in src/ loads inscorr.tensor, the stub left where the autodiff
+graph was (only the benchmark's tracer imports it)."""
 
 import json
 import os

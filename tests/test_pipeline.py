@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inscorr.acceptance import _clean_partition_only
 from inscorr.attack import AttackConfig
 from inscorr.data import (
     NO_LABEL,
@@ -33,7 +34,6 @@ from inscorr.pipeline import (
     mixed_loss,
     partition_clean_mislabeled,
     prepare_data,
-    run_clean_partition_only,
     run_experiment,
 )
 
@@ -403,15 +403,12 @@ class TestReductions:
 
     def test_lambda_one_collapses_all_methods(self):
         data = prepare_data(tiny_config())
-        runs = [
-            run_experiment(tiny_config(method=INSCORR, lam=1.0), data=data),
-            run_experiment(tiny_config(method=MIX, lam=1.0), data=data),
-            run_clean_partition_only(tiny_config(lam=1.0), data=data),
-        ]
-        for res in runs[1:]:
-            assert np.array_equal(runs[0].model.flat, res.model.flat)
-        assert [m.test_accuracy for m in runs[0].metrics] == \
-            [m.test_accuracy for m in runs[2].metrics]
+        ins = run_experiment(tiny_config(method=INSCORR, lam=1.0), data=data)
+        mix = run_experiment(tiny_config(method=MIX, lam=1.0), data=data)
+        model, accuracies = _clean_partition_only(tiny_config(lam=1.0), data=data)
+        assert np.array_equal(ins.model.flat, mix.model.flat)
+        assert np.array_equal(ins.model.flat, model.flat)
+        assert [m.test_accuracy for m in ins.metrics] == accuracies
 
     def test_mix_and_inscorr_diverge_when_lambda_below_one(self):
         data = prepare_data(tiny_config())
