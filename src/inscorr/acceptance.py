@@ -7,6 +7,7 @@ module, which pins the thresholds and runtime budgets used here.
 """
 
 import math
+import os
 import tempfile
 import time
 from pathlib import Path
@@ -188,7 +189,10 @@ def check_ordering():
     cells += [_ordering_config(OPEN_SET, SELECTION_ONLY),
               _ordering_config(OPEN_SET, MIX, lam=0.7)]
     base = apply_overrides(load_config(), _ORDERING_BASE)
-    results, failures = sweep(base, cells, ORDERING_SEEDS, _ordering_run)
+    # workers fork after numpy loads, so they keep the process's BLAS
+    # threads: one each under the CLI's default (see cli)
+    results, failures = sweep(base, cells, ORDERING_SEEDS, _ordering_run,
+                              workers=min(2, os.cpu_count() or 1))
     if failures:
         return False, f"{len(failures)} runs failed, first: {failures[0][2]}"
     means = [result.mean for result in results]

@@ -19,6 +19,12 @@ rounding of batched matmuls:
     every row is then clamped to [0, 1];
   * a row whose gradient turns non-finite leaves the batch and comes
     back unperturbed with the error; the other rows go on.
+
+Beside the caller's (m, d) instances (copied only when some row is
+rejected), a call holds four arrays of that size: the perturbation
+delta, the best iterate, one buffer for the perturbed inputs the model
+sees, and the input gradient. The corrected rows are formed in the
+best-iterate buffer, so each result's corrected is a view into it.
 """
 
 from dataclasses import dataclass
@@ -101,19 +107,23 @@ def _unperturbed(x, error):
 def _correct_rows(model, x, targets, delta, cfg):
     """Batched PGD over the rows of x from the starts delta; one result per row.
 
-    delta is updated in place, so the working set stays a few (m, d) arrays.
+    delta is updated in place, and the perturbed inputs are written into
+    one buffer, so the working set is delta, the best iterate, that
+    buffer and the gradient.
     """
     m = len(x)
     best_delta = delta.copy()
     best_loss = np.full(m, np.inf)
     best_iter = np.zeros(m, dtype=np.int64)
     failed = np.zeros(m, dtype=bool)
+    inputs = np.empty_like(x)
     rows = np.arange(m)  # positions in x of the rows still attacked
     xs, ts = x, targets
     for k in range(cfg.steps + 1):
         if not len(rows):
             break
-        loss, grad = _losses_and_grads(model, xs + delta, ts)
+        loss, grad = _losses_and_grads(
+            model, np.add(xs, delta, out=inputs[:len(rows)]), ts)
         finite = np.isfinite(grad).all(axis=1)
         if not finite.all():
             failed[rows[~finite]] = True
@@ -122,7 +132,10 @@ def _correct_rows(model, x, targets, delta, cfg):
             )
         better = loss < best_loss[rows]
         best_loss[rows[better]] = loss[better]
-        best_delta[rows[better]] = delta[better]
+        if len(rows) == m:  # no row has failed, so rows is arange(m)
+            np.copyto(best_delta, delta, where=better[:, None])
+        else:
+            best_delta[rows[better]] = delta[better]
         best_iter[rows[better]] = k
         if k == cfg.steps:
             break
@@ -132,15 +145,20 @@ def _correct_rows(model, x, targets, delta, cfg):
             step = grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-12)
         step *= cfg.step_size
         delta -= step
+        # free the gradient before the next backward allocates its own
+        del step, grad
         _project(delta, cfg)
         # keep the perturbed inputs valid; clamping only shrinks delta
         np.add(xs, delta, out=delta)
         np.clip(delta, 0.0, 1.0, out=delta)
         delta -= xs
 
-    corrected = x + best_delta
-    success = np.zeros(m, dtype=bool)
-    success[rows] = model.predict(corrected[rows]) == targets[rows]
+    corrected = np.add(x, best_delta, out=best_delta)
+    if len(rows) == m:
+        success = model.predict(corrected) == targets
+    else:
+        success = np.zeros(m, dtype=bool)
+        success[rows] = model.predict(corrected[rows]) == targets[rows]
     return [
         _unperturbed(x[i], NON_FINITE) if failed[i] else CorrectionResult(
             corrected[i], float(best_loss[i]), bool(success[i]), int(best_iter[i]))
@@ -178,7 +196,8 @@ def correct_set(model, instances, targets, cfg, seed=None):
     valid = np.flatnonzero(~bad)
     if not valid.size:
         return results
-    x = instances[valid]
+    # no copy of the instances when every row is valid and in C order
+    x = np.ascontiguousarray(instances if valid.size == len(instances) else instances[valid])
     delta = _starts(x, cfg, seed, valid)
     batch = _correct_rows(model, x, targets[valid].astype(np.int64), delta, cfg)
     for j, result in zip(valid, batch):

@@ -5,7 +5,8 @@ rejected by their dotted path, and so is a value whose type differs from
 its default's (an integer may stand for a float; a number that stands for
 a float must be finite; an integer must fit in 64 bits unless it is a
 seed) or that breaks a rule of _RULES, alone or, in _CROSS_RULES, against
-the keys it is tied to.
+the keys it is tied to (a count of image rows must leave its arrays small
+enough for numpy to make).
 This module is the only place that states a value's allowed range:
 to_experiment_config checks every key before it builds the runnable
 dataclasses, which trust their fields and only derive defaults.
@@ -129,9 +130,20 @@ _RULES = (
 )
 
 
+def _fits_arrays(key):
+    """The rule that float64 arrays of data.<key> rows of data.height x
+    data.width pixels stay under numpy's limit of 2**63 bytes an array."""
+    dotted = f"data.{key}"
+    return (dotted,
+            lambda c: c["data"][key] * c["data"]["height"] * c["data"]["width"] * 8 < 2**63,
+            "keep its arrays under 2**63 bytes"
+            f" ({dotted} x data.height x data.width x 8)")
+
+
 # rules that tie a key to others, in the same form except that the test
 # takes the whole config; checked once every key holds its own rule
 _CROSS_RULES = (
+    *map(_fits_arrays, ("n_train", "n_test", "pool_size")),
     ("training.refresh_correction",
      lambda c: not c["training"]["refresh_correction"] or c["method"] == INSCORR,
      f"be false unless method is {INSCORR}"),

@@ -308,17 +308,15 @@ def _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y, lam,
 
 def _build_corrected(cfg, model, train, noisy_idx, epoch):
     """The mislabeled side of the mix: attacked for inscorr, raw for mix."""
-    xs = train.X[noisy_idx]
+    xs = train.X[noisy_idx]  # a gather, so already a copy of the rows
     ys = train.given_labels[noisy_idx]
     if cfg.method == MIX:
-        return xs.copy(), ys, None
+        return xs, ys, None
     results = correct_set(
         model, xs, ys, cfg.attack,
         seed=[cfg.seed_noise, 4, epoch] if cfg.attack.random_start else None,
     )
-    corrected = (
-        np.stack([r.corrected for r in results]) if results else xs.copy()
-    )
+    corrected = np.stack([r.corrected for r in results]) if results else xs
     success = float(np.mean([r.success for r in results])) if results else None
     return corrected, ys, success
 

@@ -1,4 +1,9 @@
 import os
 import sys
 
+# the inscorr CLI's BLAS default, set before any test module loads numpy,
+# so sweep workers forked by the tests run one BLAS thread each
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
 sys.path.insert(0, os.path.dirname(__file__))

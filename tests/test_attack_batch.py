@@ -1,10 +1,12 @@
 """Batched correction: every row of a call behaves as if attacked alone."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from inscorr.attack import L2, LINF, AttackConfig, CorrectionResult, correct_set
-from inscorr.nn import cross_entropy
+from inscorr.nn import Model, ModelSpec, cross_entropy
 
 from test_attack import small_trained_model
 
@@ -131,3 +133,20 @@ def test_nan_pixel_rejected(random_start):
     assert not results[1].success and np.isnan(results[1].corrected[3])
     for b, a in zip(results[::2], reference_rows(model, xs, targets, cfg, (0, 2))):
         assert_same(b, a)
+
+
+def test_working_set_stays_within_five_inputs():
+    # delta, best iterate, perturbed-input buffer and gradient are four
+    # (m, d) arrays; the hidden activations and masks add well under one
+    m, d = 500, 256
+    model = Model.init(ModelSpec(d, (64,), 4), seed=[36])
+    xs = np.random.default_rng(37).uniform(0.0, 1.0, (m, d))
+    targets = np.arange(m) % 4
+    tracemalloc.start()
+    try:
+        results = correct_set(model, xs, targets, AttackConfig(steps=40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == m and all(r.error is None for r in results)
+    assert peak <= 5 * xs.nbytes

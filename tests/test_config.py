@@ -193,6 +193,12 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("data.pool_size=799", "data.pool_size"),
     # round(0.95 * 10) = 10 validation rows leave none to train on
     ("data.val_fraction=0.95 data.n_train=10", "data.val_fraction"),
+    # numpy makes no array of 2**63 bytes: at 16 x 16 float64 pixels a row,
+    # that is 2**52 rows
+    (f"data.n_train={2**52}", "data.n_train"),
+    (f"data.n_test={2**62}", "data.n_test"),
+    (f"data.pool_size={2**52}", "data.pool_size"),
+    (f"data.height={2**62}", "data.n_train"),
 ])
 def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
     with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + " must "):
@@ -235,10 +241,11 @@ def test_resolve_accepts_integers_for_numbers():
     # seeds feed numpy's seed sequence, which takes an integer of any size
     out = resolve_config(apply_overrides(load_config(), [
         "training.lambda=1", "attack.step_size=1", "selection.tau=0", f"model.lr={2**1000}",
-        f"data.n_test={2**63 - 1}", f"seeds.data={10**400}",
+        f"data.n_test={2**52 - 1}", f"seeds.data={10**400}",
     ]))
     assert out["training"]["lambda"] == 1 and out["attack"]["step_size"] == 1
-    assert out["data"]["n_test"] == 2**63 - 1 and out["seeds"]["data"] == 10**400
+    # the most 16 x 16 float64 rows one numpy array holds
+    assert out["data"]["n_test"] == 2**52 - 1 and out["seeds"]["data"] == 10**400
 
 
 def test_resolved_config_round_trips_through_json():
