@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import ONE_BLAS_THREAD
 from .attack import AttackConfig, correct_set
 from .config import (
     apply_overrides,
@@ -189,10 +190,10 @@ def check_ordering():
     cells += [_ordering_config(OPEN_SET, SELECTION_ONLY),
               _ordering_config(OPEN_SET, MIX, lam=0.7)]
     base = apply_overrides(load_config(), _ORDERING_BASE)
-    # workers fork after numpy loads, so they keep the process's BLAS
-    # threads: one each under the CLI's default (see cli)
-    results, failures = sweep(base, cells, ORDERING_SEEDS, _ordering_run,
-                              workers=min(2, os.cpu_count() or 1))
+    # forked workers keep the process's BLAS threads, so two of them only
+    # pay off when each runs one (see the package docstring)
+    workers = min(2, os.cpu_count() or 1) if ONE_BLAS_THREAD else 1
+    results, failures = sweep(base, cells, ORDERING_SEEDS, _ordering_run, workers=workers)
     if failures:
         return False, f"{len(failures)} runs failed, first: {failures[0][2]}"
     means = [result.mean for result in results]

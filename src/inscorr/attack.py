@@ -154,11 +154,7 @@ def _correct_rows(model, x, targets, delta, cfg):
         delta -= xs
 
     corrected = np.add(x, best_delta, out=best_delta)
-    if len(rows) == m:
-        success = model.predict(corrected) == targets
-    else:
-        success = np.zeros(m, dtype=bool)
-        success[rows] = model.predict(corrected[rows]) == targets[rows]
+    success = (model.predict(corrected) == targets) & ~failed
     return [
         _unperturbed(x[i], NON_FINITE) if failed[i] else CorrectionResult(
             corrected[i], float(best_loss[i]), bool(success[i]), int(best_iter[i]))

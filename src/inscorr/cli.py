@@ -12,21 +12,15 @@ Verbs:
 Runs land under --output-root, the INSCORR_OUTPUT_ROOT environment
 variable, or ./runs, keyed by config hash.
 
-Each process runs BLAS on one thread unless OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS says otherwise: campaign workers are processes, and a
-BLAS thread pool in each of them oversubscribes the cores.
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
+says otherwise (see the package docstring).
 """
 
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
-
-# before the imports below load numpy, which reads them once
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 from . import acceptance
 from .artifacts import config_hash, output_root, write_run

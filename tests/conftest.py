@@ -1,9 +1,9 @@
 import os
 import sys
 
-# the inscorr CLI's BLAS default, set before any test module loads numpy,
-# so sweep workers forked by the tests run one BLAS thread each
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(var, "1")
+# inscorr sets its one-thread BLAS default on import; importing it before
+# any test module loads numpy lets sweep workers forked by the tests share
+# the cores
+import inscorr  # noqa: F401
 
 sys.path.insert(0, os.path.dirname(__file__))

@@ -198,7 +198,6 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     (f"data.n_train={2**52}", "data.n_train"),
     (f"data.n_test={2**62}", "data.n_test"),
     (f"data.pool_size={2**52}", "data.pool_size"),
-    (f"data.height={2**62}", "data.n_train"),
 ])
 def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
     with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + " must "):
@@ -241,11 +240,13 @@ def test_resolve_accepts_integers_for_numbers():
     # seeds feed numpy's seed sequence, which takes an integer of any size
     out = resolve_config(apply_overrides(load_config(), [
         "training.lambda=1", "attack.step_size=1", "selection.tau=0", f"model.lr={2**1000}",
-        f"data.n_test={2**52 - 1}", f"seeds.data={10**400}",
+        f"data.n_test={2**52 - 1}", f"attack.steps={2**63 - 1}", f"seeds.data={10**400}",
     ]))
     assert out["training"]["lambda"] == 1 and out["attack"]["step_size"] == 1
     # the most 16 x 16 float64 rows one numpy array holds
     assert out["data"]["n_test"] == 2**52 - 1 and out["seeds"]["data"] == 10**400
+    # the largest int64, on a key no array size bounds
+    assert out["attack"]["steps"] == 2**63 - 1
 
 
 def test_resolved_config_round_trips_through_json():

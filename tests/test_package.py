@@ -1,12 +1,15 @@
 """The package root is light: importing it loads none of its modules, and
 no module in src/ loads inscorr.tensor, the stub left where the autodiff
-graph was (only the benchmark's tracer imports it)."""
+graph was (only the benchmark's tracer imports it). It does set the
+one-thread BLAS default, and tells whether that default took hold."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import inscorr
 
@@ -26,9 +29,20 @@ PROBE_ALL = (
 )
 
 
-def run_probe(code):
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+PROBE_BLAS = (
+    "import json, os\n"
+    "{imports}\n"
+    "print(json.dumps({{'one': inscorr.ONE_BLAS_THREAD,\n"
+    "                  'env': [os.environ.get(v) for v in {vars}]}}))\n"
+)
+
+
+def run_probe(code, env_set=None):
     src = str(Path(inscorr.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(env_set or {})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -47,3 +61,17 @@ def test_no_module_loads_the_autodiff_graph():
     loaded = run_probe(PROBE_ALL)["loaded"]
     assert loaded == [f"inscorr.{m}" for m in modules]
     assert "inscorr.tensor" not in loaded
+
+
+@pytest.mark.parametrize("imports, env_set, one, env", [
+    # the default holds when inscorr loads before numpy
+    ("import inscorr, numpy", {}, True, ["1", "1"]),
+    # numpy has already read the unset variable and keeps its thread pool
+    ("import numpy, inscorr", {}, False, ["1", "1"]),
+    # a value the user set wins, whatever loads first
+    ("import inscorr, numpy", {"OPENBLAS_NUM_THREADS": "4"}, False, ["4", "1"]),
+    ("import numpy, inscorr", {"OPENBLAS_NUM_THREADS": "1"}, True, ["1", "1"]),
+])
+def test_blas_default_and_whether_it_holds(imports, env_set, one, env):
+    probe = run_probe(PROBE_BLAS.format(imports=imports, vars=BLAS_VARS), env_set)
+    assert probe == {"one": one, "env": env}
