@@ -43,6 +43,7 @@ from .pipeline import (
     ExperimentConfig,
     _mixed_epoch,
     evaluate,
+    init_model,
     last_ten_summary,
     mixed_loss,
     partition_clean_mislabeled,
@@ -264,9 +265,10 @@ def _clean_partition_only(cfg, data, on_epoch=None):
     """The reductions oracle: selection warmup, then training on the clean
     partition alone through the mixed-phase engine with no corrected set,
     which a run whose corrected term has weight zero must match bit for
-    bit. Returns the model and each epoch's test accuracy."""
+    bit, so it starts from the run's own model. Returns the model and
+    each epoch's test accuracy."""
     train, _, test = data
-    model = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
+    model = init_model(cfg)
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
     clean_idx = None
     accuracies = []
@@ -320,6 +322,7 @@ def check_reductions():
     if not (a == b == c):
         return False, "weight-1 runs diverged from clean-partition training"
 
+    # the affinity oracle is float64, whatever dtype runs train in
     model = Model.init(ExperimentConfig(method=INSCORR, **base).model_spec(), seed=3)
     train = data[0]
     cx, cy = train.X[:40], train.given_labels[:40]

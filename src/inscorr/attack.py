@@ -20,6 +20,10 @@ rounding of batched matmuls:
   * a row whose gradient turns non-finite leaves the batch and comes
     back unperturbed with the error; the other rows go on.
 
+The attack runs in float64 whatever the model's dtype: correct_set
+works on the parameters as float64 (a copy when they are float32), so
+the budget and the [0, 1] clamp hold on float64 rows.
+
 Beside the caller's (m, d) instances (copied only when some row is
 rejected), a call holds four arrays of that size: the perturbation
 delta, the best iterate, one buffer for the perturbed inputs the model
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .nn import cross_entropy
+from .nn import Model, cross_entropy
 
 LINF = "linf"
 L2 = "l2"
@@ -165,7 +169,8 @@ def _correct_rows(model, x, targets, delta, cfg):
 def correct_set(model, instances, targets, cfg, seed=None):
     """Correct every row toward its target in one batched attack, in order.
 
-    Model parameters are read-only. A row with a pixel outside [0, 1]
+    Model parameters are read-only; a model of another dtype is attacked
+    through a float64 copy of them. A row with a pixel outside [0, 1]
     (NaN included), a target out of range, or a gradient that turns
     non-finite yields an unperturbed result with success False and the
     error message attached; the rest of the batch proceeds.
@@ -192,6 +197,7 @@ def correct_set(model, instances, targets, cfg, seed=None):
     valid = np.flatnonzero(~bad)
     if not valid.size:
         return results
+    model = Model(model.spec, np.asarray(model.flat, dtype=np.float64))
     # no copy of the instances when every row is valid and in C order
     x = np.ascontiguousarray(instances if valid.size == len(instances) else instances[valid])
     delta = _starts(x, cfg, seed, valid)

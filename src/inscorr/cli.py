@@ -84,6 +84,11 @@ def _grid_base(base):
         return base
 
 
+def _check_workers(args):
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+
+
 def _cell_text(result):
     return "failed" if result.mean is None else f"{result.mean:.4f}+-{result.std:.4f}"
 
@@ -108,8 +113,7 @@ def cmd_campaign(args):
     rates = _split(args, "rates", float)
     seeds = _split(args, "seeds", int)
     methods = _split(args, "methods")
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    _check_workers(args)
 
     grid = [(route, rate, method)
             for route in routes for rate in rates for method in methods]
@@ -140,6 +144,7 @@ def cmd_ablate(args):
     base = _load(args)
     weights = sorted(_split(args, "weights", float))
     seeds = _split(args, "seeds", int)
+    _check_workers(args)
     discarded = args.interpretation == "discarded"
     print(f"sweeping {len(weights)} weights as the "
           f"{'corrected-term' if discarded else 'clean-term'}"
@@ -153,7 +158,7 @@ def cmd_ablate(args):
     # the swept weight is lambda itself, or its complement
     grid = sorted(((1.0 - w) if discarded else w, w) for w in weights)
     cells = [{"training": {"lambda": lam}} for lam, _ in grid]
-    results, failures = sweep(base, cells, seeds, _sweep_job, (root,))
+    results, failures = sweep(base, cells, seeds, _sweep_job, (root,), args.workers)
 
     header = ["weight", "lambda", "mean_acc", "std_acc"]
     rows = []
@@ -224,6 +229,7 @@ def build_parser():
                        help="whether swept values weight the corrected term "
                             "(discarded) or the clean term (clean)")
     p_abl.add_argument("--seeds", default="0,1,2")
+    p_abl.add_argument("--workers", type=int, default=1)
     p_abl.set_defaults(func=cmd_ablate)
 
     p_data = sub.add_parser("make-data",

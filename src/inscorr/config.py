@@ -5,8 +5,8 @@ rejected by their dotted path, and so is a value whose type differs from
 its default's (an integer may stand for a float; a number that stands for
 a float must be finite; an integer must fit in 64 bits unless it is a
 seed) or that breaks a rule of _RULES, alone or, in _CROSS_RULES, against
-the keys it is tied to (a count of image rows must leave its arrays small
-enough for numpy to make).
+the keys it is tied to (an image size, a count of image rows or a layer
+width must leave its arrays small enough for numpy to make).
 This module is the only place that states a value's allowed range:
 to_experiment_config checks every key before it builds the runnable
 dataclasses, which trust their fields and only derive defaults.
@@ -26,6 +26,7 @@ defaults were spelled out.
 import copy
 import hashlib
 import json
+import math
 import sys
 
 from .attack import L2, LINF, AttackConfig
@@ -130,20 +131,38 @@ _RULES = (
 )
 
 
-def _fits_arrays(key):
-    """The rule that float64 arrays of data.<key> rows of data.height x
-    data.width pixels stay under numpy's limit of 2**63 bytes an array."""
-    dotted = f"data.{key}"
+def _fits_arrays(dotted, keys):
+    """The rule that float64 arrays of the product of data.<keys> values
+    stay under numpy's limit of 2**63 bytes an array."""
+    product = " x ".join(f"data.{key}" for key in keys)
     return (dotted,
-            lambda c: c["data"][key] * c["data"]["height"] * c["data"]["width"] * 8 < 2**63,
-            "keep its arrays under 2**63 bytes"
-            f" ({dotted} x data.height x data.width x 8)")
+            lambda c: math.prod(c["data"][key] for key in keys) * 8 < 2**63,
+            f"keep its arrays under 2**63 bytes ({product} x 8)")
+
+
+def _fits_model(c):
+    """Whether the float64 parameter vector model.hidden makes, and each
+    hidden layer's outputs over the larger data set, stay under 2**63 bytes."""
+    data, hidden = c["data"], c["model"]["hidden"]
+    dims = (data["height"] * data["width"], *hidden, data["num_classes"])
+    params = sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:]))
+    outputs = max(data["n_train"], data["n_test"]) * max(hidden, default=0)
+    return max(params, outputs) * 8 < 2**63
 
 
 # rules that tie a key to others, in the same form except that the test
-# takes the whole config; checked once every key holds its own rule
+# takes the whole config; checked once every key holds its own rule. A
+# grid dimension comes before the row counts it multiplies, so that the
+# key named is the one that is too large
 _CROSS_RULES = (
-    *map(_fits_arrays, ("n_train", "n_test", "pool_size")),
+    # a column of data.height pixels, then one image of them
+    _fits_arrays("data.height", ("height",)),
+    _fits_arrays("data.width", ("height", "width")),
+    *(_fits_arrays(f"data.{key}", (key, "height", "width"))
+      for key in ("n_train", "n_test", "pool_size")),
+    ("model.hidden", _fits_model,
+     "keep its parameters, and its layer outputs over data.n_train or data.n_test rows,"
+     " under 2**63 bytes at 8 bytes a value"),
     ("training.refresh_correction",
      lambda c: not c["training"]["refresh_correction"] or c["method"] == INSCORR,
      f"be false unless method is {INSCORR}"),

@@ -6,10 +6,10 @@ Layout of every container:
 
 The trailing crc32 covers everything before it, magic included. Readers
 fail with distinct errors: FormatError for wrong magic, VersionError for
-a version newer than the code, TruncatedError when a declared payload
-runs past the end of the file, ChecksumError when the crc does not
-match. Header corruption that inflates a declared size may surface as
-TruncatedError before the checksum is consulted.
+a version other than the one the code reads, TruncatedError when a
+declared payload runs past the end of the file, ChecksumError when the
+crc does not match. Header corruption that inflates a declared size may
+surface as TruncatedError before the checksum is consulted.
 """
 
 import struct
@@ -62,9 +62,9 @@ class ContainerReader:
         self._end = len(raw) - 4
         self._pos = MAGIC_LEN
         (self.version,) = self.unpack("<I")
-        if self.version > current_version:
+        if self.version != current_version:
             raise VersionError(
-                f"container version {self.version} is newer than supported version {current_version}"
+                f"container version {self.version} is not the supported version {current_version}"
             )
 
     def unpack(self, fmt):

@@ -46,7 +46,7 @@ class FormatError(DatasetLoadError):
 
 
 class VersionError(DatasetLoadError):
-    """The container version is newer than this code understands."""
+    """The container version is not the one this code reads."""
 
 
 class TruncatedError(DatasetLoadError):

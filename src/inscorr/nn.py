@@ -1,27 +1,36 @@
 """Fully connected relu networks, optimizers, and checkpointing.
 
-A Model owns its state as two float64 vectors. Model.flat holds every
-weight and bias, and Model.weights / Model.biases are reshaped views of
-it, so an optimizer updates every parameter in one call per step.
-Model.grad is the gradient over the same layout: None until a backward
-writes to it, and None again after zero_grads(). The model is always a
-relu MLP under a softmax cross-entropy loss, so gradients are written
-out by hand rather than taken from a general autodiff engine: forward()
-returns every layer's output, and backward() walks those cached outputs
-once in reverse, adding the row-weighted loss's gradient into views of
-Model.grad or, on request, returning the input gradient instead.
-Callers may pass backward() the same rows of each cached output (a kept
-subset of a batch) without running forward again. Evaluation (predict,
-per_example_losses) takes the logits from the same forward().
+A Model owns its state as two vectors of one float dtype, float64 by
+default (pipeline.init_model builds a run's model in float32).
+Model.flat holds every weight and bias, and Model.weights /
+Model.biases are reshaped views of it, so an optimizer updates every
+parameter in one call per step. Model.grad is the gradient over the
+same layout: None until a backward writes to it, and None again after
+zero_grads(). Everything the model computes follows the dtype of
+Model.flat: forward() casts its input rows to it, and the losses,
+probabilities, gradients and Adam moments come out in it.
 
-Checkpoint container (version 1), fields in order after magic+version:
+The model is always a relu MLP under a softmax cross-entropy loss, so
+gradients are written out by hand rather than taken from a general
+autodiff engine: forward() returns every layer's output, and backward()
+walks those cached outputs once in reverse, adding the row-weighted
+loss's gradient into views of Model.grad or, on request, returning the
+input gradient instead. Callers may pass backward() the same rows of
+each cached output (a kept subset of a batch) without running forward
+again. Evaluation (predict, per_example_losses) takes the logits from
+the same forward().
+
+Checkpoint container (version 2), fields in order after magic+version:
     input_dim u64 | n_hidden u32 | hidden widths u64 each | num_classes u32
-    per layer, input to output: W float64 row-major, then b float64
+    parameter dtype u8 (1 = float32, 2 = float64)
+    per layer, input to output: W row-major, then b, in that dtype
     optimizer kind u8 (1 = sgd, 2 = adam) | learning rate f64
     adam only: beta1 f64 | beta2 f64 | eps f64 | step count u64
                then per parameter (same order as layers, W before b):
-               first-moment float64 array, second-moment float64 array
+               first-moment array, second-moment array, in that dtype
     epoch u64 | experiment seed i64
+Version 1, which had no dtype code and held float64 throughout, is no
+longer read.
 """
 
 import math
@@ -34,7 +43,10 @@ from .containers import ContainerReader, ContainerWriter, read_file
 from .errors import ContractError, DimensionError, LabelError
 
 CHECKPOINT_MAGIC = b"INSCCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+_DTYPE_CODE = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
+_CODE_DTYPE = {v: k for k, v in _DTYPE_CODE.items()}
 
 _OPT_KIND_CODE = {"sgd": 1, "adam": 2}
 _OPT_CODE_KIND = {v: k for k, v in _OPT_KIND_CODE.items()}
@@ -72,11 +84,12 @@ def _views(flat, shapes):
 
 
 class Model:
-    def __init__(self, spec, flat=None):
-        """flat, the parameter vector the model takes over, defaults to zeros."""
+    def __init__(self, spec, flat=None, dtype=np.float64):
+        """flat, the parameter vector the model takes over, defaults to
+        zeros of dtype; a given flat keeps its own dtype."""
         shapes = spec.shapes()
         if flat is None:
-            flat = np.zeros(sum(math.prod(s) for s in shapes))
+            flat = np.zeros(sum(math.prod(s) for s in shapes), dtype=dtype)
         self.spec = spec
         self.flat = flat
         views = _views(flat, shapes)
@@ -84,10 +97,11 @@ class Model:
         self.grad = None
 
     @classmethod
-    def init(cls, spec, seed):
-        """He-normal weights, zero biases; layer draws in input-to-output order."""
+    def init(cls, spec, seed, dtype=np.float64):
+        """He-normal weights, zero biases; layer draws in input-to-output
+        order, made in float64 and rounded to dtype."""
         rng = np.random.default_rng(seed)
-        model = cls(spec)
+        model = cls(spec, dtype=dtype)
         for w in model.weights:
             w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
         return model
@@ -106,9 +120,10 @@ class Model:
             )
 
     def forward(self, x):
-        """Every layer's output for the rows of x: the input first, then
-        each hidden layer after its relu, the logits last. No graph is kept."""
-        h = np.asarray(x, dtype=np.float64)
+        """Every layer's output for the rows of x: the input first, cast
+        to the parameters' dtype, then each hidden layer after its relu,
+        the logits last. No graph is kept."""
+        h = np.asarray(x, dtype=self.flat.dtype)
         self._check_input(h)
         outputs = [h]
         last = len(self.weights) - 1
@@ -132,10 +147,11 @@ class Model:
         instead.
         """
         labels = np.asarray(labels, dtype=np.int64)
-        g = kernels.xent_backward(probs, labels, np.asarray(row_weights, dtype=np.float64))
+        dtype = self.flat.dtype
+        g = kernels.xent_backward(probs, labels, np.asarray(row_weights, dtype=dtype))
         if not input_grad:
             if self.grad is None:
-                self.grad = np.zeros(self.flat.size)
+                self.grad = np.zeros(self.flat.size, dtype=dtype)
             grads = _views(self.grad, self.spec.shapes())
         for i in reversed(range(len(self.weights))):
             if not input_grad:
@@ -167,7 +183,8 @@ class Model:
 
 
 def cross_entropy(logits, labels):
-    """(per-row losses, softmax probabilities) of 2-D logits against labels."""
+    """(per-row losses, softmax probabilities) of 2-D logits against
+    labels, in the logits' dtype."""
     if logits.ndim != 2:
         raise DimensionError(f"cross entropy: expected 2-D logits, got shape {logits.shape}")
     b, c = logits.shape
@@ -204,8 +221,9 @@ class Sgd:
 
 class Adam:
     """Adam over the flat parameter vector. Its moments are flat vectors
-    too, allocated at the first step or save for the parameter shapes of
-    that model; a model of other shapes is refused from then on."""
+    too, allocated in the parameters' dtype at the first step or save for
+    the parameter shapes of that model; a model of other shapes is refused
+    from then on."""
 
     kind = "adam"
 
@@ -230,7 +248,7 @@ class Adam:
         shapes = model.spec.shapes()
         if self._m is None:
             self._shapes = shapes
-            self._m, self._v = np.zeros((2, model.flat.size))
+            self._m, self._v = np.zeros((2, model.flat.size), dtype=model.flat.dtype)
         elif shapes != self._shapes:
             raise ContractError(
                 f"optimizer holds state for {len(self._shapes)} parameters, model has "
@@ -268,7 +286,9 @@ def save_checkpoint(path, model, optimizer, epoch, seed):
     for h in spec.hidden:
         w.pack("<Q", h)
     w.pack("<I", spec.num_classes)
-    w.array(model.flat, np.float64)
+    dtype = model.flat.dtype
+    w.pack("<B", _DTYPE_CODE[dtype])
+    w.array(model.flat, dtype)
     w.pack("<B", _OPT_KIND_CODE[optimizer.kind])
     w.pack("<d", optimizer.lr)
     if optimizer.kind == "adam":
@@ -276,23 +296,28 @@ def save_checkpoint(path, model, optimizer, epoch, seed):
         w.pack("<ddd", optimizer.beta1, optimizer.beta2, optimizer.eps)
         w.pack("<Q", optimizer.step_count)
         for m_p, v_p in zip(_views(m, spec.shapes()), _views(v, spec.shapes())):
-            w.array(m_p, np.float64)
-            w.array(v_p, np.float64)
+            w.array(m_p, dtype)
+            w.array(v_p, dtype)
     w.pack("<Q", epoch)
     w.pack("<q", seed)
     w.save(path)
 
 
 def load_checkpoint(path):
-    """Returns (model, optimizer, epoch, seed)."""
+    """Returns (model, optimizer, epoch, seed), the model's parameters and
+    the optimizer's moments in the dtype the checkpoint records."""
     r = ContainerReader(read_file(path), CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     (input_dim,) = r.unpack("<Q")
     (n_hidden,) = r.unpack("<I")
     hidden = tuple(r.unpack("<Q")[0] for _ in range(n_hidden))
     (num_classes,) = r.unpack("<I")
     spec = ModelSpec(int(input_dim), hidden, int(num_classes))
-    model = Model(spec)
-    model.flat[...] = r.array(np.float64, model.flat.shape)
+    (dtype_code,) = r.unpack("<B")
+    dtype = _CODE_DTYPE.get(dtype_code)
+    if dtype is None:
+        raise ContractError(f"unknown parameter dtype code {dtype_code} in checkpoint")
+    model = Model(spec, dtype=dtype)
+    model.flat[...] = r.array(dtype, model.flat.shape)
     (kind_code,) = r.unpack("<B")
     kind = _OPT_CODE_KIND.get(kind_code)
     if kind is None:
@@ -304,8 +329,8 @@ def load_checkpoint(path):
         (opt.step_count,) = r.unpack("<Q")
         m, v = opt._moments(model)
         for m_p, v_p in zip(_views(m, spec.shapes()), _views(v, spec.shapes())):
-            m_p[...] = r.array(np.float64, m_p.shape)
-            v_p[...] = r.array(np.float64, v_p.shape)
+            m_p[...] = r.array(dtype, m_p.shape)
+            v_p[...] = r.array(dtype, v_p.shape)
     else:
         opt = Sgd(lr)
     (epoch,) = r.unpack("<Q")

@@ -21,6 +21,12 @@ corrected one from the epoch's generator, so runs whose corrected term
 cannot influence training (weight 1 on the clean term, or no corrected
 set at all) visit bit-identical clean batches.
 
+Runs train in float32: init_model builds every run's model in that
+dtype, and the model's forward and backward passes, losses and Adam
+moments follow it. The data stay float64 (each batch is cast where it
+enters the model), and so does the correction attack, which works on a
+float64 copy of the parameters (attack.correct_set).
+
 RNG streams: epoch shuffles use [seed_epochs, T]; attacks draw their
 optional random starts from [seed_noise, 4, T]. Since nothing else
 carries over from one epoch to the next but the model and its optimizer,
@@ -112,6 +118,11 @@ class RunResult:
     model: Model
     optimizer: object
     metrics: list
+
+
+def init_model(cfg):
+    """The run's freshly initialised model, in the run dtype, float32."""
+    return Model.init(cfg.model_spec(), seed=[cfg.seed_init], dtype=np.float32)
 
 
 def data_key(cfg):
@@ -350,7 +361,7 @@ def run_experiment(cfg, data=None, on_epoch=None, prefix=None):
         model, optimizer, metrics = _copy_state(*state)
         start = prefix.epochs
     else:
-        model = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
+        model = init_model(cfg)
         optimizer = make_optimizer(cfg.optimizer, cfg.lr)
         metrics = []
     schedule = cfg.schedule()

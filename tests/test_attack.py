@@ -10,7 +10,7 @@ from inscorr.nn import Adam, Model, ModelSpec
 from helpers import fd_gradient, max_rel_error
 
 
-def small_trained_model(seed=0):
+def small_trained_model(seed=0, dtype=np.float64):
     rng = np.random.default_rng(seed)
     x = np.concatenate([
         rng.normal(0.3, 0.05, size=(40, 12)),
@@ -18,7 +18,7 @@ def small_trained_model(seed=0):
     ])
     x = np.clip(x, 0.0, 1.0)
     y = np.array([0] * 40 + [1] * 40)
-    model = Model.init(ModelSpec(12, (16,), 2), seed=seed + 1)
+    model = Model.init(ModelSpec(12, (16,), 2), seed=seed + 1, dtype=dtype)
     opt = Adam(lr=0.01)
     for _ in range(120):
         model.zero_grads()
@@ -98,6 +98,33 @@ def test_l2_budget_and_clamp_exact():
         res = correct_row(model, x, target, cfg)
         assert np.linalg.norm(res.corrected - x) <= cfg.budget + 1e-9
         assert res.corrected.min() >= 0.0 and res.corrected.max() <= 1.0
+
+
+@pytest.mark.parametrize("cfg", [AttackConfig(norm=LINF, budget=0.1, steps=15),
+                                 AttackConfig(norm=L2, budget=0.25, steps=15)],
+                         ids=["linf", "l2"])
+def test_a_float32_model_is_attacked_in_float64(cfg):
+    """A run's float32 model is attacked through a float64 copy of its
+    parameters: float64 rows inside the budget and [0, 1], the results of
+    a float64 model holding the same values, and the model left alone."""
+    model = small_trained_model(seed=5, dtype=np.float32)
+    before = model.flat.copy()
+    rng = np.random.default_rng(6)
+    xs = np.clip(rng.normal(0.5, 0.3, size=(20, 12)), 0.0, 1.0)
+    targets = rng.integers(0, 2, size=20)
+    results = correct_set(model, xs, targets, cfg)
+    wide = correct_set(Model(model.spec, model.flat.astype(np.float64)), xs, targets, cfg)
+    for x, res, ref in zip(xs, results, wide):
+        assert res.corrected.dtype == np.float64
+        delta = res.corrected - x
+        size = np.max(np.abs(delta)) if cfg.norm == LINF else np.linalg.norm(delta)
+        assert size <= cfg.budget + 1e-9
+        assert res.corrected.min() >= 0.0 and res.corrected.max() <= 1.0
+        assert np.array_equal(res.corrected, ref.corrected)
+        assert (res.loss, res.success, res.best_iteration) == (
+            ref.loss, ref.success, ref.best_iteration)
+    assert any(res.success for res in results)
+    assert model.flat.dtype == np.float32 and np.array_equal(model.flat, before)
 
 
 def test_l2_first_step_has_step_size_norm():

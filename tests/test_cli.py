@@ -22,7 +22,8 @@ from inscorr.config import (
     to_experiment_config,
 )
 from inscorr.data import Provenance, load_dataset
-from inscorr.pipeline import prepare_data
+from inscorr.nn import load_checkpoint
+from inscorr.pipeline import evaluate, prepare_data
 
 TINY = {
     "data": {"n_train": 120, "n_test": 60, "pool_size": 120},
@@ -57,6 +58,21 @@ def test_run_writes_all_artifacts(tmp_path, tiny_cfg, capsys):
     assert summary["config_hash"] == run_dir.name
     line = capsys.readouterr().out
     assert run_dir.name in line and "last10=" in line
+
+
+def test_a_reloaded_checkpoint_scores_the_last_test_accuracy(tmp_path, tiny_cfg):
+    # model.ckpt holds the run's float32 parameters exactly, so the reloaded
+    # model is the one the last epoch evaluated
+    root = tmp_path / "runs"
+    assert main(["run", "--config", tiny_cfg, "--output-root", str(root)]) == 0
+    run_dir = run_artifacts(root)
+    model, opt, epoch, _ = load_checkpoint(run_dir / "model.ckpt")
+    assert model.flat.dtype == opt._m.dtype == opt._v.dtype == np.float32
+    last = json.loads((run_dir / "metrics.jsonl").read_text().splitlines()[-1])
+    assert epoch == last["epoch"] + 1
+    resolved = json.loads((run_dir / "manifest.json").read_text())["config"]
+    test = prepare_data(to_experiment_config(resolved))[2]
+    assert evaluate(model, test) == last["test_accuracy"]
 
 
 def test_run_twice_is_byte_identical(tmp_path, tiny_cfg):
@@ -305,6 +321,18 @@ def test_ablate_interpretations_weight_opposite_terms(tmp_path, tiny_cfg):
     assert runs_a.isdisjoint(runs_b)
 
 
+def test_ablate_workers_write_the_report_of_one_worker(tmp_path, tiny_cfg):
+    reports = []
+    for workers in ("1", "2"):
+        root = tmp_path / workers
+        assert main(["ablate", "--config", tiny_cfg, "--output-root", str(root),
+                     "--weights", "0.1,0.3", "--seeds", "0,1", "--workers", workers]) == 0
+        sweep_dir = next(root.glob("ablate-*"))
+        reports.append({name: (sweep_dir / name).read_bytes()
+                        for name in ("ablation.csv", "ablation.json")})
+    assert reports[0] == reports[1]
+
+
 def test_campaign_grid_summary(tmp_path, tiny_cfg, capsys):
     root = tmp_path / "runs"
     code = main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
@@ -421,6 +449,7 @@ def test_verify_rejects_unknown_check(capsys):
     (["campaign", "--workers", "-1"], "--workers"),
     (["ablate", "--weights", ""], "--weights"),
     (["ablate", "--seeds", ""], "--seeds"),
+    (["ablate", "--workers", "0"], "--workers"),
 ])
 def test_sweeps_reject_bad_grid_flags(tmp_path, tiny_cfg, capsys, argv, flag):
     root = tmp_path / "runs"

@@ -198,6 +198,16 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     (f"data.n_train={2**52}", "data.n_train"),
     (f"data.n_test={2**62}", "data.n_test"),
     (f"data.pool_size={2**52}", "data.pool_size"),
+    # an image size is named before the row counts it multiplies
+    (f"data.height={2**62}", "data.height"),
+    (f"data.width={2**62}", "data.width"),
+    (f"data.height={2**31} data.width={2**31}", "data.width"),
+    # a width past numpy's array size: 257 x 2**52 parameters of the first
+    # layer, or 2000 x 2**51 outputs of the second
+    (f"model.hidden=[{2**62}]", "model.hidden"),
+    (f"data.n_train=10 data.n_test=10 model.hidden=[{2**52}]", "model.hidden"),
+    (f"model.hidden=[64,{2**51}]", "model.hidden"),
+    (f"data.n_test={2**40} model.hidden=[{2**23}]", "model.hidden"),
 ])
 def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
     with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + " must "):
@@ -230,6 +240,9 @@ def test_cross_key_rules_accept_their_edges():
     resolve_config(apply_overrides(load_config(), ["data.val_fraction=0.94", "data.n_train=10"]))
     resolve_config(apply_overrides(load_config(), ["training.warmup_epochs=6",
                                                    "training.total_epochs=6"]))
+    # 261 x 2**51 parameters of eight bytes stay below numpy's limit
+    resolve_config(apply_overrides(load_config(), [
+        "data.n_train=10", "data.n_test=10", f"model.hidden=[{2**51}]"]))
 
 
 def test_dataclass_defaults_match_default_config():

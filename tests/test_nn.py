@@ -92,6 +92,27 @@ def test_forward_graph_matches_infer_path_exactly():
     assert np.isnan(nan_net.loss_and_grads(x, labels))
 
 
+def test_a_float32_model_computes_in_float32():
+    """Input rows are cast to the parameters' dtype; every layer output,
+    loss, probability and gradient follows it."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(10, 8))
+    labels = rng.integers(0, 3, size=10)
+    wide, narrow = Model.init(DEEP, seed=2), Model.init(DEEP, seed=2, dtype=np.float32)
+    assert np.array_equal(narrow.flat, wide.flat.astype(np.float32))
+    outputs = narrow.forward(x)
+    assert np.array_equal(outputs[0], x.astype(np.float32))
+    losses, probs = cross_entropy(outputs[-1], labels)
+    assert {a.dtype for a in (*outputs, losses, probs)} == {np.dtype(np.float32)}
+    grad_x = narrow.backward(outputs, probs, labels, np.full(10, 0.1), input_grad=True)
+    assert grad_x.dtype == np.float32
+    narrow.loss_and_grads(x, labels)
+    assert narrow.grad.dtype == np.float32
+    # the float32 pass tracks the float64 one to float32 rounding
+    assert np.allclose(narrow.per_example_losses(x, labels),
+                       wide.per_example_losses(x, labels), rtol=1e-5, atol=1e-6)
+
+
 def test_forward_rejects_wrong_width():
     model = Model.init(SPEC, seed=2)
     with pytest.raises(DimensionError, match=r"\(3, 5\)"):
@@ -225,20 +246,22 @@ class _PerParameterSgd:
 
 
 def _reference_checkpoint_bytes(model, opt, epoch, seed):
-    """Checkpoint format v1 written field by field from per-parameter arrays."""
-    w = ContainerWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    """Checkpoint format v2 written field by field from per-parameter arrays."""
+    w = ContainerWriter(CHECKPOINT_MAGIC, 2)
     spec = model.spec
     w.pack("<QI", spec.input_dim, len(spec.hidden))
     for h in spec.hidden:
         w.pack("<Q", h)
     w.pack("<I", spec.num_classes)
+    dtype = model.flat.dtype
+    w.pack("<B", {np.float32: 1, np.float64: 2}[dtype.type])
     for p in _values(model):
-        w.array(p, np.float64)
+        w.array(p, dtype)
     w.pack("<Bd", 2, opt.lr)
     w.pack("<dddQ", opt.beta1, opt.beta2, opt.eps, opt.step_count)
     for m, v in zip(opt.m, opt.v):
-        w.array(m, np.float64)
-        w.array(v, np.float64)
+        w.array(m, dtype)
+        w.array(v, dtype)
     w.pack("<Qq", epoch, seed)
     return w.to_bytes()
 
@@ -266,18 +289,21 @@ def test_model_parameters_are_views_of_one_flat_vector(tmp_path):
 
 def test_flat_adam_matches_per_parameter_steps_bitwise(tmp_path):
     x, labels = _deep_problem()
-    fused, reference = Model.init(DEEP, seed=4), Model.init(DEEP, seed=4)
-    opt, ref_opt = Adam(lr=0.01), _PerParameterAdam(lr=0.01)
-    _train_steps(fused, opt, x, labels, 5)
-    _train_steps(reference, ref_opt, x, labels, 5)
-    assert np.array_equal(fused.flat, reference.flat)
-    for flat, per_parameter in ((opt._m, ref_opt.m), (opt._v, ref_opt.v)):
-        assert np.array_equal(flat, np.concatenate([a.ravel() for a in per_parameter]))
+    for dtype in (np.float64, np.float32):
+        fused = Model.init(DEEP, seed=4, dtype=dtype)
+        reference = Model.init(DEEP, seed=4, dtype=dtype)
+        opt, ref_opt = Adam(lr=0.01), _PerParameterAdam(lr=0.01)
+        _train_steps(fused, opt, x, labels, 5)
+        _train_steps(reference, ref_opt, x, labels, 5)
+        assert fused.flat.dtype == fused.grad.dtype == opt._m.dtype == opt._v.dtype == dtype
+        assert np.array_equal(fused.flat, reference.flat)
+        for flat, per_parameter in ((opt._m, ref_opt.m), (opt._v, ref_opt.v)):
+            assert np.array_equal(flat, np.concatenate([a.ravel() for a in per_parameter]))
 
-    # checkpoint format v1 is unchanged: same bytes as the field-by-field writer
-    path = tmp_path / "fused.ckpt"
-    save_checkpoint(path, fused, opt, epoch=5, seed=77)
-    assert path.read_bytes() == _reference_checkpoint_bytes(reference, ref_opt, 5, 77)
+        # checkpoint format v2: same bytes as the field-by-field writer
+        path = tmp_path / "fused.ckpt"
+        save_checkpoint(path, fused, opt, epoch=5, seed=77)
+        assert path.read_bytes() == _reference_checkpoint_bytes(reference, ref_opt, 5, 77)
 
 
 def test_flat_sgd_matches_per_parameter_steps_bitwise():
@@ -383,23 +409,26 @@ def test_training_reduces_loss_to_separation():
 
 def test_checkpoint_round_trip_exact(tmp_path):
     rng = np.random.default_rng(8)
-    model = Model.init(SPEC, seed=9)
-    opt = Adam(lr=0.005)
     x = rng.normal(size=(12, 8))
     labels = rng.integers(0, 3, size=12)
-    _train_steps(model, opt, x, labels, 5)
+    for dtype in (np.float64, np.float32):
+        model = Model.init(SPEC, seed=9, dtype=dtype)
+        opt = Adam(lr=0.005)
+        _train_steps(model, opt, x, labels, 5)
 
-    path = tmp_path / "ckpt_roundtrip.bin"
-    save_checkpoint(path, model, opt, epoch=5, seed=123)
-    model2, opt2, epoch, seed = load_checkpoint(path)
+        path = tmp_path / "ckpt_roundtrip.bin"
+        save_checkpoint(path, model, opt, epoch=5, seed=123)
+        model2, opt2, epoch, seed = load_checkpoint(path)
 
-    assert epoch == 5 and seed == 123
-    assert model2.spec == SPEC
-    assert np.array_equal(model.flat, model2.flat)
-    assert isinstance(opt2, Adam)
-    assert opt2.step_count == opt.step_count
-    assert (opt2.lr, opt2.beta1, opt2.beta2, opt2.eps) == (opt.lr, opt.beta1, opt.beta2, opt.eps)
-    assert np.array_equal(opt._m, opt2._m) and np.array_equal(opt._v, opt2._v)
+        assert epoch == 5 and seed == 123
+        assert model2.spec == SPEC
+        assert model2.flat.dtype == opt2._m.dtype == opt2._v.dtype == dtype
+        assert np.array_equal(model.flat, model2.flat)
+        assert isinstance(opt2, Adam)
+        assert opt2.step_count == opt.step_count
+        assert (opt2.lr, opt2.beta1, opt2.beta2, opt2.eps) == (
+            opt.lr, opt.beta1, opt.beta2, opt.eps)
+        assert np.array_equal(opt._m, opt2._m) and np.array_equal(opt._v, opt2._v)
 
 
 def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
@@ -457,3 +486,17 @@ def test_checkpoint_error_cases(tmp_path):
     open(tmp_path / "ckpt_future.bin", "wb").write(bytes(future))
     with pytest.raises(VersionError, match="99"):
         load_checkpoint(tmp_path / "ckpt_future.bin")
+
+    # version 1 held float64 without a dtype code; it is not read any more
+    assert CHECKPOINT_VERSION == 2
+    old = bytearray(raw)
+    old[8] = 1
+    open(tmp_path / "ckpt_v1.bin", "wb").write(bytes(old))
+    with pytest.raises(VersionError, match="version 1 is not the supported version 2"):
+        load_checkpoint(tmp_path / "ckpt_v1.bin")
+
+    bad_dtype = ContainerWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    bad_dtype.pack("<QIIB", 8, 0, 3, 7)
+    bad_dtype.save(tmp_path / "ckpt_dtype.bin")
+    with pytest.raises(ContractError, match="dtype code 7"):
+        load_checkpoint(tmp_path / "ckpt_dtype.bin")

@@ -30,6 +30,7 @@ from inscorr.pipeline import (
     _mixed_epoch,
     accuracy_on_given,
     evaluate,
+    init_model,
     last_ten_summary,
     mixed_loss,
     partition_clean_mislabeled,
@@ -346,8 +347,16 @@ class TestRunShapes:
         cfg = tiny_config(total_epochs=0, warmup_epochs=0)
         res = run_experiment(cfg)
         assert res.metrics == []
+        assert np.array_equal(res.model.flat, init_model(cfg).flat)
+        # the run's initial model is the float64 He init rounded to float32
         fresh = Model.init(cfg.model_spec(), seed=[cfg.seed_init])
-        assert np.array_equal(res.model.flat, fresh.flat)
+        assert np.array_equal(res.model.flat, fresh.flat.astype(np.float32))
+
+    def test_a_run_trains_in_float32(self):
+        res = run_experiment(tiny_config(total_epochs=4, warmup_epochs=2))
+        opt = res.optimizer
+        assert res.model.flat.dtype == res.model.grad.dtype == np.float32
+        assert opt._m.dtype == opt._v.dtype == np.float32
 
     def test_metrics_length_and_phases(self):
         cfg = tiny_config()
