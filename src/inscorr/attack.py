@@ -20,15 +20,21 @@ rounding of batched matmuls:
   * a row whose gradient turns non-finite leaves the batch and comes
     back unperturbed with the error; the other rows go on.
 
-The attack runs in float64 whatever the model's dtype: correct_set
-works on the parameters as float64 (a copy when they are float32), so
-the budget and the [0, 1] clamp hold on float64 rows.
+The attack runs in float64 whatever the dtypes of the model and the
+rows: correct_set works on the parameters as float64 (a copy when they
+are float32), and float32 rows, the dtype of every Dataset.X, are
+widened exactly wherever they meet float64 arithmetic, so the budget
+and the [0, 1] clamp hold on float64 rows around the widened ones.
 
-Beside the caller's (m, d) instances (copied only when some row is
-rejected), a call holds four arrays of that size: the perturbation
-delta, the best iterate, one buffer for the perturbed inputs the model
-sees, and the input gradient. The corrected rows are formed in the
-best-iterate buffer, so each result's corrected is a view into it.
+Working set: beside the caller's (m, d) instances, which are neither
+widened nor copied (except that the valid rows are gathered when some
+row is rejected), a call holds four float64 arrays of that size: the
+perturbation delta, the best iterate, one buffer for the perturbed
+inputs the model sees, and the input gradient. The L2 step divides the
+gradient in place, and row norms are summed _NORM_ROWS rows at a time,
+so neither norm squares a whole (m, d) array. The corrected rows are
+formed in the best-iterate buffer, so each result's corrected is a
+float64 view into it.
 """
 
 from dataclasses import dataclass
@@ -42,6 +48,9 @@ LINF = "linf"
 L2 = "l2"
 
 NON_FINITE = "non-finite gradient during input correction"
+
+# rows whose squares one row-norm block holds at a time
+_NORM_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -80,8 +89,8 @@ def _starts(x, cfg, seed, rows):
     """The starting perturbations of the rows of x: zeros, or for a random
     start one draw per row from default_rng([seed, j]), j from rows."""
     if not cfg.random_start:
-        return np.zeros_like(x)
-    delta = np.empty_like(x)
+        return np.zeros(x.shape)
+    delta = np.empty(x.shape)
     d = x.shape[1]
     for i, j in enumerate(rows):
         rng = np.random.default_rng([seed, j])
@@ -94,18 +103,29 @@ def _starts(x, cfg, seed, rows):
     return np.clip(x + delta, 0.0, 1.0) - x
 
 
+def _row_norms(a):
+    """np.linalg.norm(a, axis=1) bit for bit, squaring _NORM_ROWS rows at
+    a time instead of the whole array."""
+    norms = np.empty(len(a))
+    for lo in range(0, len(a), _NORM_ROWS):
+        block = a[lo:lo + _NORM_ROWS]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=norms[lo:lo + _NORM_ROWS])
+    return norms
+
+
 def _project(delta, cfg):
     """Project each row of delta onto the budget ball, in place."""
     if cfg.norm == LINF:
         np.clip(delta, -cfg.budget, cfg.budget, out=delta)
     else:
-        norm = np.linalg.norm(delta, axis=1)
+        norm = _row_norms(delta)
         over = norm > cfg.budget
         delta[over] *= (cfg.budget / norm[over])[:, None]
 
 
 def _unperturbed(x, error):
-    return CorrectionResult(np.clip(x, 0.0, 1.0), float("nan"), False, 0, error=error)
+    return CorrectionResult(np.clip(x, 0.0, 1.0, dtype=np.float64), float("nan"), False, 0,
+                            error=error)
 
 
 def _correct_rows(model, x, targets, delta, cfg):
@@ -113,14 +133,14 @@ def _correct_rows(model, x, targets, delta, cfg):
 
     delta is updated in place, and the perturbed inputs are written into
     one buffer, so the working set is delta, the best iterate, that
-    buffer and the gradient.
+    buffer and the gradient, all float64 whatever the dtype of x.
     """
     m = len(x)
     best_delta = delta.copy()
     best_loss = np.full(m, np.inf)
     best_iter = np.zeros(m, dtype=np.int64)
     failed = np.zeros(m, dtype=bool)
-    inputs = np.empty_like(x)
+    inputs = np.empty(x.shape)
     rows = np.arange(m)  # positions in x of the rows still attacked
     xs, ts = x, targets
     for k in range(cfg.steps + 1):
@@ -146,7 +166,7 @@ def _correct_rows(model, x, targets, delta, cfg):
         if cfg.norm == LINF:
             step = np.sign(grad, out=grad)
         else:
-            step = grad / np.maximum(np.linalg.norm(grad, axis=1, keepdims=True), 1e-12)
+            step = np.divide(grad, np.maximum(_row_norms(grad), 1e-12)[:, None], out=grad)
         step *= cfg.step_size
         delta -= step
         # free the gradient before the next backward allocates its own
@@ -170,12 +190,17 @@ def correct_set(model, instances, targets, cfg, seed=None):
     """Correct every row toward its target in one batched attack, in order.
 
     Model parameters are read-only; a model of another dtype is attacked
-    through a float64 copy of them. A row with a pixel outside [0, 1]
-    (NaN included), a target out of range, or a gradient that turns
+    through a float64 copy of them. float32 instances are attacked as
+    their exact float64 widening without a float64 copy of them being
+    made; every other dtype is converted to float64 first. Each result's
+    corrected row is float64. A row with a pixel outside [0, 1] (NaN
+    included), a target out of range, or a gradient that turns
     non-finite yields an unperturbed result with success False and the
     error message attached; the rest of the batch proceeds.
     """
-    instances = np.asarray(instances, dtype=np.float64)
+    instances = np.asarray(instances)
+    if instances.dtype != np.float32:
+        instances = instances.astype(np.float64, copy=False)
     targets = np.asarray(targets)
     if instances.ndim != 2:
         raise ContractError(f"expected a 2-D batch of instances, got shape {instances.shape}")

@@ -12,6 +12,7 @@ crc does not match. Header corruption that inflates a declared size may
 surface as TruncatedError before the checksum is consulted.
 """
 
+import math
 import struct
 import zlib
 
@@ -79,7 +80,9 @@ class ContainerReader:
 
     def array(self, dtype, shape):
         dtype = np.dtype(dtype)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        # Python ints: a declared shape too large for int64 must still
+        # compare as too large rather than wrap
+        count = math.prod(int(s) for s in shape)
         size = count * dtype.itemsize
         if self._pos + size > self._end:
             raise TruncatedError(

@@ -1,22 +1,30 @@
 """Datasets: synthetic grid images, provenance tracking, and file formats.
 
 Instances are 16x16 (by default) grayscale grids flattened to rows of a
-float64 matrix, values in [0, 1]. In-distribution classes are oriented
+float32 matrix, values in [0, 1]. In-distribution classes are oriented
 bars; the out-of-distribution pool holds shorter, noisier bars at
 angles offset from every class angle, so they share the pixel space
 and the visual family but none of the label space.
+
+float32 is the one dtype of Dataset.X, the precision runs train in. The
+generators render each block of rows in float64 and round it once into
+X, so a set is held at the bytes the model reads and a training batch
+enters the model without a cast. Code that needs float64 pixels (noise
+injection, the correction attack) widens the rows it works on, which is
+exact.
 
 Provenance records how each instance entered the training set: drawn
 clean, swapped in from the out-of-distribution pool (label kept, truth
 gone), or corrupted in place (pixels damaged, original class retained in
 true_labels).
 
-Dataset container (version 1), fields after magic+version:
+Dataset container (version 2), fields after magic+version:
     n u64 | d u64 | num_classes u32 | has_shape u8 | h u32 | w u32
-    X float64 row-major [n, d]
+    X float32 row-major [n, d]
     given_labels int32 [n]      (-1 when absent)
     provenance uint8 [n]
     true_labels int32 [n]       (-1 when absent)
+Version 1, which held X as float64, is no longer read.
 """
 
 import enum
@@ -28,7 +36,7 @@ from .containers import ContainerReader, ContainerWriter, read_file
 from .errors import ContractError, DimensionError, LabelError
 
 DATASET_MAGIC = b"INSCDSET"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 NO_LABEL = -1
 
@@ -49,7 +57,8 @@ class Dataset:
     grid_shape: tuple = None
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
+        # any X given is rounded to float32, the one dtype of X
+        self.X = np.asarray(self.X, dtype=np.float32)
         self.given_labels = np.asarray(self.given_labels, dtype=np.int32)
         self.true_labels = np.asarray(self.true_labels, dtype=np.int32)
         self.provenance = np.asarray(self.provenance, dtype=np.uint8)
@@ -160,7 +169,7 @@ def generate_synthetic(n, num_classes, height=16, width=16, seed=0):
         raise ContractError(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, num_classes, size=n)
-    X = np.empty((n, height * width))
+    X = np.empty((n, height * width), dtype=np.float32)
     jitter_rad = np.deg2rad(_ANGLE_JITTER_DEG)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
@@ -177,6 +186,7 @@ def generate_synthetic(n, num_classes, height=16, width=16, seed=0):
             fg=_FG, bg=_BG, bar_width=_BAR_WIDTH, bar_length=_BAR_LENGTH,
         )
         img += (0.0 + _PIXEL_NOISE * z[:, 3:]).reshape(-1, height, width)
+        # clamped in float64, rounded once to float32 as it lands in X
         np.clip(img.reshape(hi - lo, -1), 0.0, 1.0, out=X[lo:hi])
     lab = labels.astype(np.int32)
     return Dataset(
@@ -234,7 +244,7 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4, rows=None
     margin_span = _POOL_MARGIN_HI_DEG - _POOL_MARGIN_LO_DEG
     centre_span = _POOL_CENTER_JITTER - -_POOL_CENTER_JITTER
     middle = np.array([height / 2, width / 2])
-    X = np.empty((rows.size, height * width))
+    X = np.empty((rows.size, height * width), dtype=np.float32)
     for lo in range(0, n, _BLOCK_ROWS):
         m = min(lo + _BLOCK_ROWS, n) - lo
         k, side = np.empty((2, m), dtype=np.int64)
@@ -271,6 +281,7 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4, rows=None
         noise += 0.0
         img += noise
         np.clip(img, 0.0, 1.0, out=img)
+        # rounded to float32 as the rows land in X
         X[pos[picked]] = img.reshape(len(img), -1)
     absent = np.full(rows.size, NO_LABEL, dtype=np.int32)
     return Dataset(
@@ -313,7 +324,7 @@ def save_dataset(path, ds):
         w.pack("<BII", 0, 0, 0)
     else:
         w.pack("<BII", 1, ds.grid_shape[0], ds.grid_shape[1])
-    w.array(ds.X, np.float64)
+    w.array(ds.X, np.float32)
     w.array(ds.given_labels, np.int32)
     w.array(ds.provenance, np.uint8)
     w.array(ds.true_labels, np.int32)
@@ -324,7 +335,7 @@ def load_dataset(path):
     r = ContainerReader(read_file(path), DATASET_MAGIC, DATASET_VERSION)
     n, d, num_classes = r.unpack("<QQI")
     has_shape, h, wdt = r.unpack("<BII")
-    X = r.array(np.float64, (int(n), int(d)))
+    X = r.array(np.float32, (int(n), int(d)))
     given = r.array(np.int32, (int(n),))
     prov = r.array(np.uint8, (int(n),))
     true = r.array(np.int32, (int(n),))

@@ -7,7 +7,8 @@ Model.biases are reshaped views of it, so an optimizer updates every
 parameter in one call per step. Model.grad is the gradient over the
 same layout: None until a backward writes to it, and None again after
 zero_grads(). Everything the model computes follows the dtype of
-Model.flat: forward() casts its input rows to it, and the losses,
+Model.flat: forward() casts its input rows to it (no copy for a run's
+float32 model, whose data are float32 too), and the losses,
 probabilities, gradients and Adam moments come out in it.
 
 The model is always a relu MLP under a softmax cross-entropy loss, so
@@ -121,8 +122,9 @@ class Model:
 
     def forward(self, x):
         """Every layer's output for the rows of x: the input first, cast
-        to the parameters' dtype, then each hidden layer after its relu,
-        the logits last. No graph is kept."""
+        to the parameters' dtype (x itself when it already has it), then
+        each hidden layer after its relu, the logits last. No graph is
+        kept."""
         h = np.asarray(x, dtype=self.flat.dtype)
         self._check_input(h)
         outputs = [h]
@@ -316,8 +318,9 @@ def load_checkpoint(path):
     dtype = _CODE_DTYPE.get(dtype_code)
     if dtype is None:
         raise ContractError(f"unknown parameter dtype code {dtype_code} in checkpoint")
-    model = Model(spec, dtype=dtype)
-    model.flat[...] = r.array(dtype, model.flat.shape)
+    # the parameters are read, size-checked against the body, before
+    # anything of the declared shape is allocated
+    model = Model(spec, r.array(dtype, (sum(math.prod(s) for s in spec.shapes()),)))
     (kind_code,) = r.unpack("<B")
     kind = _OPT_CODE_KIND.get(kind_code)
     if kind is None:

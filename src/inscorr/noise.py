@@ -21,6 +21,10 @@ that differ only in kind therefore damage the same subset.
     [seed, 2]            replacement: which instances per class
     [seed, 3]            replacement: which pool entries (pool_sources)
 
+The corruptions work in float64 on the float32 rows they hit, widened
+exactly, and store their results rounded to float32, the dtype of every
+Dataset.X; the replacement route copies float32 pool rows as they are.
+
 Degenerate parameters are exact identities: sigma 0, occlusion fraction
 0, resolution factor 1, fog intensity 0, and blur length 1 all return
 bit-equal pixels.
@@ -65,8 +69,8 @@ def _round_half_up(x):
 
 
 def corruption_transform(grids, kind, spec, rng):
-    """Damaged copy of one (h, w) grid or of a (k, h, w) stack of grids;
-    output clamped to [0, 1], shape kept.
+    """Damaged float64 copy of one (h, w) grid or of a (k, h, w) stack of
+    grids, widened to float64 first; output clamped to [0, 1], shape kept.
 
     A stack draws from rng exactly as its grids would one after another.
     """
@@ -119,7 +123,9 @@ def inject_corruption(ds, kind, rate, spec, seed):
 
     kind is a NoiseKind; apply_noise maps a route name to it. The hit
     rows are damaged in ascending order, _BLOCK_ROWS at a time, which
-    draws from the stream as one stack of them all would.
+    draws from the stream as one stack of them all would. Each block is
+    widened to float64, transformed, and rounded back into the float32
+    copy.
     """
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"rate must lie in [0, 1], got {rate}")

@@ -23,9 +23,13 @@ set at all) visit bit-identical clean batches.
 
 Runs train in float32: init_model builds every run's model in that
 dtype, and the model's forward and backward passes, losses and Adam
-moments follow it. The data stay float64 (each batch is cast where it
-enters the model), and so does the correction attack, which works on a
-float64 copy of the parameters (attack.correct_set).
+moments follow it. The data are float32 from generation on
+(data.Dataset), so batches are gathered in the dtype the model reads
+and enter it without a cast, and evaluation forwards whole sets without
+a copy. The correction attack stays float64: it widens the mislabeled
+rows exactly and works on a float64 copy of the parameters
+(attack.correct_set); its corrected rows are rounded to float32 once,
+when the corrected set is built.
 
 RNG streams: epoch shuffles use [seed_epochs, T]; attacks draw their
 optional random starts from [seed_noise, 4, T]. Since nothing else
@@ -318,7 +322,8 @@ def _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y, lam,
 
 
 def _build_corrected(cfg, model, train, noisy_idx, epoch):
-    """The mislabeled side of the mix: attacked for inscorr, raw for mix."""
+    """The mislabeled side of the mix in the model's dtype: attacked for
+    inscorr, raw for mix."""
     xs = train.X[noisy_idx]  # a gather, so already a copy of the rows
     ys = train.given_labels[noisy_idx]
     if cfg.method == MIX:
@@ -327,7 +332,10 @@ def _build_corrected(cfg, model, train, noisy_idx, epoch):
         model, xs, ys, cfg.attack,
         seed=[cfg.seed_noise, 4, epoch] if cfg.attack.random_start else None,
     )
-    corrected = np.stack([r.corrected for r in results]) if results else xs
+    # the attack's float64 rows are rounded once here, not in every
+    # mixed batch that gathers them
+    corrected = (np.stack([r.corrected for r in results], dtype=model.flat.dtype)
+                 if results else xs)
     success = float(np.mean([r.success for r in results])) if results else None
     return corrected, ys, success
 

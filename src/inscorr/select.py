@@ -8,7 +8,9 @@ training marks probably-clean examples.
 
 Each batch runs forward once: the per-example losses that pick the kept
 rows come from the same layer outputs that the update then backpropagates
-through, restricted to the kept rows.
+through, restricted to the kept rows. Batches are gathered from the
+float32 training rows, the dtype a run's model reads, so they enter the
+forward pass without a cast.
 """
 
 from dataclasses import dataclass

@@ -127,6 +127,35 @@ def test_a_float32_model_is_attacked_in_float64(cfg):
     assert model.flat.dtype == np.float32 and np.array_equal(model.flat, before)
 
 
+@pytest.mark.parametrize("cfg", [AttackConfig(norm=LINF, budget=0.1, steps=15),
+                                 AttackConfig(norm=L2, budget=0.25, steps=15, random_start=True)],
+                         ids=["linf", "l2"])
+def test_float32_rows_are_attacked_as_their_float64_widening(cfg):
+    """Dataset rows are float32: each result is a float64 row inside the
+    budget around the widened row and inside [0, 1], the very result of
+    attacking the widened rows, and a rejected row comes back widened."""
+    model = small_trained_model(seed=7, dtype=np.float32)
+    rng = np.random.default_rng(8)
+    xs = np.clip(rng.normal(0.5, 0.3, size=(20, 12)), 0.0, 1.0).astype(np.float32)
+    xs[4, 3] = 1.5
+    targets = rng.integers(0, 2, size=20)
+    results = correct_set(model, xs, targets, cfg, seed=9)
+    wide = correct_set(model, xs.astype(np.float64), targets, cfg, seed=9)
+    assert results[4].error == "instance values must lie in [0, 1]"
+    for x, res, ref in zip(xs.astype(np.float64), results, wide):
+        assert res.corrected.dtype == np.float64
+        assert np.array_equal(res.corrected, ref.corrected)
+        assert (res.success, res.best_iteration, res.error) == (
+            ref.success, ref.best_iteration, ref.error)
+        if res.error is None:
+            assert res.loss == ref.loss
+            delta = res.corrected - x
+            size = np.max(np.abs(delta)) if cfg.norm == LINF else np.linalg.norm(delta)
+            assert size <= cfg.budget + 1e-9
+            assert res.corrected.min() >= 0.0 and res.corrected.max() <= 1.0
+    assert any(res.success for res in results)
+
+
 def test_l2_first_step_has_step_size_norm():
     model = small_trained_model(seed=9)
     x = np.full(12, 0.5)

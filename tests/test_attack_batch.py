@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from inscorr.attack import L2, LINF, AttackConfig, CorrectionResult, correct_set
+from inscorr.attack import L2, LINF, AttackConfig, CorrectionResult, _row_norms, correct_set
 from inscorr.nn import Model, ModelSpec, cross_entropy
 
 from test_attack import small_trained_model
@@ -135,18 +135,28 @@ def test_nan_pixel_rejected(random_start):
         assert_same(b, a)
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (1, 7), (63, 256), (64, 256), (65, 256),
+                                   (200, 3), (500, 256)])
+def test_row_norms_match_linalg_norm_bitwise(shape):
+    # the row blocks keep numpy's own per-row reduction
+    a = np.random.default_rng(38).normal(size=shape)
+    assert np.array_equal(_row_norms(a), np.linalg.norm(a, axis=1))
+
+
 def test_working_set_stays_within_five_inputs():
     # delta, best iterate, perturbed-input buffer and gradient are four
-    # (m, d) arrays; the hidden activations and masks add well under one
+    # (m, d) arrays; the hidden activations and masks add well under one,
+    # and the L2 norms square one block of rows at a time
     m, d = 500, 256
     model = Model.init(ModelSpec(d, (64,), 4), seed=[36])
     xs = np.random.default_rng(37).uniform(0.0, 1.0, (m, d))
     targets = np.arange(m) % 4
-    tracemalloc.start()
-    try:
-        results = correct_set(model, xs, targets, AttackConfig(steps=40))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(results) == m and all(r.error is None for r in results)
-    assert peak <= 5 * xs.nbytes
+    for norm in (LINF, L2):
+        tracemalloc.start()
+        try:
+            results = correct_set(model, xs, targets, AttackConfig(norm=norm, steps=40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == m and all(r.error is None for r in results)
+        assert peak <= 5 * xs.nbytes, norm

@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from inscorr import data
+from inscorr.containers import ContainerWriter
 from inscorr.data import (
+    DATASET_MAGIC,
+    DATASET_VERSION,
     NO_LABEL,
     Dataset,
     Provenance,
@@ -22,6 +25,7 @@ from inscorr.errors import (
     ContractError,
     LabelError,
     TruncatedError,
+    VersionError,
 )
 
 
@@ -94,7 +98,8 @@ def _reference_synthetic(n, num_classes, height, width, seed):
         img = _reference_bar(height, width, theta, cy, cx, 0.92, 0.08, 0.8, 3.5)
         img += rng.normal(0.0, 0.18, size=(height, width))
         X[i] = np.clip(img, 0.0, 1.0).ravel()
-    return X, labels
+    # the float64 rows, rounded once to the dtype of Dataset.X
+    return X.astype(np.float32), labels
 
 
 def _reference_ood(n, height, width, seed, num_classes):
@@ -111,7 +116,7 @@ def _reference_ood(n, height, width, seed, num_classes):
         seg = _reference_bar(height, width, theta, cy, cx, 1.0, 0.0, 0.8, 3.0)
         img = 0.08 + (0.92 - 0.08) * seg + rng.normal(0.0, 0.2, size=(height, width))
         X[i] = np.clip(img, 0.0, 1.0).ravel()
-    return X
+    return X.astype(np.float32)
 
 
 @pytest.mark.parametrize("n, height, width", [
@@ -266,6 +271,16 @@ def test_permutation_batches_cover_exactly_once():
     assert np.array_equal(np.sort(flat), np.arange(103))
 
 
+def test_every_dataset_holds_float32_rows():
+    # generated sets, their subsets and any X given are float32
+    assert generate_synthetic(70, 4, seed=1).X.dtype == np.float32
+    assert generate_ood_source(70, seed=1, rows=[3, 66]).X.dtype == np.float32
+    wide = np.random.default_rng(2).random((5, 4))
+    ds = Dataset(wide, np.zeros(5), np.zeros(5), np.zeros(5), 2)
+    assert ds.X.dtype == np.float32 and np.array_equal(ds.X, wide.astype(np.float32))
+    assert ds.subset([4, 1]).X.dtype == np.float32
+
+
 def test_dataset_round_trip_exact(tmp_path):
     ds = generate_synthetic(40, 4, seed=15)
     ds.provenance[3] = Provenance.OPEN_SET
@@ -273,6 +288,7 @@ def test_dataset_round_trip_exact(tmp_path):
     path = str(tmp_path / "ds.bin")
     save_dataset(path, ds)
     back = load_dataset(path)
+    assert back.X.dtype == np.float32
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.given_labels, ds.given_labels)
     assert np.array_equal(back.true_labels, ds.true_labels)
@@ -306,3 +322,28 @@ def test_dataset_file_corruption_detected(tmp_path):
     with pytest.raises(ChecksumError):
         load_dataset(str(tmp_path / "flip.bin"))
 
+
+def test_dataset_version_1_is_not_read(tmp_path):
+    # version 1 held X as float64
+    assert DATASET_VERSION == 2
+    path = tmp_path / "ds.bin"
+    save_dataset(str(path), generate_synthetic(10, 2, seed=18))
+    old = bytearray(path.read_bytes())
+    old[8] = 1
+    path.write_bytes(bytes(old))
+    with pytest.raises(VersionError, match="version 1 is not the supported version 2"):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize("n, d", [(2**62, 4), (4, 2**62)])
+def test_dataset_header_past_int64_is_truncation(tmp_path, n, d):
+    # n * d * 4 bytes overflows int64; the reader must still see it as
+    # more than the body holds
+    w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
+    w.pack("<QQI", n, d, 2)
+    w.pack("<BII", 0, 0, 0)
+    w.array(np.zeros(64), np.float32)
+    path = tmp_path / "huge.bin"
+    w.save(path)
+    with pytest.raises(TruncatedError, match="needed"):
+        load_dataset(str(path))

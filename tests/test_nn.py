@@ -113,6 +113,13 @@ def test_a_float32_model_computes_in_float32():
                        wide.per_example_losses(x, labels), rtol=1e-5, atol=1e-6)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_takes_rows_of_its_dtype_without_a_copy(dtype):
+    # a run's float32 model reads the float32 rows of a Dataset in place
+    x = np.random.default_rng(4).random((6, 8)).astype(dtype)
+    assert np.shares_memory(Model.init(DEEP, seed=2, dtype=dtype).forward(x)[0], x)
+
+
 def test_forward_rejects_wrong_width():
     model = Model.init(SPEC, seed=2)
     with pytest.raises(DimensionError, match=r"\(3, 5\)"):
@@ -494,6 +501,16 @@ def test_checkpoint_error_cases(tmp_path):
     open(tmp_path / "ckpt_v1.bin", "wb").write(bytes(old))
     with pytest.raises(VersionError, match="version 1 is not the supported version 2"):
         load_checkpoint(tmp_path / "ckpt_v1.bin")
+
+    # parameter counts the body cannot hold fail before any allocation,
+    # even when the count overflows int64
+    for hidden in (2**40, 2**62):
+        huge = ContainerWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        huge.pack("<QIQIB", 8, 1, hidden, 3, 1)
+        huge.array(np.zeros(64), np.float32)
+        huge.save(tmp_path / "ckpt_huge.bin")
+        with pytest.raises(TruncatedError, match="needed"):
+            load_checkpoint(tmp_path / "ckpt_huge.bin")
 
     bad_dtype = ContainerWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     bad_dtype.pack("<QIIB", 8, 0, 3, 7)

@@ -59,15 +59,16 @@ def _reference_transform(grid, kind, spec, rng):
 
 
 def _reference_corruption(ds, kind, rate, spec, seed):
-    """inject_corruption one hit row at a time."""
+    """inject_corruption one hit row at a time, on the float64 widening
+    of the rows; the result is rounded once to the dtype of Dataset.X."""
     k = _half_up(rate * len(ds))
     hit = np.sort(np.random.default_rng([seed, 0]).choice(len(ds), size=k, replace=False))
     rng = np.random.default_rng([seed, 1, int(kind)])
-    X, prov = ds.X.copy(), ds.provenance.copy()
+    X, prov = ds.X.astype(np.float64), ds.provenance.copy()
     for i in hit:
-        X[i] = _reference_transform(ds.grid(i), kind, spec, rng).ravel()
+        X[i] = _reference_transform(X[i].reshape(ds.grid_shape), kind, spec, rng).ravel()
         prov[i] = Provenance.CORRUPTED
-    return X, prov
+    return X.astype(np.float32), prov
 
 
 def _reference_open_set(ds, pool, rate, seed):

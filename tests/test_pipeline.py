@@ -89,6 +89,12 @@ class TestPrepareData:
         assert len(test) == cfg.n_test
         assert train.dim == 64
 
+    @pytest.mark.parametrize("route", ["open_set", "fog"])
+    def test_sets_are_float32(self, route):
+        # the dtype a run's model reads, so batches need no cast
+        for ds in prepare_data(tiny_config(noise_route=route)):
+            assert ds.X.dtype == np.float32
+
     def test_noise_lands_on_both_sides_of_split(self):
         # injection happens before the split, so corrupted instances can
         # end up in validation
