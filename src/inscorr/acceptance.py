@@ -231,22 +231,27 @@ def _train_plain(model, ds, epochs, batch_size=128, seed=0):
 
 
 def check_attack():
-    """Budget and clamp hold on every result; targeted efficacy is high."""
+    """Budget and clamp hold on every result, in float64 terms, for a
+    float64 model and for its float32 copy on float32 rows, the dtype
+    runs attack in; targeted efficacy is high."""
     rng = np.random.default_rng(99)
     spec = ModelSpec(40, (12,), 4)
     rough = Model.init(spec, seed=1)
     xs = rng.uniform(0.0, 1.0, (30, 40))
     targets = rng.integers(0, 4, 30).astype(np.int64)
-    for norm in ("linf", "l2"):
-        cfg = AttackConfig(norm=norm, budget=0.2, steps=10)
-        for x, result in zip(xs, correct_set(rough, xs, targets, cfg)):
-            delta = result.corrected - x
-            size = (np.max(np.abs(delta)) if norm == "linf"
-                    else np.linalg.norm(delta))
-            if size > cfg.budget + 1e-9:
-                return False, f"{norm} budget exceeded: {size}"
-            if not np.all((result.corrected >= 0.0) & (result.corrected <= 1.0)):
-                return False, f"{norm} clamp violated"
+    for dtype in (np.float64, np.float32):
+        model = Model(spec, rough.flat.astype(dtype))
+        rows = xs.astype(dtype)
+        for norm in ("linf", "l2"):
+            cfg = AttackConfig(norm=norm, budget=0.2, steps=10)
+            for x, result in zip(rows, correct_set(model, rows, targets, cfg)):
+                delta = result.corrected.astype(np.float64) - x  # exact
+                size = (np.max(np.abs(delta)) if norm == "linf"
+                        else np.linalg.norm(delta))
+                if size > cfg.budget + 1e-9:
+                    return False, f"{dtype.__name__} {norm} budget exceeded: {size}"
+                if not np.all((result.corrected >= 0.0) & (result.corrected <= 1.0)):
+                    return False, f"{dtype.__name__} {norm} clamp violated"
 
     train = generate_synthetic(2000, 4, 16, 16, seed=7)
     model = _train_plain(Model.init(ModelSpec(256, (64,), 4), seed=7), train, 30)

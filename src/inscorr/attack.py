@@ -20,21 +20,23 @@ rounding of batched matmuls:
   * a row whose gradient turns non-finite leaves the batch and comes
     back unperturbed with the error; the other rows go on.
 
-The attack runs in float64 whatever the dtypes of the model and the
-rows: correct_set works on the parameters as float64 (a copy when they
-are float32), and float32 rows, the dtype of every Dataset.X, are
-widened exactly wherever they meet float64 arithmetic, so the budget
-and the [0, 1] clamp hold on float64 rows around the widened ones.
+The attack runs in the model's dtype, as nn.Model does: correct_set
+converts the instances to it once (a no-op for a run's float32 rows),
+and every array it makes follows. Rounding x + delta moves a pixel of
+[0, 1] by up to eps / 2, which can carry a row ~1e-7 past the budget in
+float32, so delta is projected onto a radius inside the budget by a
+margin from the dtype's eps: 2 eps for Linf, eps (sqrt(d) + budget d)
+for L2, whose norms, sums of d squares, round too (~1e-15 in float64).
 
-Working set: beside the caller's (m, d) instances, which are neither
-widened nor copied (except that the valid rows are gathered when some
-row is rejected), a call holds four float64 arrays of that size: the
-perturbation delta, the best iterate, one buffer for the perturbed
+Working set: beside the (m, d) instances, not copied when they already
+have the model's dtype (except that the valid rows are gathered when
+some row is rejected), a call holds four arrays of that size and dtype:
+the perturbation delta, the best iterate, one buffer for the perturbed
 inputs the model sees, and the input gradient. The L2 step divides the
 gradient in place, and row norms are summed _NORM_ROWS rows at a time,
 so neither norm squares a whole (m, d) array. The corrected rows are
 formed in the best-iterate buffer, so each result's corrected is a
-float64 view into it.
+view into it.
 """
 
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .nn import Model, cross_entropy
+from .nn import cross_entropy
 
 LINF = "linf"
 L2 = "l2"
@@ -85,62 +87,61 @@ def _losses_and_grads(model, x, targets):
     return losses, model.backward(outputs, probs, targets, np.ones(len(x)), input_grad=True)
 
 
-def _starts(x, cfg, seed, rows):
+def _starts(x, cfg, radius, seed, rows):
     """The starting perturbations of the rows of x: zeros, or for a random
-    start one draw per row from default_rng([seed, j]), j from rows."""
+    start one draw per row i within radius from default_rng([seed, rows[i]])."""
     if not cfg.random_start:
-        return np.zeros(x.shape)
-    delta = np.empty(x.shape)
+        return np.zeros_like(x)
+    delta = np.empty_like(x)
     d = x.shape[1]
     for i, j in enumerate(rows):
         rng = np.random.default_rng([seed, j])
         if cfg.norm == LINF:
-            delta[i] = rng.uniform(-cfg.budget, cfg.budget, size=d)
+            delta[i] = rng.uniform(-radius, radius, size=d)
         else:
             raw = rng.normal(size=d)
-            radius = cfg.budget * rng.uniform() ** (1.0 / d)
-            delta[i] = raw * (radius / max(float(np.linalg.norm(raw)), 1e-12))
+            length = radius * rng.uniform() ** (1.0 / d)
+            delta[i] = raw * (length / max(float(np.linalg.norm(raw)), 1e-12))
     return np.clip(x + delta, 0.0, 1.0) - x
 
 
 def _row_norms(a):
     """np.linalg.norm(a, axis=1) bit for bit, squaring _NORM_ROWS rows at
     a time instead of the whole array."""
-    norms = np.empty(len(a))
+    norms = np.empty(len(a), dtype=a.dtype)
     for lo in range(0, len(a), _NORM_ROWS):
         block = a[lo:lo + _NORM_ROWS]
         np.sqrt(np.add.reduce(block * block, axis=1), out=norms[lo:lo + _NORM_ROWS])
     return norms
 
 
-def _project(delta, cfg):
-    """Project each row of delta onto the budget ball, in place."""
+def _project(delta, cfg, radius):
+    """Project each row of delta onto the ball of radius, in place."""
     if cfg.norm == LINF:
-        np.clip(delta, -cfg.budget, cfg.budget, out=delta)
+        np.clip(delta, -radius, radius, out=delta)
     else:
         norm = _row_norms(delta)
-        over = norm > cfg.budget
-        delta[over] *= (cfg.budget / norm[over])[:, None]
+        over = norm > radius
+        delta[over] *= (radius / norm[over])[:, None]
 
 
 def _unperturbed(x, error):
-    return CorrectionResult(np.clip(x, 0.0, 1.0, dtype=np.float64), float("nan"), False, 0,
-                            error=error)
+    return CorrectionResult(np.clip(x, 0.0, 1.0), float("nan"), False, 0, error=error)
 
 
-def _correct_rows(model, x, targets, delta, cfg):
+def _correct_rows(model, x, targets, delta, cfg, radius):
     """Batched PGD over the rows of x from the starts delta; one result per row.
 
     delta is updated in place, and the perturbed inputs are written into
     one buffer, so the working set is delta, the best iterate, that
-    buffer and the gradient, all float64 whatever the dtype of x.
+    buffer and the gradient, all in the dtype of x.
     """
     m = len(x)
     best_delta = delta.copy()
-    best_loss = np.full(m, np.inf)
+    best_loss = np.full(m, np.inf, dtype=x.dtype)
     best_iter = np.zeros(m, dtype=np.int64)
     failed = np.zeros(m, dtype=bool)
-    inputs = np.empty(x.shape)
+    inputs = np.empty_like(x)
     rows = np.arange(m)  # positions in x of the rows still attacked
     xs, ts = x, targets
     for k in range(cfg.steps + 1):
@@ -171,7 +172,7 @@ def _correct_rows(model, x, targets, delta, cfg):
         delta -= step
         # free the gradient before the next backward allocates its own
         del step, grad
-        _project(delta, cfg)
+        _project(delta, cfg, radius)
         # keep the perturbed inputs valid; clamping only shrinks delta
         np.add(xs, delta, out=delta)
         np.clip(delta, 0.0, 1.0, out=delta)
@@ -189,18 +190,14 @@ def _correct_rows(model, x, targets, delta, cfg):
 def correct_set(model, instances, targets, cfg, seed=None):
     """Correct every row toward its target in one batched attack, in order.
 
-    Model parameters are read-only; a model of another dtype is attacked
-    through a float64 copy of them. float32 instances are attacked as
-    their exact float64 widening without a float64 copy of them being
-    made; every other dtype is converted to float64 first. Each result's
-    corrected row is float64. A row with a pixel outside [0, 1] (NaN
-    included), a target out of range, or a gradient that turns
-    non-finite yields an unperturbed result with success False and the
-    error message attached; the rest of the batch proceeds.
+    Model parameters are read-only. The instances are converted once to
+    the parameters' dtype, which the attack and every result's corrected
+    row keep. A row with a pixel outside [0, 1] (NaN included), a target
+    out of range, or a gradient that turns non-finite yields an
+    unperturbed result with success False and the error message
+    attached; the rest of the batch proceeds.
     """
-    instances = np.asarray(instances)
-    if instances.dtype != np.float32:
-        instances = instances.astype(np.float64, copy=False)
+    instances = np.asarray(instances, dtype=model.flat.dtype)
     targets = np.asarray(targets)
     if instances.ndim != 2:
         raise ContractError(f"expected a 2-D batch of instances, got shape {instances.shape}")
@@ -222,11 +219,13 @@ def correct_set(model, instances, targets, cfg, seed=None):
     valid = np.flatnonzero(~bad)
     if not valid.size:
         return results
-    model = Model(model.spec, np.asarray(model.flat, dtype=np.float64))
     # no copy of the instances when every row is valid and in C order
     x = np.ascontiguousarray(instances if valid.size == len(instances) else instances[valid])
-    delta = _starts(x, cfg, seed, valid)
-    batch = _correct_rows(model, x, targets[valid].astype(np.int64), delta, cfg)
+    eps, d = float(np.finfo(x.dtype).eps), x.shape[1]
+    margin = 2 * eps if cfg.norm == LINF else eps * (d ** 0.5 + cfg.budget * d)
+    radius = max(cfg.budget - margin, 0.0)
+    delta = _starts(x, cfg, radius, seed, valid)
+    batch = _correct_rows(model, x, targets[valid].astype(np.int64), delta, cfg, radius)
     for j, result in zip(valid, batch):
         results[j] = result
     return results

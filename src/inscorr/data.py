@@ -10,8 +10,7 @@ float32 is the one dtype of Dataset.X, the precision runs train in. The
 generators render each block of rows in float64 and round it once into
 X, so a set is held at the bytes the model reads and a training batch
 enters the model without a cast. Code that needs float64 pixels (noise
-injection, the correction attack) widens the rows it works on, which is
-exact.
+injection) widens the rows it works on, which is exact.
 
 Provenance records how each instance entered the training set: drawn
 clean, swapped in from the out-of-distribution pool (label kept, truth

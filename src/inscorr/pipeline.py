@@ -26,10 +26,8 @@ dtype, and the model's forward and backward passes, losses and Adam
 moments follow it. The data are float32 from generation on
 (data.Dataset), so batches are gathered in the dtype the model reads
 and enter it without a cast, and evaluation forwards whole sets without
-a copy. The correction attack stays float64: it widens the mislabeled
-rows exactly and works on a float64 copy of the parameters
-(attack.correct_set); its corrected rows are rounded to float32 once,
-when the corrected set is built.
+a copy. The correction attack (attack.correct_set) runs in the model's
+dtype too, so the corrected rows it returns are float32 as well.
 
 RNG streams: epoch shuffles use [seed_epochs, T]; attacks draw their
 optional random starts from [seed_noise, 4, T]. Since nothing else
@@ -332,10 +330,7 @@ def _build_corrected(cfg, model, train, noisy_idx, epoch):
         model, xs, ys, cfg.attack,
         seed=[cfg.seed_noise, 4, epoch] if cfg.attack.random_start else None,
     )
-    # the attack's float64 rows are rounded once here, not in every
-    # mixed batch that gathers them
-    corrected = (np.stack([r.corrected for r in results], dtype=model.flat.dtype)
-                 if results else xs)
+    corrected = np.stack([r.corrected for r in results]) if results else xs
     success = float(np.mean([r.success for r in results])) if results else None
     return corrected, ys, success
 

@@ -100,60 +100,39 @@ def test_l2_budget_and_clamp_exact():
         assert res.corrected.min() >= 0.0 and res.corrected.max() <= 1.0
 
 
-@pytest.mark.parametrize("cfg", [AttackConfig(norm=LINF, budget=0.1, steps=15),
-                                 AttackConfig(norm=L2, budget=0.25, steps=15)],
-                         ids=["linf", "l2"])
-def test_a_float32_model_is_attacked_in_float64(cfg):
-    """A run's float32 model is attacked through a float64 copy of its
-    parameters: float64 rows inside the budget and [0, 1], the results of
-    a float64 model holding the same values, and the model left alone."""
+@pytest.mark.parametrize("steps", [0, 15])
+@pytest.mark.parametrize("random_start", [False, True])
+@pytest.mark.parametrize("norm,budget", [(LINF, 8.0 / 255.0), (L2, 0.25)])
+def test_float32_rows_are_attacked_in_float32_within_budget(norm, budget, random_start, steps):
+    """A run's float32 model attacks its float32 rows in float32. x + delta
+    rounds by up to half an ulp, yet every result is a float32 row inside
+    the budget, measured in float64 against the row at the usual 1e-9
+    slack, and inside [0, 1]; a rejected row comes back float32 and
+    unperturbed, and the model is left alone."""
     model = small_trained_model(seed=5, dtype=np.float32)
     before = model.flat.copy()
     rng = np.random.default_rng(6)
-    xs = np.clip(rng.normal(0.5, 0.3, size=(20, 12)), 0.0, 1.0)
-    targets = rng.integers(0, 2, size=20)
-    results = correct_set(model, xs, targets, cfg)
-    wide = correct_set(Model(model.spec, model.flat.astype(np.float64)), xs, targets, cfg)
-    for x, res, ref in zip(xs, results, wide):
-        assert res.corrected.dtype == np.float64
-        delta = res.corrected - x
-        size = np.max(np.abs(delta)) if cfg.norm == LINF else np.linalg.norm(delta)
-        assert size <= cfg.budget + 1e-9
-        assert res.corrected.min() >= 0.0 and res.corrected.max() <= 1.0
-        assert np.array_equal(res.corrected, ref.corrected)
-        assert (res.loss, res.success, res.best_iteration) == (
-            ref.loss, ref.success, ref.best_iteration)
-    assert any(res.success for res in results)
-    assert model.flat.dtype == np.float32 and np.array_equal(model.flat, before)
-
-
-@pytest.mark.parametrize("cfg", [AttackConfig(norm=LINF, budget=0.1, steps=15),
-                                 AttackConfig(norm=L2, budget=0.25, steps=15, random_start=True)],
-                         ids=["linf", "l2"])
-def test_float32_rows_are_attacked_as_their_float64_widening(cfg):
-    """Dataset rows are float32: each result is a float64 row inside the
-    budget around the widened row and inside [0, 1], the very result of
-    attacking the widened rows, and a rejected row comes back widened."""
-    model = small_trained_model(seed=7, dtype=np.float32)
-    rng = np.random.default_rng(8)
-    xs = np.clip(rng.normal(0.5, 0.3, size=(20, 12)), 0.0, 1.0).astype(np.float32)
+    xs = np.concatenate([
+        np.clip(rng.normal(0.5, 0.3, size=(40, 12)), 0.0, 1.0),
+        rng.uniform(0.0, 0.02, size=(20, 12)),  # rows of mostly small pixels
+    ]).astype(np.float32)
     xs[4, 3] = 1.5
-    targets = rng.integers(0, 2, size=20)
+    targets = rng.integers(0, 2, size=len(xs))
+    cfg = AttackConfig(norm=norm, budget=budget, steps=steps, random_start=random_start)
     results = correct_set(model, xs, targets, cfg, seed=9)
-    wide = correct_set(model, xs.astype(np.float64), targets, cfg, seed=9)
     assert results[4].error == "instance values must lie in [0, 1]"
-    for x, res, ref in zip(xs.astype(np.float64), results, wide):
-        assert res.corrected.dtype == np.float64
-        assert np.array_equal(res.corrected, ref.corrected)
-        assert (res.success, res.best_iteration, res.error) == (
-            ref.success, ref.best_iteration, ref.error)
+    assert np.array_equal(results[4].corrected, np.clip(xs[4], 0.0, 1.0))
+    sizes = []
+    for x, res in zip(xs.astype(np.float64), results):
+        assert res.corrected.dtype == np.float32
         if res.error is None:
-            assert res.loss == ref.loss
-            delta = res.corrected - x
-            size = np.max(np.abs(delta)) if cfg.norm == LINF else np.linalg.norm(delta)
-            assert size <= cfg.budget + 1e-9
+            delta = res.corrected.astype(np.float64) - x
+            sizes.append(np.max(np.abs(delta)) if norm == LINF else np.linalg.norm(delta))
             assert res.corrected.min() >= 0.0 and res.corrected.max() <= 1.0
-    assert any(res.success for res in results)
+    assert max(sizes) <= budget + 1e-9
+    if steps:  # the steps reach the edge of the ball, where rounding could cross it
+        assert max(sizes) > budget - 1e-6
+    assert model.flat.dtype == np.float32 and np.array_equal(model.flat, before)
 
 
 def test_l2_first_step_has_step_size_norm():

@@ -138,25 +138,31 @@ def test_nan_pixel_rejected(random_start):
 @pytest.mark.parametrize("shape", [(0, 5), (1, 7), (63, 256), (64, 256), (65, 256),
                                    (200, 3), (500, 256)])
 def test_row_norms_match_linalg_norm_bitwise(shape):
-    # the row blocks keep numpy's own per-row reduction
+    # the row blocks keep numpy's own per-row reduction, in either dtype
     a = np.random.default_rng(38).normal(size=shape)
-    assert np.array_equal(_row_norms(a), np.linalg.norm(a, axis=1))
+    for rows in (a, a.astype(np.float32)):
+        norms = _row_norms(rows)
+        assert norms.dtype == rows.dtype
+        assert np.array_equal(norms, np.linalg.norm(rows, axis=1))
 
 
 def test_working_set_stays_within_five_inputs():
     # delta, best iterate, perturbed-input buffer and gradient are four
-    # (m, d) arrays; the hidden activations and masks add well under one,
-    # and the L2 norms square one block of rows at a time
+    # (m, d) arrays in the model's dtype; the hidden activations and masks
+    # add well under one, and the L2 norms square one block of rows at a
+    # time. A run's float32 model and rows keep the bound in float32 bytes.
     m, d = 500, 256
-    model = Model.init(ModelSpec(d, (64,), 4), seed=[36])
-    xs = np.random.default_rng(37).uniform(0.0, 1.0, (m, d))
+    rows = np.random.default_rng(37).uniform(0.0, 1.0, (m, d))
     targets = np.arange(m) % 4
-    for norm in (LINF, L2):
-        tracemalloc.start()
-        try:
-            results = correct_set(model, xs, targets, AttackConfig(norm=norm, steps=40))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(results) == m and all(r.error is None for r in results)
-        assert peak <= 5 * xs.nbytes, norm
+    for dtype in (np.float64, np.float32):
+        model = Model.init(ModelSpec(d, (64,), 4), seed=[36], dtype=dtype)
+        xs = rows.astype(dtype)
+        for norm in (LINF, L2):
+            tracemalloc.start()
+            try:
+                results = correct_set(model, xs, targets, AttackConfig(norm=norm, steps=40))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(results) == m and all(r.error is None for r in results)
+            assert peak <= 5 * xs.nbytes, (dtype, norm)
