@@ -6,7 +6,9 @@ bit-identical.
 Kernels:
     softmax_xent(logits, labels)        -> (losses, probs)
     xent_backward(probs, labels, gout)  -> dL/dlogits
-    adam_update(p, g, m, v, ...)        -> in-place fused Adam step
+    adam_update(p, g, m, v, ...)        -> in-place fused Adam step, with each
+                                           first moment below finfo.tiny / lr
+                                           set to 0
     line_blur(grids, dys, dxs)          -> 1-D line convolution, reflect pad
     block_resample(grids, factor)       -> block-average down + nearest up
 
@@ -47,11 +49,37 @@ def xent_backward(probs, labels, gout):
 # fused Adam update (flat views, in place)
 # ---------------------------------------------------------------------------
 
+def _flush_limit(dtype, lr):
+    """The least value of dtype at or above finfo(dtype).tiny / lr, so that
+    |m| < limit holds for exactly the m of that dtype below tiny / lr. It is
+    inf where tiny / lr is past the dtype's range: every finite m is below."""
+    fi = np.finfo(dtype)
+    exact = float(fi.tiny) / lr
+    if exact > float(fi.max):
+        return dtype.type(np.inf)
+    limit = dtype.type(exact)
+    if float(limit) < exact:
+        limit = np.nextafter(limit, dtype.type(np.inf))
+    return limit
+
+
 def adam_update(p, g, m, v, lr, b1, b2, eps, c1, c2):
     one_mb1 = 1.0 - b1
     one_mb2 = 1.0 - b2
     m *= b1
     m += one_mb1 * g
+    # A moment whose step lr * |m| is below the smallest normal can no longer
+    # move a parameter of normal size. Once a zero gradient (a dead relu
+    # unit) has decayed it that far, it turns subnormal and stays so, since
+    # 0.9 times a few units of the least subnormal rounds back, and every
+    # later pass over it runs about twice as slowly. A limit of tiny alone
+    # would leave lr * (m / c1) subnormal for m in [tiny, tiny / lr). Set
+    # such moments to +0, so that the step below is exactly 0: the product
+    # leaves a negative one at -0.0, and adding +0.0 turns it into +0. (A
+    # masked copyto takes twice as long on the scattered entries of dead
+    # units.)
+    m *= np.abs(m) >= _flush_limit(m.dtype, lr)
+    m += 0.0
     v *= b2
     v += one_mb2 * (g * g)
     p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)

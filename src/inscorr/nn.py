@@ -225,7 +225,11 @@ class Adam:
     """Adam over the flat parameter vector. Its moments are flat vectors
     too, allocated in the parameters' dtype at the first step or save for
     the parameter shapes of that model; a model of other shapes is refused
-    from then on."""
+    from then on. The kernel sets a first moment to 0 once its step
+    lr * |m| falls below the dtype's smallest normal, so the moments hold no
+    subnormals. The step that flush skips could move only a parameter
+    within about 2e-22 of 0 (float32, eps 1e-8); every other parameter moves
+    bitwise as without it."""
 
     kind = "adam"
 

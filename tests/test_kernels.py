@@ -1,6 +1,7 @@
 """Oracle and determinism checks for the numpy kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,69 @@ def test_adam_update_first_step_closed_form():
     expected = np.array([1.0, -2.0, 0.5]) - lr * mhat / (np.sqrt(vhat) + eps)
     assert np.allclose(p, expected, rtol=1e-12)
     assert p[2] == 0.5
+
+
+def _stepped_against_oracle(dtype, lr, m0, live, steps, seed):
+    """Step adam_update and the loop oracle side by side from the same state;
+    yield (kernel m, oracle m) after each step, having asserted that p and v
+    are bitwise the oracle's. Coordinates outside live get g = 0."""
+    rng = np.random.default_rng(seed)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    n = m0.size
+    pa, ma, va = rng.normal(size=n).astype(dtype), m0.astype(dtype), rng.random(n).astype(dtype)
+    pb, mb, vb = pa.copy(), ma.copy(), va.copy()
+    for step in range(1, steps + 1):
+        g = np.where(live, rng.normal(size=n), 0.0).astype(dtype)
+        c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+        K.adam_update(pa, g, ma, va, lr, b1, b2, eps, c1, c2)
+        _adam_update_loop(pb, g, mb, vb, lr, b1, b2, eps, c1, c2)
+        assert np.array_equal(pa, pb)
+        assert np.array_equal(va, vb)
+        yield ma, mb
+
+
+def _assert_flushed_below(m, limit):
+    """No nonzero |m| lies below limit, and what lies below it is +0."""
+    below = np.abs(m.astype(np.float64)) < limit
+    assert np.all(m[below] == 0) and not np.any(np.signbit(m[below]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_update_flushes_first_moments_below_tiny_over_lr(dtype):
+    """Dead coordinates (g = 0) start with |m| just above tiny / lr and
+    decay across it; live ones keep a gradient. Each dead m becomes exactly
+    0 once below the limit, and p, v and every m the oracle holds at or
+    above the limit stay bitwise the oracle's."""
+    lr = 0.001
+    limit = float(np.finfo(dtype).tiny) / lr
+    rng = np.random.default_rng(8)
+    n = 96
+    live = np.arange(n) % 3 == 0
+    m0 = np.where(live, rng.normal(size=n),
+                  limit * (1.0 + 20.0 * rng.random(n)) * rng.choice([-1.0, 1.0], n))
+    flushed_at = []
+    for ma, mb in _stepped_against_oracle(dtype, lr, m0, live, 40, seed=9):
+        _assert_flushed_below(ma, limit)
+        kept = np.abs(mb.astype(np.float64)) >= limit
+        assert np.array_equal(ma[kept], mb[kept])
+        assert np.all(ma[~kept] == 0)
+        flushed_at.append(np.count_nonzero(~kept))
+    # the dead coordinates crossed over many steps, and all of them did
+    assert flushed_at[0] < flushed_at[-1] == np.count_nonzero(~live)
+    assert len(set(flushed_at)) > 10
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lr", [1e-80, 5e-324])
+def test_adam_update_takes_a_tiny_lr_without_overflow(dtype, lr):
+    """tiny / lr can lie past the dtype's range (float32 from lr ~ 3.5e-77),
+    where a plain comparison with it overflows in the cast."""
+    rng = np.random.default_rng(10)
+    m0 = rng.normal(size=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ma, _ in _stepped_against_oracle(dtype, lr, m0, np.ones(32, bool), 5, seed=11):
+            _assert_flushed_below(ma, float(np.finfo(dtype).tiny) / lr)
 
 
 def test_line_blur_matches_loop_oracle():

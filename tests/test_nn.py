@@ -336,6 +336,57 @@ def test_adam_calls_the_kernel_once_per_step(monkeypatch):
     assert calls == [model.flat.size] * 4
 
 
+def _unflushed_adam_update(p, g, m, v, lr, b1, b2, eps, c1, c2):
+    """kernels.adam_update as it was before it flushed first moments."""
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def _dead_unit_trajectory(steps):
+    """Train a float32 model whose hidden unit 0 is killed after 20 steps of
+    nonzero gradients (its W1 column and bias set negative, the inputs are
+    nonnegative); return its parameters and first moments after each step,
+    the unit's activations at the end and the mask of its parameters."""
+    unit = Model(SPEC, dtype=np.float32)
+    unit.weights[0][:, 0] = unit.biases[0][0] = unit.weights[1][0] = 1
+    unit = unit.flat == 1
+    rng = np.random.default_rng(22)
+    x = rng.random((24, 8)).astype(np.float32)
+    labels = rng.integers(0, 3, size=24)
+    model, opt = Model.init(SPEC, seed=8, dtype=np.float32), Adam(lr=0.01)
+    _train_steps(model, opt, x, labels, 20)
+    assert np.all(opt._m[unit] != 0)
+    model.weights[0][:, 0] = -np.abs(model.weights[0][:, 0])
+    model.biases[0][0] = -5.0
+    flats, moments = [], []
+    for _ in range(steps):
+        _train_steps(model, opt, x, labels, 1)
+        flats.append(model.flat.copy())
+        moments.append(opt._m.copy())
+    return flats, moments, model.forward(x)[1][:, 0], unit
+
+
+def test_a_dead_unit_leaves_no_subnormal_first_moment(monkeypatch):
+    """Its zero gradients decay its moments by 0.9 a step; the flushed
+    kernel sets them to 0 before they turn subnormal, and moves every
+    parameter bitwise as the unflushed kernel does."""
+    flats, moments, dead, unit = _dead_unit_trajectory(900)
+    assert np.all(dead == 0)
+    tiny = np.finfo(np.float32).tiny
+    for m in moments:
+        assert not np.any((m != 0) & (np.abs(m) < tiny))
+    assert np.all(moments[-1][unit] == 0)
+
+    monkeypatch.setattr(kernels, "adam_update", _unflushed_adam_update)
+    unflushed_flats, unflushed_moments, _, _ = _dead_unit_trajectory(900)
+    assert any(np.any((m != 0) & (np.abs(m) < tiny)) for m in unflushed_moments)
+    for flat, unflushed in zip(flats, unflushed_flats):
+        assert np.array_equal(flat, unflushed)
+
+
 def test_adam_rejects_a_model_with_another_parameter_count():
     """Or with as many parameters of other shapes; the model is left alone."""
     x, labels = _deep_problem()
