@@ -17,8 +17,9 @@ rounding of batched matmuls:
     strict improvement), so the reported loss never exceeds the start;
   * Linf clips to the budget, L2 rescales only the rows above it, and
     every row is then clamped to [0, 1];
-  * a row whose gradient turns non-finite leaves the batch and comes
-    back unperturbed with the error; the other rows go on.
+  * a row rejected at entry, or whose gradient turns non-finite, stays
+    in the batch with a zero step and comes back unperturbed (clamped)
+    with its error; the other rows go on.
 
 The attack runs in the model's dtype, as nn.Model does: correct_set
 converts the instances to it once (a no-op for a run's float32 rows),
@@ -29,8 +30,7 @@ margin from the dtype's eps: 2 eps for Linf, eps (sqrt(d) + budget d)
 for L2, whose norms, sums of d squares, round too (~1e-15 in float64).
 
 Working set: beside the (m, d) instances, not copied when they already
-have the model's dtype (except that the valid rows are gathered when
-some row is rejected), a call holds four arrays of that size and dtype:
+have the model's dtype, a call holds four arrays of that size and dtype:
 the perturbation delta, the best iterate, one buffer for the perturbed
 inputs the model sees, and the input gradient. The L2 step divides the
 gradient in place, and row norms are summed _NORM_ROWS rows at a time,
@@ -87,21 +87,21 @@ def _losses_and_grads(model, x, targets):
     return losses, model.backward(outputs, probs, targets, np.ones(len(x)), input_grad=True)
 
 
-def _starts(x, cfg, radius, seed, rows):
+def _starts(x, cfg, radius, seed):
     """The starting perturbations of the rows of x: zeros, or for a random
-    start one draw per row i within radius from default_rng([seed, rows[i]])."""
+    start one draw per row j within radius from default_rng([seed, j])."""
     if not cfg.random_start:
         return np.zeros_like(x)
     delta = np.empty_like(x)
     d = x.shape[1]
-    for i, j in enumerate(rows):
+    for j in range(len(x)):
         rng = np.random.default_rng([seed, j])
         if cfg.norm == LINF:
-            delta[i] = rng.uniform(-radius, radius, size=d)
+            delta[j] = rng.uniform(-radius, radius, size=d)
         else:
             raw = rng.normal(size=d)
             length = radius * rng.uniform() ** (1.0 / d)
-            delta[i] = raw * (length / max(float(np.linalg.norm(raw)), 1e-12))
+            delta[j] = raw * (length / max(float(np.linalg.norm(raw)), 1e-12))
     return np.clip(x + delta, 0.0, 1.0) - x
 
 
@@ -125,43 +125,32 @@ def _project(delta, cfg, radius):
         delta[over] *= (radius / norm[over])[:, None]
 
 
-def _unperturbed(x, error):
-    return CorrectionResult(np.clip(x, 0.0, 1.0), float("nan"), False, 0, error=error)
-
-
-def _correct_rows(model, x, targets, delta, cfg, radius):
+def _correct_rows(model, x, targets, delta, cfg, radius, failed, errors):
     """Batched PGD over the rows of x from the starts delta; one result per row.
 
-    delta is updated in place, and the perturbed inputs are written into
-    one buffer, so the working set is delta, the best iterate, that
-    buffer and the gradient, all in the dtype of x.
+    failed marks the rows that are not attacked, errors holds their
+    messages; a row whose gradient turns non-finite joins them with
+    NON_FINITE. A failed row stays in the batch with a zero step, is never
+    a best iterate and comes back as its clamped input. delta is updated
+    in place, and the perturbed inputs are written into one buffer, so
+    the working set is delta, the best iterate, that buffer and the
+    gradient, all in the dtype of x.
     """
     m = len(x)
     best_delta = delta.copy()
     best_loss = np.full(m, np.inf, dtype=x.dtype)
     best_iter = np.zeros(m, dtype=np.int64)
-    failed = np.zeros(m, dtype=bool)
     inputs = np.empty_like(x)
-    rows = np.arange(m)  # positions in x of the rows still attacked
-    xs, ts = x, targets
     for k in range(cfg.steps + 1):
-        if not len(rows):
-            break
-        loss, grad = _losses_and_grads(
-            model, np.add(xs, delta, out=inputs[:len(rows)]), ts)
-        finite = np.isfinite(grad).all(axis=1)
-        if not finite.all():
-            failed[rows[~finite]] = True
-            rows, xs, ts, delta, loss, grad = (
-                a[finite] for a in (rows, xs, ts, delta, loss, grad)
-            )
-        better = loss < best_loss[rows]
-        best_loss[rows[better]] = loss[better]
-        if len(rows) == m:  # no row has failed, so rows is arange(m)
-            np.copyto(best_delta, delta, where=better[:, None])
-        else:
-            best_delta[rows[better]] = delta[better]
-        best_iter[rows[better]] = k
+        loss, grad = _losses_and_grads(model, np.add(x, delta, out=inputs), targets)
+        for i in np.flatnonzero(~(failed | np.isfinite(grad).all(axis=1))):
+            failed[i], errors[i] = True, NON_FINITE
+        if failed.any():
+            grad[failed] = 0.0
+        better = (loss < best_loss) & ~failed
+        np.copyto(best_loss, loss, where=better)
+        np.copyto(best_delta, delta, where=better[:, None])
+        best_iter[better] = k
         if k == cfg.steps:
             break
         if cfg.norm == LINF:
@@ -174,15 +163,18 @@ def _correct_rows(model, x, targets, delta, cfg, radius):
         del step, grad
         _project(delta, cfg, radius)
         # keep the perturbed inputs valid; clamping only shrinks delta
-        np.add(xs, delta, out=delta)
+        np.add(x, delta, out=delta)
         np.clip(delta, 0.0, 1.0, out=delta)
-        delta -= xs
+        delta -= x
 
     corrected = np.add(x, best_delta, out=best_delta)
+    corrected[failed] = np.clip(x[failed], 0.0, 1.0)
+    best_loss[failed] = np.nan
+    best_iter[failed] = 0
     success = (model.predict(corrected) == targets) & ~failed
     return [
-        _unperturbed(x[i], NON_FINITE) if failed[i] else CorrectionResult(
-            corrected[i], float(best_loss[i]), bool(success[i]), int(best_iter[i]))
+        CorrectionResult(corrected[i], float(best_loss[i]), bool(success[i]),
+                         int(best_iter[i]), errors[i])
         for i in range(m)
     ]
 
@@ -208,24 +200,20 @@ def correct_set(model, instances, targets, cfg, seed=None):
     if cfg.random_start and seed is None:
         raise ContractError("random_start needs a seed for correct_set")
     num_classes = model.spec.num_classes
+    # no copy of the instances when they are in C order
+    x = np.ascontiguousarray(instances)
     # written so that NaN fails too
-    bad_pixels = ~((instances >= 0.0) & (instances <= 1.0)).all(axis=1)
-    bad = bad_pixels | (targets < 0) | (targets >= num_classes)
-    results = [None] * len(instances)
-    for j in np.flatnonzero(bad):
-        error = ("instance values must lie in [0, 1]" if bad_pixels[j]
-                 else f"target {int(targets[j])} outside [0, {num_classes})")
-        results[j] = _unperturbed(instances[j], error)
-    valid = np.flatnonzero(~bad)
-    if not valid.size:
-        return results
-    # no copy of the instances when every row is valid and in C order
-    x = np.ascontiguousarray(instances if valid.size == len(instances) else instances[valid])
+    bad_pixels = ~((x >= 0.0) & (x <= 1.0)).all(axis=1)
+    bad_targets = (targets < 0) | (targets >= num_classes)
+    failed = bad_pixels | bad_targets
+    errors = [None] * len(x)
+    for j in np.flatnonzero(failed):
+        errors[j] = ("instance values must lie in [0, 1]" if bad_pixels[j]
+                     else f"target {int(targets[j])} outside [0, {num_classes})")
     eps, d = float(np.finfo(x.dtype).eps), x.shape[1]
     margin = 2 * eps if cfg.norm == LINF else eps * (d ** 0.5 + cfg.budget * d)
     radius = max(cfg.budget - margin, 0.0)
-    delta = _starts(x, cfg, radius, seed, valid)
-    batch = _correct_rows(model, x, targets[valid].astype(np.int64), delta, cfg, radius)
-    for j, result in zip(valid, batch):
-        results[j] = result
-    return results
+    delta = _starts(x, cfg, radius, seed)
+    # a rejected target is never attacked; 0 only gives its loss an index
+    targets = np.where(bad_targets, 0, targets).astype(np.int64)
+    return _correct_rows(model, x, targets, delta, cfg, radius, failed, errors)

@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import acceptance
@@ -67,8 +68,9 @@ def cmd_run(args):
 
 
 def _sweep_job(resolved, data, root, prefix=None):
-    # module level so process pools can pickle it; write_run is looked up
-    # at call time, so a patched cli.write_run reaches forked workers too
+    # module level so that a partial of it pickles for process pools;
+    # write_run is looked up at call time, so a patched cli.write_run
+    # reaches forked workers too
     return write_run(resolved, root, data=data, prefix=prefix)[1]["last_ten_mean"]
 
 
@@ -124,7 +126,8 @@ def cmd_campaign(args):
         "base": _grid_base(base),
         "routes": routes, "rates": rates, "seeds": seeds, "methods": methods,
     })
-    results, failures = sweep(base, cells, seeds, _sweep_job, (root,), args.workers)
+    results, failures = sweep(base, cells, seeds, partial(_sweep_job, root=root),
+                              workers=args.workers)
 
     header = ["route", "rate", "method", "n_seeds", "n_failed", "mean_acc", "std_acc"]
     rows = []
@@ -158,7 +161,8 @@ def cmd_ablate(args):
     # the swept weight is lambda itself, or its complement
     grid = sorted(((1.0 - w) if discarded else w, w) for w in weights)
     cells = [{"training": {"lambda": lam}} for lam, _ in grid]
-    results, failures = sweep(base, cells, seeds, _sweep_job, (root,), args.workers)
+    results, failures = sweep(base, cells, seeds, partial(_sweep_job, root=root),
+                              workers=args.workers)
 
     header = ["weight", "lambda", "mean_acc", "std_acc"]
     rows = []

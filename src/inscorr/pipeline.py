@@ -109,7 +109,7 @@ class ExperimentConfig:
 class EpochMetrics:
     epoch: int
     train_loss: float
-    val_accuracy: float
+    val_accuracy: float  # None without validation rows
     test_accuracy: float
     selection_precision: float = None
     attack_success: float = None
@@ -220,10 +220,10 @@ def evaluate(model, ds):
 
 
 def accuracy_on_given(model, ds):
-    """Accuracy against the (possibly noisy) given labels; 0.0 when empty,
+    """Accuracy against the (possibly noisy) given labels; None when empty,
     NumericError when a logit is not finite."""
     if len(ds) == 0:
-        return 0.0
+        return None
     return _accuracy(model, ds.X, ds.given_labels,
                      "dataset has instances without a given label")
 

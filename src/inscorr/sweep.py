@@ -48,7 +48,7 @@ def _shared_prefixes(cfgs):
     return prefixes
 
 
-def _run_task(run, jobs, args):
+def _run_task(run, jobs):
     """[(value, error)] of each resolved job, all on the first one's data."""
     try:
         data = prepare_data(to_experiment_config(jobs[0]))
@@ -58,14 +58,14 @@ def _run_task(run, jobs, args):
     outcomes = []
     for resolved, prefix in zip(jobs, prefixes):
         try:
-            outcomes.append((run(resolved, data, *args, prefix=prefix), None))
+            outcomes.append((run(resolved, data, prefix=prefix), None))
         except Exception as error:
             outcomes.append((None, str(error)))
     return outcomes
 
 
-def sweep(base, cells, seeds, run, args=(), workers=1):
-    """Call run(resolved, data, *args, prefix=prefix) for every cell and seed.
+def sweep(base, cells, seeds, run, workers=1):
+    """Call run(resolved, data, prefix=prefix) for every cell and seed.
 
     prefix is the job's pipeline.SharedPrefix or None, for run to hand on
     to run_experiment. run returns the job's accuracy or None, and must
@@ -89,11 +89,11 @@ def sweep(base, cells, seeds, run, args=(), workers=1):
     batches = [[jobs[i] for i in task] for task in tasks]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            futures = [pool.submit(_run_task, run, batch, args) for batch in batches]
+            futures = [pool.submit(_run_task, run, batch) for batch in batches]
             done = [[(None, str(f.exception()))] * len(b) if f.exception() else f.result()
                     for f, b in zip(futures, batches)]
     else:
-        done = [_run_task(run, batch, args) for batch in batches]
+        done = [_run_task(run, batch) for batch in batches]
     flat = itertools.chain.from_iterable
     outcomes = dict(zip(flat(tasks), flat(done)))
 

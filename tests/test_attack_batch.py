@@ -121,16 +121,25 @@ def test_non_finite_row_leaves_batch_alone(random_start):
 
 
 @pytest.mark.parametrize("random_start", [False, True])
-def test_nan_pixel_rejected(random_start):
+@pytest.mark.parametrize("kind", ["nan", "above_one", "target"])
+def test_nan_pixel_rejected(kind, random_start):
+    # the rejected row stays in the batch; its neighbours still get their
+    # results alone
     model = small_trained_model(seed=35)
     cfg = AttackConfig(budget=0.1, steps=3, step_size=0.01, random_start=random_start)
     x = np.full(12, 0.5)
-    x[3] = np.nan
+    x[3] = {"nan": np.nan, "above_one": 1.5, "target": 0.5}[kind]
     xs = np.stack([np.full(12, 0.3), x, np.full(12, 0.6)])
-    targets = np.array([1, 1, 0])
+    targets = np.array([1, 2 if kind == "target" else 1, 0])
     results = correct_set(model, xs, targets, cfg, seed=SEED)
-    assert results[1].error == "instance values must lie in [0, 1]"
-    assert not results[1].success and np.isnan(results[1].corrected[3])
+    bad = results[1]
+    if kind == "target":
+        assert bad.error == "target 2 outside [0, 2)"
+        assert np.array_equal(bad.corrected, x)
+    else:
+        assert bad.error == "instance values must lie in [0, 1]"
+        assert np.array_equal(bad.corrected, np.clip(x, 0.0, 1.0), equal_nan=True)
+    assert not bad.success and np.isnan(bad.loss) and bad.best_iteration == 0
     for b, a in zip(results[::2], reference_rows(model, xs, targets, cfg, (0, 2))):
         assert_same(b, a)
 

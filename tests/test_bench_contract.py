@@ -4,7 +4,8 @@ perfbench/layers.py wraps pipeline, nn, tensor and kernels functions by
 name from outside the package. Renaming or deleting one of them would
 leave its spans empty without failing any run, so this test traces one
 tiny Mix run, which covers both selection epochs and mixed epochs, and
-requires the per-layer counts those entry points feed. perfbench/run.py
+requires the per-layer counts those entry points feed; an InsCorr run does
+the same for the attack hook, which reads correct_set's results. perfbench/run.py
 also reads kernels.BACKEND and times kernels.warmup().
 """
 
@@ -37,16 +38,19 @@ def perfbench_layers(monkeypatch):
     sys.modules.pop("benchstats", None)
 
 
-def test_tracer_sees_selection_forward_and_mixed_loss(tmp_path, perfbench_layers):
+@pytest.mark.parametrize("method", ["Mix", "InsCorr"])
+def test_tracer_sees_selection_forward_and_mixed_loss(tmp_path, perfbench_layers, method):
     Tracer, layer_metrics = perfbench_layers
     tracer = Tracer(tmp_path / "exports")
     tracer.install()
     try:
-        resolved = resolve_config(apply_overrides(load_config(), TINY_MIX))
+        resolved = resolve_config(
+            apply_overrides(load_config(), (f"method={method}", *TINY_MIX[1:])))
         artifacts.write_run(resolved, tmp_path / "runs")
     finally:
         tracer.uninstall()
-    metrics = layer_metrics(tracer.snapshot())
+    snap = tracer.snapshot()
+    metrics = layer_metrics(snap)
     assert metrics["select.batches"] > 0
     assert metrics["nn.forward_calls"] > 0
     assert metrics["pipeline.mixed_loss_calls"] > 0
@@ -61,6 +65,14 @@ def test_tracer_sees_selection_forward_and_mixed_loss(tmp_path, perfbench_layers
     assert metrics["data.rows_generated"] == 216
     assert metrics["noise.rows_touched"] == 36
     assert metrics["kernels.adam_update_calls"] == metrics["nn.optimizer_steps"]
+    # the attack hook reads every CorrectionResult correct_set returns and
+    # checks each corrected row against the budget and [0, 1]
+    if method == "InsCorr":
+        assert metrics["attack.rows"] > 0
+        steps = resolved["attack"]["steps"]
+        assert metrics["attack.grad_evals"] == metrics["attack.rows"] * (steps + 1)
+        assert metrics["attack.errors"] == 0
+    assert snap["violations"] == []
 
 
 def test_bench_reads_kernel_names():

@@ -85,6 +85,21 @@ def test_run_twice_is_byte_identical(tmp_path, tiny_cfg):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def test_run_without_validation_rows_leaves_val_accuracy_empty(tmp_path, tiny_cfg):
+    # no row to score is no accuracy: null in JSON, an empty CSV cell
+    root = tmp_path / "runs"
+    assert main(["run", "--config", tiny_cfg, "--set", "data.val_fraction=0",
+                 "--output-root", str(root)]) == 0
+    run_dir = run_artifacts(root)
+    records = [json.loads(line) for line in
+               (run_dir / "metrics.jsonl").read_text().splitlines()]
+    rows = list(csv.DictReader((run_dir / "metrics.csv").open()))
+    assert len(records) == len(rows) == 4
+    assert all(r["val_accuracy"] is None for r in records)
+    assert all(r["val_accuracy"] == "" for r in rows)
+    assert all(r["test_accuracy"] is not None for r in records)
+
+
 def test_run_rejects_unknown_override(tmp_path, capsys):
     code = main(["run", "--set", "model.depth=3",
                  "--output-root", str(tmp_path / "runs")])

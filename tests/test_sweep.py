@@ -4,6 +4,7 @@ and workers."""
 import dataclasses
 import os
 import time
+from functools import partial
 
 import pytest
 
@@ -133,7 +134,8 @@ def record_pid(resolved, data, out_dir, prefix=None):
 
 def test_one_group_grid_is_split_over_the_workers(tmp_path):
     cells = [{"method": m} for m in (SELECTION_ONLY, MIX, "InsCorr")]
-    results, failures = sweep(BASE, cells, (0,), record_pid, (tmp_path,), workers=3)
+    results, failures = sweep(BASE, cells, (0,), partial(record_pid, out_dir=tmp_path),
+                              workers=3)
     assert failures == []
     assert [r.mean for r in results] == [0.5] * 3
     pids = {p.name.split("-")[0] for p in tmp_path.iterdir()}
@@ -205,7 +207,7 @@ def test_selection_epochs_and_prefix_key():
 
 def test_shared_prefix_gives_the_bytes_of_runs_alone(tmp_path, selection_epochs_run):
     cells = [{"method": m} for m in (SELECTION_ONLY, MIX, INSCORR)]
-    results, failures = sweep(BASE, cells, (0, 1), _sweep_job, (tmp_path / "swept",))
+    results, failures = sweep(BASE, cells, (0, 1), partial(_sweep_job, root=tmp_path / "swept"))
     assert failures == []
     # per seed: the 2 shared warmup epochs once, then SelectionOnly's other 2
     assert selection_epochs_run == [0, 1, 2, 3] * 2
@@ -230,7 +232,7 @@ def test_a_job_that_fails_leaves_the_next_one_correct(tmp_path, monkeypatch, fai
 
     monkeypatch.setattr(pipeline, "self_teach_epoch", fails_once)
     cells = [{"method": SELECTION_ONLY}, {"method": MIX}]
-    results, failures = sweep(BASE, cells, (2,), _sweep_job, (tmp_path / "swept",))
+    results, failures = sweep(BASE, cells, (2,), partial(_sweep_job, root=tmp_path / "swept"))
     assert failures == [(0, 2, "selection broke")]
     assert calls == ([0, 1, 0, 1] if fail_at == 1 else [0, 1, 2, 3])
     monkeypatch.setattr(pipeline, "self_teach_epoch", real)
@@ -242,7 +244,7 @@ def test_a_job_that_fails_leaves_the_next_one_correct(tmp_path, monkeypatch, fai
 def test_prefix_as_long_as_the_first_run_is_still_shared(tmp_path, selection_epochs_run):
     cells = [{"method": SELECTION_ONLY, "training": {"total_epochs": 2, "warmup_epochs": 1}},
              {"method": MIX, "training": {"total_epochs": 6, "warmup_epochs": 3}}]
-    results, failures = sweep(BASE, cells, (4,), _sweep_job, (tmp_path / "swept",))
+    results, failures = sweep(BASE, cells, (4,), partial(_sweep_job, root=tmp_path / "swept"))
     assert failures == []
     # SelectionOnly's last epoch ends the prefix; Mix trains only its third
     assert selection_epochs_run == [0, 1, 2]
