@@ -4,9 +4,9 @@ perfbench/layers.py wraps pipeline, nn, tensor and kernels functions by
 name from outside the package. Renaming or deleting one of them would
 leave its spans empty without failing any run, so this test traces one
 tiny Mix run, which covers both selection epochs and mixed epochs, and
-requires the per-layer counts those entry points feed; an InsCorr run does
-the same for the attack hook, which reads correct_set's results. perfbench/run.py
-also reads kernels.BACKEND and times kernels.warmup().
+requires the per-layer counts those entry points feed; an InsCorr run
+does the same for the attack hook, which reads correct_set's results.
+perfbench/run.py also reads kernels.BACKEND and times kernels.warmup().
 """
 
 import sys
