@@ -23,7 +23,7 @@ from .config import (
     resolve_config,
     to_experiment_config,
 )
-from .data import generate_ood_source, generate_synthetic
+from .data import generate_ood_source, generate_synthetic, round_half_up
 from .errors import ContractError
 from .nn import Adam, Model, ModelSpec, cross_entropy, make_optimizer
 from .noise import (
@@ -31,7 +31,6 @@ from .noise import (
     OPEN_SET,
     NoiseKind,
     NoiseSpec,
-    _round_half_up,
     apply_noise,
     corruption_transform,
     pool_sources,
@@ -358,7 +357,7 @@ def check_noise():
             if sorted(out.given_labels) != sorted(ds.given_labels):
                 return False, f"label multiset changed for {route} at {rate}"
             touched = int((out.provenance != 0).sum())
-            if touched != _round_half_up(rate * n):
+            if touched != round_half_up(rate * n):
                 return False, f"{route} at {rate}: touched {touched}"
             if not (out.X.min() >= 0.0 and out.X.max() <= 1.0):
                 return False, f"{route} at {rate}: values left [0, 1]"

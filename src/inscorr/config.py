@@ -1,21 +1,26 @@
 """JSON experiment configs: defaults, validation, overrides, hashing.
 
-A config is a nested dict with the sections below. Unknown keys are
-rejected by their dotted path, and so is a value whose type differs from
-its default's (an integer may stand for a float; a number that stands for
-a float must be finite; an integer must fit in 64 bits unless it is a
-seed) or that breaks a rule of _RULES, alone or, in _CROSS_RULES, against
-the keys it is tied to (an image size, a count of image rows or a layer
-width must leave its arrays small enough for numpy to make).
+A config is a nested dict with the sections and keys of _KEYS. Each key
+fills the field of the runnable dataclasses (ExperimentConfig, NoiseSpec
+and AttackConfig) that _KEYS names, and the field's default is the key's:
+the dataclasses state every default once, and DEFAULT_CONFIG is built
+from them. Unknown keys are rejected by their dotted path, and so is a
+value whose type differs from its field's (an integer may stand for a
+float; a number that stands for a float must be finite; an integer must
+fit in 64 bits unless it is a seed) or that breaks a rule of _RULES,
+alone or, in _CROSS_RULES, against the keys it is tied to (an image
+size, a count of image rows or a layer width must leave its arrays small
+enough for numpy to make).
 This module is the only place that states a value's allowed range:
 to_experiment_config checks every key before it builds the runnable
 dataclasses, which trust their fields and only derive defaults.
 
-A null value means "derive the default"; these are all the derived
-defaults, computed by ExperimentConfig and AttackConfig: selection.tau
+A null value means "derive the default", and is allowed where the
+field's default is None; the dataclasses derive these: selection.tau
 follows noise.rate, training.warmup_epochs is training.total_epochs // 2,
 data.pool_size matches data.n_train, and attack.step_size is
-2.5 * budget / max(steps, 1).
+2.5 * budget / max(steps, 1). resolve_config reads each back from the
+runnable config.
 
 The run identity is the first 12 hex digits of the sha256 of the fully
 resolved config serialized canonically, so two configs that resolve to
@@ -28,76 +33,56 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .attack import L2, LINF, AttackConfig
-from .data import check_pool_margins
+from .data import check_pool_margins, round_half_up
 from .errors import ConfigError, ContractError
 from .nn import OPTIMIZERS
-from .noise import ALL_ROUTES, OPEN_SET, NoiseSpec, _round_half_up
+from .noise import ALL_ROUTES, OPEN_SET, NoiseSpec
 from .pipeline import INSCORR, METHODS, PARTITION_RULES, ExperimentConfig
 
-DEFAULT_CONFIG = {
-    "method": "InsCorr",
-    "model": {
-        "hidden": [64],
-        "optimizer": "adam",
-        "lr": 0.001,
-    },
-    "data": {
-        "n_train": 2000,
-        "n_test": 1000,
-        "num_classes": 4,
-        "height": 16,
-        "width": 16,
-        "val_fraction": 0.1,
-        "pool_size": None,
-    },
-    "noise": {
-        "route": "open_set",
-        "rate": 0.4,
-        "gaussian_sigma": 0.25,
-        "occlusion_fraction": 0.25,
-        "resolution_factor": 4,
-        "fog_intensity": 0.8,
-        "fog_decay": 1.0,
-        "blur_length": 5,
-        "blur_angle_deg": 0.0,
-    },
-    "selection": {
-        "tau": None,
-        "ramp_epochs": 10,
-    },
-    "attack": {
-        "norm": "linf",
-        "budget": 8.0 / 255.0,
-        "steps": 40,
-        "step_size": None,
-        "random_start": False,
-    },
-    "training": {
-        "lambda": 0.5,
-        "warmup_epochs": None,
-        "total_epochs": 200,
-        "batch_size": 128,
-        "refresh_correction": False,
-        "partition_rule": "agreement",
-    },
-    "seeds": {
-        "data": 0,
-        "noise": 0,
-        "init": 0,
-        "epochs": 0,
-    },
-}
+# every config key, in the order DEFAULT_CONFIG takes: (dotted key, the
+# dataclass it fills, the field it fills); the field's default is the key's
+_KEYS = (
+    ("method", ExperimentConfig, "method"),
+    *((f"model.{name}", ExperimentConfig, name) for name in ("hidden", "optimizer", "lr")),
+    *((f"data.{name}", ExperimentConfig, name) for name in (
+        "n_train", "n_test", "num_classes", "height", "width", "val_fraction", "pool_size")),
+    ("noise.route", ExperimentConfig, "noise_route"),
+    ("noise.rate", ExperimentConfig, "noise_rate"),
+    *((f"noise.{f.name}", NoiseSpec, f.name) for f in fields(NoiseSpec)),
+    *((f"selection.{name}", ExperimentConfig, name) for name in ("tau", "ramp_epochs")),
+    *((f"attack.{f.name}", AttackConfig, f.name) for f in fields(AttackConfig)),
+    ("training.lambda", ExperimentConfig, "lam"),
+    *((f"training.{name}", ExperimentConfig, name) for name in (
+        "warmup_epochs", "total_epochs", "batch_size", "refresh_correction", "partition_rule")),
+    *((f"seeds.{stream}", ExperimentConfig, f"seed_{stream}")
+      for stream in ("data", "noise", "init", "epochs")),
+)
+
+# each key's dataclasses.Field, which holds the key's default and type
+_FIELDS = {dotted: next(f for f in fields(cls) if f.name == name)
+           for dotted, cls, name in _KEYS}
 
 
-# the type a non-null value must have where the default is null
-_NULLABLE = {
-    "data.pool_size": 0,
-    "selection.tau": 0.0,
-    "training.warmup_epochs": 0,
-    "attack.step_size": 0.0,
-}
+def _locate(cfg, dotted):
+    """The dict of cfg that holds dotted's value, and its key there."""
+    *section, key = dotted.split(".")
+    return (cfg[section[0]] if section else cfg), key
+
+
+def _defaults():
+    """Each key's field default, a tuple as a list, as JSON holds it."""
+    out = {}
+    for dotted, field in _FIELDS.items():
+        *section, key = dotted.split(".")
+        node = out.setdefault(section[0], {}) if section else out
+        node[key] = list(field.default) if isinstance(field.default, tuple) else field.default
+    return out
+
+
+DEFAULT_CONFIG = _defaults()
 
 
 def _one_of(dotted, choices):
@@ -119,6 +104,9 @@ _RULES = (
         "noise.resolution_factor", "noise.blur_length", "selection.ramp_epochs",
         "training.batch_size")),
     ("data.num_classes", lambda v: v >= 2, "be at least 2"),
+    # labels are int32, and the checkpoint stores seed_epochs as an int64
+    ("data.num_classes", lambda v: v <= 2**31, "be at most 2**31"),
+    ("seeds.epochs", lambda v: v < 2**63, "be below 2**63"),
     *((dotted, lambda v: v >= 0, "be non-negative") for dotted in (
         "noise.gaussian_sigma", "noise.fog_decay", "attack.steps", "training.warmup_epochs",
         "training.total_epochs", *(f"seeds.{stream}" for stream in DEFAULT_CONFIG["seeds"]))),
@@ -170,13 +158,13 @@ _CROSS_RULES = (
      lambda c: c["training"]["warmup_epochs"] <= c["training"]["total_epochs"],
      "not exceed training.total_epochs"),
     ("data.val_fraction",
-     lambda c: _round_half_up(c["data"]["val_fraction"] * c["data"]["n_train"])
+     lambda c: round_half_up(c["data"]["val_fraction"] * c["data"]["n_train"])
      < c["data"]["n_train"],
      "leave at least one of data.n_train for training"),
     # a null pool matches n_train, which always holds round(rate * n_train)
     ("data.pool_size",
      lambda c: c["noise"]["route"] != OPEN_SET
-     or c["data"]["pool_size"] >= _round_half_up(c["noise"]["rate"] * c["data"]["n_train"]),
+     or c["data"]["pool_size"] >= round_half_up(c["noise"]["rate"] * c["data"]["n_train"]),
      f"be at least round(noise.rate * data.n_train) on the {OPEN_SET} route"),
 )
 
@@ -184,8 +172,8 @@ _CROSS_RULES = (
 def _check_rules(cfg):
     for rules, whole in ((_RULES, False), (_CROSS_RULES, True)):
         for dotted, test, rule in rules:
-            *section, key = dotted.split(".")
-            value = (cfg[section[0]] if section else cfg)[key]
+            node, key = _locate(cfg, dotted)
+            value = node[key]
             if value is not None and not test(cfg if whole else value):
                 raise ConfigError(f"{dotted} must {rule}, got {value!r}")
 
@@ -198,42 +186,38 @@ def _is_int64(value):
     return _is_int(value) and -2**63 <= value < 2**63
 
 
-def _expected(value, default, dotted):
-    """What value should have been, or None if it may stand for default."""
-    if isinstance(default, bool):
+def _expected(value, kind, dotted):
+    """What value should have been, or None if it may fill a field of type kind."""
+    if kind is bool:
         return None if isinstance(value, bool) else "true or false"
-    if isinstance(default, int):
+    if kind is int:
         if dotted.startswith("seeds."):
             # a seed only feeds numpy's seed sequence, which takes any size
             return None if _is_int(value) else "an integer"
         return None if _is_int64(value) else "an integer that fits in 64 bits"
-    if isinstance(default, float):
+    if kind is float:
         if not (_is_int(value) or isinstance(value, float)):
             return "a number"
         # false for inf, NaN and an integer past the float range
         return None if abs(value) <= sys.float_info.max else "a finite number"
-    if isinstance(default, str):
+    if kind is str:
         return None if isinstance(value, str) else "a string"
     ok = isinstance(value, (list, tuple)) and all(_is_int64(v) for v in value)
     return None if ok else "a list of integers that fit in 64 bits"
 
 
-def _check_types(cfg, schema=DEFAULT_CONFIG, path=""):
-    for key, default in schema.items():
-        dotted = f"{path}{key}"
-        if key not in cfg:
+def _check_types(cfg):
+    """Every key is present, and holds its field's type or, where the
+    field's default is None, null."""
+    for dotted, field in _FIELDS.items():
+        *section, key = dotted.split(".")
+        node = cfg.get(section[0], {}) if section else cfg
+        if key not in node:
             raise ConfigError(f"missing config key: {dotted}")
-        value = cfg[key]
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {dotted} must be a section")
-            _check_types(value, default, dotted + ".")
+        value = node[key]
+        if value is None and field.default is None:
             continue
-        if default is None:
-            if value is None:
-                continue
-            default = _NULLABLE[dotted]
-        expected = _expected(value, default, dotted)
+        expected = _expected(value, field.type, dotted)
         if expected is not None:
             raise ConfigError(f"config key {dotted} must be {expected}, got {value!r}")
 
@@ -297,15 +281,10 @@ def apply_overrides(cfg, assignments):
             value = json.loads(raw)
         except ValueError:  # not JSON, or an integer past the digit limit
             value = raw
-        parts = dotted.split(".")
-        node, schema = cfg, DEFAULT_CONFIG
-        for part in parts[:-1]:
-            if part not in schema or not isinstance(schema[part], dict):
-                raise ConfigError(f"unknown config key: {dotted}")
-            node, schema = node[part], schema[part]
-        if parts[-1] not in schema or isinstance(schema[parts[-1]], dict):
+        if dotted not in _FIELDS:
             raise ConfigError(f"unknown config key: {dotted}")
-        node[parts[-1]] = value
+        node, key = _locate(cfg, dotted)
+        node[key] = value
     return cfg
 
 
@@ -317,11 +296,13 @@ def resolve_config(cfg):
     and a config that cannot run fails here, with a ConfigError.
     """
     runnable = to_experiment_config(cfg)
+    parts = {ExperimentConfig: runnable, NoiseSpec: runnable.noise_spec,
+             AttackConfig: runnable.attack}
     out = copy.deepcopy(cfg)
-    out["selection"]["tau"] = runnable.tau
-    out["training"]["warmup_epochs"] = runnable.warmup_epochs
-    out["data"]["pool_size"] = runnable.pool_size
-    out["attack"]["step_size"] = runnable.attack.step_size
+    for dotted, cls, name in _KEYS:
+        node, key = _locate(out, dotted)
+        if node[key] is None:
+            node[key] = getattr(parts[cls], name)
     # a null selection.tau takes noise.rate, which may be 1
     _check_rules(out)
     return out
@@ -350,22 +331,13 @@ def _check_config(cfg):
 
 
 def to_experiment_config(resolved):
-    """Build the runnable config, once _check_config passes it.
-
-    Each key fills the dataclass field of its name, except noise.route,
-    noise.rate, training.lambda and seeds.<stream> (seed_<stream>).
-    """
+    """Build the runnable config, once _check_config passes it; each key
+    fills the dataclass field that _KEYS names."""
     _check_config(resolved)
-    noise = dict(resolved["noise"])
-    training = dict(resolved["training"])
-    return ExperimentConfig(
-        method=resolved["method"],
-        **resolved["model"], **resolved["data"], **resolved["selection"],
-        noise_route=noise.pop("route"),
-        noise_rate=noise.pop("rate"),
-        noise_spec=NoiseSpec(**noise),
-        attack=AttackConfig(**resolved["attack"]),
-        lam=training.pop("lambda"),
-        **training,
-        **{f"seed_{stream}": seed for stream, seed in resolved["seeds"].items()},
-    )
+    values = {ExperimentConfig: {}, NoiseSpec: {}, AttackConfig: {}}
+    for dotted, cls, name in _KEYS:
+        node, key = _locate(resolved, dotted)
+        values[cls][name] = node[key]
+    return ExperimentConfig(**values[ExperimentConfig],
+                            noise_spec=NoiseSpec(**values[NoiseSpec]),
+                            attack=AttackConfig(**values[AttackConfig]))

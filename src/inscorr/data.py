@@ -290,6 +290,12 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4, rows=None
     )
 
 
+def round_half_up(x):
+    """x rounded to the nearest integer, halves up: the one rounding rule of
+    every count derived from a fraction."""
+    return int(np.floor(x + 0.5))
+
+
 def split_validation(ds, fraction, seed):
     """Disjoint (train, validation) split by seeded permutation.
 
@@ -298,7 +304,7 @@ def split_validation(ds, fraction, seed):
     if not 0.0 <= fraction < 1.0:
         raise ContractError(f"fraction must lie in [0, 1), got {fraction}")
     n = len(ds)
-    n_val = int(np.floor(fraction * n + 0.5))
+    n_val = round_half_up(fraction * n)
     if n_val >= n:
         raise ContractError(
             f"fraction {fraction} of {n} instances leaves no training side"

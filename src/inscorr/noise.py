@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import _BLOCK_ROWS, NO_LABEL, Dataset, Provenance
+from .data import _BLOCK_ROWS, NO_LABEL, Dataset, Provenance, round_half_up
 from .errors import CapacityError, ContractError, ParameterError
 
 
@@ -64,10 +64,6 @@ class NoiseSpec:
     blur_angle_deg: float = 0.0
 
 
-def _round_half_up(x):
-    return int(np.floor(x + 0.5))
-
-
 def corruption_transform(grids, kind, spec, rng):
     """Damaged float64 copy of one (h, w) grid or of a (k, h, w) stack of
     grids, widened to float64 first; output clamped to [0, 1], shape kept.
@@ -87,8 +83,8 @@ def corruption_transform(grids, kind, spec, rng):
         out += stack
     elif kind == NoiseKind.OCCLUSION:
         side = np.sqrt(spec.occlusion_fraction)
-        rh = _round_half_up(h * side)
-        rw = _round_half_up(w * side)
+        rh = round_half_up(h * side)
+        rw = round_half_up(w * side)
         # top then left, one scalar draw each, grid by grid
         corners = np.array([
             (rng.integers(0, h - rh + 1), rng.integers(0, w - rw + 1))
@@ -110,8 +106,8 @@ def corruption_transform(grids, kind, spec, rng):
         length = int(spec.blur_length)
         theta = np.deg2rad(spec.blur_angle_deg)
         offsets = np.arange(length, dtype=np.float64) - (length - 1) / 2.0
-        dxs = np.array([_round_half_up(t * np.cos(theta)) for t in offsets], dtype=np.int64)
-        dys = np.array([_round_half_up(t * np.sin(theta)) for t in offsets], dtype=np.int64)
+        dxs = np.array([round_half_up(t * np.cos(theta)) for t in offsets], dtype=np.int64)
+        dys = np.array([round_half_up(t * np.sin(theta)) for t in offsets], dtype=np.int64)
         out = kernels.line_blur(stack, dys, dxs)
     else:
         raise ParameterError(f"unknown corruption kind {kind!r}")
@@ -134,7 +130,7 @@ def inject_corruption(ds, kind, rate, spec, seed):
     if not isinstance(kind, NoiseKind):
         raise ParameterError(f"unknown corruption kind {kind!r}")
     n = len(ds)
-    k = _round_half_up(rate * n)
+    k = round_half_up(rate * n)
     which_rng = np.random.default_rng([seed, 0])
     hit = np.sort(which_rng.choice(n, size=k, replace=False))
     transform_rng = np.random.default_rng([seed, 1, int(kind)])
@@ -154,7 +150,7 @@ def pool_sources(pool_size, n, rate, seed):
     on the [seed, 3] stream. CapacityError when the pool is too small."""
     if not 0.0 <= rate <= 1.0:
         raise ParameterError(f"rate must lie in [0, 1], got {rate}")
-    k = _round_half_up(rate * n)
+    k = round_half_up(rate * n)
     if k > pool_size:
         raise CapacityError(
             f"need {k} replacement instances, pool holds {pool_size}"
@@ -179,7 +175,7 @@ def inject_open_set(ds, pool, rate, seed):
             f"pool width {pool.dim} does not match dataset width {ds.dim}"
         )
     n, c = len(ds), ds.num_classes
-    k = _round_half_up(rate * n)
+    k = round_half_up(rate * n)
     if len(pool) != k:
         raise ContractError(
             f"a drawn pool must hold the {k} replacement rows, got {len(pool)}"

@@ -43,10 +43,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attack import AttackConfig, correct_set
-from .data import NO_LABEL, generate_ood_source, generate_synthetic, split_validation
+from .data import (NO_LABEL, generate_ood_source, generate_synthetic, round_half_up,
+                   split_validation)
 from .errors import CapacityError, ConfigError, ContractError, NumericError
 from .nn import Model, ModelSpec, make_optimizer
-from .noise import OPEN_SET, NoiseSpec, _round_half_up, apply_noise, pool_sources
+from .noise import OPEN_SET, NoiseSpec, apply_noise, pool_sources
 from .select import SelectionSchedule, self_teach_epoch
 
 SELECTION_ONLY = "SelectionOnly"
@@ -246,7 +247,7 @@ def partition_clean_mislabeled(model, train, rule=AGREEMENT, tau=None):
         if tau is None:
             raise ContractError("small_loss_global partition needs tau")
         losses = model.per_example_losses(train.X, train.given_labels)
-        k = _round_half_up((1.0 - tau) * n)
+        k = round_half_up((1.0 - tau) * n)
         order = np.argsort(losses, kind="stable")
         return np.sort(order[:k]), np.sort(order[k:])
     raise ContractError(f"unknown partition rule {rule!r}")
@@ -297,7 +298,7 @@ def _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y, lam,
     """One epoch of proportional two-part batches; returns mean step loss."""
     n_clean = len(clean_idx)
     n_corr = 0 if corr_x is None else len(corr_x)
-    clean_bs = _round_half_up(batch_size * n_clean / n_total)
+    clean_bs = round_half_up(batch_size * n_clean / n_total)
     corr_bs = batch_size - clean_bs
     steps = math.ceil(n_total / batch_size)
     perm_clean = rng.permutation(n_clean)

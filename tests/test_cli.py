@@ -258,6 +258,18 @@ def test_a_huge_integer_fails_by_key(tmp_path, capsys, verb, key, rule):
 
 
 @pytest.mark.parametrize("verb", VERBS)
+@pytest.mark.parametrize("key,value,rule", [
+    # a checkpoint stores seeds.epochs as an int64, so it must be caught before training
+    ("seeds.epochs", 2**63, "be below 2**63"),
+    # labels are int32, so a larger count would wrap them
+    ("data.num_classes", 3_000_000_000, "be at most 2**31"),
+])
+def test_a_value_its_storage_cannot_hold_fails_by_key(tmp_path, capsys, verb, key, value, rule):
+    source = ["--set", "noise.route=fog", "--set", f"{key}={value}"]
+    assert_fails_by_name(verb, tmp_path / "out", source, f"{key} must {rule}, got {value}", capsys)
+
+
+@pytest.mark.parametrize("verb", VERBS)
 @pytest.mark.parametrize("name,content,message", [pytest.param(*case, id=case[0]) for case in (
     ("missing", None, "cannot read config file PATH: No such file or directory"),
     ("directory", "dir", "cannot read config file PATH: Is a directory"),

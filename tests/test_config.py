@@ -1,10 +1,13 @@
 """Config loading, overrides, resolution, and hashing."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from inscorr.attack import AttackConfig
 from inscorr.config import (
+    _KEYS,
     DEFAULT_CONFIG,
     apply_overrides,
     config_hash,
@@ -13,6 +16,7 @@ from inscorr.config import (
     to_experiment_config,
 )
 from inscorr.errors import ConfigError
+from inscorr.noise import NoiseSpec
 from inscorr.pipeline import ExperimentConfig
 
 
@@ -208,6 +212,9 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     (f"data.n_train=10 data.n_test=10 model.hidden=[{2**52}]", "model.hidden"),
     (f"model.hidden=[64,{2**51}]", "model.hidden"),
     (f"data.n_test={2**40} model.hidden=[{2**23}]", "model.hidden"),
+    # checkpoints store seeds.epochs as an int64, and labels are int32
+    (f"seeds.epochs={2**63}", "seeds.epochs"),
+    (f"data.num_classes={2**31 + 1} noise.route=fog", "data.num_classes"),
 ])
 def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
     with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + " must "):
@@ -245,6 +252,21 @@ def test_cross_key_rules_accept_their_edges():
         "data.n_train=10", "data.n_test=10", f"model.hidden=[{2**51}]"]))
 
 
+def test_key_table_fills_each_field_once():
+    # a field that no key fills could not be configured
+    classes = (ExperimentConfig, NoiseSpec, AttackConfig)
+    nested = {(ExperimentConfig, "noise_spec"), (ExperimentConfig, "attack")}
+    filled = sorted((cls.__name__, name) for _, cls, name in _KEYS)
+    assert filled == sorted((cls.__name__, f.name) for cls in classes for f in fields(cls)
+                            if (cls, f.name) not in nested)
+    assert len({dotted for dotted, _, _ in _KEYS}) == len(_KEYS)
+    # a null default takes its type from the annotation
+    nullable = [f.type for cls in classes for f in fields(cls) if f.default is None]
+    assert nullable and set(nullable) <= {int, float}
+    assert list(DEFAULT_CONFIG) == ["method", "model", "data", "noise", "selection", "attack",
+                                    "training", "seeds"]
+
+
 def test_dataclass_defaults_match_default_config():
     assert to_experiment_config(resolve_config(load_config())) == ExperimentConfig()
 
@@ -254,12 +276,15 @@ def test_resolve_accepts_integers_for_numbers():
     out = resolve_config(apply_overrides(load_config(), [
         "training.lambda=1", "attack.step_size=1", "selection.tau=0", f"model.lr={2**1000}",
         f"data.n_test={2**52 - 1}", f"attack.steps={2**63 - 1}", f"seeds.data={10**400}",
+        f"seeds.epochs={2**63 - 1}", f"data.num_classes={2**31}", "noise.route=fog",
     ]))
     assert out["training"]["lambda"] == 1 and out["attack"]["step_size"] == 1
     # the most 16 x 16 float64 rows one numpy array holds
     assert out["data"]["n_test"] == 2**52 - 1 and out["seeds"]["data"] == 10**400
-    # the largest int64, on a key no array size bounds
-    assert out["attack"]["steps"] == 2**63 - 1
+    # the largest int64, on a key no array size bounds, and on the seed a
+    # checkpoint stores; the most classes int32 labels hold
+    assert out["attack"]["steps"] == 2**63 - 1 and out["seeds"]["epochs"] == 2**63 - 1
+    assert out["data"]["num_classes"] == 2**31
 
 
 def test_resolved_config_round_trips_through_json():
