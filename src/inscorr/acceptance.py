@@ -176,9 +176,9 @@ def _ordering_config(route, method, lam=0.5):
     return {"method": method, "noise": {"route": route}, "training": {"lambda": lam}}
 
 
-def _ordering_run(resolved, data, prefix=None):
+def _ordering_run(resolved, data, cache=None):
     metrics = run_experiment(to_experiment_config(resolved), data=data,
-                             prefix=prefix).metrics
+                             cache=cache).metrics
     return last_ten_summary(metrics)[0]
 
 

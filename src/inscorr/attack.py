@@ -19,7 +19,8 @@ rounding of batched matmuls:
     every row is then clamped to [0, 1];
   * a row rejected at entry, or whose gradient turns non-finite, stays
     in the batch with a zero step and comes back unperturbed (clamped)
-    with its error; the other rows go on.
+    with its error; the other rows go on. A row rejected for its pixels
+    enters the batch as zeros, so no arithmetic sees them.
 
 The attack runs in the model's dtype, as nn.Model does: correct_set
 converts the instances to it once (a no-op for a run's float32 rows),
@@ -125,18 +126,19 @@ def _project(delta, cfg, radius):
         delta[over] *= (radius / norm[over])[:, None]
 
 
-def _correct_rows(model, x, targets, delta, cfg, radius, failed, errors):
+def _correct_rows(model, x, targets, delta, cfg, radius, failed, errors, given):
     """Batched PGD over the rows of x from the starts delta; one result per row.
 
     failed marks the rows that are not attacked, errors holds their
     messages; a row whose gradient turns non-finite joins them with
     NON_FINITE. A failed row stays in the batch with a zero step, is never
-    a best iterate and comes back as its clamped input. delta is updated
-    in place, and the perturbed inputs are written into one buffer, so
-    the working set is delta, the best iterate, that buffer and the
-    gradient, all in the dtype of x.
+    a best iterate and comes back as its clamped input, or if it failed at
+    entry as its row of given. delta is updated in place, and the perturbed
+    inputs are written into one buffer, so the working set is delta, the
+    best iterate, that buffer and the gradient, all in the dtype of x.
     """
     m = len(x)
+    rejected = failed.copy()
     best_delta = delta.copy()
     best_loss = np.full(m, np.inf, dtype=x.dtype)
     best_iter = np.zeros(m, dtype=np.int64)
@@ -168,10 +170,11 @@ def _correct_rows(model, x, targets, delta, cfg, radius, failed, errors):
         delta -= x
 
     corrected = np.add(x, best_delta, out=best_delta)
+    success = (model.predict(corrected) == targets) & ~failed
     corrected[failed] = np.clip(x[failed], 0.0, 1.0)
+    corrected[rejected] = given
     best_loss[failed] = np.nan
     best_iter[failed] = 0
-    success = (model.predict(corrected) == targets) & ~failed
     return [
         CorrectionResult(corrected[i], float(best_loss[i]), bool(success[i]),
                          int(best_iter[i]), errors[i])
@@ -184,12 +187,12 @@ def correct_set(model, instances, targets, cfg, seed=None):
 
     Model parameters are read-only. The instances are converted once to
     the parameters' dtype, which the attack and every result's corrected
-    row keep. A row with a pixel outside [0, 1] (NaN included), a target
+    row keep. A row with a given pixel outside [0, 1] (NaN included), a target
     out of range, or a gradient that turns non-finite yields an
     unperturbed result with success False and the error message
     attached; the rest of the batch proceeds.
     """
-    instances = np.asarray(instances, dtype=model.flat.dtype)
+    instances = np.asarray(instances)
     targets = np.asarray(targets)
     if instances.ndim != 2:
         raise ContractError(f"expected a 2-D batch of instances, got shape {instances.shape}")
@@ -200,20 +203,27 @@ def correct_set(model, instances, targets, cfg, seed=None):
     if cfg.random_start and seed is None:
         raise ContractError("random_start needs a seed for correct_set")
     num_classes = model.spec.num_classes
-    # no copy of the instances when they are in C order
-    x = np.ascontiguousarray(instances)
-    # written so that NaN fails too
-    bad_pixels = ~((x >= 0.0) & (x <= 1.0)).all(axis=1)
+    dtype = model.flat.dtype
+    # tested before the conversion, and written so that NaN fails too
+    bad_pixels = ~((instances >= 0.0) & (instances <= 1.0)).all(axis=1)
     bad_targets = (targets < 0) | (targets >= num_classes)
     failed = bad_pixels | bad_targets
-    errors = [None] * len(x)
+    errors = [None] * len(instances)
     for j in np.flatnonzero(failed):
         errors[j] = ("instance values must lie in [0, 1]" if bad_pixels[j]
                      else f"target {int(targets[j])} outside [0, {num_classes})")
+    # a rejected row comes back clamped in the model's dtype, where a pixel
+    # past its range converts to inf
+    with np.errstate(over="ignore"):
+        given = np.clip(instances[failed].astype(dtype), 0.0, 1.0)
+    if bad_pixels.any():
+        instances = np.where(bad_pixels[:, None], 0.0, instances)
+    # no copy of the instances when they are in the model's dtype and C order
+    x = np.ascontiguousarray(instances, dtype=dtype)
     eps, d = float(np.finfo(x.dtype).eps), x.shape[1]
     margin = 2 * eps if cfg.norm == LINF else eps * (d ** 0.5 + cfg.budget * d)
     radius = max(cfg.budget - margin, 0.0)
     delta = _starts(x, cfg, radius, seed)
     # a rejected target is never attacked; 0 only gives its loss an index
     targets = np.where(bad_targets, 0, targets).astype(np.int64)
-    return _correct_rows(model, x, targets, delta, cfg, radius, failed, errors)
+    return _correct_rows(model, x, targets, delta, cfg, radius, failed, errors, given)

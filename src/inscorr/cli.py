@@ -67,11 +67,11 @@ def cmd_run(args):
     return 0
 
 
-def _sweep_job(resolved, data, root, prefix=None):
+def _sweep_job(resolved, data, root, cache=None):
     # module level so that a partial of it pickles for process pools;
     # write_run is looked up at call time, so a patched cli.write_run
     # reaches forked workers too
-    return write_run(resolved, root, data=data, prefix=prefix)[1]["last_ten_mean"]
+    return write_run(resolved, root, data=data, cache=cache)[1]["last_ten_mean"]
 
 
 def _grid_base(base):

@@ -151,6 +151,9 @@ _CROSS_RULES = (
     ("model.hidden", _fits_model,
      "keep its parameters, and its layer outputs over data.n_train or data.n_test rows,"
      " under 2**63 bytes at 8 bytes a value"),
+    ("attack.budget",
+     lambda c: c["attack"]["step_size"] is not None or 2.5 * c["attack"]["budget"] < math.inf,
+     "keep the derived attack.step_size, 2.5 * budget / max(attack.steps, 1), finite"),
     ("training.refresh_correction",
      lambda c: not c["training"]["refresh_correction"] or c["method"] == INSCORR,
      f"be false unless method is {INSCORR}"),

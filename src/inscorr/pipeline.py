@@ -32,9 +32,11 @@ dtype too, so the corrected rows it returns are float32 as well.
 RNG streams: epoch shuffles use [seed_epochs, T]; attacks draw their
 optional random starts from [seed_noise, 4, T]. Since nothing else
 carries over from one epoch to the next but the model and its optimizer,
-runs with one prefix_key train bit-identical selection epochs until the
-first of them leaves selection, and a sweep trains those epochs once
-(SharedPrefix).
+each phase's output is a function of the config fields its key holds:
+runs with one prefix_key train bit-identical selection epochs, runs with
+one split_key split alike, and runs with one correction_key attack
+alike. A cache handed to run_experiment keeps those outputs, so the runs
+of a sweep task train a warmup, split and attack once each.
 """
 
 import math
@@ -158,16 +160,17 @@ def prefix_key(cfg):
             cfg.ramp_epochs, cfg.batch_size, cfg.seed_init, cfg.seed_epochs)
 
 
-@dataclass
-class SharedPrefix:
-    """The first `epochs` selection epochs of runs that share a prefix_key.
+def split_key(cfg):
+    """Everything the split reads: the selection state it partitions, then
+    the rule it applies."""
+    return ("split", prefix_key(cfg), selection_epochs(cfg), cfg.warmup_epochs,
+            cfg.partition_rule, cfg.tau)
 
-    state stays None until a run given this holder ends epoch epochs - 1;
-    it then holds (prefix_key, model, optimizer, metrics) as they stood,
-    copied, and later runs start from a copy of it (run_experiment).
-    """
-    epochs: int
-    state: tuple = None
+
+def correction_key(cfg):
+    """Everything the first correction reads: the split, the method and the
+    attack, whose random starts draw from seed_noise and the split epoch."""
+    return ("correction", split_key(cfg), cfg.method, cfg.attack)
 
 
 def prepare_data(cfg):
@@ -336,79 +339,75 @@ def _build_corrected(cfg, model, train, noisy_idx, epoch):
     return corrected, ys, success
 
 
-def run_experiment(cfg, data=None, on_epoch=None, prefix=None):
-    """Train per the configured method; returns a RunResult.
+def _cached(cache, key, compute):
+    """compute()'s tuple, or the one a run before stored under key. A stored
+    tuple's arrays are read-only, so that no run changes another's."""
+    if cache is None:
+        return compute()
+    if key not in cache:
+        cache[key] = compute()
+        for value in cache[key]:
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    return cache[key]
 
-    on_epoch(epoch, model), when given, runs after each epoch's updates;
-    trajectory tests use it to snapshot parameters.
 
-    prefix, a SharedPrefix whose epochs lie in [1, selection_epochs(cfg)],
-    trains those epochs once for every run of one prefix_key. While its
-    state is empty, the run copies its model, optimizer and metrics into
-    it when epoch prefix.epochs - 1 ends. Once the state is set, the run
-    starts from a copy of it at epoch prefix.epochs, and on_epoch is not
-    called for the epochs it skips. Either way the result is bit for bit
-    that of a run without a prefix.
+def run_experiment(cfg, data=None, on_epoch=None, cache=None):
+    """Train per the configured method in four phases: selection epochs,
+    the split, the correction and mixed epochs (SelectionOnly runs only the
+    first). Returns a RunResult; on_epoch(epoch, model), when given, runs
+    after each epoch's updates.
+
+    cache, a dict shared by runs on the same data, keeps the selection
+    state (copied in and out) under prefix_key and its epoch count, the
+    split under split_key and, unless refresh_correction is set, the first
+    correction under correction_key. A run resumes from its longest stored
+    selection state that fits, skipping on_epoch for the epochs it skips,
+    and takes a stored split and correction; a phase that raises stores
+    nothing. The result is bit for bit that of a run without a cache.
     """
     train, val, test = data if data is not None else prepare_data(cfg)
     n_select = selection_epochs(cfg)
-    if prefix is not None and not 1 <= prefix.epochs <= n_select:
-        raise ContractError(
-            f"a shared prefix of {prefix.epochs} epochs needs 1 to {n_select} "
-            "selection epochs in the run"
-        )
-    start = 0
-    if prefix is not None and prefix.state is not None:
-        key, *state = prefix.state
-        if key != prefix_key(cfg):
-            raise ContractError("the shared prefix was trained under another prefix_key")
-        model, optimizer, metrics = _copy_state(*state)
-        start = prefix.epochs
+    key = prefix_key(cfg)
+    start = next((e for e in range(n_select, 0, -1)
+                  if cache is not None and ("selection", key, e) in cache), 0)
+    if start:
+        model, optimizer, metrics = _copy_state(*cache["selection", key, start])
     else:
-        model = init_model(cfg)
-        optimizer = make_optimizer(cfg.optimizer, cfg.lr)
-        metrics = []
-    schedule = cfg.schedule()
+        model, optimizer, metrics = init_model(cfg), make_optimizer(cfg.optimizer, cfg.lr), []
 
-    clean_idx = noisy_idx = None
-    corr_x = corr_y = None
-    for epoch in range(start, cfg.total_epochs):
-        precision = None
-        attack_success = None
-        rng = np.random.default_rng([cfg.seed_epochs, epoch])
-        if epoch >= n_select:
-            if epoch == n_select:
-                clean_idx, noisy_idx = partition_clean_mislabeled(
-                    model, train, cfg.partition_rule, cfg.tau
-                )
-            if epoch == n_select or (
-                cfg.refresh_correction and cfg.method == INSCORR
-            ):
-                corr_x, corr_y, attack_success = _build_corrected(
-                    cfg, model, train, noisy_idx, epoch
-                )
-            train_loss = _mixed_epoch(
-                model, optimizer, train, clean_idx, corr_x, corr_y,
-                cfg.lam, cfg.batch_size, len(train), rng,
-            )
-        else:
-            stats = self_teach_epoch(
-                model, optimizer, train, schedule, epoch, cfg.batch_size, rng
-            )
-            train_loss = stats.mean_loss
-            precision = stats.precision
+    def end_epoch(epoch, train_loss, precision=None, attack_success=None):
         metrics.append(EpochMetrics(
-            epoch=epoch,
-            train_loss=train_loss,
-            val_accuracy=accuracy_on_given(model, val),
-            test_accuracy=evaluate(model, test),
-            selection_precision=precision,
-            attack_success=attack_success,
-        ))
+            epoch, train_loss, val_accuracy=accuracy_on_given(model, val),
+            test_accuracy=evaluate(model, test), selection_precision=precision,
+            attack_success=attack_success))
         if on_epoch is not None:
             on_epoch(epoch, model)
-        if prefix is not None and prefix.state is None and epoch == prefix.epochs - 1:
-            prefix.state = (prefix_key(cfg), *_copy_state(model, optimizer, metrics))
+
+    schedule = cfg.schedule()
+    for epoch in range(start, n_select):
+        rng = np.random.default_rng([cfg.seed_epochs, epoch])
+        stats = self_teach_epoch(model, optimizer, train, schedule, epoch, cfg.batch_size, rng)
+        end_epoch(epoch, stats.mean_loss, precision=stats.precision)
+    if cache is not None and n_select > start:
+        cache["selection", key, n_select] = _copy_state(model, optimizer, metrics)
+    if n_select == cfg.total_epochs:
+        return RunResult(model, optimizer, metrics)
+
+    clean_idx, noisy_idx = _cached(cache, split_key(cfg), lambda: partition_clean_mislabeled(
+        model, train, cfg.partition_rule, cfg.tau))
+    corr_x, corr_y, success = _cached(
+        None if cfg.refresh_correction else cache, correction_key(cfg),
+        lambda: _build_corrected(cfg, model, train, noisy_idx, n_select))
+    refresh = cfg.refresh_correction and cfg.method == INSCORR
+    for epoch in range(n_select, cfg.total_epochs):
+        if refresh and epoch > n_select:
+            corr_x, corr_y, success = _build_corrected(cfg, model, train, noisy_idx, epoch)
+        rng = np.random.default_rng([cfg.seed_epochs, epoch])
+        train_loss = _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y,
+                                  cfg.lam, cfg.batch_size, len(train), rng)
+        end_epoch(epoch, train_loss,
+                  attack_success=success if refresh or epoch == n_select else None)
     return RunResult(model, optimizer, metrics)
 
 

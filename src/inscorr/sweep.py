@@ -8,13 +8,15 @@ than workers, so a one-group grid still keeps every worker busy. A
 failing prepare_data fails every job of its task; a failing job fails
 alone. Outcomes come back in grid order, whatever order tasks finish in.
 
-Inside a task, jobs that also share a pipeline.prefix_key (they differ
-only in what acts after selection: method, lambda, attack, warmup and
-total epochs, partition rule, refresh) share one pipeline.SharedPrefix.
-The first of them trains the selection epochs they have in common and
-the others branch from its copy, so that warmup runs once per group
-instead of once per method, with every result byte unchanged. A job
-that fails before the copy is made leaves the prefix to the next one.
+Inside a task, the jobs share one cache (pipeline.run_experiment): each
+phase of a run, the selection epochs, the split and the correction, is
+stored under the key of the config fields it reads, and later jobs with
+the same key take it instead of computing it again. Jobs run in ascending
+order of their selection epochs, so that a job resumes from the selection
+state of a shorter one: a warmup is trained once per prefix_key, a split
+made once per split_key and an attack run once per correction_key, with
+every result byte unchanged. A job that fails stores nothing of the phase
+that failed, which the next job of its key computes by itself.
 """
 
 import concurrent.futures
@@ -25,50 +27,35 @@ from collections import namedtuple
 import numpy as np
 
 from .config import deep_merge, resolve_config, to_experiment_config
-from .pipeline import SharedPrefix, data_key, prefix_key, prepare_data, selection_epochs
+from .pipeline import data_key, prepare_data, selection_epochs
 
 # mean and population std over a cell's runs that gave a value, None if none did
 CellResult = namedtuple("CellResult", "n_failed mean std")
 
 
-def _shared_prefixes(cfgs):
-    """Per config, the SharedPrefix of its prefix_key, or None when no
-    other config has that key or the key's runs share no selection epoch.
-    A prefix spans the fewest selection epochs among its runs."""
-    groups = {}
-    for i, cfg in enumerate(cfgs):
-        groups.setdefault(prefix_key(cfg), []).append(i)
-    prefixes = [None] * len(cfgs)
-    for members in groups.values():
-        epochs = min(selection_epochs(cfgs[i]) for i in members)
-        if len(members) >= 2 and epochs >= 1:
-            shared = SharedPrefix(epochs)
-            for i in members:
-                prefixes[i] = shared
-    return prefixes
-
-
 def _run_task(run, jobs):
-    """[(value, error)] of each resolved job, all on the first one's data."""
+    """[(value, error)] of each resolved job, all on the first one's data
+    and one cache, in the order given."""
+    cfgs = [to_experiment_config(resolved) for resolved in jobs]
     try:
-        data = prepare_data(to_experiment_config(jobs[0]))
+        data = prepare_data(cfgs[0])
     except Exception as error:
         return [(None, str(error))] * len(jobs)
-    prefixes = _shared_prefixes([to_experiment_config(resolved) for resolved in jobs])
-    outcomes = []
-    for resolved, prefix in zip(jobs, prefixes):
+    cache = {}
+    outcomes = [None] * len(jobs)
+    for i in sorted(range(len(jobs)), key=lambda i: selection_epochs(cfgs[i])):
         try:
-            outcomes.append((run(resolved, data, prefix=prefix), None))
+            outcomes[i] = (run(jobs[i], data, cache=cache), None)
         except Exception as error:
-            outcomes.append((None, str(error)))
+            outcomes[i] = (None, str(error))
     return outcomes
 
 
 def sweep(base, cells, seeds, run, workers=1):
-    """Call run(resolved, data, prefix=prefix) for every cell and seed.
+    """Call run(resolved, data, cache=cache) for every cell and seed.
 
-    prefix is the job's pipeline.SharedPrefix or None, for run to hand on
-    to run_experiment. run returns the job's accuracy or None, and must
+    cache is the dict of the job's task, for run to hand on to
+    run_experiment. run returns the job's accuracy or None, and must
     be picklable when workers > 1. Returns (one CellResult per cell,
     failures), failures listing (cell index, seed, error message) in grid
     order.

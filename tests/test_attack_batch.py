@@ -1,6 +1,7 @@
 """Batched correction: every row of a call behaves as if attacked alone."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,42 @@ def test_nan_pixel_rejected(kind, random_start):
     assert not bad.success and np.isnan(bad.loss) and bad.best_iteration == 0
     for b, a in zip(results[::2], reference_rows(model, xs, targets, cfg, (0, 2))):
         assert_same(b, a)
+
+
+@pytest.mark.parametrize("norm", [LINF, L2])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, 1e300, np.nan])
+def test_rejected_pixels_stay_out_of_the_arithmetic(value, norm):
+    # a run's float32 model; 1e300 also overflows the conversion to float32
+    model = Model.init(ModelSpec(16, (8,), 3), seed=[39], dtype=np.float32)
+    xs = np.random.default_rng(40).uniform(0.0, 1.0, (4, 16))
+    given = xs.copy()
+    given[1, 5] = value
+    targets = np.array([0, 1, 2, 0])
+    cfg = AttackConfig(norm=norm, budget=0.1, steps=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = correct_set(model, given, targets, cfg)
+    bad = results[1]
+    assert bad.error == "instance values must lie in [0, 1]"
+    with np.errstate(over="ignore"):
+        clamped = np.clip(given[1].astype(np.float32), 0.0, 1.0)
+    assert np.array_equal(bad.corrected, clamped, equal_nan=True)
+    assert not bad.success and np.isnan(bad.loss) and bad.best_iteration == 0
+    # the other rows get what they get beside a valid row
+    clean = correct_set(model, xs, targets, cfg)
+    for j in (0, 2, 3):
+        a, b = results[j], clean[j]
+        assert np.array_equal(a.corrected, b.corrected)
+        assert (a.loss, a.success, a.best_iteration, a.error) == (
+            b.loss, b.success, b.best_iteration, None)
+
+
+def test_a_diverging_gradient_still_warns():
+    model = gated_overflow_model()
+    xs = np.stack([np.full(12, 0.5), np.ones(12)])
+    with pytest.warns(RuntimeWarning):
+        results = correct_set(model, xs, np.array([1, 1]), AttackConfig(steps=2))
+    assert results[0].error is None and "non-finite" in results[1].error
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (1, 7), (63, 256), (64, 256), (65, 256),

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inscorr import artifacts, cli
+from inscorr import artifacts, cli, pipeline
 from inscorr.cli import main
 from inscorr.config import (
     DEFAULT_CONFIG,
@@ -348,6 +348,21 @@ def test_ablate_interpretations_weight_opposite_terms(tmp_path, tiny_cfg):
     assert runs_a.isdisjoint(runs_b)
 
 
+def test_default_ablate_splits_and_attacks_once_per_seed(tmp_path, tiny_cfg, monkeypatch):
+    # the six weights of a seed differ only in lambda, which acts after the
+    # correction, so they share one split and one attack
+    calls = []
+    for name in ("partition_clean_mislabeled", "correct_set"):
+        def counted(*args, real=getattr(pipeline, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    assert main(["ablate", "--config", tiny_cfg, "--output-root", str(tmp_path / "runs"),
+                 "--set", "noise.route=fog", "--workers", "1"]) == 0
+    assert len(list((tmp_path / "runs").glob("*/summary.json"))) == 18
+    assert calls.count("partition_clean_mislabeled") == calls.count("correct_set") == 3
+
+
 def test_ablate_workers_write_the_report_of_one_worker(tmp_path, tiny_cfg):
     reports = []
     for workers in ("1", "2"):
@@ -432,7 +447,7 @@ def test_zero_accuracy_is_reported_not_null(tmp_path, tiny_cfg, monkeypatch):
     # a cell whose runs all scored 0.0 is a real mean, unlike a cell with no runs
     monkeypatch.setattr(
         cli, "write_run",
-        lambda resolved, root, data=None, prefix=None: (root, {"last_ten_mean": 0.0}))
+        lambda resolved, root, data=None, cache=None: (root, {"last_ten_mean": 0.0}))
     root = tmp_path / "runs"
     assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
                  "--routes", "gaussian", "--rates", "0.4",
@@ -493,7 +508,7 @@ def test_sweeps_reject_bad_grid_flags(tmp_path, tiny_cfg, capsys, argv, flag):
 def test_campaign_failures_follow_grid_order(tmp_path, tiny_cfg, monkeypatch):
     # forked workers inherit the patch; the first failing job is the slow one,
     # so it finishes after the second
-    def fail_on_seed_zero(resolved, root, data=None, prefix=None):
+    def fail_on_seed_zero(resolved, root, data=None, cache=None):
         route = resolved["noise"]["route"]
         if resolved["seeds"]["data"] == 0:
             if route == "gaussian":

@@ -186,6 +186,8 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("attack.budget=0", "attack.budget"),
     ("attack.steps=-1", "attack.steps"),
     ("attack.step_size=0", "attack.step_size"),
+    # the derived step size 2.5 * budget / steps would overflow
+    ("attack.budget=1e308", "attack.budget"),
     ("training.lambda=1.5", "training.lambda"),
     ("training.total_epochs=-1", "training.total_epochs"),
     ("training.warmup_epochs=-1", "training.warmup_epochs"),
@@ -247,6 +249,9 @@ def test_cross_key_rules_accept_their_edges():
     resolve_config(apply_overrides(load_config(), ["data.val_fraction=0.94", "data.n_train=10"]))
     resolve_config(apply_overrides(load_config(), ["training.warmup_epochs=6",
                                                    "training.total_epochs=6"]))
+    # a budget whose derived step size would overflow is fine beside a set one
+    resolve_config(apply_overrides(load_config(), ["attack.budget=1e308",
+                                                   "attack.step_size=0.01"]))
     # 261 x 2**51 parameters of eight bytes stay below numpy's limit
     resolve_config(apply_overrides(load_config(), [
         "data.n_train=10", "data.n_test=10", f"model.hidden=[{2**51}]"]))

@@ -1,16 +1,18 @@
-"""The sweep engine: shared data and selection prefixes, failures, order
-and workers."""
+"""The sweep engine: shared data and phase cache, failures, order and
+workers."""
 
 import dataclasses
 import os
 import time
 from functools import partial
 
+import numpy as np
 import pytest
 
 from inscorr import pipeline
 from inscorr import sweep as sweep_module
 from inscorr.artifacts import write_run
+from inscorr.attack import L2
 from inscorr.cli import _sweep_job
 from inscorr.config import (
     apply_overrides,
@@ -20,18 +22,18 @@ from inscorr.config import (
     resolve_config,
     to_experiment_config,
 )
-from inscorr.errors import ContractError
-from inscorr.noise import NoiseSpec
 from inscorr.pipeline import (
     INSCORR,
     MIX,
     SELECTION_ONLY,
+    SMALL_LOSS_GLOBAL,
     ExperimentConfig,
-    SharedPrefix,
+    correction_key,
     data_key,
     prefix_key,
     run_experiment,
     selection_epochs,
+    split_key,
 )
 from inscorr.sweep import sweep
 
@@ -42,7 +44,7 @@ BASE = apply_overrides(load_config(), [
 ])
 
 
-def train_size(resolved, data, prefix=None):
+def train_size(resolved, data, cache=None):
     return float(len(data[0]))
 
 
@@ -57,24 +59,6 @@ def prepare_calls(monkeypatch):
 
     monkeypatch.setattr(sweep_module, "prepare_data", counting)
     return calls
-
-
-def test_data_key_ignores_what_prepare_data_does_not_read():
-    cfg = ExperimentConfig(noise_route="fog")
-    for change in (dict(method=MIX), dict(lam=0.3), dict(seed_init=9),
-                   dict(seed_epochs=9), dict(hidden=(8,)), dict(lr=0.5),
-                   dict(total_epochs=300), dict(pool_size=5)):
-        assert data_key(dataclasses.replace(cfg, **change)) == data_key(cfg), change
-
-
-def test_data_key_changes_with_every_field_prepare_data_reads():
-    cfg = ExperimentConfig()
-    for change in (dict(n_train=100), dict(n_test=100), dict(num_classes=3),
-                   dict(height=8), dict(width=8), dict(val_fraction=0.2),
-                   dict(pool_size=5), dict(noise_route="fog"), dict(noise_rate=0.2),
-                   dict(noise_spec=NoiseSpec(gaussian_sigma=0.1)),
-                   dict(seed_data=1), dict(seed_noise=1)):
-        assert data_key(dataclasses.replace(cfg, **change)) != data_key(cfg), change
 
 
 def test_jobs_differing_only_in_method_or_lambda_share_data(prepare_calls):
@@ -113,7 +97,7 @@ def test_failing_prepare_fails_each_job_of_its_group(monkeypatch):
 
 
 def test_failing_job_leaves_the_rest_of_its_group_running():
-    def fails_on_mix(resolved, data, prefix=None):
+    def fails_on_mix(resolved, data, cache=None):
         if resolved["method"] == MIX:
             raise RuntimeError("mix broke")
         return 0.25
@@ -125,7 +109,7 @@ def test_failing_job_leaves_the_rest_of_its_group_running():
     assert failures == [(0, 3, "mix broke")]
 
 
-def record_pid(resolved, data, out_dir, prefix=None):
+def record_pid(resolved, data, out_dir, cache=None):
     # module level so the process pool can pickle it
     time.sleep(0.3)
     (out_dir / f"{os.getpid()}-{resolved['method']}").touch()
@@ -142,7 +126,7 @@ def test_one_group_grid_is_split_over_the_workers(tmp_path):
     assert len(pids) == 3
 
 
-def loss_trace(resolved, data, prefix=None):
+def loss_trace(resolved, data, cache=None):
     metrics = run_experiment(to_experiment_config(resolved), data=data).metrics
     return sum(m.train_loss for m in metrics)
 
@@ -159,7 +143,97 @@ def test_shared_data_gives_the_results_of_fresh_data():
         assert result.mean == loss_trace(resolve_config(seeded), None)
 
 
-# --- the shared selection prefix ----------------------------------------
+# --- the phase keys ------------------------------------------------------
+
+# the cached phases in run order, each with its key
+PHASE_KEYS = (("data", data_key), ("selection", prefix_key), ("split", split_key),
+              ("correction", correction_key))
+
+# per field of the runnable configs, the first phase that reads it and a
+# value other than the one KEYED_CFG holds; "mixed" marks a field read only
+# after the cached phases
+FIELD_PHASES = {
+    "method": ("correction", MIX),
+    "hidden": ("selection", (8,)),
+    "optimizer": ("selection", "sgd"),
+    "lr": ("selection", 0.5),
+    "n_train": ("data", 100),
+    "n_test": ("data", 100),
+    "num_classes": ("data", 3),
+    "height": ("data", 8),
+    "width": ("data", 8),
+    "val_fraction": ("data", 0.2),
+    "pool_size": ("data", 5),
+    "noise_route": ("data", "fog"),
+    "noise_rate": ("data", 0.2),
+    "noise_spec.gaussian_sigma": ("data", 0.1),
+    "noise_spec.occlusion_fraction": ("data", 0.5),
+    "noise_spec.resolution_factor": ("data", 2),
+    "noise_spec.fog_intensity": ("data", 0.5),
+    "noise_spec.fog_decay": ("data", 2.0),
+    "noise_spec.blur_length": ("data", 3),
+    "noise_spec.blur_angle_deg": ("data", 45.0),
+    "tau": ("selection", 0.2),
+    "ramp_epochs": ("selection", 3),
+    "attack.norm": ("correction", L2),
+    "attack.budget": ("correction", 0.1),
+    "attack.steps": ("correction", 7),
+    "attack.step_size": ("correction", 0.5),
+    "attack.random_start": ("correction", True),
+    "lam": ("mixed", 0.3),
+    "warmup_epochs": ("split", 5),
+    "total_epochs": ("mixed", 9),
+    "batch_size": ("selection", 64),
+    # a run that refreshes its correction shares nothing after the split
+    "refresh_correction": ("mixed", True),
+    "partition_rule": ("split", SMALL_LOSS_GLOBAL),
+    "seed_data": ("data", 1),
+    "seed_noise": ("data", 1),
+    "seed_init": ("selection", 1),
+    "seed_epochs": ("selection", 1),
+}
+
+KEYED_CFG = ExperimentConfig(total_epochs=8, warmup_epochs=3)
+
+
+def field_paths(cfg):
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from (f"{f.name}.{g.name}" for g in dataclasses.fields(value))
+        else:
+            yield f.name
+
+
+def with_field(cfg, path, value):
+    name, _, sub = path.partition(".")
+    if sub:
+        value = dataclasses.replace(getattr(cfg, name), **{sub: value})
+    return dataclasses.replace(cfg, **{name: value})
+
+
+def test_phase_keys_cover_every_config_field():
+    # a field that no key covers would hand a run another config's phase
+    assert sorted(field_paths(KEYED_CFG)) == sorted(FIELD_PHASES)
+    order = [phase for phase, _ in PHASE_KEYS]
+    for path, (phase, value) in FIELD_PHASES.items():
+        changed = with_field(KEYED_CFG, path, value)
+        assert changed != KEYED_CFG, path
+        first = order.index(phase) if phase in order else len(order)
+        for name, key in PHASE_KEYS[:first]:
+            assert key(changed) == key(KEYED_CFG), (path, name)
+        if phase in order:
+            assert PHASE_KEYS[first][1](changed) != PHASE_KEYS[first][1](KEYED_CFG), path
+    # a pool is drawn only on the open_set route
+    fog = dataclasses.replace(KEYED_CFG, noise_route="fog")
+    assert data_key(dataclasses.replace(fog, pool_size=5)) == data_key(fog)
+    # the selection phase runs every epoch of SelectionOnly, else the warmup
+    assert selection_epochs(KEYED_CFG) == 3
+    assert selection_epochs(dataclasses.replace(KEYED_CFG, method=SELECTION_ONLY)) == 8
+    assert selection_epochs(dataclasses.replace(KEYED_CFG, warmup_epochs=8)) == 8
+
+
+# --- the phase cache ----------------------------------------------------------
 
 RUN_FILES = ("metrics.jsonl", "metrics.csv", "summary.json", "model.ckpt")
 
@@ -173,44 +247,37 @@ def run_bytes(run_dir):
 
 
 def alone_bytes(resolved, root):
-    """The files of the job run by itself: own data, no shared prefix."""
+    """The files of the job run by itself: own data, no cache."""
     return run_bytes(write_run(resolved, root)[0])
 
 
-@pytest.fixture
-def selection_epochs_run(monkeypatch):
-    """Counts the selection epochs trained, as run_experiment looks them up."""
+def counting(monkeypatch, name):
+    """The arguments of each call to pipeline.<name>, as run_experiment
+    looks it up."""
     calls = []
-    real = pipeline.self_teach_epoch
+    real = getattr(pipeline, name)
 
-    def counting(model, optimizer, train, schedule, epoch, *rest):
-        calls.append(epoch)
-        return real(model, optimizer, train, schedule, epoch, *rest)
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "self_teach_epoch", counting)
+    monkeypatch.setattr(pipeline, name, wrapper)
     return calls
 
 
-def test_selection_epochs_and_prefix_key():
-    cfg = ExperimentConfig(total_epochs=8, warmup_epochs=3)
-    assert selection_epochs(cfg) == 3
-    assert selection_epochs(dataclasses.replace(cfg, method=SELECTION_ONLY)) == 8
-    assert selection_epochs(dataclasses.replace(cfg, warmup_epochs=8)) == 8
-    for change in (dict(method=MIX), dict(lam=0.3), dict(warmup_epochs=5),
-                   dict(total_epochs=9), dict(partition_rule="small_loss_global")):
-        assert prefix_key(dataclasses.replace(cfg, **change)) == prefix_key(cfg), change
-    for change in (dict(hidden=(8,)), dict(optimizer="sgd"), dict(lr=0.5), dict(tau=0.2),
-                   dict(ramp_epochs=3), dict(batch_size=64), dict(seed_init=1),
-                   dict(seed_epochs=1), dict(seed_data=1)):
-        assert prefix_key(dataclasses.replace(cfg, **change)) != prefix_key(cfg), change
-
-
-def test_shared_prefix_gives_the_bytes_of_runs_alone(tmp_path, selection_epochs_run):
-    cells = [{"method": m} for m in (SELECTION_ONLY, MIX, INSCORR)]
+def test_shared_prefix_gives_the_bytes_of_runs_alone(tmp_path, monkeypatch):
+    selection = counting(monkeypatch, "self_teach_epoch")
+    splits = counting(monkeypatch, "partition_clean_mislabeled")
+    attacks = counting(monkeypatch, "correct_set")
+    # SelectionOnly comes first, yet the warmup is still trained once
+    cells = [{"method": SELECTION_ONLY}, {"method": MIX},
+             *({"method": INSCORR, "training": {"lambda": lam}} for lam in (0.5, 0.7))]
     results, failures = sweep(BASE, cells, (0, 1), partial(_sweep_job, root=tmp_path / "swept"))
     assert failures == []
-    # per seed: the 2 shared warmup epochs once, then SelectionOnly's other 2
-    assert selection_epochs_run == [0, 1, 2, 3] * 2
+    # per seed: the 2 warmup epochs once, then SelectionOnly's other 2
+    assert [args[4] for args in selection] == [0, 1, 2, 3] * 2
+    assert len(splits) == len(attacks) == 2
+    monkeypatch.undo()
     for cell in cells:
         for seed in (0, 1):
             resolved = seeded_job(cell, seed)
@@ -220,7 +287,8 @@ def test_shared_prefix_gives_the_bytes_of_runs_alone(tmp_path, selection_epochs_
 
 @pytest.mark.parametrize("fail_at", [1, 3])
 def test_a_job_that_fails_leaves_the_next_one_correct(tmp_path, monkeypatch, fail_at):
-    # epoch 1 fails before the prefix is copied, epoch 3 after it
+    # Mix trains first; epoch 1 fails it before its warmup is stored, epoch
+    # 3 fails SelectionOnly after it resumed from that warmup
     real = pipeline.self_teach_epoch
     calls = []
 
@@ -233,34 +301,78 @@ def test_a_job_that_fails_leaves_the_next_one_correct(tmp_path, monkeypatch, fai
     monkeypatch.setattr(pipeline, "self_teach_epoch", fails_once)
     cells = [{"method": SELECTION_ONLY}, {"method": MIX}]
     results, failures = sweep(BASE, cells, (2,), partial(_sweep_job, root=tmp_path / "swept"))
-    assert failures == [(0, 2, "selection broke")]
-    assert calls == ([0, 1, 0, 1] if fail_at == 1 else [0, 1, 2, 3])
+    failed, kept = (1, 0) if fail_at == 1 else (0, 1)
+    assert failures == [(failed, 2, "selection broke")]
+    assert calls == ([0, 1, 0, 1, 2, 3] if fail_at == 1 else [0, 1, 2, 3])
     monkeypatch.setattr(pipeline, "self_teach_epoch", real)
-    resolved = seeded_job(cells[1], 2)
+    resolved = seeded_job(cells[kept], 2)
     swept = tmp_path / "swept" / config_hash(resolved)
     assert run_bytes(swept) == alone_bytes(resolved, tmp_path / "alone")
 
 
-def test_prefix_as_long_as_the_first_run_is_still_shared(tmp_path, selection_epochs_run):
-    cells = [{"method": SELECTION_ONLY, "training": {"total_epochs": 2, "warmup_epochs": 1}},
-             {"method": MIX, "training": {"total_epochs": 6, "warmup_epochs": 3}}]
+def test_a_failed_attack_leaves_the_next_job_to_attack(tmp_path, monkeypatch):
+    real = pipeline.correct_set
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("attack broke")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "correct_set", fails_once)
+    cells = [{"training": {"lambda": lam}} for lam in (0.3, 0.6, 0.9)]
+    results, failures = sweep(BASE, cells, (1,), partial(_sweep_job, root=tmp_path / "swept"))
+    assert failures == [(0, 1, "attack broke")]
+    # the second job attacks by itself, the third takes its rows
+    assert len(calls) == 2
+    monkeypatch.setattr(pipeline, "correct_set", real)
+    for cell in cells[1:]:
+        resolved = seeded_job(cell, 1)
+        swept = tmp_path / "swept" / config_hash(resolved)
+        assert run_bytes(swept) == alone_bytes(resolved, tmp_path / "alone"), cell
+
+
+def test_prefix_as_long_as_the_first_run_is_still_shared(tmp_path, monkeypatch):
+    selection = counting(monkeypatch, "self_teach_epoch")
+    cells = [{"method": MIX, "training": {"total_epochs": 6, "warmup_epochs": 3}},
+             {"method": SELECTION_ONLY, "training": {"total_epochs": 2, "warmup_epochs": 1}}]
     results, failures = sweep(BASE, cells, (4,), partial(_sweep_job, root=tmp_path / "swept"))
     assert failures == []
-    # SelectionOnly's last epoch ends the prefix; Mix trains only its third
-    assert selection_epochs_run == [0, 1, 2]
+    # SelectionOnly runs first and ends after two epochs; Mix trains only its third
+    assert [args[4] for args in selection] == [0, 1, 2]
+    monkeypatch.undo()
     for cell in cells:
         resolved = seeded_job(cell, 4)
         swept = tmp_path / "swept" / config_hash(resolved)
         assert run_bytes(swept) == alone_bytes(resolved, tmp_path / "alone"), cell
 
 
-def test_prefix_refuses_a_run_it_does_not_fit():
-    cfg = to_experiment_config(seeded_job({"method": MIX}, 0))
+def test_cache_keeps_runs_of_other_keys_apart():
+    cfg = to_experiment_config(seeded_job({"training": {"total_epochs": 5}}, 0))
     data = pipeline.prepare_data(cfg)
-    with pytest.raises(ContractError, match="needs 1 to 2 selection epochs"):
-        run_experiment(cfg, data=data, prefix=SharedPrefix(3))
-    prefix = SharedPrefix(2)
-    run_experiment(cfg, data=data, prefix=prefix)
-    other = dataclasses.replace(cfg, seed_init=1)
-    with pytest.raises(ContractError, match="another prefix_key"):
-        run_experiment(other, data=data, prefix=prefix)
+    cache = {}
+    for other in (cfg, dataclasses.replace(cfg, seed_init=1),
+                  dataclasses.replace(cfg, partition_rule=SMALL_LOSS_GLOBAL),
+                  dataclasses.replace(cfg, warmup_epochs=3),
+                  dataclasses.replace(cfg, lam=0.2), dataclasses.replace(cfg, method=MIX)):
+        shared = run_experiment(other, data=data, cache=cache)
+        alone = run_experiment(other, data=data)
+        assert shared.metrics == alone.metrics, other
+        assert np.array_equal(shared.model.flat, alone.model.flat), other
+
+
+def test_cached_phases_cannot_be_changed_by_a_run():
+    cfg = to_experiment_config(seeded_job({}, 0))
+    data = pipeline.prepare_data(cfg)
+    cache = {}
+    result = run_experiment(cfg, data=data, cache=cache)
+    model, optimizer, metrics = cache["selection", prefix_key(cfg), selection_epochs(cfg)]
+    # a selection state is copied in and out
+    assert not np.shares_memory(model.flat, result.model.flat)
+    assert metrics is not result.metrics
+    arrays = [*cache[split_key(cfg)], *cache[correction_key(cfg)][:2]]
+    assert len(arrays) == 4
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
