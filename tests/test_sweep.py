@@ -22,6 +22,7 @@ from inscorr.config import (
     resolve_config,
     to_experiment_config,
 )
+from inscorr.noise import NoiseSpec
 from inscorr.pipeline import (
     INSCORR,
     MIX,
@@ -224,13 +225,40 @@ def test_phase_keys_cover_every_config_field():
             assert key(changed) == key(KEYED_CFG), (path, name)
         if phase in order:
             assert PHASE_KEYS[first][1](changed) != PHASE_KEYS[first][1](KEYED_CFG), path
+
+
+def test_data_key_ignores_what_prepare_data_does_not_read():
     # a pool is drawn only on the open_set route
-    fog = dataclasses.replace(KEYED_CFG, noise_route="fog")
-    assert data_key(dataclasses.replace(fog, pool_size=5)) == data_key(fog)
+    cfg = ExperimentConfig(noise_route="fog")
+    for change in (dict(method=MIX), dict(lam=0.3), dict(seed_init=9),
+                   dict(seed_epochs=9), dict(hidden=(8,)), dict(lr=0.5),
+                   dict(total_epochs=300), dict(pool_size=5)):
+        assert data_key(dataclasses.replace(cfg, **change)) == data_key(cfg), change
+
+
+def test_data_key_changes_with_every_field_prepare_data_reads():
+    cfg = ExperimentConfig()
+    for change in (dict(n_train=100), dict(n_test=100), dict(num_classes=3),
+                   dict(height=8), dict(width=8), dict(val_fraction=0.2),
+                   dict(pool_size=5), dict(noise_route="fog"), dict(noise_rate=0.2),
+                   dict(noise_spec=NoiseSpec(gaussian_sigma=0.1)),
+                   dict(seed_data=1), dict(seed_noise=1)):
+        assert data_key(dataclasses.replace(cfg, **change)) != data_key(cfg), change
+
+
+def test_selection_epochs_and_prefix_key():
     # the selection phase runs every epoch of SelectionOnly, else the warmup
-    assert selection_epochs(KEYED_CFG) == 3
-    assert selection_epochs(dataclasses.replace(KEYED_CFG, method=SELECTION_ONLY)) == 8
-    assert selection_epochs(dataclasses.replace(KEYED_CFG, warmup_epochs=8)) == 8
+    cfg = ExperimentConfig(total_epochs=8, warmup_epochs=3)
+    assert selection_epochs(cfg) == 3
+    assert selection_epochs(dataclasses.replace(cfg, method=SELECTION_ONLY)) == 8
+    assert selection_epochs(dataclasses.replace(cfg, warmup_epochs=8)) == 8
+    for change in (dict(method=MIX), dict(lam=0.3), dict(warmup_epochs=5),
+                   dict(total_epochs=9), dict(partition_rule="small_loss_global")):
+        assert prefix_key(dataclasses.replace(cfg, **change)) == prefix_key(cfg), change
+    for change in (dict(hidden=(8,)), dict(optimizer="sgd"), dict(lr=0.5), dict(tau=0.2),
+                   dict(ramp_epochs=3), dict(batch_size=64), dict(seed_init=1),
+                   dict(seed_epochs=1), dict(seed_data=1)):
+        assert prefix_key(dataclasses.replace(cfg, **change)) != prefix_key(cfg), change
 
 
 # --- the phase cache ----------------------------------------------------------
