@@ -92,7 +92,9 @@ def _check_workers(args):
 
 
 def _cell_text(result):
-    return "failed" if result.mean is None else f"{result.mean:.4f}+-{result.std:.4f}"
+    if result.mean is None:
+        return "failed" if result.n_failed else "n/a"
+    return f"{result.mean:.4f}+-{result.std:.4f}"
 
 
 def _write_report(directory, stem, header, rows, report):

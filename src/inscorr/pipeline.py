@@ -33,8 +33,8 @@ RNG streams: epoch shuffles use [seed_epochs, T]; attacks draw their
 optional random starts from [seed_noise, 4, T]. Since nothing else
 carries over from one epoch to the next but the model and its optimizer,
 each phase's output is a function of the config fields its key holds:
-runs with one prefix_key train bit-identical selection epochs, runs with
-one split_key split alike, and runs with one correction_key attack
+runs with one warmup_key pass one state at the end of the warmup, runs
+with one split_key split alike, and runs with one correction_key attack
 alike. A cache handed to run_experiment keeps those outputs, so the runs
 of a sweep task train a warmup, split and attack once each.
 """
@@ -160,11 +160,15 @@ def prefix_key(cfg):
             cfg.ramp_epochs, cfg.batch_size, cfg.seed_init, cfg.seed_epochs)
 
 
+def warmup_key(cfg):
+    """The state after warmup_epochs selection epochs of one prefix_key."""
+    return ("warmup", prefix_key(cfg), cfg.warmup_epochs)
+
+
 def split_key(cfg):
-    """Everything the split reads: the selection state it partitions, then
-    the rule it applies."""
-    return ("split", prefix_key(cfg), selection_epochs(cfg), cfg.warmup_epochs,
-            cfg.partition_rule, cfg.tau)
+    """Everything the split reads: the state at the end of the warmup,
+    where every split happens, then the rule it applies."""
+    return ("split", warmup_key(cfg), cfg.partition_rule, cfg.tau)
 
 
 def correction_key(cfg):
@@ -358,21 +362,20 @@ def run_experiment(cfg, data=None, on_epoch=None, cache=None):
     first). Returns a RunResult; on_epoch(epoch, model), when given, runs
     after each epoch's updates.
 
-    cache, a dict shared by runs on the same data, keeps the selection
-    state (copied in and out) under prefix_key and its epoch count, the
-    split under split_key and, unless refresh_correction is set, the first
-    correction under correction_key. A run resumes from its longest stored
-    selection state that fits, skipping on_epoch for the epochs it skips,
-    and takes a stored split and correction; a phase that raises stores
-    nothing. The result is bit for bit that of a run without a cache.
+    cache, a dict shared by runs on the same data, keeps the state at the
+    end of the warmup (copied in and out) under warmup_key, the split under
+    split_key and, for InsCorr unless refresh_correction is set, the first
+    correction under correction_key. A run that trains through the warmup
+    resumes from its stored state, skipping on_epoch for the epochs it
+    skips, and takes a stored split and correction; a phase that raises
+    stores nothing. The result is bit for bit that of a run without a cache.
     """
     train, val, test = data if data is not None else prepare_data(cfg)
     n_select = selection_epochs(cfg)
-    key = prefix_key(cfg)
-    start = next((e for e in range(n_select, 0, -1)
-                  if cache is not None and ("selection", key, e) in cache), 0)
+    key = warmup_key(cfg)
+    start = cfg.warmup_epochs if cfg.warmup_epochs <= n_select and key in (cache or {}) else 0
     if start:
-        model, optimizer, metrics = _copy_state(*cache["selection", key, start])
+        model, optimizer, metrics = _copy_state(*cache[key])
     else:
         model, optimizer, metrics = init_model(cfg), make_optimizer(cfg.optimizer, cfg.lr), []
 
@@ -389,17 +392,17 @@ def run_experiment(cfg, data=None, on_epoch=None, cache=None):
         rng = np.random.default_rng([cfg.seed_epochs, epoch])
         stats = self_teach_epoch(model, optimizer, train, schedule, epoch, cfg.batch_size, rng)
         end_epoch(epoch, stats.mean_loss, precision=stats.precision)
-    if cache is not None and n_select > start:
-        cache["selection", key, n_select] = _copy_state(model, optimizer, metrics)
+        if cache is not None and epoch + 1 == cfg.warmup_epochs:
+            cache[key] = _copy_state(model, optimizer, metrics)
     if n_select == cfg.total_epochs:
         return RunResult(model, optimizer, metrics)
 
     clean_idx, noisy_idx = _cached(cache, split_key(cfg), lambda: partition_clean_mislabeled(
         model, train, cfg.partition_rule, cfg.tau))
-    corr_x, corr_y, success = _cached(
-        None if cfg.refresh_correction else cache, correction_key(cfg),
-        lambda: _build_corrected(cfg, model, train, noisy_idx, n_select))
     refresh = cfg.refresh_correction and cfg.method == INSCORR
+    corr_x, corr_y, success = _cached(
+        cache if cfg.method == INSCORR and not refresh else None, correction_key(cfg),
+        lambda: _build_corrected(cfg, model, train, noisy_idx, n_select))
     for epoch in range(n_select, cfg.total_epochs):
         if refresh and epoch > n_select:
             corr_x, corr_y, success = _build_corrected(cfg, model, train, noisy_idx, epoch)

@@ -8,12 +8,11 @@ than workers, so a one-group grid still keeps every worker busy. A
 failing prepare_data fails every job of its task; a failing job fails
 alone. Outcomes come back in grid order, whatever order tasks finish in.
 
-Inside a task, the jobs share one cache (pipeline.run_experiment): each
-phase of a run, the selection epochs, the split and the correction, is
-stored under the key of the config fields it reads, and later jobs with
-the same key take it instead of computing it again. Jobs run in ascending
-order of their selection epochs, so that a job resumes from the selection
-state of a shorter one: a warmup is trained once per prefix_key, a split
+Inside a task, the jobs run in grid order and share one cache
+(pipeline.run_experiment): the state at the end of the warmup, the split
+and InsCorr's correction are stored under the key of the config fields
+they read, and later jobs with the same key take them instead of
+computing them again. So a warmup is trained once per warmup_key, a split
 made once per split_key and an attack run once per correction_key, with
 every result byte unchanged. A job that fails stores nothing of the phase
 that failed, which the next job of its key computes by itself.
@@ -27,7 +26,7 @@ from collections import namedtuple
 import numpy as np
 
 from .config import deep_merge, resolve_config, to_experiment_config
-from .pipeline import data_key, prepare_data, selection_epochs
+from .pipeline import data_key, prepare_data
 
 # mean and population std over a cell's runs that gave a value, None if none did
 CellResult = namedtuple("CellResult", "n_failed mean std")
@@ -36,18 +35,17 @@ CellResult = namedtuple("CellResult", "n_failed mean std")
 def _run_task(run, jobs):
     """[(value, error)] of each resolved job, all on the first one's data
     and one cache, in the order given."""
-    cfgs = [to_experiment_config(resolved) for resolved in jobs]
     try:
-        data = prepare_data(cfgs[0])
+        data = prepare_data(to_experiment_config(jobs[0]))
     except Exception as error:
         return [(None, str(error))] * len(jobs)
     cache = {}
-    outcomes = [None] * len(jobs)
-    for i in sorted(range(len(jobs)), key=lambda i: selection_epochs(cfgs[i])):
+    outcomes = []
+    for resolved in jobs:
         try:
-            outcomes[i] = (run(jobs[i], data, cache=cache), None)
+            outcomes.append((run(resolved, data, cache=cache), None))
         except Exception as error:
-            outcomes[i] = (None, str(error))
+            outcomes.append((None, str(error)))
     return outcomes
 
 
@@ -94,9 +92,6 @@ def sweep(base, cells, seeds, run, workers=1):
                 failures.append((c, seed, error))
             elif value is not None:
                 values.append(value)
-        results.append(CellResult(
-            n_failed,
-            float(np.mean(values)) if values else None,
-            float(np.std(values)) if values else None,
-        ))
+        results.append(CellResult(n_failed, float(np.mean(values)) if values else None,
+                                  float(np.std(values)) if values else None))
     return results, failures

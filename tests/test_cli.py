@@ -462,6 +462,23 @@ def test_zero_accuracy_is_reported_not_null(tmp_path, tiny_cfg, monkeypatch):
     assert report["rows"][0]["std_acc"] == 0.0
 
 
+def test_a_cell_of_short_runs_prints_na_and_a_failed_one_failed(tmp_path, tiny_cfg,
+                                                                  monkeypatch, capsys):
+    # four epochs leave no last-ten mean, yet no run failed
+    argv = ["ablate", "--config", tiny_cfg, "--weights", "0.3", "--seeds", "0"]
+    assert main([*argv, "--output-root", str(tmp_path / "short")]) == 0
+    assert "weight=0.3 lambda=0.7: n/a\n" in capsys.readouterr().out
+    report = json.loads(next((tmp_path / "short").glob("ablate-*/ablation.json")).read_text())
+    assert report["failures"] == []
+
+    def broken(resolved, root, data=None, cache=None):
+        raise RuntimeError("run broke")
+
+    monkeypatch.setattr(cli, "write_run", broken)
+    assert main([*argv, "--output-root", str(tmp_path / "broken")]) == 1
+    assert "weight=0.3 lambda=0.7: failed\n" in capsys.readouterr().out
+
+
 def test_campaign_rejects_unknown_route(tmp_path, capsys):
     code = main(["campaign", "--routes", "sleet",
                  "--output-root", str(tmp_path / "runs")])

@@ -35,6 +35,7 @@ from inscorr.pipeline import (
     run_experiment,
     selection_epochs,
     split_key,
+    warmup_key,
 )
 from inscorr.sweep import sweep
 
@@ -147,7 +148,7 @@ def test_shared_data_gives_the_results_of_fresh_data():
 # --- the phase keys ------------------------------------------------------
 
 # the cached phases in run order, each with its key
-PHASE_KEYS = (("data", data_key), ("selection", prefix_key), ("split", split_key),
+PHASE_KEYS = (("data", data_key), ("warmup", warmup_key), ("split", split_key),
               ("correction", correction_key))
 
 # per field of the runnable configs, the first phase that reads it and a
@@ -155,9 +156,9 @@ PHASE_KEYS = (("data", data_key), ("selection", prefix_key), ("split", split_key
 # after the cached phases
 FIELD_PHASES = {
     "method": ("correction", MIX),
-    "hidden": ("selection", (8,)),
-    "optimizer": ("selection", "sgd"),
-    "lr": ("selection", 0.5),
+    "hidden": ("warmup", (8,)),
+    "optimizer": ("warmup", "sgd"),
+    "lr": ("warmup", 0.5),
     "n_train": ("data", 100),
     "n_test": ("data", 100),
     "num_classes": ("data", 3),
@@ -174,24 +175,24 @@ FIELD_PHASES = {
     "noise_spec.fog_decay": ("data", 2.0),
     "noise_spec.blur_length": ("data", 3),
     "noise_spec.blur_angle_deg": ("data", 45.0),
-    "tau": ("selection", 0.2),
-    "ramp_epochs": ("selection", 3),
+    "tau": ("warmup", 0.2),
+    "ramp_epochs": ("warmup", 3),
     "attack.norm": ("correction", L2),
     "attack.budget": ("correction", 0.1),
     "attack.steps": ("correction", 7),
     "attack.step_size": ("correction", 0.5),
     "attack.random_start": ("correction", True),
     "lam": ("mixed", 0.3),
-    "warmup_epochs": ("split", 5),
+    "warmup_epochs": ("warmup", 5),
     "total_epochs": ("mixed", 9),
-    "batch_size": ("selection", 64),
+    "batch_size": ("warmup", 64),
     # a run that refreshes its correction shares nothing after the split
     "refresh_correction": ("mixed", True),
     "partition_rule": ("split", SMALL_LOSS_GLOBAL),
     "seed_data": ("data", 1),
     "seed_noise": ("data", 1),
-    "seed_init": ("selection", 1),
-    "seed_epochs": ("selection", 1),
+    "seed_init": ("warmup", 1),
+    "seed_epochs": ("warmup", 1),
 }
 
 KEYED_CFG = ExperimentConfig(total_epochs=8, warmup_epochs=3)
@@ -293,16 +294,17 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_shared_prefix_gives_the_bytes_of_runs_alone(tmp_path, monkeypatch):
+@pytest.mark.parametrize("selection_only", ["first", "last"])
+def test_shared_prefix_gives_the_bytes_of_runs_alone(tmp_path, monkeypatch, selection_only):
     selection = counting(monkeypatch, "self_teach_epoch")
     splits = counting(monkeypatch, "partition_clean_mislabeled")
     attacks = counting(monkeypatch, "correct_set")
-    # SelectionOnly comes first, yet the warmup is still trained once
-    cells = [{"method": SELECTION_ONLY}, {"method": MIX},
+    cells = [{"method": MIX},
              *({"method": INSCORR, "training": {"lambda": lam}} for lam in (0.5, 0.7))]
+    cells.insert(0 if selection_only == "first" else len(cells), {"method": SELECTION_ONLY})
     results, failures = sweep(BASE, cells, (0, 1), partial(_sweep_job, root=tmp_path / "swept"))
     assert failures == []
-    # per seed: the 2 warmup epochs once, then SelectionOnly's other 2
+    # per seed, in either order: the 2 warmup epochs once, then SelectionOnly's other 2
     assert [args[4] for args in selection] == [0, 1, 2, 3] * 2
     assert len(splits) == len(attacks) == 2
     monkeypatch.undo()
@@ -315,8 +317,9 @@ def test_shared_prefix_gives_the_bytes_of_runs_alone(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fail_at", [1, 3])
 def test_a_job_that_fails_leaves_the_next_one_correct(tmp_path, monkeypatch, fail_at):
-    # Mix trains first; epoch 1 fails it before its warmup is stored, epoch
-    # 3 fails SelectionOnly after it resumed from that warmup
+    # SelectionOnly trains first; epoch 1 fails it before its warmup is
+    # stored, so Mix trains its own, and epoch 3 fails it after, so Mix
+    # resumes from that warmup
     real = pipeline.self_teach_epoch
     calls = []
 
@@ -329,11 +332,10 @@ def test_a_job_that_fails_leaves_the_next_one_correct(tmp_path, monkeypatch, fai
     monkeypatch.setattr(pipeline, "self_teach_epoch", fails_once)
     cells = [{"method": SELECTION_ONLY}, {"method": MIX}]
     results, failures = sweep(BASE, cells, (2,), partial(_sweep_job, root=tmp_path / "swept"))
-    failed, kept = (1, 0) if fail_at == 1 else (0, 1)
-    assert failures == [(failed, 2, "selection broke")]
-    assert calls == ([0, 1, 0, 1, 2, 3] if fail_at == 1 else [0, 1, 2, 3])
+    assert failures == [(0, 2, "selection broke")]
+    assert calls == ([0, 1, 0, 1] if fail_at == 1 else [0, 1, 2, 3])
     monkeypatch.setattr(pipeline, "self_teach_epoch", real)
-    resolved = seeded_job(cells[kept], 2)
+    resolved = seeded_job(cells[1], 2)
     swept = tmp_path / "swept" / config_hash(resolved)
     assert run_bytes(swept) == alone_bytes(resolved, tmp_path / "alone")
 
@@ -361,21 +363,6 @@ def test_a_failed_attack_leaves_the_next_job_to_attack(tmp_path, monkeypatch):
         assert run_bytes(swept) == alone_bytes(resolved, tmp_path / "alone"), cell
 
 
-def test_prefix_as_long_as_the_first_run_is_still_shared(tmp_path, monkeypatch):
-    selection = counting(monkeypatch, "self_teach_epoch")
-    cells = [{"method": MIX, "training": {"total_epochs": 6, "warmup_epochs": 3}},
-             {"method": SELECTION_ONLY, "training": {"total_epochs": 2, "warmup_epochs": 1}}]
-    results, failures = sweep(BASE, cells, (4,), partial(_sweep_job, root=tmp_path / "swept"))
-    assert failures == []
-    # SelectionOnly runs first and ends after two epochs; Mix trains only its third
-    assert [args[4] for args in selection] == [0, 1, 2]
-    monkeypatch.undo()
-    for cell in cells:
-        resolved = seeded_job(cell, 4)
-        swept = tmp_path / "swept" / config_hash(resolved)
-        assert run_bytes(swept) == alone_bytes(resolved, tmp_path / "alone"), cell
-
-
 def test_cache_keeps_runs_of_other_keys_apart():
     cfg = to_experiment_config(seeded_job({"training": {"total_epochs": 5}}, 0))
     data = pipeline.prepare_data(cfg)
@@ -383,7 +370,10 @@ def test_cache_keeps_runs_of_other_keys_apart():
     for other in (cfg, dataclasses.replace(cfg, seed_init=1),
                   dataclasses.replace(cfg, partition_rule=SMALL_LOSS_GLOBAL),
                   dataclasses.replace(cfg, warmup_epochs=3),
-                  dataclasses.replace(cfg, lam=0.2), dataclasses.replace(cfg, method=MIX)):
+                  dataclasses.replace(cfg, lam=0.2), dataclasses.replace(cfg, method=MIX),
+                  # a run that ends before the warmup another stored
+                  dataclasses.replace(cfg, warmup_epochs=5, total_epochs=8),
+                  dataclasses.replace(cfg, warmup_epochs=5, total_epochs=3)):
         shared = run_experiment(other, data=data, cache=cache)
         alone = run_experiment(other, data=data)
         assert shared.metrics == alone.metrics, other
@@ -395,8 +385,8 @@ def test_cached_phases_cannot_be_changed_by_a_run():
     data = pipeline.prepare_data(cfg)
     cache = {}
     result = run_experiment(cfg, data=data, cache=cache)
-    model, optimizer, metrics = cache["selection", prefix_key(cfg), selection_epochs(cfg)]
-    # a selection state is copied in and out
+    model, optimizer, metrics = cache[warmup_key(cfg)]
+    # the warmup state is copied in and out
     assert not np.shares_memory(model.flat, result.model.flat)
     assert metrics is not result.metrics
     arrays = [*cache[split_key(cfg)], *cache[correction_key(cfg)][:2]]
@@ -404,3 +394,20 @@ def test_cached_phases_cannot_be_changed_by_a_run():
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+def test_a_task_keeps_only_what_a_later_job_reads():
+    # SelectionOnly's state after the warmup serves Mix; neither its last
+    # state nor Mix's raw rows are read again
+    caches = []
+
+    def run(resolved, data, cache):
+        caches.append(cache)
+        run_experiment(to_experiment_config(resolved), data=data, cache=cache)
+
+    cells = [{"method": SELECTION_ONLY}, {"method": MIX}]
+    results, failures = sweep(BASE, cells, (0,), run)
+    assert failures == []
+    assert caches[0] is caches[1]
+    mix = to_experiment_config(seeded_job(cells[1], 0))
+    assert set(caches[0]) == {warmup_key(mix), split_key(mix)}
