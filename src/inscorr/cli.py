@@ -10,7 +10,8 @@ Verbs:
   * verify: run the acceptance checks and report pass/fail per check.
 
 Runs land under --output-root, the INSCORR_OUTPUT_ROOT environment
-variable, or ./runs, keyed by config hash.
+variable, or ./runs, keyed by config hash. An output path at or below a
+file fails before any work.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS
 says otherwise (see the package docstring).
@@ -19,12 +20,13 @@ says otherwise (see the package docstring).
 import argparse
 import csv
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
 
 from . import acceptance
-from .artifacts import config_hash, output_root, write_run
+from .artifacts import ENV_OUTPUT_ROOT, config_hash, output_root, write_run
 from .config import apply_overrides, load_config, resolve_config, to_experiment_config
 from .data import save_dataset
 from .errors import ConfigError, InscorrError
@@ -34,7 +36,8 @@ from .sweep import sweep
 
 
 def _split(args, flag, parse=str):
-    """The comma list of --flag, which must hold at least one value."""
+    """The comma list of --flag: at least one value, none repeated once
+    parsed (0.4,0.40 repeats 0.4)."""
     text = getattr(args, flag)
     try:
         values = [parse(part) for part in text.split(",") if part]
@@ -42,7 +45,26 @@ def _split(args, flag, parse=str):
         values = []
     if not values:
         raise ConfigError(f"--{flag} needs a comma list of values, got {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"--{flag} lists {value!r} twice, in {text!r}")
     return values
+
+
+def _directory(path, name):
+    """Path(path) for a verb to create or fill, refused by name before any
+    work when a file stands at it or above it."""
+    path = Path(path)
+    above = next((p for p in (path, *path.parents) if p.exists()), None)
+    if above and not above.is_dir():
+        raise ConfigError(f"{name} {path}: {above} is not a directory")
+    return path
+
+
+def _output_root(args):
+    name = ("--output-root" if args.output_root
+            else ENV_OUTPUT_ROOT if ENV_OUTPUT_ROOT in os.environ else "output root")
+    return _directory(output_root(args.output_root), name)
 
 
 def _load(args):
@@ -61,8 +83,9 @@ def _summary_line(run_dir, summary):
 
 
 def cmd_run(args):
+    root = _output_root(args)
     cfg = resolve_config(_load(args))
-    run_dir, summary = write_run(cfg, output_root(args.output_root))
+    run_dir, summary = write_run(cfg, root)
     print(_summary_line(run_dir, summary))
     return 0
 
@@ -118,12 +141,12 @@ def cmd_campaign(args):
     seeds = _split(args, "seeds", int)
     methods = _split(args, "methods")
     _check_workers(args)
+    root = _output_root(args)
 
     grid = [(route, rate, method)
             for route in routes for rate in rates for method in methods]
     cells = [{"noise": {"route": route, "rate": rate}, "method": method}
              for route, rate, method in grid]
-    root = output_root(args.output_root)
     grid_id = config_hash({
         "base": _grid_base(base),
         "routes": routes, "rates": rates, "seeds": seeds, "methods": methods,
@@ -148,14 +171,17 @@ def cmd_campaign(args):
 def cmd_ablate(args):
     base = _load(args)
     weights = sorted(_split(args, "weights", float))
+    for weight in weights:
+        if not 0.0 <= weight <= 1.0:
+            raise ConfigError(f"--weights must lie in [0, 1], got {weight!r}")
     seeds = _split(args, "seeds", int)
     _check_workers(args)
+    root = _output_root(args)
     discarded = args.interpretation == "discarded"
     print(f"sweeping {len(weights)} weights as the "
           f"{'corrected-term' if discarded else 'clean-term'}"
           f" coefficient ({args.interpretation} interpretation)")
 
-    root = output_root(args.output_root)
     sweep_id = config_hash({
         "base": _grid_base(base), "weights": weights, "seeds": seeds,
         "interpretation": args.interpretation,
@@ -182,8 +208,8 @@ def cmd_ablate(args):
 
 
 def cmd_make_data(args):
+    out = _directory(args.out, "--out")
     sets = prepare_data(to_experiment_config(resolve_config(_load(args))))
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, ds in zip(("train", "val", "test"), sets):
         path = out / f"{name}.inscd"
@@ -257,7 +283,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InscorrError as error:
+    except (InscorrError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -5,11 +5,11 @@ Layout of every container:
     magic (8 bytes) | version (u32 LE) | body ... | crc32 (u32 LE)
 
 The trailing crc32 covers everything before it, magic included. Readers
-fail with distinct errors: FormatError for wrong magic, VersionError for
-a version other than the one the code reads, TruncatedError when a
-declared payload runs past the end of the file, ChecksumError when the
-crc does not match. Header corruption that inflates a declared size may
-surface as TruncatedError before the checksum is consulted.
+fail with FormatError, whose message names the fault: wrong magic, a
+version other than the one the code reads, a declared payload that runs
+past the end of the file, trailing bytes, or a crc that does not match.
+Header corruption that inflates a declared size may surface as
+truncation before the checksum is consulted.
 """
 
 import math
@@ -18,7 +18,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ChecksumError, FormatError, TruncatedError, VersionError
+from .errors import FormatError
 
 MAGIC_LEN = 8
 
@@ -49,7 +49,7 @@ class ContainerWriter:
 class ContainerReader:
     def __init__(self, raw, magic, current_version):
         if len(raw) < MAGIC_LEN:
-            raise TruncatedError(
+            raise FormatError(
                 f"file holds {len(raw)} bytes, shorter than the {MAGIC_LEN}-byte magic"
             )
         if raw[:MAGIC_LEN] != magic:
@@ -58,20 +58,20 @@ class ContainerReader:
             )
         # body ends where the trailing crc begins
         if len(raw) < MAGIC_LEN + 4 + 4:
-            raise TruncatedError("file too short for version and checksum fields")
+            raise FormatError("file too short for version and checksum fields")
         self._raw = raw
         self._end = len(raw) - 4
         self._pos = MAGIC_LEN
         (self.version,) = self.unpack("<I")
         if self.version != current_version:
-            raise VersionError(
+            raise FormatError(
                 f"container version {self.version} is not the supported version {current_version}"
             )
 
     def unpack(self, fmt):
         size = struct.calcsize(fmt)
         if self._pos + size > self._end:
-            raise TruncatedError(
+            raise FormatError(
                 f"needed {size} bytes at offset {self._pos}, body ends at {self._end}"
             )
         values = struct.unpack_from(fmt, self._raw, self._pos)
@@ -85,7 +85,7 @@ class ContainerReader:
         count = math.prod(int(s) for s in shape)
         size = count * dtype.itemsize
         if self._pos + size > self._end:
-            raise TruncatedError(
+            raise FormatError(
                 f"needed {size} bytes at offset {self._pos}, body ends at {self._end}"
             )
         arr = np.frombuffer(self._raw, dtype=dtype, count=count, offset=self._pos)
@@ -101,7 +101,7 @@ class ContainerReader:
         (stored,) = struct.unpack_from("<I", self._raw, self._end)
         actual = zlib.crc32(self._raw[: self._end]) & 0xFFFFFFFF
         if stored != actual:
-            raise ChecksumError(
+            raise FormatError(
                 f"crc mismatch: stored {stored:#010x}, computed {actual:#010x}"
             )
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .containers import ContainerReader, ContainerWriter, read_file
-from .errors import ContractError, DimensionError, LabelError
+from .errors import ContractError
 
 DATASET_MAGIC = b"INSCDSET"
 DATASET_VERSION = 2
@@ -62,7 +62,7 @@ class Dataset:
         self.true_labels = np.asarray(self.true_labels, dtype=np.int32)
         self.provenance = np.asarray(self.provenance, dtype=np.uint8)
         if self.X.ndim != 2:
-            raise DimensionError(f"X must be 2-D, got shape {self.X.shape}")
+            raise ContractError(f"X must be 2-D, got shape {self.X.shape}")
         n = self.X.shape[0]
         for name, arr in (
             ("given_labels", self.given_labels),
@@ -70,21 +70,21 @@ class Dataset:
             ("provenance", self.provenance),
         ):
             if arr.shape != (n,):
-                raise DimensionError(
+                raise ContractError(
                     f"{name} shape {arr.shape} does not match {n} instances"
                 )
         for name, arr in (("given_labels", self.given_labels), ("true_labels", self.true_labels)):
             bad = (arr < NO_LABEL) | (arr >= self.num_classes)
             if bad.any():
                 i = int(np.argmax(bad))
-                raise LabelError(
+                raise ContractError(
                     f"{name}[{i}] = {int(arr[i])} outside [0, {self.num_classes}) and not {NO_LABEL}"
                 )
         if self.grid_shape is not None:
             h, w = self.grid_shape
             self.grid_shape = (int(h), int(w))
             if h * w != self.X.shape[1]:
-                raise DimensionError(
+                raise ContractError(
                     f"grid shape {self.grid_shape} does not flatten to width {self.X.shape[1]}"
                 )
 

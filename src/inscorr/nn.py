@@ -41,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .containers import ContainerReader, ContainerWriter, read_file
-from .errors import ContractError, DimensionError, LabelError
+from .errors import ContractError, FormatError
 
 CHECKPOINT_MAGIC = b"INSCCKPT"
 CHECKPOINT_VERSION = 2
@@ -116,7 +116,7 @@ class Model:
 
     def _check_input(self, x):
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise DimensionError(
+            raise ContractError(
                 f"input shape {x.shape} does not match (n, {self.spec.input_dim})"
             )
 
@@ -188,17 +188,17 @@ def cross_entropy(logits, labels):
     """(per-row losses, softmax probabilities) of 2-D logits against
     labels, in the logits' dtype."""
     if logits.ndim != 2:
-        raise DimensionError(f"cross entropy: expected 2-D logits, got shape {logits.shape}")
+        raise ContractError(f"cross entropy: expected 2-D logits, got shape {logits.shape}")
     b, c = logits.shape
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (b,):
-        raise DimensionError(
+        raise ContractError(
             f"cross entropy: labels shape {labels.shape} does not match batch {b}"
         )
     bad = (labels < 0) | (labels >= c)
     if bad.any():
         i = int(np.argmax(bad))
-        raise LabelError(f"label {int(labels[i])} at index {i} outside [0, {c})")
+        raise ContractError(f"label {int(labels[i])} at index {i} outside [0, {c})")
     return kernels.softmax_xent(np.ascontiguousarray(logits), labels)
 
 
@@ -321,14 +321,14 @@ def load_checkpoint(path):
     (dtype_code,) = r.unpack("<B")
     dtype = _CODE_DTYPE.get(dtype_code)
     if dtype is None:
-        raise ContractError(f"unknown parameter dtype code {dtype_code} in checkpoint")
+        raise FormatError(f"unknown parameter dtype code {dtype_code} in checkpoint")
     # the parameters are read, size-checked against the body, before
     # anything of the declared shape is allocated
     model = Model(spec, r.array(dtype, (sum(math.prod(s) for s in spec.shapes()),)))
     (kind_code,) = r.unpack("<B")
     kind = _OPT_CODE_KIND.get(kind_code)
     if kind is None:
-        raise ContractError(f"unknown optimizer code {kind_code} in checkpoint")
+        raise FormatError(f"unknown optimizer code {kind_code} in checkpoint")
     (lr,) = r.unpack("<d")
     if kind == "adam":
         beta1, beta2, eps = r.unpack("<ddd")

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .data import _BLOCK_ROWS, NO_LABEL, Dataset, Provenance, round_half_up
-from .errors import CapacityError, ContractError, ParameterError
+from .errors import CapacityError, ContractError
 
 
 class NoiseKind(enum.IntEnum):
@@ -110,7 +110,7 @@ def corruption_transform(grids, kind, spec, rng):
         dys = np.array([round_half_up(t * np.sin(theta)) for t in offsets], dtype=np.int64)
         out = kernels.line_blur(stack, dys, dxs)
     else:
-        raise ParameterError(f"unknown corruption kind {kind!r}")
+        raise ContractError(f"unknown corruption kind {kind!r}")
     return np.clip(out, 0.0, 1.0, out=out).reshape(grids.shape)
 
 
@@ -124,11 +124,11 @@ def inject_corruption(ds, kind, rate, spec, seed):
     copy.
     """
     if not 0.0 <= rate <= 1.0:
-        raise ParameterError(f"rate must lie in [0, 1], got {rate}")
+        raise ContractError(f"rate must lie in [0, 1], got {rate}")
     if ds.grid_shape is None:
         raise ContractError("corruption needs grid-shaped instances")
     if not isinstance(kind, NoiseKind):
-        raise ParameterError(f"unknown corruption kind {kind!r}")
+        raise ContractError(f"unknown corruption kind {kind!r}")
     n = len(ds)
     k = round_half_up(rate * n)
     which_rng = np.random.default_rng([seed, 0])
@@ -149,7 +149,7 @@ def pool_sources(pool_size, n, rate, seed):
     order inject_open_set writes them: distinct draws from range(pool_size)
     on the [seed, 3] stream. CapacityError when the pool is too small."""
     if not 0.0 <= rate <= 1.0:
-        raise ParameterError(f"rate must lie in [0, 1], got {rate}")
+        raise ContractError(f"rate must lie in [0, 1], got {rate}")
     k = round_half_up(rate * n)
     if k > pool_size:
         raise CapacityError(
@@ -169,7 +169,7 @@ def inject_open_set(ds, pool, rate, seed):
     classes; a class without enough members raises CapacityError.
     """
     if not 0.0 <= rate <= 1.0:
-        raise ParameterError(f"rate must lie in [0, 1], got {rate}")
+        raise ContractError(f"rate must lie in [0, 1], got {rate}")
     if pool.dim != ds.dim:
         raise ContractError(
             f"pool width {pool.dim} does not match dataset width {ds.dim}"
@@ -216,4 +216,4 @@ def apply_noise(ds, route, rate, spec, seed, pool=None):
         return inject_open_set(ds, pool, rate, seed)
     if route in KIND_NAMES:
         return inject_corruption(ds, KIND_NAMES[route], rate, spec, seed)
-    raise ParameterError(f"unknown noise route {route!r}; valid: {ALL_ROUTES}")
+    raise ContractError(f"unknown noise route {route!r}; valid: {ALL_ROUTES}")

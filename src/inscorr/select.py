@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import permutation_batches
-from .errors import ContractError, DataError
+from .errors import ContractError, NumericError
 from .nn import cross_entropy
 
 
@@ -57,7 +57,7 @@ def select_small_loss(losses, keep_fraction):
         raise ContractError(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
     nan = np.isnan(losses)
     if nan.any():
-        raise DataError(f"loss at index {int(np.argmax(nan))} is NaN")
+        raise NumericError(f"loss at index {int(np.argmax(nan))} is NaN")
     b = losses.size
     k = int(np.ceil(keep_fraction * b))
     order = np.argsort(losses, kind="stable")

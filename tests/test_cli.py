@@ -6,12 +6,14 @@ import json
 import re
 import shlex
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from inscorr import artifacts, cli, pipeline
+from inscorr import sweep as sweep_module
 from inscorr.cli import main
 from inscorr.config import (
     DEFAULT_CONFIG,
@@ -24,6 +26,7 @@ from inscorr.config import (
 from inscorr.data import Provenance, load_dataset
 from inscorr.nn import load_checkpoint
 from inscorr.pipeline import evaluate, prepare_data
+from inscorr.sweep import sweep
 
 TINY = {
     "data": {"n_train": 120, "n_test": 60, "pool_size": 120},
@@ -125,16 +128,56 @@ def test_failed_run_leaves_no_run_directory(tmp_path, tiny_cfg, capsys):
     assert not root.exists()
 
 
-def test_failed_write_leaves_no_run_directory(tmp_path, tiny_cfg, monkeypatch):
+def test_failed_write_leaves_no_run_directory(tmp_path, tiny_cfg, monkeypatch, capsys):
     def broken_save(path, *args, **kwargs):
         path.write_bytes(b"partial")
         raise OSError("disk full")
 
     monkeypatch.setattr(artifacts, "save_checkpoint", broken_save)
     root = tmp_path / "runs"
-    with pytest.raises(OSError, match="disk full"):
-        main(["run", "--config", tiny_cfg, "--output-root", str(root)])
+    # an OSError that escapes a verb is one error line, not a traceback
+    assert main(["run", "--config", tiny_cfg, "--output-root", str(root)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
     assert list(root.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["run", "--output-root", "FILE"], "--output-root"),
+    (["run", "--output-root", "FILE/below"], "--output-root"),
+    (["run"], artifacts.ENV_OUTPUT_ROOT),
+    (["campaign", "--routes", "gaussian", "--rates", "0.4", "--methods", "SelectionOnly",
+      "--seeds", "0", "--output-root", "FILE"], "--output-root"),
+    (["ablate", "--weights", "0.1", "--seeds", "0", "--output-root", "FILE/below"],
+     "--output-root"),
+    (["make-data", "--out", "FILE"], "--out"),
+    (["make-data", "--out", "FILE/below"], "--out"),
+], ids=["run", "run-below", "run-env", "campaign", "ablate-below", "make-data",
+        "make-data-below"])
+def test_an_output_path_at_or_below_a_file_fails_before_any_work(
+        tmp_path, tiny_cfg, monkeypatch, capsys, argv, name):
+    file = tmp_path / "file"
+    file.write_text("not a directory")
+    if name == artifacts.ENV_OUTPUT_ROOT:
+        monkeypatch.setenv(name, str(file))
+    else:
+        monkeypatch.delenv(artifacts.ENV_OUTPUT_ROOT, raising=False)
+    calls = []
+
+    def counted(cfg, real=pipeline.prepare_data):
+        calls.append(cfg)
+        return real(cfg)
+
+    # pipeline's global, and the names sweep and cli bound to it
+    for module in (pipeline, sweep_module, cli):
+        monkeypatch.setattr(module, "prepare_data", counted)
+    argv = [arg.replace("FILE", str(file)) for arg in argv]
+    assert main([*argv, "--config", tiny_cfg]) == 1
+    err = capsys.readouterr().err
+    path = argv[-1] if name != artifacts.ENV_OUTPUT_ROOT else str(file)
+    assert err == f"error: {name} {path}: {file} is not a directory\n"
+    assert "Traceback" not in err
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == [file, Path(tiny_cfg)]
 
 
 def test_seed_override_changes_run_identity(tmp_path, tiny_cfg):
@@ -426,12 +469,14 @@ def test_a_base_that_only_its_cells_make_runnable_is_swept(tmp_path, tiny_cfg):
 
 
 def test_duplicate_campaign_jobs_leave_one_complete_run(tmp_path, tiny_cfg):
+    # the CLI refuses a repeated seed, so the campaign's engine is handed
+    # one twice: its two workers write the same run directory at once
     root = tmp_path / "runs"
-    assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
-                 "--routes", "gaussian", "--rates", "0.4",
-                 "--methods", "SelectionOnly", "--seeds", "0,0",
-                 "--workers", "2"]) == 0
-    runs = [p for p in root.iterdir() if not p.name.startswith("campaign-")]
+    cells = [{"noise": {"route": "gaussian", "rate": 0.4}, "method": "SelectionOnly"}]
+    results, failures = sweep(load_config(tiny_cfg), cells, [0, 0],
+                              partial(cli._sweep_job, root=root), workers=2)
+    assert failures == [] and results[0].n_failed == 0
+    runs = list(root.iterdir())
     assert len(runs) == 1
     run_dir = runs[0]
     manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -509,6 +554,20 @@ def test_verify_rejects_unknown_check(capsys):
     (["ablate", "--weights", ""], "--weights"),
     (["ablate", "--seeds", ""], "--seeds"),
     (["ablate", "--workers", "0"], "--workers"),
+    # a value repeated once parsed would run, print and report its cell twice
+    (["campaign", "--seeds", "0,0"], "--seeds lists 0 twice"),
+    (["campaign", "--routes", "fog,fog"], "--routes lists 'fog' twice"),
+    (["campaign", "--rates", "0.4,0.40"], "--rates lists 0.4 twice"),
+    (["campaign", "--methods", "SelectionOnly,Mix,SelectionOnly"],
+     "--methods lists 'SelectionOnly' twice"),
+    (["ablate", "--weights", "0.1,0.1"], "--weights lists 0.1 twice"),
+    (["ablate", "--seeds", "1,2,1"], "--seeds lists 1 twice"),
+    # the flag is named, not the training.lambda a weight would set
+    (["ablate", "--weights", "1.5"], "--weights must lie in [0, 1], got 1.5"),
+    (["ablate", "--weights", "0.1,-0.2"], "--weights must lie in [0, 1], got -0.2"),
+    (["ablate", "--weights", "nan"], "--weights must lie in [0, 1], got nan"),
+    (["ablate", "--interpretation", "clean", "--weights", "1.5"],
+     "--weights must lie in [0, 1], got 1.5"),
 ])
 def test_sweeps_reject_bad_grid_flags(tmp_path, tiny_cfg, capsys, argv, flag):
     root = tmp_path / "runs"
@@ -518,8 +577,10 @@ def test_sweeps_reject_bad_grid_flags(tmp_path, tiny_cfg, capsys, argv, flag):
             "ablate": ["--weights", "0.1"]}[argv[0]]
     assert main([argv[0], "--config", tiny_cfg, "--output-root", str(root),
                  "--seeds", "0", *grid, *argv[1:]]) == 1
-    assert flag in capsys.readouterr().err
-    assert not root.exists()
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
+    assert "Traceback" not in err
+    assert out == "" and not root.exists()
 
 
 def test_campaign_failures_follow_grid_order(tmp_path, tiny_cfg, monkeypatch):

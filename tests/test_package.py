@@ -75,3 +75,15 @@ def test_no_module_loads_the_autodiff_graph():
 def test_blas_default_and_whether_it_holds(imports, env_set, one, env):
     probe = run_probe(PROBE_BLAS.format(imports=imports, vars=BLAS_VARS), env_set)
     assert probe == {"one": one, "env": env}
+
+
+def test_errors_defines_one_type_per_way_a_failure_is_handled():
+    from inscorr import errors
+
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert defined == {"InscorrError", "ConfigError", "ContractError", "CapacityError",
+                       "NumericError", "FormatError"}
+    assert all(issubclass(getattr(errors, name), errors.InscorrError) for name in defined)
+    assert issubclass(errors.FormatError, OSError)
+    assert issubclass(errors.NumericError, ArithmeticError)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inscorr.data import generate_synthetic, permutation_batches
-from inscorr.errors import ContractError, DataError
+from inscorr.errors import ContractError, NumericError
 from inscorr.nn import Adam, Model, ModelSpec
 from inscorr.select import SelectionSchedule, SelfTeachStats, select_small_loss, self_teach_epoch
 
@@ -74,7 +74,7 @@ def test_select_small_loss_tie_break_by_index():
 
 
 def test_select_small_loss_nan_names_index():
-    with pytest.raises(DataError, match="index 2"):
+    with pytest.raises(NumericError, match="loss at index 2 is NaN"):
         select_small_loss(np.array([0.1, 0.2, np.nan, 0.4]), 0.5)
 
 
