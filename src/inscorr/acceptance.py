@@ -176,9 +176,8 @@ def _ordering_config(route, method, lam=0.5):
     return {"method": method, "noise": {"route": route}, "training": {"lambda": lam}}
 
 
-def _ordering_run(resolved, data, cache=None):
-    metrics = run_experiment(to_experiment_config(resolved), data=data,
-                             cache=cache).metrics
+def _ordering_run(resolved, cache):
+    metrics = run_experiment(to_experiment_config(resolved), cache=cache).metrics
     return last_ten_summary(metrics)[0]
 
 
@@ -216,19 +215,6 @@ def check_ordering():
 # --- attack ------------------------------------------------------------
 
 
-def _train_plain(model, ds, epochs, batch_size=128, seed=0):
-    optimizer = Adam(0.001)
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        perm = rng.permutation(len(ds))
-        for lo in range(0, len(ds), batch_size):
-            sel = perm[lo:lo + batch_size]
-            model.zero_grads()
-            model.loss_and_grads(ds.X[sel], ds.true_labels[sel])
-            optimizer.step(model)
-    return model
-
-
 def check_attack():
     """Budget and clamp hold on every result, in float64 terms, for a
     float64 model and for its float32 copy on float32 rows, the dtype
@@ -252,8 +238,12 @@ def check_attack():
                 if not np.all((result.corrected >= 0.0) & (result.corrected <= 1.0)):
                     return False, f"{dtype.__name__} {norm} clamp violated"
 
+    # 30 epochs of plain training: selection that keeps every row
     train = generate_synthetic(2000, 4, 16, 16, seed=7)
-    model = _train_plain(Model.init(ModelSpec(256, (64,), 4), seed=7), train, 30)
+    model, optimizer = Model.init(ModelSpec(256, (64,), 4), seed=7), Adam(0.001)
+    shuffle = np.random.default_rng(0)
+    for epoch in range(30):
+        self_teach_epoch(model, optimizer, train, SelectionSchedule(0.0, 1), epoch, 128, shuffle)
     ood = generate_ood_source(200, 16, 16, seed=8)
     targets = np.random.default_rng(9).integers(0, 4, 200).astype(np.int64)
     cfg = AttackConfig(norm="linf", budget=0.3, steps=40)
@@ -265,13 +255,13 @@ def check_attack():
 # --- reductions --------------------------------------------------------
 
 
-def _clean_partition_only(cfg, data, on_epoch=None):
+def _clean_partition_only(cfg, on_epoch=None):
     """The reductions oracle: selection warmup, then training on the clean
     partition alone through the mixed-phase engine with no corrected set,
     which a run whose corrected term has weight zero must match bit for
-    bit, so it starts from the run's own model. Returns the model and
-    each epoch's test accuracy."""
-    train, _, test = data
+    bit, so it starts from the run's own model and data. Returns the model
+    and each epoch's test accuracy."""
+    train, _, test = prepare_data(cfg)
     model = init_model(cfg)
     optimizer = make_optimizer(cfg.optimizer, cfg.lr)
     clean_idx = None
@@ -292,13 +282,13 @@ def _clean_partition_only(cfg, data, on_epoch=None):
     return model, accuracies
 
 
-def _trajectory(run, cfg, data):
+def _trajectory(run, cfg):
     hashes = []
 
     def snap(epoch, model):
         hashes.append(model.flat.tobytes())
 
-    run(cfg, data=data, on_epoch=snap)
+    run(cfg, on_epoch=snap)
     return hashes
 
 
@@ -311,24 +301,23 @@ def check_reductions():
         total_epochs=6, warmup_epochs=3, batch_size=32,
         seed_data=11, seed_noise=12, seed_init=13, seed_epochs=14,
     )
-    data = prepare_data(ExperimentConfig(method=INSCORR, **base))
-
     degen = dict(base, warmup_epochs=6)
-    a = _trajectory(run_experiment, ExperimentConfig(method=INSCORR, **degen), data)
-    b = _trajectory(run_experiment, ExperimentConfig(method=SELECTION_ONLY, **degen), data)
+    a = _trajectory(run_experiment, ExperimentConfig(method=INSCORR, **degen))
+    b = _trajectory(run_experiment, ExperimentConfig(method=SELECTION_ONLY, **degen))
     if a != b:
         return False, "full-warmup run diverged from pure selection"
 
     lam1 = dict(base, lam=1.0)
-    a = _trajectory(run_experiment, ExperimentConfig(method=INSCORR, **lam1), data)
-    b = _trajectory(run_experiment, ExperimentConfig(method=MIX, **lam1), data)
-    c = _trajectory(_clean_partition_only, ExperimentConfig(method=INSCORR, **lam1), data)
+    a = _trajectory(run_experiment, ExperimentConfig(method=INSCORR, **lam1))
+    b = _trajectory(run_experiment, ExperimentConfig(method=MIX, **lam1))
+    c = _trajectory(_clean_partition_only, ExperimentConfig(method=INSCORR, **lam1))
     if not (a == b == c):
         return False, "weight-1 runs diverged from clean-partition training"
 
     # the affinity oracle is float64, whatever dtype runs train in
-    model = Model.init(ExperimentConfig(method=INSCORR, **base).model_spec(), seed=3)
-    train = data[0]
+    cfg = ExperimentConfig(method=INSCORR, **base)
+    model = Model.init(cfg.model_spec(), seed=3)
+    train = prepare_data(cfg)[0]
     cx, cy = train.X[:40], train.given_labels[:40]
     rx, ry = train.X[40:60], train.given_labels[40:60]
     lc = _loss_value(model, cx, cy)

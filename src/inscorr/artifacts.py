@@ -66,21 +66,21 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def write_run(resolved, root, data=None, cache=None):
+def write_run(resolved, root, cache=None):
     """Execute the resolved config and persist its artifacts.
 
     Returns (run_dir, summary dict). The run directory is keyed by the
     config hash; rerunning replaces it. Nothing is left under root when
-    the run or a write fails. data and cache go to run_experiment; the
-    manifest's wall_seconds counts only the phases the run computed, not
-    those it took from the cache.
+    the run or a write fails. cache goes to run_experiment; the manifest's
+    wall_seconds counts only the phases the run computed, data generation
+    included, not those it took from the cache.
     """
     digest = config_hash(resolved)
     run_dir = Path(root) / digest
 
     cfg = to_experiment_config(resolved)
     started = time.perf_counter()
-    result = run_experiment(cfg, data=data, cache=cache)
+    result = run_experiment(cfg, cache=cache)
     wall = time.perf_counter() - started
 
     files = {

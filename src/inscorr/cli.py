@@ -35,9 +35,15 @@ from .pipeline import METHODS, prepare_data
 from .sweep import sweep
 
 
-def _split(args, flag, parse=str):
+# (high, as printed) for a list flag whose values lie in [0, high]
+_FRACTION = (1, "[0, 1]")
+_SEED = (2**63 - 1, "[0, 2**63)")
+
+
+def _split(args, flag, parse=str, bounds=None):
     """The comma list of --flag: at least one value, none repeated once
-    parsed (0.4,0.40 repeats 0.4)."""
+    parsed (0.4,0.40 repeats 0.4) and, given bounds, each in [0, high],
+    which NaN is not."""
     text = getattr(args, flag)
     try:
         values = [parse(part) for part in text.split(",") if part]
@@ -48,6 +54,8 @@ def _split(args, flag, parse=str):
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"--{flag} lists {value!r} twice, in {text!r}")
+        if bounds and not 0 <= value <= bounds[0]:
+            raise ConfigError(f"--{flag} must lie in {bounds[1]}, got {value!r}")
     return values
 
 
@@ -90,11 +98,11 @@ def cmd_run(args):
     return 0
 
 
-def _sweep_job(resolved, data, root, cache=None):
+def _sweep_job(resolved, cache, root):
     # module level so that a partial of it pickles for process pools;
     # write_run is looked up at call time, so a patched cli.write_run
     # reaches forked workers too
-    return write_run(resolved, root, data=data, cache=cache)[1]["last_ten_mean"]
+    return write_run(resolved, root, cache=cache)[1]["last_ten_mean"]
 
 
 def _grid_base(base):
@@ -137,8 +145,8 @@ def _write_report(directory, stem, header, rows, report):
 def cmd_campaign(args):
     base = _load(args)
     routes = _split(args, "routes")
-    rates = _split(args, "rates", float)
-    seeds = _split(args, "seeds", int)
+    rates = _split(args, "rates", float, _FRACTION)
+    seeds = _split(args, "seeds", int, _SEED)
     methods = _split(args, "methods")
     _check_workers(args)
     root = _output_root(args)
@@ -170,11 +178,8 @@ def cmd_campaign(args):
 
 def cmd_ablate(args):
     base = _load(args)
-    weights = sorted(_split(args, "weights", float))
-    for weight in weights:
-        if not 0.0 <= weight <= 1.0:
-            raise ConfigError(f"--weights must lie in [0, 1], got {weight!r}")
-    seeds = _split(args, "seeds", int)
+    weights = sorted(_split(args, "weights", float, _FRACTION))
+    seeds = _split(args, "seeds", int, _SEED)
     _check_workers(args)
     root = _output_root(args)
     discarded = args.interpretation == "discarded"

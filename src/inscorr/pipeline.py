@@ -33,10 +33,11 @@ RNG streams: epoch shuffles use [seed_epochs, T]; attacks draw their
 optional random starts from [seed_noise, 4, T]. Since nothing else
 carries over from one epoch to the next but the model and its optimizer,
 each phase's output is a function of the config fields its key holds:
-runs with one warmup_key pass one state at the end of the warmup, runs
-with one split_key split alike, and runs with one correction_key attack
-alike. A cache handed to run_experiment keeps those outputs, so the runs
-of a sweep task train a warmup, split and attack once each.
+runs with one data_key train on equal sets, runs with one warmup_key
+pass one state at the end of the warmup, runs with one split_key split
+alike, and runs with one correction_key attack alike. A cache handed to
+run_experiment keeps those outputs, so the runs of a sweep task generate
+their data, train a warmup, split and attack once each.
 """
 
 import math
@@ -344,8 +345,10 @@ def _build_corrected(cfg, model, train, noisy_idx, epoch):
 
 
 def _cached(cache, key, compute):
-    """compute()'s tuple, or the one a run before stored under key. A stored
-    tuple's arrays are read-only, so that no run changes another's."""
+    """compute()'s tuple, or the one a run before stored under key. The
+    arrays in a stored tuple are read-only, so that no run changes
+    another's; the stored datasets are shared as they are, as runs only
+    read their sets."""
     if cache is None:
         return compute()
     if key not in cache:
@@ -356,21 +359,22 @@ def _cached(cache, key, compute):
     return cache[key]
 
 
-def run_experiment(cfg, data=None, on_epoch=None, cache=None):
-    """Train per the configured method in four phases: selection epochs,
-    the split, the correction and mixed epochs (SelectionOnly runs only the
-    first). Returns a RunResult; on_epoch(epoch, model), when given, runs
-    after each epoch's updates.
+def run_experiment(cfg, on_epoch=None, cache=None):
+    """Train per the configured method on the config's data in four
+    phases: selection epochs, the split, the correction and mixed epochs
+    (SelectionOnly runs only the first). Returns a RunResult;
+    on_epoch(epoch, model), when given, runs after each epoch's updates.
 
-    cache, a dict shared by runs on the same data, keeps the state at the
-    end of the warmup (copied in and out) under warmup_key, the split under
-    split_key and, for InsCorr unless refresh_correction is set, the first
-    correction under correction_key. A run that trains through the warmup
-    resumes from its stored state, skipping on_epoch for the epochs it
-    skips, and takes a stored split and correction; a phase that raises
-    stores nothing. The result is bit for bit that of a run without a cache.
+    cache, a dict shared by runs, keeps the sets prepare_data made under
+    ("data", data_key), the state at the end of the warmup (copied in and
+    out) under warmup_key, the split under split_key and, for InsCorr unless
+    refresh_correction is set, the first correction under correction_key.
+    A run takes stored sets, resumes from a stored warmup state when it
+    trains through the warmup, skipping on_epoch for the epochs it skips,
+    and takes a stored split and correction; a phase that raises stores
+    nothing. The result is bit for bit that of a run without a cache.
     """
-    train, val, test = data if data is not None else prepare_data(cfg)
+    train, val, test = _cached(cache, ("data", data_key(cfg)), lambda: prepare_data(cfg))
     n_select = selection_epochs(cfg)
     key = warmup_key(cfg)
     start = cfg.warmup_epochs if cfg.warmup_epochs <= n_select and key in (cache or {}) else 0

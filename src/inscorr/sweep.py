@@ -2,20 +2,22 @@
 
 A cell is a partial config merged over a base config; each of its jobs
 sets every seed stream to one seed. Jobs with the same pipeline.data_key
-share one prepare_data call: each group of them is one task, cut into
-chunks of at most ceil(jobs / workers) jobs when there are fewer groups
-than workers, so a one-group grid still keeps every worker busy. A
-failing prepare_data fails every job of its task; a failing job fails
-alone. Outcomes come back in grid order, whatever order tasks finish in.
+form one task, cut into chunks of at most ceil(jobs / workers) jobs when
+there are fewer tasks than workers, so a one-dataset grid still keeps
+every worker busy. A failing job fails alone. Outcomes come back in grid
+order, whatever order tasks finish in.
 
 Inside a task, the jobs run in grid order and share one cache
-(pipeline.run_experiment): the state at the end of the warmup, the split
-and InsCorr's correction are stored under the key of the config fields
-they read, and later jobs with the same key take them instead of
-computing them again. So a warmup is trained once per warmup_key, a split
-made once per split_key and an attack run once per correction_key, with
-every result byte unchanged. A job that fails stores nothing of the phase
-that failed, which the next job of its key computes by itself.
+(pipeline.run_experiment): the generated data, the state at the end of
+the warmup, the split and InsCorr's correction are stored under the key
+of the config fields they read, and later jobs with the same key take
+them instead of computing them again. So a task generates its data once,
+and a warmup is trained once per warmup_key, a split made once per
+split_key and an attack run once per correction_key, with every result
+byte unchanged. A job that fails stores nothing of the phase that
+failed, which the next job of its key computes by itself: when the data
+cannot be generated, each job of the task tries again and reports the
+same error, an extra generation per job paid only by a grid that fails.
 """
 
 import concurrent.futures
@@ -26,31 +28,26 @@ from collections import namedtuple
 import numpy as np
 
 from .config import deep_merge, resolve_config, to_experiment_config
-from .pipeline import data_key, prepare_data
+from .pipeline import data_key
 
 # mean and population std over a cell's runs that gave a value, None if none did
 CellResult = namedtuple("CellResult", "n_failed mean std")
 
 
 def _run_task(run, jobs):
-    """[(value, error)] of each resolved job, all on the first one's data
-    and one cache, in the order given."""
-    try:
-        data = prepare_data(to_experiment_config(jobs[0]))
-    except Exception as error:
-        return [(None, str(error))] * len(jobs)
+    """[(value, error)] of each resolved job, on one cache, in the order given."""
     cache = {}
     outcomes = []
     for resolved in jobs:
         try:
-            outcomes.append((run(resolved, data, cache=cache), None))
+            outcomes.append((run(resolved, cache), None))
         except Exception as error:
             outcomes.append((None, str(error)))
     return outcomes
 
 
 def sweep(base, cells, seeds, run, workers=1):
-    """Call run(resolved, data, cache=cache) for every cell and seed.
+    """Call run(resolved, cache) for every cell and seed.
 
     cache is the dict of the job's task, for run to hand on to
     run_experiment. run returns the job's accuracy or None, and must

@@ -104,4 +104,9 @@ def test_campaign_workers_reach_the_patched_write_run(tmp_path, perfbench_layers
     # the selection warmup runs inside each route's first write_run, which the
     # tracer counts: per route 2 shared epochs, then SelectionOnly's other 2,
     # 4 batches of 32 rows each over the 108 training rows
-    assert layer_metrics(snap)["select.batches"] == 2 * (2 + 2) * 4
+    metrics = layer_metrics(snap)
+    assert metrics["select.batches"] == 2 * (2 + 2) * 4
+    # so does each route's data: 120 training and 60 test rows in two
+    # calls, 36 of the training rows made noisy
+    assert (metrics["data.gen_calls"], metrics["data.rows_generated"],
+            metrics["noise.rows_touched"]) == (2 * 2, 2 * 180, 2 * 36)

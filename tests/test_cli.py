@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from inscorr import artifacts, cli, pipeline
-from inscorr import sweep as sweep_module
 from inscorr.cli import main
 from inscorr.config import (
     DEFAULT_CONFIG,
@@ -167,8 +166,8 @@ def test_an_output_path_at_or_below_a_file_fails_before_any_work(
         calls.append(cfg)
         return real(cfg)
 
-    # pipeline's global, and the names sweep and cli bound to it
-    for module in (pipeline, sweep_module, cli):
+    # pipeline's global, and the name cli bound to it
+    for module in (pipeline, cli):
         monkeypatch.setattr(module, "prepare_data", counted)
     argv = [arg.replace("FILE", str(file)) for arg in argv]
     assert main([*argv, "--config", tiny_cfg]) == 1
@@ -492,7 +491,7 @@ def test_zero_accuracy_is_reported_not_null(tmp_path, tiny_cfg, monkeypatch):
     # a cell whose runs all scored 0.0 is a real mean, unlike a cell with no runs
     monkeypatch.setattr(
         cli, "write_run",
-        lambda resolved, root, data=None, cache=None: (root, {"last_ten_mean": 0.0}))
+        lambda resolved, root, cache=None: (root, {"last_ten_mean": 0.0}))
     root = tmp_path / "runs"
     assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
                  "--routes", "gaussian", "--rates", "0.4",
@@ -516,7 +515,7 @@ def test_a_cell_of_short_runs_prints_na_and_a_failed_one_failed(tmp_path, tiny_c
     report = json.loads(next((tmp_path / "short").glob("ablate-*/ablation.json")).read_text())
     assert report["failures"] == []
 
-    def broken(resolved, root, data=None, cache=None):
+    def broken(resolved, root, cache=None):
         raise RuntimeError("run broke")
 
     monkeypatch.setattr(cli, "write_run", broken)
@@ -568,6 +567,13 @@ def test_verify_rejects_unknown_check(capsys):
     (["ablate", "--weights", "nan"], "--weights must lie in [0, 1], got nan"),
     (["ablate", "--interpretation", "clean", "--weights", "1.5"],
      "--weights must lie in [0, 1], got 1.5"),
+    # the flag is named, not the config key its value would fail under
+    (["campaign", "--seeds", "99999999999999999999"],
+     "--seeds must lie in [0, 2**63), got 99999999999999999999"),
+    (["campaign", "--seeds", "-1"], "--seeds must lie in [0, 2**63), got -1"),
+    (["campaign", "--rates", "1.5"], "--rates must lie in [0, 1], got 1.5"),
+    (["campaign", "--rates", "nan"], "--rates must lie in [0, 1], got nan"),
+    (["ablate", "--seeds", "-3"], "--seeds must lie in [0, 2**63), got -3"),
 ])
 def test_sweeps_reject_bad_grid_flags(tmp_path, tiny_cfg, capsys, argv, flag):
     root = tmp_path / "runs"
@@ -586,7 +592,7 @@ def test_sweeps_reject_bad_grid_flags(tmp_path, tiny_cfg, capsys, argv, flag):
 def test_campaign_failures_follow_grid_order(tmp_path, tiny_cfg, monkeypatch):
     # forked workers inherit the patch; the first failing job is the slow one,
     # so it finishes after the second
-    def fail_on_seed_zero(resolved, root, data=None, cache=None):
+    def fail_on_seed_zero(resolved, root, cache=None):
         route = resolved["noise"]["route"]
         if resolved["seeds"]["data"] == 0:
             if route == "gaussian":

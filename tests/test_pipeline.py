@@ -408,27 +408,24 @@ class TestRunShapes:
 
 class TestReductions:
     def test_warmup_equals_total_reduces_to_selection_only(self):
-        data = prepare_data(tiny_config())
         full = tiny_config(method=INSCORR, warmup_epochs=6, total_epochs=6)
         base = tiny_config(method=SELECTION_ONLY, warmup_epochs=6, total_epochs=6)
-        res_a = run_experiment(full, data=data)
-        res_b = run_experiment(base, data=data)
+        res_a = run_experiment(full)
+        res_b = run_experiment(base)
         assert np.array_equal(res_a.model.flat, res_b.model.flat)
         assert res_a.metrics == res_b.metrics
 
     def test_lambda_one_collapses_all_methods(self):
-        data = prepare_data(tiny_config())
-        ins = run_experiment(tiny_config(method=INSCORR, lam=1.0), data=data)
-        mix = run_experiment(tiny_config(method=MIX, lam=1.0), data=data)
-        model, accuracies = _clean_partition_only(tiny_config(lam=1.0), data=data)
+        ins = run_experiment(tiny_config(method=INSCORR, lam=1.0))
+        mix = run_experiment(tiny_config(method=MIX, lam=1.0))
+        model, accuracies = _clean_partition_only(tiny_config(lam=1.0))
         assert np.array_equal(ins.model.flat, mix.model.flat)
         assert np.array_equal(ins.model.flat, model.flat)
         assert [m.test_accuracy for m in ins.metrics] == accuracies
 
     def test_mix_and_inscorr_diverge_when_lambda_below_one(self):
-        data = prepare_data(tiny_config())
-        model_a = run_experiment(tiny_config(method=INSCORR, lam=0.5), data=data).model
-        model_b = run_experiment(tiny_config(method=MIX, lam=0.5), data=data).model
+        model_a = run_experiment(tiny_config(method=INSCORR, lam=0.5)).model
+        model_b = run_experiment(tiny_config(method=MIX, lam=0.5)).model
         assert not np.array_equal(model_a.flat, model_b.flat)
 
     @pytest.mark.parametrize("route", ["gaussian", "fog", "open_set"])
@@ -436,12 +433,11 @@ class TestReductions:
         # a zero-step attack without a random start hands the discarded
         # rows back unchanged, so InsCorr mixes exactly what Mix does
         attack = AttackConfig(budget=0.1, steps=0, random_start=False)
-        data = prepare_data(tiny_config(noise_route=route))
         trajectories = []
         for method in (INSCORR, MIX):
             digests = []
             run_experiment(
-                tiny_config(method=method, noise_route=route, attack=attack), data=data,
+                tiny_config(method=method, noise_route=route, attack=attack),
                 on_epoch=lambda t, m: digests.append(hashlib.sha256(m.flat.tobytes()).digest()))
             trajectories.append(digests)
         assert len(trajectories[0]) == 6

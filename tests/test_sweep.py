@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from inscorr import pipeline
-from inscorr import sweep as sweep_module
 from inscorr.artifacts import write_run
 from inscorr.attack import L2
 from inscorr.cli import _sweep_job
@@ -46,20 +45,23 @@ BASE = apply_overrides(load_config(), [
 ])
 
 
-def train_size(resolved, data, cache=None):
-    return float(len(data[0]))
+def train_size(resolved, cache):
+    # the job's run generates its task's data, or takes it from the cache
+    cfg = to_experiment_config(resolved)
+    run_experiment(cfg, cache=cache)
+    return float(len(cache[("data", data_key(cfg))][0]))
 
 
 @pytest.fixture
 def prepare_calls(monkeypatch):
     calls = []
-    real = sweep_module.prepare_data
+    real = pipeline.prepare_data
 
     def counting(cfg):
         calls.append(data_key(cfg))
         return real(cfg)
 
-    monkeypatch.setattr(sweep_module, "prepare_data", counting)
+    monkeypatch.setattr(pipeline, "prepare_data", counting)
     return calls
 
 
@@ -82,14 +84,14 @@ def test_jobs_differing_in_a_data_field_do_not_share(prepare_calls):
 
 
 def test_failing_prepare_fails_each_job_of_its_group(monkeypatch):
-    real = sweep_module.prepare_data
+    real = pipeline.prepare_data
 
     def broken_on_fog(cfg):
         if cfg.noise_route == "fog":
             raise RuntimeError("no fog today")
         return real(cfg)
 
-    monkeypatch.setattr(sweep_module, "prepare_data", broken_on_fog)
+    monkeypatch.setattr(pipeline, "prepare_data", broken_on_fog)
     cells = [{"noise": {"route": route}, "method": method}
              for route in ("gaussian", "fog") for method in (SELECTION_ONLY, MIX)]
     results, failures = sweep(BASE, cells, (0, 1), train_size)
@@ -99,7 +101,7 @@ def test_failing_prepare_fails_each_job_of_its_group(monkeypatch):
 
 
 def test_failing_job_leaves_the_rest_of_its_group_running():
-    def fails_on_mix(resolved, data, cache=None):
+    def fails_on_mix(resolved, cache):
         if resolved["method"] == MIX:
             raise RuntimeError("mix broke")
         return 0.25
@@ -111,7 +113,7 @@ def test_failing_job_leaves_the_rest_of_its_group_running():
     assert failures == [(0, 3, "mix broke")]
 
 
-def record_pid(resolved, data, out_dir, cache=None):
+def record_pid(resolved, cache, out_dir):
     # module level so the process pool can pickle it
     time.sleep(0.3)
     (out_dir / f"{os.getpid()}-{resolved['method']}").touch()
@@ -128,14 +130,14 @@ def test_one_group_grid_is_split_over_the_workers(tmp_path):
     assert len(pids) == 3
 
 
-def loss_trace(resolved, data, cache=None):
-    metrics = run_experiment(to_experiment_config(resolved), data=data).metrics
+def loss_trace(resolved, cache):
+    metrics = run_experiment(to_experiment_config(resolved), cache=cache).metrics
     return sum(m.train_loss for m in metrics)
 
 
 def test_shared_data_gives_the_results_of_fresh_data():
-    # the jobs of a group run one after another on the same arrays, so a
-    # run that wrote into its data would change the runs after it
+    # the jobs of a task run one after another on the same cached arrays,
+    # so a run that wrote into its data would change the runs after it
     cells = [{"method": m, "training": {"total_epochs": 6, "warmup_epochs": 3}}
              for m in (MIX, "InsCorr", SELECTION_ONLY)]
     results, failures = sweep(BASE, cells, (5,), loss_trace)
@@ -365,7 +367,6 @@ def test_a_failed_attack_leaves_the_next_job_to_attack(tmp_path, monkeypatch):
 
 def test_cache_keeps_runs_of_other_keys_apart():
     cfg = to_experiment_config(seeded_job({"training": {"total_epochs": 5}}, 0))
-    data = pipeline.prepare_data(cfg)
     cache = {}
     for other in (cfg, dataclasses.replace(cfg, seed_init=1),
                   dataclasses.replace(cfg, partition_rule=SMALL_LOSS_GLOBAL),
@@ -374,17 +375,16 @@ def test_cache_keeps_runs_of_other_keys_apart():
                   # a run that ends before the warmup another stored
                   dataclasses.replace(cfg, warmup_epochs=5, total_epochs=8),
                   dataclasses.replace(cfg, warmup_epochs=5, total_epochs=3)):
-        shared = run_experiment(other, data=data, cache=cache)
-        alone = run_experiment(other, data=data)
+        shared = run_experiment(other, cache=cache)
+        alone = run_experiment(other)
         assert shared.metrics == alone.metrics, other
         assert np.array_equal(shared.model.flat, alone.model.flat), other
 
 
 def test_cached_phases_cannot_be_changed_by_a_run():
     cfg = to_experiment_config(seeded_job({}, 0))
-    data = pipeline.prepare_data(cfg)
     cache = {}
-    result = run_experiment(cfg, data=data, cache=cache)
+    result = run_experiment(cfg, cache=cache)
     model, optimizer, metrics = cache[warmup_key(cfg)]
     # the warmup state is copied in and out
     assert not np.shares_memory(model.flat, result.model.flat)
@@ -401,13 +401,13 @@ def test_a_task_keeps_only_what_a_later_job_reads():
     # state nor Mix's raw rows are read again
     caches = []
 
-    def run(resolved, data, cache):
+    def run(resolved, cache):
         caches.append(cache)
-        run_experiment(to_experiment_config(resolved), data=data, cache=cache)
+        run_experiment(to_experiment_config(resolved), cache=cache)
 
     cells = [{"method": SELECTION_ONLY}, {"method": MIX}]
     results, failures = sweep(BASE, cells, (0,), run)
     assert failures == []
     assert caches[0] is caches[1]
     mix = to_experiment_config(seeded_job(cells[1], 0))
-    assert set(caches[0]) == {warmup_key(mix), split_key(mix)}
+    assert set(caches[0]) == {("data", data_key(mix)), warmup_key(mix), split_key(mix)}
