@@ -247,7 +247,7 @@ def check_attack():
     ood = generate_ood_source(200, 16, 16, seed=8)
     targets = np.random.default_rng(9).integers(0, 4, 200).astype(np.int64)
     cfg = AttackConfig(norm="linf", budget=0.3, steps=40)
-    results = correct_set(model, ood.X, targets, cfg)
+    results = correct_set(model, ood, targets, cfg)
     rate = float(np.mean([r.success for r in results]))
     return rate >= 0.95, f"targeted success {rate:.3f} on 200 held-out instances"
 
@@ -257,7 +257,7 @@ def check_attack():
 
 def _clean_partition_only(cfg, on_epoch=None):
     """The reductions oracle: selection warmup, then training on the clean
-    partition alone through the mixed-phase engine with no corrected set,
+    partition alone through the mixed-phase engine with an empty corrected set,
     which a run whose corrected term has weight zero must match bit for
     bit, so it starts from the run's own model and data. Returns the model
     and each epoch's test accuracy."""
@@ -274,8 +274,8 @@ def _clean_partition_only(cfg, on_epoch=None):
             if clean_idx is None:
                 clean_idx, _ = partition_clean_mislabeled(
                     model, train, cfg.partition_rule, cfg.tau)
-            _mixed_epoch(model, optimizer, train, clean_idx, None, None,
-                         1.0, cfg.batch_size, len(train), rng)
+            _mixed_epoch(model, optimizer, train, clean_idx, train.X[:0],
+                         train.given_labels[:0], 1.0, cfg.batch_size, rng)
         accuracies.append(evaluate(model, test))
         if on_epoch is not None:
             on_epoch(epoch, model)

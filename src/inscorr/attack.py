@@ -126,19 +126,19 @@ def _project(delta, cfg, radius):
         delta[over] *= (radius / norm[over])[:, None]
 
 
-def _correct_rows(model, x, targets, delta, cfg, radius, failed, errors, given):
-    """Batched PGD over the rows of x from the starts delta; one result per row.
+def _correct_rows(model, x, targets, delta, cfg, radius, failed, errors):
+    """Batched PGD over the rows of x from the starts delta; returns the
+    arrays (corrected, loss, success, best_iteration), one entry per row.
 
     failed marks the rows that are not attacked, errors holds their
     messages; a row whose gradient turns non-finite joins them with
     NON_FINITE. A failed row stays in the batch with a zero step, is never
-    a best iterate and comes back as its clamped input, or if it failed at
-    entry as its row of given. delta is updated in place, and the perturbed
+    a best iterate and gets loss NaN and best iteration 0; the caller
+    restores its corrected row. delta is updated in place, and the perturbed
     inputs are written into one buffer, so the working set is delta, the
     best iterate, that buffer and the gradient, all in the dtype of x.
     """
     m = len(x)
-    rejected = failed.copy()
     best_delta = delta.copy()
     best_loss = np.full(m, np.inf, dtype=x.dtype)
     best_iter = np.zeros(m, dtype=np.int64)
@@ -171,15 +171,9 @@ def _correct_rows(model, x, targets, delta, cfg, radius, failed, errors, given):
 
     corrected = np.add(x, best_delta, out=best_delta)
     success = (model.predict(corrected) == targets) & ~failed
-    corrected[failed] = np.clip(x[failed], 0.0, 1.0)
-    corrected[rejected] = given
     best_loss[failed] = np.nan
     best_iter[failed] = 0
-    return [
-        CorrectionResult(corrected[i], float(best_loss[i]), bool(success[i]),
-                         int(best_iter[i]), errors[i])
-        for i in range(m)
-    ]
+    return corrected, best_loss, success, best_iter
 
 
 def correct_set(model, instances, targets, cfg, seed=None):
@@ -212,18 +206,24 @@ def correct_set(model, instances, targets, cfg, seed=None):
     for j in np.flatnonzero(failed):
         errors[j] = ("instance values must lie in [0, 1]" if bad_pixels[j]
                      else f"target {int(targets[j])} outside [0, {num_classes})")
-    # a rejected row comes back clamped in the model's dtype, where a pixel
-    # past its range converts to inf
-    with np.errstate(over="ignore"):
-        given = np.clip(instances[failed].astype(dtype), 0.0, 1.0)
-    if bad_pixels.any():
-        instances = np.where(bad_pixels[:, None], 0.0, instances)
-    # no copy of the instances when they are in the model's dtype and C order
-    x = np.ascontiguousarray(instances, dtype=dtype)
+    # a row rejected for its pixels enters the batch as zeros; no copy of
+    # the instances when they are in the model's dtype and C order
+    x = np.where(bad_pixels[:, None], 0.0, instances) if bad_pixels.any() else instances
+    x = np.ascontiguousarray(x, dtype=dtype)
     eps, d = float(np.finfo(x.dtype).eps), x.shape[1]
     margin = 2 * eps if cfg.norm == LINF else eps * (d ** 0.5 + cfg.budget * d)
     radius = max(cfg.budget - margin, 0.0)
     delta = _starts(x, cfg, radius, seed)
     # a rejected target is never attacked; 0 only gives its loss an index
     targets = np.where(bad_targets, 0, targets).astype(np.int64)
-    return _correct_rows(model, x, targets, delta, cfg, radius, failed, errors, given)
+    corrected, loss, success, best_iter = _correct_rows(
+        model, x, targets, delta, cfg, radius, failed, errors)
+    # every failed row comes back as its given row clamped in the model's
+    # dtype, where a pixel past its range converts to inf
+    with np.errstate(over="ignore"):
+        corrected[failed] = np.clip(instances[failed].astype(dtype), 0.0, 1.0)
+    return [
+        CorrectionResult(corrected[i], float(loss[i]), bool(success[i]),
+                         int(best_iter[i]), errors[i])
+        for i in range(len(x))
+    ]

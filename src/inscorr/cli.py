@@ -225,7 +225,7 @@ def cmd_make_data(args):
 
 
 def cmd_verify(args):
-    only = _split(args, "only") if args.only else None
+    only = _split(args, "only") if args.only is not None else None
     return 0 if acceptance.run_all(only=only) else 1
 
 

@@ -19,6 +19,7 @@ true_labels).
 
 Dataset container (version 2), fields after magic+version:
     n u64 | d u64 | num_classes u32 | has_shape u8 | h u32 | w u32
+    (has_shape is 1: every Dataset has a grid; any other flag is rejected)
     X float32 row-major [n, d]
     given_labels int32 [n]      (-1 when absent)
     provenance uint8 [n]
@@ -27,12 +28,12 @@ Version 1, which held X as float64, is no longer read.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .containers import ContainerReader, ContainerWriter, read_file
-from .errors import ContractError
+from .errors import ContractError, FormatError
 
 DATASET_MAGIC = b"INSCDSET"
 DATASET_VERSION = 2
@@ -53,7 +54,7 @@ class Dataset:
     true_labels: np.ndarray
     provenance: np.ndarray
     num_classes: int
-    grid_shape: tuple = None
+    grid_shape: tuple
 
     def __post_init__(self):
         # any X given is rounded to float32, the one dtype of X
@@ -80,13 +81,12 @@ class Dataset:
                 raise ContractError(
                     f"{name}[{i}] = {int(arr[i])} outside [0, {self.num_classes}) and not {NO_LABEL}"
                 )
-        if self.grid_shape is not None:
-            h, w = self.grid_shape
-            self.grid_shape = (int(h), int(w))
-            if h * w != self.X.shape[1]:
-                raise ContractError(
-                    f"grid shape {self.grid_shape} does not flatten to width {self.X.shape[1]}"
-                )
+        h, w = self.grid_shape
+        self.grid_shape = (int(h), int(w))
+        if h * w != self.X.shape[1]:
+            raise ContractError(
+                f"grid shape {self.grid_shape} does not flatten to width {self.X.shape[1]}"
+            )
 
     def __len__(self):
         return self.X.shape[0]
@@ -112,8 +112,6 @@ class Dataset:
 
     def grid(self, i):
         """Instance i as a 2-D view."""
-        if self.grid_shape is None:
-            raise ContractError("dataset has no grid shape")
         return self.X[i].reshape(self.grid_shape)
 
 
@@ -211,8 +209,9 @@ def check_pool_margins(num_classes):
 
 
 def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4, rows=None):
-    """Bars at orientations deliberately offset from every class angle;
-    labels absent.
+    """Bars at orientations deliberately offset from every class angle, as
+    a float32 (len(rows), height * width) array of pixel rows: the pool has
+    no labels, and its pixels are all that open-set noise reads.
 
     Each instance is a bar whose angle sits 4 to 12 degrees away from
     the nearest class orientation: the same visual family as the labeled
@@ -225,7 +224,7 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4, rows=None
     is drawn whole, since each row draws from the stream after the ones
     before it, but only the picked rows are rendered and held, each with
     the bits it has in the whole pool. With rows=noise.pool_sources(...)
-    the result is the one form inject_open_set takes.
+    the result is the pool inject_open_set takes.
     """
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
@@ -282,12 +281,7 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4, rows=None
         np.clip(img, 0.0, 1.0, out=img)
         # rounded to float32 as the rows land in X
         X[pos[picked]] = img.reshape(len(img), -1)
-    absent = np.full(rows.size, NO_LABEL, dtype=np.int32)
-    return Dataset(
-        X, absent, absent.copy(),
-        np.full(rows.size, Provenance.CLEAN, dtype=np.uint8),
-        num_classes=0, grid_shape=(height, width),
-    )
+    return X
 
 
 def round_half_up(x):
@@ -325,10 +319,7 @@ def save_dataset(path, ds):
     w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
     n, d = ds.X.shape
     w.pack("<QQI", n, d, ds.num_classes)
-    if ds.grid_shape is None:
-        w.pack("<BII", 0, 0, 0)
-    else:
-        w.pack("<BII", 1, ds.grid_shape[0], ds.grid_shape[1])
+    w.pack("<BII", 1, *ds.grid_shape)
     w.array(ds.X, np.float32)
     w.array(ds.given_labels, np.int32)
     w.array(ds.provenance, np.uint8)
@@ -340,10 +331,11 @@ def load_dataset(path):
     r = ContainerReader(read_file(path), DATASET_MAGIC, DATASET_VERSION)
     n, d, num_classes = r.unpack("<QQI")
     has_shape, h, wdt = r.unpack("<BII")
+    if has_shape != 1:
+        raise FormatError(f"has_shape flag {has_shape} is not 1: every dataset has a grid")
     X = r.array(np.float32, (int(n), int(d)))
     given = r.array(np.int32, (int(n),))
     prov = r.array(np.uint8, (int(n),))
     true = r.array(np.int32, (int(n),))
     r.finish()
-    shape = (h, wdt) if has_shape else None
-    return Dataset(X, given, true, prov, int(num_classes), shape)
+    return Dataset(X, given, true, prov, int(num_classes), (h, wdt))

@@ -4,10 +4,10 @@ Two injection routes, both label-preserving (the given label never
 changes; what changes is whether the instance still matches it):
 
   * open-set replacement: a class-balanced subset of instances is
-    swapped for rows of an out-of-distribution pool. pool_sources draws
-    which pool rows are used before any pool exists, and
-    inject_open_set takes only those rows. The original label is kept,
-    the true label becomes absent.
+    swapped for rows of an out-of-distribution pool, a bare array of
+    pixel rows. pool_sources draws which pool rows are used before any
+    pool exists, and inject_open_set takes only those rows. The original
+    label is kept, the true label becomes absent.
   * corruption: a uniform subset of instances is damaged in place by
     one of five pixel transforms. The true label is retained since the
     underlying class is unchanged.
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import _BLOCK_ROWS, NO_LABEL, Dataset, Provenance, round_half_up
+from .data import _BLOCK_ROWS, NO_LABEL, Provenance, round_half_up
 from .errors import CapacityError, ContractError
 
 
@@ -125,8 +125,6 @@ def inject_corruption(ds, kind, rate, spec, seed):
     """
     if not 0.0 <= rate <= 1.0:
         raise ContractError(f"rate must lie in [0, 1], got {rate}")
-    if ds.grid_shape is None:
-        raise ContractError("corruption needs grid-shaped instances")
     if not isinstance(kind, NoiseKind):
         raise ContractError(f"unknown corruption kind {kind!r}")
     n = len(ds)
@@ -161,18 +159,19 @@ def pool_sources(pool_size, n, rate, seed):
 def inject_open_set(ds, pool, rate, seed):
     """Replace a class-balanced round(rate*n) subset with pool rows.
 
-    pool holds exactly the k = round(rate*n) rows that pool_sources
-    draws, in its order (generate_ood_source's rows); any other length
-    raises ContractError. They are written as they are, the i-th drawn
-    row into the i-th replaced instance in ascending order. Counts per
-    class are k // c with the remainder spread over seeded distinct
-    classes; a class without enough members raises CapacityError.
+    pool is a 2-D array of pixel rows as wide as the dataset's, holding
+    exactly the k = round(rate*n) rows that pool_sources draws, in its
+    order (generate_ood_source's rows); any other shape raises
+    ContractError. They are written as they are, the i-th drawn row into
+    the i-th replaced instance in ascending order. Counts per class are
+    k // c with the remainder spread over seeded distinct classes; a
+    class without enough members raises CapacityError.
     """
     if not 0.0 <= rate <= 1.0:
         raise ContractError(f"rate must lie in [0, 1], got {rate}")
-    if pool.dim != ds.dim:
+    if pool.ndim != 2 or pool.shape[1] != ds.dim:
         raise ContractError(
-            f"pool width {pool.dim} does not match dataset width {ds.dim}"
+            f"pool must be 2-D rows of dataset width {ds.dim}, got shape {pool.shape}"
         )
     n, c = len(ds), ds.num_classes
     k = round_half_up(rate * n)
@@ -198,7 +197,7 @@ def inject_open_set(ds, pool, rate, seed):
     targets = np.sort(np.concatenate(targets)) if targets else np.empty(0, dtype=np.int64)
 
     out = ds.copy()
-    out.X[targets] = pool.X
+    out.X[targets] = pool
     out.true_labels[targets] = NO_LABEL
     out.provenance[targets] = Provenance.OPEN_SET
     return out

@@ -18,8 +18,8 @@ proportionally to the partition sizes; each epoch runs
 ceil(n / batch_size) steps with modular wraparound over per-epoch
 permutations. The clean permutation is always drawn before the
 corrected one from the epoch's generator, so runs whose corrected term
-cannot influence training (weight 1 on the clean term, or no corrected
-set at all) visit bit-identical clean batches.
+cannot influence training (weight 1 on the clean term, or an empty
+corrected set) visit bit-identical clean batches.
 
 Runs train in float32: init_model builds every run's model in that
 dtype, and the model's forward and backward passes, losses and Adam
@@ -274,8 +274,7 @@ def mixed_loss(model, clean_x, clean_y, corr_x, corr_y, lam):
     """
     if not 0.0 <= lam <= 1.0:
         raise ContractError(f"lambda must lie in [0, 1], got {lam}")
-    n_clean = 0 if clean_x is None else len(clean_x)
-    n_corr = 0 if corr_x is None else len(corr_x)
+    n_clean, n_corr = len(clean_x), len(corr_x)
     if n_clean == 0 and n_corr == 0:
         raise ContractError("mixed loss needs at least one non-empty batch")
     total = None
@@ -301,27 +300,22 @@ def _wrap_positions(perm, step, size, chunk):
     return perm[(step * chunk + np.arange(chunk)) % size]
 
 
-def _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y, lam,
-                 batch_size, n_total, rng):
-    """One epoch of proportional two-part batches; returns mean step loss."""
-    n_clean = len(clean_idx)
-    n_corr = 0 if corr_x is None else len(corr_x)
+def _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y, lam, batch_size, rng):
+    """One epoch of proportional two-part batches over the rows of train,
+    either part possibly an empty array; returns mean step loss."""
+    n_total, n_clean, n_corr = len(train), len(clean_idx), len(corr_x)
     clean_bs = round_half_up(batch_size * n_clean / n_total)
     corr_bs = batch_size - clean_bs
     steps = math.ceil(n_total / batch_size)
     perm_clean = rng.permutation(n_clean)
-    perm_corr = rng.permutation(n_corr) if n_corr else None
+    perm_corr = rng.permutation(n_corr)
     loss_sum = 0.0
     for s in range(steps):
-        cpos = _wrap_positions(perm_clean, s, n_clean, clean_bs)
+        sel = clean_idx[_wrap_positions(perm_clean, s, n_clean, clean_bs)]
         rpos = _wrap_positions(perm_corr, s, n_corr, corr_bs)
-        sel = clean_idx[cpos]
-        cx = train.X[sel] if sel.size else None
-        cy = train.given_labels[sel] if sel.size else None
-        rx = corr_x[rpos] if rpos.size else None
-        ry = corr_y[rpos] if rpos.size else None
         model.zero_grads()
-        loss_sum += mixed_loss(model, cx, cy, rx, ry, lam)
+        loss_sum += mixed_loss(model, train.X[sel], train.given_labels[sel],
+                               corr_x[rpos], corr_y[rpos], lam)
         # no gradient means every term had weight zero: nothing to step on
         if model.grad is not None:
             optimizer.step(model)
@@ -412,7 +406,7 @@ def run_experiment(cfg, on_epoch=None, cache=None):
             corr_x, corr_y, success = _build_corrected(cfg, model, train, noisy_idx, epoch)
         rng = np.random.default_rng([cfg.seed_epochs, epoch])
         train_loss = _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y,
-                                  cfg.lam, cfg.batch_size, len(train), rng)
+                                  cfg.lam, cfg.batch_size, rng)
         end_epoch(epoch, train_loss,
                   attack_success=success if refresh or epoch == n_select else None)
     return RunResult(model, optimizer, metrics)

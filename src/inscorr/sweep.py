@@ -69,8 +69,9 @@ def sweep(base, cells, seeds, run, workers=1):
         tasks = [group[lo:lo + size] for group in tasks
                  for lo in range(0, len(group), size)]
     batches = [[jobs[i] for i in task] for task in tasks]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+    if workers > 1 and batches:
+        # a forked pool starts all its workers at once: no more than batches
+        with concurrent.futures.ProcessPoolExecutor(min(workers, len(batches))) as pool:
             futures = [pool.submit(_run_task, run, batch) for batch in batches]
             done = [[(None, str(f.exception()))] * len(b) if f.exception() else f.result()
                     for f, b in zip(futures, batches)]

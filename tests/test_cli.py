@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inscorr import artifacts, cli, pipeline
+from inscorr import acceptance, artifacts, cli, pipeline
 from inscorr.cli import main
 from inscorr.config import (
     DEFAULT_CONFIG,
@@ -540,6 +540,16 @@ def test_verify_runs_selected_checks(capsys):
 def test_verify_rejects_unknown_check(capsys):
     assert main(["verify", "--only", "nonsense"]) == 1
     assert "unknown checks" in capsys.readouterr().err
+
+
+def test_verify_rejects_an_empty_only_list(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(acceptance, "CHECKS",
+                        (("schedule", lambda: ran.append("schedule") or (True, "ran")),))
+    assert main(["verify", "--only", ""]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--only" in err, err
+    assert out == "" and ran == []
 
 
 @pytest.mark.parametrize("argv,flag", [

@@ -126,7 +126,7 @@ def test_generators_match_row_loop_reference_bitwise(n, height, width, seed):
     assert np.array_equal(ds.X, X)
     assert np.array_equal(ds.given_labels, labels)
     pool = generate_ood_source(n, height, width, seed=seed)
-    assert np.array_equal(pool.X, _reference_ood(n, height, width, seed, 4))
+    assert np.array_equal(pool, _reference_ood(n, height, width, seed, 4))
 
 
 @pytest.mark.parametrize("n, height, width", [
@@ -141,7 +141,7 @@ def test_ood_pool_matches_row_loop_reference_at_other_class_counts(
     # integers(num_classes) has a bound that is no power of two here, so it
     # may reject draws; the per-row calls must still take the same bits
     pool = generate_ood_source(n, height, width, seed=seed, num_classes=num_classes)
-    assert np.array_equal(pool.X, _reference_ood(n, height, width, seed, num_classes))
+    assert np.array_equal(pool, _reference_ood(n, height, width, seed, num_classes))
 
 
 # a pool size and distinct rows of it, in any order
@@ -160,9 +160,8 @@ def test_ood_pool_rows_match_the_whole_pool_bitwise(picks, num_classes, seed):
     n, rows = picks
     whole = generate_ood_source(n, 8, 6, seed=seed, num_classes=num_classes)
     part = generate_ood_source(n, 8, 6, seed=seed, num_classes=num_classes, rows=rows)
-    assert np.array_equal(part.X, whole.X[np.array(rows, dtype=np.int64)])
-    assert len(part) == len(rows) and part.grid_shape == (8, 6)
-    assert np.all(part.given_labels == NO_LABEL)
+    assert np.array_equal(part, whole[np.array(rows, dtype=np.int64)])
+    assert part.shape == (len(rows), 8 * 6) and part.dtype == np.float32
 
 
 @pytest.mark.parametrize("rows", [[3, 3], [-1], [10], [[0, 1]]])
@@ -172,12 +171,11 @@ def test_ood_pool_rejects_rows_that_are_not_distinct_indices(rows):
 
 
 def test_ood_pool_has_no_labels_and_valid_range():
+    # the pool is bare pixel rows: no labels, no provenance
     pool = generate_ood_source(120, seed=7)
-    assert len(pool) == 120
-    assert np.all(pool.given_labels == NO_LABEL)
-    assert np.all(pool.true_labels == NO_LABEL)
-    assert pool.X.min() >= 0.0 and pool.X.max() <= 1.0
-    assert pool.num_classes == 0
+    assert isinstance(pool, np.ndarray)
+    assert pool.shape == (120, 16 * 16) and pool.dtype == np.float32
+    assert pool.min() >= 0.0 and pool.max() <= 1.0
 
 
 def _principal_angle_deg(img, grid=(16, 16)):
@@ -200,7 +198,7 @@ def test_ood_pool_orientations_avoid_class_angles(monkeypatch):
     pool = generate_ood_source(200, seed=9)
     class_angles = np.array([0.0, 45.0, 90.0, 135.0, 180.0])
     dists = np.array([
-        np.min(np.abs(class_angles - _principal_angle_deg(pool.X[i])))
+        np.min(np.abs(class_angles - _principal_angle_deg(pool[i])))
         for i in range(len(pool))
     ])
     # the estimator itself is a few degrees off on short discretized bars,
@@ -213,9 +211,9 @@ def test_ood_pool_orientations_avoid_class_angles(monkeypatch):
 def test_dataset_label_validation():
     X = np.zeros((3, 4))
     with pytest.raises(ContractError, match=r"given_labels\[1\] = 5"):
-        Dataset(X, np.array([0, 5, 1]), np.full(3, -1), np.zeros(3), num_classes=3)
+        Dataset(X, np.array([0, 5, 1]), np.full(3, -1), np.zeros(3), 3, (2, 2))
     with pytest.raises(ContractError, match="-2"):
-        Dataset(X, np.array([0, 1, 1]), np.array([0, -2, 1]), np.zeros(3), num_classes=3)
+        Dataset(X, np.array([0, 1, 1]), np.array([0, -2, 1]), np.zeros(3), 3, (2, 2))
 
 
 def test_subset_is_a_copy():
@@ -268,9 +266,9 @@ def test_permutation_batches_cover_exactly_once():
 def test_every_dataset_holds_float32_rows():
     # generated sets, their subsets and any X given are float32
     assert generate_synthetic(70, 4, seed=1).X.dtype == np.float32
-    assert generate_ood_source(70, seed=1, rows=[3, 66]).X.dtype == np.float32
+    assert generate_ood_source(70, seed=1, rows=[3, 66]).dtype == np.float32
     wide = np.random.default_rng(2).random((5, 4))
-    ds = Dataset(wide, np.zeros(5), np.zeros(5), np.zeros(5), 2)
+    ds = Dataset(wide, np.zeros(5), np.zeros(5), np.zeros(5), 2, (2, 2))
     assert ds.X.dtype == np.float32 and np.array_equal(ds.X, wide.astype(np.float32))
     assert ds.subset([4, 1]).X.dtype == np.float32
 
@@ -289,15 +287,6 @@ def test_dataset_round_trip_exact(tmp_path):
     assert np.array_equal(back.provenance, ds.provenance)
     assert back.num_classes == 4
     assert back.grid_shape == (16, 16)
-
-
-def test_ood_pool_round_trip(tmp_path):
-    pool = generate_ood_source(30, seed=16)
-    path = str(tmp_path / "pool.bin")
-    save_dataset(path, pool)
-    back = load_dataset(path)
-    assert back.num_classes == 0
-    assert np.array_equal(back.X, pool.X)
 
 
 def test_dataset_file_corruption_detected(tmp_path):
@@ -335,9 +324,26 @@ def test_dataset_header_past_int64_is_truncation(tmp_path, n, d):
     # more than the body holds
     w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
     w.pack("<QQI", n, d, 2)
-    w.pack("<BII", 0, 0, 0)
+    w.pack("<BII", 1, 0, 0)
     w.array(np.zeros(64), np.float32)
     path = tmp_path / "huge.bin"
     w.save(path)
     with pytest.raises(FormatError, match="needed"):
+        load_dataset(str(path))
+
+
+@pytest.mark.parametrize("flag", [0, 2])
+def test_dataset_without_the_grid_flag_is_rejected(tmp_path, flag):
+    # every dataset has a grid, so a file is only read with flag 1
+    ds = generate_synthetic(3, 2, 2, 2, seed=19)
+    w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
+    w.pack("<QQI", 3, 4, 2)
+    w.pack("<BII", flag, 2, 2)
+    w.array(ds.X, np.float32)
+    w.array(ds.given_labels, np.int32)
+    w.array(ds.provenance, np.uint8)
+    w.array(ds.true_labels, np.int32)
+    path = tmp_path / "flag.bin"
+    w.save(path)
+    with pytest.raises(FormatError, match=f"has_shape flag {flag} is not 1"):
         load_dataset(str(path))

@@ -87,7 +87,7 @@ def _reference_open_set(ds, pool, rate, seed):
     sources = np.random.default_rng([seed, 3]).choice(len(pool), size=k, replace=False)
     X, true, prov = ds.X.copy(), ds.true_labels.copy(), ds.provenance.copy()
     for dst, src in zip(targets, sources):
-        X[dst] = pool.X[src]
+        X[dst] = pool[src]
         true[dst] = NO_LABEL
         prov[dst] = Provenance.OPEN_SET
     return X, true, prov
@@ -224,7 +224,7 @@ def test_inject_corruption_matches_row_loop_reference(kind):
 def test_inject_open_set_matches_row_loop_reference(rate):
     ds = generate_synthetic(90, 4, 12, 20, seed=32)
     pool = generate_ood_source(80, 12, 20, seed=33)
-    out = inject_open_set(ds, pool.subset(pool_sources(80, 90, rate, seed=34)), rate, seed=34)
+    out = inject_open_set(ds, pool[pool_sources(80, 90, rate, seed=34)], rate, seed=34)
     X, true, prov = _reference_open_set(ds, pool, rate, seed=34)
     assert np.array_equal(out.X, X)
     assert np.array_equal(out.true_labels, true)
@@ -277,7 +277,7 @@ def test_inject_corruption_rate_bounds():
 def test_inject_open_set_counts_balance_and_truth():
     ds = generate_synthetic(200, 4, seed=15)
     pool = generate_ood_source(150, seed=16)
-    out = inject_open_set(ds, pool.subset(pool_sources(150, 200, 0.4, seed=17)), 0.4, seed=17)
+    out = inject_open_set(ds, pool[pool_sources(150, 200, 0.4, seed=17)], 0.4, seed=17)
     hit = out.provenance == Provenance.OPEN_SET
     assert hit.sum() == 80
     # labels stay put even where the instance was swapped
@@ -293,9 +293,9 @@ def test_inject_open_set_counts_balance_and_truth():
 def test_inject_open_set_uses_distinct_pool_rows():
     ds = generate_synthetic(100, 4, seed=18)
     pool = generate_ood_source(60, seed=19)
-    out = inject_open_set(ds, pool.subset(pool_sources(60, 100, 0.5, seed=20)), 0.5, seed=20)
+    out = inject_open_set(ds, pool[pool_sources(60, 100, 0.5, seed=20)], 0.5, seed=20)
     hit = np.flatnonzero(out.provenance == Provenance.OPEN_SET)
-    pool_rows = {tuple(row) for row in pool.X}
+    pool_rows = {tuple(row) for row in pool}
     seen = set()
     for i in hit:
         row = tuple(out.X[i])
@@ -308,13 +308,22 @@ def test_inject_open_set_uses_distinct_pool_rows():
 def test_inject_open_set_writes_drawn_rows_as_given(pool_size):
     ds = generate_synthetic(100, 4, seed=35)
     pool = generate_ood_source(pool_size, seed=36)
-    drawn = pool.subset(pool_sources(pool_size, 100, 0.4, seed=37))
+    drawn = pool[pool_sources(pool_size, 100, 0.4, seed=37)]
     out = inject_open_set(ds, drawn, 0.4, seed=37)
     # the i-th drawn row lands in the i-th replaced instance
     hit = np.flatnonzero(out.provenance == Provenance.OPEN_SET)
-    assert np.array_equal(out.X[hit], drawn.X)
+    assert np.array_equal(out.X[hit], drawn)
     with pytest.raises(ContractError, match="40 replacement rows"):
-        inject_open_set(ds, pool.subset(np.arange(39)), 0.4, seed=37)
+        inject_open_set(ds, pool[:39], 0.4, seed=37)
+
+
+def test_inject_open_set_takes_only_rows_of_the_dataset_width():
+    ds = generate_synthetic(100, 4, seed=38)
+    drawn = generate_ood_source(100, seed=39, rows=pool_sources(100, 100, 0.4, seed=40))
+    narrow = generate_ood_source(100, 8, 8, seed=39, rows=pool_sources(100, 100, 0.4, seed=40))
+    for pool in (drawn.ravel(), drawn[0], narrow):
+        with pytest.raises(ContractError, match="pool must be 2-D rows of dataset width 256"):
+            inject_open_set(ds, pool, 0.4, seed=40)
 
 
 def test_inject_open_set_capacity_errors():
@@ -327,13 +336,13 @@ def test_inject_open_set_capacity_errors():
     lopsided.true_labels[:] = 0
     pool = generate_ood_source(40, seed=25)
     with pytest.raises(CapacityError, match="class"):
-        inject_open_set(lopsided, pool.subset(pool_sources(40, 40, 0.5, seed=26)), 0.5, seed=26)
+        inject_open_set(lopsided, pool[pool_sources(40, 40, 0.5, seed=26)], 0.5, seed=26)
 
 
 def test_apply_noise_dispatch():
     ds = generate_synthetic(40, 4, seed=27)
     pool = generate_ood_source(30, seed=28)
-    drawn = pool.subset(pool_sources(30, 40, 0.25, seed=29))
+    drawn = pool[pool_sources(30, 40, 0.25, seed=29)]
     out = apply_noise(ds, "open_set", 0.25, SPEC, seed=29, pool=drawn)
     assert int(np.sum(out.provenance == Provenance.OPEN_SET)) == 10
     out2 = apply_noise(ds, "fog", 0.25, SPEC, seed=29)

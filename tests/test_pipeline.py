@@ -133,7 +133,7 @@ class TestPrepareData:
         def pool_rows(num_classes):
             pool = generate_ood_source(150, 8, 8, seed=[cfg.seed_data, 2],
                                        num_classes=num_classes)
-            return {row.tobytes() for row in pool.X}
+            return {row.tobytes() for row in pool}
 
         assert replaced <= pool_rows(3)
         # the two pools share their class-0 rows, which draw the same bits
@@ -146,7 +146,7 @@ class TestPrepareData:
         full = generate_synthetic(cfg.n_train, 4, 8, 8, seed=[cfg.seed_data, 0])
         pool = generate_ood_source(cfg.pool_size, 8, 8, seed=[cfg.seed_data, 2])
         sources = pool_sources(cfg.pool_size, cfg.n_train, cfg.noise_rate, cfg.seed_noise)
-        noisy = inject_open_set(full, pool.subset(sources), cfg.noise_rate, cfg.seed_noise)
+        noisy = inject_open_set(full, pool[sources], cfg.noise_rate, cfg.seed_noise)
         train, val = split_validation(noisy, cfg.val_fraction, seed=[cfg.seed_data, 3])
         test = generate_synthetic(cfg.n_test, 4, 8, 8, seed=[cfg.seed_data, 1])
         for got, want in zip(prepare_data(cfg), (train, val, test)):
@@ -281,17 +281,17 @@ class TestMixedLoss:
 
     def test_empty_clean_keeps_coefficient(self):
         lr = self.term(self.rx, self.ry)
-        got = mixed_loss(self.model, None, None, self.rx, self.ry, 0.3)
+        got = mixed_loss(self.model, self.cx[:0], self.cy[:0], self.rx, self.ry, 0.3)
         assert got == 0.7 * lr
 
     def test_empty_corrected_keeps_coefficient(self):
         lc = self.term(self.cx, self.cy)
-        got = mixed_loss(self.model, self.cx, self.cy, None, None, 0.3)
+        got = mixed_loss(self.model, self.cx, self.cy, self.rx[:0], self.ry[:0], 0.3)
         assert got == 0.3 * lc
 
     def test_both_empty_rejected(self):
         with pytest.raises(ContractError, match="non-empty"):
-            mixed_loss(self.model, None, None, None, None, 0.5)
+            mixed_loss(self.model, self.cx[:0], self.cy[:0], self.rx[:0], self.ry[:0], 0.5)
 
     def test_weight_zero_term_leaves_no_gradient_trace(self):
         # lam=1 must produce the exact gradients of clean-only training
@@ -305,25 +305,23 @@ class TestMixedLoss:
 
     def test_zero_weight_on_only_batch_gives_constant(self):
         self.model.zero_grads()
-        loss = mixed_loss(self.model, None, None, self.rx, self.ry, 1.0)
+        loss = mixed_loss(self.model, self.cx[:0], self.cy[:0], self.rx, self.ry, 1.0)
         assert loss == 0.0
         assert self.model.grad is None
 
 
-@pytest.mark.parametrize("lam,n_clean,n_corrected", [(1.0, 0, 8), (0.0, 20, None)])
+@pytest.mark.parametrize("lam,n_clean,n_corrected", [(1.0, 0, 8), (0.0, 20, 0)])
 def test_mixed_epoch_without_an_active_term_takes_no_step(lam, n_clean, n_corrected):
-    # lambda 1 with no clean rows, or lambda 0 with no corrected set: no
-    # step has a term to train on, so the model and Adam stay bit for bit
+    # lambda 1 with no clean rows, or lambda 0 with an empty corrected set:
+    # no step has a term to train on, so the model and Adam stay bit for bit
     train = generate_synthetic(20, 4, 8, 8, seed=3)
     model, opt = Model.init(tiny_config().model_spec(), seed=7), Adam(0.01)
     model.loss_and_grads(train.X, train.given_labels)
     opt.step(model)
     before = [a.tobytes() for a in (model.flat, opt._m, opt._v)]
-    corr_x = corr_y = None
-    if n_corrected is not None:
-        corr_x, corr_y = train.X[:n_corrected], train.given_labels[:n_corrected]
+    corr_x, corr_y = train.X[:n_corrected], train.given_labels[:n_corrected]
     loss = _mixed_epoch(model, opt, train, np.arange(n_clean), corr_x, corr_y, lam,
-                        8, len(train), np.random.default_rng(0))
+                        8, np.random.default_rng(0))
     assert loss == 0.0 and model.grad is None and opt.step_count == 1
     assert [a.tobytes() for a in (model.flat, opt._m, opt._v)] == before
 

@@ -1,6 +1,7 @@
 """The sweep engine: shared data and phase cache, failures, order and
 workers."""
 
+import concurrent.futures
 import dataclasses
 import os
 import time
@@ -128,6 +129,33 @@ def test_one_group_grid_is_split_over_the_workers(tmp_path):
     assert [r.mean for r in results] == [0.5] * 3
     pids = {p.name.split("-")[0] for p in tmp_path.iterdir()}
     assert len(pids) == 3
+
+
+def test_a_pool_starts_no_more_workers_than_batches(monkeypatch):
+    # a forked pool starts every worker it is sized for, so four batches at
+    # 64 workers must ask for four; the stand-in runs each batch at submit
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cells = [{"method": m} for m in (SELECTION_ONLY, MIX)]
+    results, failures = sweep(BASE, cells, (0, 1), lambda resolved, cache: 0.5, workers=64)
+    assert failures == [] and [r.mean for r in results] == [0.5, 0.5]
+    assert sizes == [4]
 
 
 def loss_trace(resolved, cache):
