@@ -21,9 +21,9 @@ Dataset container (version 2), fields after magic+version:
     n u64 | d u64 | num_classes u32 | has_shape u8 | h u32 | w u32
     (has_shape is 1: every Dataset has a grid; any other flag is rejected)
     X float32 row-major [n, d]
-    given_labels int32 [n]      (-1 when absent)
+    given_labels int32 [n]      (always a class in [0, num_classes))
     provenance uint8 [n]
-    true_labels int32 [n]       (-1 when absent)
+    true_labels int32 [n]       (-1 for a row from the OOD pool)
 Version 1, which held X as float64, is no longer read.
 """
 
@@ -74,12 +74,15 @@ class Dataset:
                 raise ContractError(
                     f"{name} shape {arr.shape} does not match {n} instances"
                 )
-        for name, arr in (("given_labels", self.given_labels), ("true_labels", self.true_labels)):
-            bad = (arr < NO_LABEL) | (arr >= self.num_classes)
+        # a given label is always a class; a true label is NO_LABEL for a
+        # row swapped in from the out-of-distribution pool
+        for name, arr, low in (("given_labels", self.given_labels, 0),
+                               ("true_labels", self.true_labels, NO_LABEL)):
+            bad = (arr < low) | (arr >= self.num_classes)
             if bad.any():
                 i = int(np.argmax(bad))
                 raise ContractError(
-                    f"{name}[{i}] = {int(arr[i])} outside [0, {self.num_classes}) and not {NO_LABEL}"
+                    f"{name}[{i}] = {int(arr[i])} outside [{low}, {self.num_classes})"
                 )
         h, w = self.grid_shape
         self.grid_shape = (int(h), int(w))

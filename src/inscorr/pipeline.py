@@ -51,7 +51,7 @@ from .data import (NO_LABEL, generate_ood_source, generate_synthetic, round_half
 from .errors import CapacityError, ConfigError, ContractError, NumericError
 from .nn import Model, ModelSpec, make_optimizer
 from .noise import OPEN_SET, NoiseSpec, apply_noise, pool_sources
-from .select import SelectionSchedule, self_teach_epoch
+from .select import SelectionSchedule, k_smallest, self_teach_epoch
 
 SELECTION_ONLY = "SelectionOnly"
 MIX = "Mix"
@@ -162,14 +162,16 @@ def prefix_key(cfg):
 
 
 def warmup_key(cfg):
-    """The state after warmup_epochs selection epochs of one prefix_key."""
-    return ("warmup", prefix_key(cfg), cfg.warmup_epochs)
+    """The state after the first min(warmup_epochs, selection_epochs)
+    selection epochs of one prefix_key, from a fresh model."""
+    return ("warmup", prefix_key(cfg), min(cfg.warmup_epochs, selection_epochs(cfg)))
 
 
 def split_key(cfg):
     """Everything the split reads: the state at the end of the warmup,
-    where every split happens, then the rule it applies."""
-    return ("split", warmup_key(cfg), cfg.partition_rule, cfg.tau)
+    where every split happens, then the rule it applies (tau, which
+    small_loss_global reads, is in the warmup's key already)."""
+    return ("split", warmup_key(cfg), cfg.partition_rule)
 
 
 def correction_key(cfg):
@@ -212,9 +214,7 @@ def prepare_data(cfg):
     return train, val, test
 
 
-def _accuracy(model, x, labels, unlabeled):
-    if np.any(labels == NO_LABEL):
-        raise ContractError(unlabeled)
+def _accuracy(model, x, labels):
     logits = model.forward(x)[-1]
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits during evaluation")
@@ -224,17 +224,17 @@ def _accuracy(model, x, labels, unlabeled):
 def evaluate(model, ds):
     """Fraction of instances whose predicted class equals the true label;
     NumericError when a logit is not finite."""
-    return _accuracy(model, ds.X, ds.true_labels,
-                     "evaluation set has instances without a true label")
+    if np.any(ds.true_labels == NO_LABEL):
+        raise ContractError("evaluation set has instances without a true label")
+    return _accuracy(model, ds.X, ds.true_labels)
 
 
 def accuracy_on_given(model, ds):
-    """Accuracy against the (possibly noisy) given labels; None when empty,
-    NumericError when a logit is not finite."""
+    """Accuracy against the (possibly noisy) given labels, which are always
+    classes; None when empty, NumericError when a logit is not finite."""
     if len(ds) == 0:
         return None
-    return _accuracy(model, ds.X, ds.given_labels,
-                     "dataset has instances without a given label")
+    return _accuracy(model, ds.X, ds.given_labels)
 
 
 def partition_clean_mislabeled(model, train, rule=AGREEMENT, tau=None):
@@ -242,9 +242,8 @@ def partition_clean_mislabeled(model, train, rule=AGREEMENT, tau=None):
 
     agreement: clean iff the model's argmax equals the given label.
     small_loss_global: clean = the round((1 - tau) * n) smallest losses
-    over the whole set, ties toward the lower index.
+    over the whole set (select.k_smallest).
     """
-    n = len(train)
     if rule == AGREEMENT:
         pred = model.predict(train.X)
         clean_mask = pred == train.given_labels
@@ -255,9 +254,7 @@ def partition_clean_mislabeled(model, train, rule=AGREEMENT, tau=None):
         if tau is None:
             raise ContractError("small_loss_global partition needs tau")
         losses = model.per_example_losses(train.X, train.given_labels)
-        k = round_half_up((1.0 - tau) * n)
-        order = np.argsort(losses, kind="stable")
-        return np.sort(order[:k]), np.sort(order[k:])
+        return k_smallest(losses, round_half_up((1.0 - tau) * len(train)))
     raise ContractError(f"unknown partition rule {rule!r}")
 
 
@@ -360,24 +357,19 @@ def run_experiment(cfg, on_epoch=None, cache=None):
     on_epoch(epoch, model), when given, runs after each epoch's updates.
 
     cache, a dict shared by runs, keeps the sets prepare_data made under
-    ("data", data_key), the state at the end of the warmup (copied in and
-    out) under warmup_key, the split under split_key and, for InsCorr unless
-    refresh_correction is set, the first correction under correction_key.
-    A run takes stored sets, resumes from a stored warmup state when it
-    trains through the warmup, skipping on_epoch for the epochs it skips,
-    and takes a stored split and correction; a phase that raises stores
+    ("data", data_key), the state after the first min(warmup_epochs,
+    selection_epochs) selection epochs under warmup_key, the split under
+    split_key and, for InsCorr unless refresh_correction is set, the first
+    correction under correction_key. A run takes each phase a run before
+    stored, skipping on_epoch for the epochs of a stored warmup, and
+    continues on copies of the warmup state, so SelectionOnly trains its
+    remaining epochs as a run alone does; a phase that raises stores
     nothing. The result is bit for bit that of a run without a cache.
     """
     train, val, test = _cached(cache, ("data", data_key(cfg)), lambda: prepare_data(cfg))
-    n_select = selection_epochs(cfg)
-    key = warmup_key(cfg)
-    start = cfg.warmup_epochs if cfg.warmup_epochs <= n_select and key in (cache or {}) else 0
-    if start:
-        model, optimizer, metrics = _copy_state(*cache[key])
-    else:
-        model, optimizer, metrics = init_model(cfg), make_optimizer(cfg.optimizer, cfg.lr), []
+    schedule = cfg.schedule()
 
-    def end_epoch(epoch, train_loss, precision=None, attack_success=None):
+    def end_epoch(model, metrics, epoch, train_loss, precision=None, attack_success=None):
         metrics.append(EpochMetrics(
             epoch, train_loss, val_accuracy=accuracy_on_given(model, val),
             test_accuracy=evaluate(model, test), selection_precision=precision,
@@ -385,13 +377,20 @@ def run_experiment(cfg, on_epoch=None, cache=None):
         if on_epoch is not None:
             on_epoch(epoch, model)
 
-    schedule = cfg.schedule()
-    for epoch in range(start, n_select):
-        rng = np.random.default_rng([cfg.seed_epochs, epoch])
-        stats = self_teach_epoch(model, optimizer, train, schedule, epoch, cfg.batch_size, rng)
-        end_epoch(epoch, stats.mean_loss, precision=stats.precision)
-        if cache is not None and epoch + 1 == cfg.warmup_epochs:
-            cache[key] = _copy_state(model, optimizer, metrics)
+    def select(model, optimizer, metrics, epochs):
+        for epoch in epochs:
+            rng = np.random.default_rng([cfg.seed_epochs, epoch])
+            stats = self_teach_epoch(model, optimizer, train, schedule, epoch, cfg.batch_size, rng)
+            end_epoch(model, metrics, epoch, stats.mean_loss, precision=stats.precision)
+        return model, optimizer, metrics
+
+    n_select = selection_epochs(cfg)
+    n_warm = min(cfg.warmup_epochs, n_select)
+    model, optimizer, metrics = _cached(cache, warmup_key(cfg), lambda: select(
+        init_model(cfg), make_optimizer(cfg.optimizer, cfg.lr), [], range(n_warm)))
+    # an epoch's records are never changed once appended, so they are shared
+    model, optimizer, metrics = select(model.clone(), optimizer.clone(), list(metrics),
+                                       range(n_warm, n_select))
     if n_select == cfg.total_epochs:
         return RunResult(model, optimizer, metrics)
 
@@ -407,12 +406,6 @@ def run_experiment(cfg, on_epoch=None, cache=None):
         rng = np.random.default_rng([cfg.seed_epochs, epoch])
         train_loss = _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y,
                                   cfg.lam, cfg.batch_size, rng)
-        end_epoch(epoch, train_loss,
+        end_epoch(model, metrics, epoch, train_loss,
                   attack_success=success if refresh or epoch == n_select else None)
     return RunResult(model, optimizer, metrics)
-
-
-def _copy_state(model, optimizer, metrics):
-    # an epoch's records are never changed once appended, so the list is
-    # copied but its entries are shared
-    return model.clone(), optimizer.clone(), list(metrics)

@@ -44,12 +44,16 @@ class SelectionSchedule:
         return 1.0 - min(epoch / self.ramp_epochs * self.noise_rate, self.noise_rate)
 
 
-def select_small_loss(losses, keep_fraction):
-    """Indices of the ceil(keep_fraction * b) smallest losses, and the rest.
+def k_smallest(losses, k):
+    """(indices of the k smallest losses, indices of the rest): ties break
+    toward the lower index, and both arrays are in ascending order."""
+    order = np.argsort(losses, kind="stable")
+    return np.sort(order[:k]), np.sort(order[k:])
 
-    Ties break toward the lower index; both returned arrays preserve
-    original batch order.
-    """
+
+def select_small_loss(losses, keep_fraction):
+    """Indices of the ceil(keep_fraction * b) smallest losses, and the rest,
+    per k_smallest."""
     losses = np.asarray(losses, dtype=np.float64)
     if losses.ndim != 1 or losses.size == 0:
         raise ContractError(f"losses must be a non-empty vector, got shape {losses.shape}")
@@ -58,12 +62,7 @@ def select_small_loss(losses, keep_fraction):
     nan = np.isnan(losses)
     if nan.any():
         raise NumericError(f"loss at index {int(np.argmax(nan))} is NaN")
-    b = losses.size
-    k = int(np.ceil(keep_fraction * b))
-    order = np.argsort(losses, kind="stable")
-    kept = np.sort(order[:k])
-    discarded = np.sort(order[k:])
-    return kept, discarded
+    return k_smallest(losses, int(np.ceil(keep_fraction * losses.size)))
 
 
 @dataclass

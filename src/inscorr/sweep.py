@@ -4,14 +4,18 @@ A cell is a partial config merged over a base config; each of its jobs
 sets every seed stream to one seed. Jobs with the same pipeline.data_key
 form one task, cut into chunks of at most ceil(jobs / workers) jobs when
 there are fewer tasks than workers, so a one-dataset grid still keeps
-every worker busy. A failing job fails alone. Outcomes come back in grid
-order, whatever order tasks finish in.
+every worker busy. A failing job fails alone, also when it kills its
+worker process: that breaks the pool, so each chunk the pool had not
+returned runs again alone, to the same bytes, and the job whose process
+dies there fails with the exit code. Outcomes come back in grid order,
+whatever order tasks finish in.
 
 Inside a task, the jobs run in grid order and share one cache
-(pipeline.run_experiment): the generated data, the state at the end of
-the warmup, the split and InsCorr's correction are stored under the key
-of the config fields they read, and later jobs with the same key take
-them instead of computing them again. So a task generates its data once,
+(pipeline.run_experiment): the generated data, the state after the
+warmup (every run's first min(warmup_epochs, selection_epochs) selection
+epochs), the split and InsCorr's correction are stored under the key of
+the config fields they read, and later jobs with the same key take them
+instead of computing them again. So a task generates its data once,
 and a warmup is trained once per warmup_key, a split made once per
 split_key and an attack run once per correction_key, with every result
 byte unchanged. A job that fails stores nothing of the phase that
@@ -23,7 +27,9 @@ same error, an extra generation per job paid only by a grid that fails.
 import concurrent.futures
 import itertools
 import math
+import multiprocessing
 from collections import namedtuple
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -34,15 +40,45 @@ from .pipeline import data_key
 CellResult = namedtuple("CellResult", "n_failed mean std")
 
 
-def _run_task(run, jobs):
-    """[(value, error)] of each resolved job, on one cache, in the order given."""
+def _outcomes(run, jobs):
+    """Yield (value, error) of each resolved job, on one cache, in the order given."""
     cache = {}
-    outcomes = []
     for resolved in jobs:
         try:
-            outcomes.append((run(resolved, cache), None))
+            yield run(resolved, cache), None
         except Exception as error:
-            outcomes.append((None, str(error)))
+            yield None, str(error)
+
+
+def _run_task(run, jobs):
+    return list(_outcomes(run, jobs))
+
+
+def _send_outcomes(connection, run, jobs):
+    for outcome in _outcomes(run, jobs):
+        connection.send(outcome)
+
+
+def _run_alone(run, jobs):
+    """_run_task(run, jobs) in processes of their own, each job's outcome
+    sent back as it ends: a job whose process dies fails alone, naming the
+    exit code, and the jobs after it go on in a new process."""
+    outcomes = []
+    while len(outcomes) < len(jobs):
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        worker = multiprocessing.Process(target=_send_outcomes,
+                                         args=(sender, run, jobs[len(outcomes):]))
+        worker.start()
+        sender.close()
+        with receiver:
+            try:
+                while True:
+                    outcomes.append(receiver.recv())
+            except EOFError:
+                pass
+        worker.join()
+        if len(outcomes) < len(jobs):
+            outcomes.append((None, f"worker process died with exit code {worker.exitcode}"))
     return outcomes
 
 
@@ -73,8 +109,15 @@ def sweep(base, cells, seeds, run, workers=1):
         # a forked pool starts all its workers at once: no more than batches
         with concurrent.futures.ProcessPoolExecutor(min(workers, len(batches))) as pool:
             futures = [pool.submit(_run_task, run, batch) for batch in batches]
-            done = [[(None, str(f.exception()))] * len(b) if f.exception() else f.result()
-                    for f, b in zip(futures, batches)]
+        done = []
+        for future, batch in zip(futures, batches):
+            error = future.exception()
+            if isinstance(error, BrokenProcessPool):
+                # a dead worker breaks the pool and every batch it had not
+                # returned: each runs again alone, to the same bytes
+                done.append(_run_alone(run, batch))
+            else:
+                done.append([(None, str(error))] * len(batch) if error else future.result())
     else:
         done = [_run_task(run, batch) for batch in batches]
     flat = itertools.chain.from_iterable

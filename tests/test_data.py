@@ -216,6 +216,13 @@ def test_dataset_label_validation():
         Dataset(X, np.array([0, 1, 1]), np.array([0, -2, 1]), np.zeros(3), 3, (2, 2))
 
 
+def test_a_given_label_is_always_a_class():
+    # NO_LABEL marks only a true label the out-of-distribution pool took away
+    X = np.zeros((3, 4))
+    with pytest.raises(ContractError, match=r"given_labels\[2\] = -1 outside \[0, 3\)"):
+        Dataset(X, np.array([0, 1, NO_LABEL]), np.array([0, 1, 2]), np.zeros(3), 3, (2, 2))
+
+
 def test_subset_is_a_copy():
     ds = generate_synthetic(20, 2, seed=10)
     sub = ds.subset(np.array([0, 1, 2]))

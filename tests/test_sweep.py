@@ -158,6 +158,23 @@ def test_a_pool_starts_no_more_workers_than_batches(monkeypatch):
     assert sizes == [4]
 
 
+def dies_on_fog_seed_1(resolved, cache):
+    # module level so the process pool can pickle it
+    if resolved["noise"]["route"] == "fog" and resolved["seeds"]["epochs"] == 1:
+        os._exit(3)
+    return 0.5
+
+
+def test_a_dead_worker_fails_only_its_own_job():
+    # two batches of three jobs on two workers: the death breaks the pool,
+    # each batch it had not returned runs again alone, and within the fog
+    # batch the jobs before and after the dying one keep their outcomes
+    cells = [{"noise": {"route": route}} for route in ("fog", "open_set")]
+    results, failures = sweep(BASE, cells, (0, 1, 2), dies_on_fog_seed_1, workers=2)
+    assert failures == [(0, 1, "worker process died with exit code 3")]
+    assert [(r.n_failed, r.mean) for r in results] == [(1, 0.5), (0, 0.5)]
+
+
 def loss_trace(resolved, cache):
     metrics = run_experiment(to_experiment_config(resolved), cache=cache).metrics
     return sum(m.train_loss for m in metrics)
@@ -409,12 +426,28 @@ def test_cache_keeps_runs_of_other_keys_apart():
         assert np.array_equal(shared.model.flat, alone.model.flat), other
 
 
+def test_a_run_cut_short_by_its_length_shares_an_equal_warmup(monkeypatch):
+    # warmup 5 of total 3 trains 3 selection epochs, the warmup a warmup-3 run stored
+    cfg = to_experiment_config(seeded_job({"training": {"total_epochs": 5,
+                                                        "warmup_epochs": 3}}, 0))
+    short = dataclasses.replace(cfg, warmup_epochs=5, total_epochs=3)
+    cache = {}
+    run_experiment(cfg, cache=cache)
+    selection = counting(monkeypatch, "self_teach_epoch")
+    shared = run_experiment(short, cache=cache)
+    assert selection == []
+    monkeypatch.undo()
+    alone = run_experiment(short)
+    assert shared.metrics == alone.metrics
+    assert np.array_equal(shared.model.flat, alone.model.flat)
+
+
 def test_cached_phases_cannot_be_changed_by_a_run():
     cfg = to_experiment_config(seeded_job({}, 0))
     cache = {}
     result = run_experiment(cfg, cache=cache)
     model, optimizer, metrics = cache[warmup_key(cfg)]
-    # the warmup state is copied in and out
+    # a run continues on copies of the warmup state
     assert not np.shares_memory(model.flat, result.model.flat)
     assert metrics is not result.metrics
     arrays = [*cache[split_key(cfg)], *cache[correction_key(cfg)][:2]]
