@@ -64,6 +64,7 @@ def _run_alone(run, jobs):
     sent back as it ends: a job whose process dies fails alone, naming the
     exit code, and the jobs after it go on in a new process."""
     outcomes = []
+    # the pool's default start method, so a rerun starts as a pool worker did
     while len(outcomes) < len(jobs):
         receiver, sender = multiprocessing.Pipe(duplex=False)
         worker = multiprocessing.Process(target=_send_outcomes,
