@@ -372,19 +372,21 @@ def check_noise():
 # --- memorization ------------------------------------------------------
 
 
+def _memorization_run(resolved, cache):
+    metrics = run_experiment(to_experiment_config(resolved), cache=cache).metrics
+    return metrics[10].selection_precision
+
+
 def check_memorization():
     """Early selection is much cleaner than the noise base rate."""
     base = apply_overrides(load_config(), _ORDERING_BASE + (
         f"method={SELECTION_ONLY}", f"noise.route={OPEN_SET}",
         "training.warmup_epochs=11", "training.total_epochs=11",
     ))
-    precisions = []
-    for seed in MEMORIZATION_SEEDS:
-        seeds = [f"seeds.{stream}={seed}" for stream in ("data", "noise", "init", "epochs")]
-        resolved = resolve_config(apply_overrides(base, seeds))
-        metrics = run_experiment(to_experiment_config(resolved)).metrics
-        precisions.append(metrics[10].selection_precision)
-    mean = float(np.mean(precisions))
+    results, failures = sweep(base, [{}], MEMORIZATION_SEEDS, _memorization_run)
+    if failures:
+        return False, f"{len(failures)} runs failed, first: {failures[0][2]}"
+    mean = results[0].mean
     passed = mean >= 0.9 and mean > 0.6
     return passed, f"selection precision {mean:.4f} at the ramp end (base 0.6)"
 

@@ -9,6 +9,12 @@ Verbs:
     train and evaluate on, from the same --config and --set arguments.
   * verify: run the acceptance checks and report pass/fail per check.
 
+campaign and ablate differ only in their flags, which each turns into
+labelled cells. One runner sweeps the cells over the seeds and writes
+one report form: a line per cell, and a CSV of the label columns then
+n_seeds, n_failed, mean_acc and std_acc, with a JSON of the grid id,
+the cells and every failed run, under <verb>-<grid hash>.
+
 Runs land under --output-root, the INSCORR_OUTPUT_ROOT environment
 variable, or ./runs, keyed by config hash. An output path at or below a
 file fails before any work.
@@ -117,29 +123,44 @@ def _grid_base(base):
         return base
 
 
-def _check_workers(args):
+def _run_grid(args, base, seeds, name, stem, ident, labels, cells):
+    """Run every cell once per seed into the output root, print one
+    `k=v ...: mean+-std` line per cell and write the grid's report to
+    <name>-<grid id>/<stem>.csv and .json; 1 if any run failed.
+
+    labels holds each cell's report columns, cells its config override;
+    ident names the lists the grid was built from, for its id."""
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    root = _output_root(args)
+    grid_id = config_hash({"base": _grid_base(base), "seeds": seeds, **ident})
+    results, failures = sweep(base, cells, seeds, partial(_sweep_job, root=root),
+                              workers=args.workers)
 
-
-def _cell_text(result):
-    if result.mean is None:
-        return "failed" if result.n_failed else "n/a"
-    return f"{result.mean:.4f}+-{result.std:.4f}"
-
-
-def _write_report(directory, stem, header, rows, report):
-    """Write directory/stem.csv (header and rows) and directory/stem.json."""
+    header = [*labels[0], "n_seeds", "n_failed", "mean_acc", "std_acc"]
+    rows = []
+    for label, result in zip(labels, results):
+        rows.append([*label.values(), len(seeds), *result])
+        text = (f"{result.mean:.4f}+-{result.std:.4f}" if result.mean is not None
+                else "failed" if result.n_failed else "n/a")
+        print(" ".join(f"{k}={v}" for k, v in label.items()) + f": {text}")
+    directory = root / f"{name}-{grid_id}"
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         # "" marks a cell with no successful run; 0.0 is a real accuracy
         writer.writerows(["" if v is None else v for v in row] for row in rows)
+    report = {
+        "grid_id": grid_id,
+        "cells": [dict(zip(header, row)) for row in rows],
+        "failures": [{**labels[c], "seed": seed, "error": error}
+                     for c, seed, error in failures],
+    }
     (directory / f"{stem}.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"{stem} written to {directory}")
+    return 1 if failures else 0
 
 
 def cmd_campaign(args):
@@ -148,68 +169,26 @@ def cmd_campaign(args):
     rates = _split(args, "rates", float, _FRACTION)
     seeds = _split(args, "seeds", int, _SEED)
     methods = _split(args, "methods")
-    _check_workers(args)
-    root = _output_root(args)
-
     grid = [(route, rate, method)
             for route in routes for rate in rates for method in methods]
-    cells = [{"noise": {"route": route, "rate": rate}, "method": method}
-             for route, rate, method in grid]
-    grid_id = config_hash({
-        "base": _grid_base(base),
-        "routes": routes, "rates": rates, "seeds": seeds, "methods": methods,
-    })
-    results, failures = sweep(base, cells, seeds, partial(_sweep_job, root=root),
-                              workers=args.workers)
-
-    header = ["route", "rate", "method", "n_seeds", "n_failed", "mean_acc", "std_acc"]
-    rows = []
-    for (route, rate, method), result in zip(grid, results):
-        rows.append([route, rate, method, len(seeds), *result])
-        print(f"{route} rate={rate} {method}: {_cell_text(result)}")
-    _write_report(root / f"campaign-{grid_id}", "campaign", header, rows, {
-        "grid_id": grid_id,
-        "cells": [dict(zip(header, row)) for row in rows],
-        "failures": [dict(zip(header, grid[c]), seed=seed, error=error)
-                     for c, seed, error in failures],
-    })
-    return 1 if failures else 0
+    return _run_grid(args, base, seeds, "campaign", "campaign",
+                     {"routes": routes, "rates": rates, "methods": methods},
+                     [{"route": r, "rate": q, "method": m} for r, q, m in grid],
+                     [{"noise": {"route": r, "rate": q}, "method": m} for r, q, m in grid])
 
 
 def cmd_ablate(args):
     base = _load(args)
     weights = sorted(_split(args, "weights", float, _FRACTION))
     seeds = _split(args, "seeds", int, _SEED)
-    _check_workers(args)
-    root = _output_root(args)
+    # the swept weight is lambda itself, or its complement under the
+    # discarded interpretation; cells run in order of lambda
     discarded = args.interpretation == "discarded"
-    print(f"sweeping {len(weights)} weights as the "
-          f"{'corrected-term' if discarded else 'clean-term'}"
-          f" coefficient ({args.interpretation} interpretation)")
-
-    sweep_id = config_hash({
-        "base": _grid_base(base), "weights": weights, "seeds": seeds,
-        "interpretation": args.interpretation,
-    })
-    # the swept weight is lambda itself, or its complement
     grid = sorted(((1.0 - w) if discarded else w, w) for w in weights)
-    cells = [{"training": {"lambda": lam}} for lam, _ in grid]
-    results, failures = sweep(base, cells, seeds, partial(_sweep_job, root=root),
-                              workers=args.workers)
-
-    header = ["weight", "lambda", "mean_acc", "std_acc"]
-    rows = []
-    for (lam, weight), result in zip(grid, results):
-        rows.append([weight, lam, result.mean, result.std])
-        print(f"weight={weight} lambda={lam}: {_cell_text(result)}")
-    _write_report(root / f"ablate-{sweep_id}", "ablation", header, rows, {
-        "sweep_id": sweep_id,
-        "interpretation": args.interpretation,
-        "rows": [dict(zip(header, row)) for row in rows],
-        "failures": [{"weight": grid[c][1], "seed": seed, "error": error}
-                     for c, seed, error in failures],
-    })
-    return 1 if failures else 0
+    return _run_grid(args, base, seeds, "ablate", "ablation",
+                     {"weights": weights, "interpretation": args.interpretation},
+                     [{"weight": w, "lambda": lam} for lam, w in grid],
+                     [{"training": {"lambda": lam}} for lam, _ in grid])
 
 
 def cmd_make_data(args):

@@ -28,7 +28,7 @@ Version 1, which held X as float64, is no longer read.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -319,6 +319,9 @@ def permutation_batches(rng, n, batch_size):
 
 
 def save_dataset(path, ds):
+    # checked again, since its arrays may have changed in place: a label
+    # out of range is a ContractError here, not a file load_dataset rejects
+    ds = replace(ds)
     w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
     n, d = ds.X.shape
     w.pack("<QQI", n, d, ds.num_classes)
@@ -341,4 +344,7 @@ def load_dataset(path):
     prov = r.array(np.uint8, (int(n),))
     true = r.array(np.int32, (int(n),))
     r.finish()
-    return Dataset(X, given, true, prov, int(num_classes), (h, wdt))
+    try:
+        return Dataset(X, given, true, prov, int(num_classes), (h, wdt))
+    except ContractError as error:
+        raise FormatError(f"{path}: {error}") from error

@@ -317,7 +317,10 @@ def load_checkpoint(path):
     (n_hidden,) = r.unpack("<I")
     hidden = tuple(r.unpack("<Q")[0] for _ in range(n_hidden))
     (num_classes,) = r.unpack("<I")
-    spec = ModelSpec(int(input_dim), hidden, int(num_classes))
+    try:
+        spec = ModelSpec(int(input_dim), hidden, int(num_classes))
+    except ContractError as error:
+        raise FormatError(f"{path}: {error}") from error
     (dtype_code,) = r.unpack("<B")
     dtype = _CODE_DTYPE.get(dtype_code)
     if dtype is None:

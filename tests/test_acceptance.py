@@ -67,3 +67,13 @@ def test_early_selection_is_precise_before_memorization():
 def test_repeated_runs_write_byte_identical_metrics():
     passed, detail, _ = _timed(acceptance.check_reproducibility)
     assert passed, detail
+
+
+def test_a_memorization_run_that_raises_is_a_fail_line(monkeypatch, capsys):
+    def broken(cfg, cache=None):
+        raise RuntimeError("run broke")
+
+    monkeypatch.setattr(acceptance, "run_experiment", broken)
+    assert acceptance.run_all(only=["memorization"]) is False
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL memorization: 3 runs failed, first: run broke ("), out

@@ -364,17 +364,19 @@ def test_ablate_writes_sorted_sweep(tmp_path, tiny_cfg, capsys):
     sweep_dir = next(root.glob("ablate-*"))
     with open(sweep_dir / "ablation.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["weight", "lambda", "mean_acc", "std_acc"]
+    assert rows[0] == ["weight", "lambda", "n_seeds", "n_failed", "mean_acc", "std_acc"]
     # discarded interpretation: lambda = 1 - weight, rows sorted by lambda
-    assert [r[:2] for r in rows[1:]] == [["0.3", "0.7"], ["0.1", "0.9"]]
-    assert all(0.0 <= float(r[2]) <= 1.0 for r in rows[1:])
+    assert [r[:4] for r in rows[1:]] == [["0.3", "0.7", "1", "0"], ["0.1", "0.9", "1", "0"]]
+    assert all(0.0 <= float(r[4]) <= 1.0 for r in rows[1:])
     report = json.loads((sweep_dir / "ablation.json").read_text())
-    assert report["interpretation"] == "discarded"
-    assert [(r["weight"], r["lambda"]) for r in report["rows"]] == [(0.3, 0.7), (0.1, 0.9)]
+    assert sorted(report) == ["cells", "failures", "grid_id"]
+    assert sweep_dir.name == f"ablate-{report['grid_id']}"
+    # each cell's weight and lambda say which interpretation ran
+    assert [(r["weight"], r["lambda"]) for r in report["cells"]] == [(0.3, 0.7), (0.1, 0.9)]
     assert report["failures"] == []
     out = capsys.readouterr().out
-    assert "corrected-term" in out
     assert "weight=0.3 lambda=0.7:" in out
+    assert "weight=0.1 lambda=0.9:" in out
 
 
 def test_ablate_interpretations_weight_opposite_terms(tmp_path, tiny_cfg):
@@ -436,7 +438,7 @@ def test_campaign_grid_summary(tmp_path, tiny_cfg, capsys):
     # two seeds means two run directories beside the campaign dir
     runs = [p for p in root.iterdir() if p.is_dir() and p != campaign_dir]
     assert len(runs) == 2
-    assert "gaussian rate=0.4 SelectionOnly:" in capsys.readouterr().out
+    assert "route=gaussian rate=0.4 method=SelectionOnly:" in capsys.readouterr().out
 
 
 def test_grid_id_hashes_a_runnable_base_resolved(tmp_path, tiny_cfg):
@@ -502,8 +504,8 @@ def test_zero_accuracy_is_reported_not_null(tmp_path, tiny_cfg, monkeypatch):
     assert main(["ablate", "--config", tiny_cfg, "--output-root", str(root),
                  "--weights", "0.1", "--seeds", "0"]) == 0
     report = json.loads(next(root.glob("ablate-*/ablation.json")).read_text())
-    assert report["rows"][0]["mean_acc"] == 0.0
-    assert report["rows"][0]["std_acc"] == 0.0
+    assert report["cells"][0]["mean_acc"] == 0.0
+    assert report["cells"][0]["std_acc"] == 0.0
 
 
 def test_a_cell_of_short_runs_prints_na_and_a_failed_one_failed(tmp_path, tiny_cfg,
@@ -521,6 +523,50 @@ def test_a_cell_of_short_runs_prints_na_and_a_failed_one_failed(tmp_path, tiny_c
     monkeypatch.setattr(cli, "write_run", broken)
     assert main([*argv, "--output-root", str(tmp_path / "broken")]) == 1
     assert "weight=0.3 lambda=0.7: failed\n" in capsys.readouterr().out
+
+
+def test_ablate_counts_a_failed_run_in_its_report(tmp_path, tiny_cfg, monkeypatch):
+    def fail_at_lambda_09(resolved, root, cache=None):
+        if resolved["training"]["lambda"] == 0.9 and resolved["seeds"]["data"] == 1:
+            raise RuntimeError("lambda 0.9 broke")
+        return root, {"last_ten_mean": 0.5}
+
+    monkeypatch.setattr(cli, "write_run", fail_at_lambda_09)
+    root = tmp_path / "runs"
+    assert main(["ablate", "--config", tiny_cfg, "--output-root", str(root),
+                 "--weights", "0.1,0.3", "--seeds", "0,1"]) == 1
+    sweep_dir = next(root.glob("ablate-*"))
+    with open(sweep_dir / "ablation.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [["0.3", "0.7", "2", "0", "0.5", "0.0"],
+                        ["0.1", "0.9", "2", "1", "0.5", "0.0"]]
+    report = json.loads((sweep_dir / "ablation.json").read_text())
+    assert [c["n_failed"] for c in report["cells"]] == [0, 1]
+    assert report["failures"] == [
+        {"weight": 0.1, "lambda": 0.9, "seed": 1, "error": "lambda 0.9 broke"}]
+
+
+def test_campaign_and_ablation_reports_share_one_form(tmp_path, tiny_cfg, monkeypatch):
+    monkeypatch.setattr(
+        cli, "write_run",
+        lambda resolved, root, cache=None: (root, {"last_ten_mean": 0.5}))
+    root = tmp_path / "runs"
+    assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
+                 "--routes", "gaussian", "--rates", "0.4",
+                 "--methods", "SelectionOnly", "--seeds", "0"]) == 0
+    assert main(["ablate", "--config", tiny_cfg, "--output-root", str(root),
+                 "--weights", "0.1", "--seeds", "0"]) == 0
+    forms = []
+    for stem in ("campaign", "ablation"):
+        [csv_path] = root.glob(f"*/{stem}.csv")
+        with open(csv_path, newline="") as fh:
+            header = next(csv.reader(fh))
+        report = json.loads(csv_path.with_suffix(".json").read_text())
+        assert csv_path.parent.name.endswith(f"-{report['grid_id']}")
+        assert [list(cell) for cell in report["cells"]] == [sorted(header)]
+        forms.append((header[-4:], sorted(report)))
+    assert forms[0] == forms[1] == (["n_seeds", "n_failed", "mean_acc", "std_acc"],
+                                    ["cells", "failures", "grid_id"])
 
 
 def test_campaign_rejects_unknown_route(tmp_path, capsys):

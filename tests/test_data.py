@@ -339,6 +339,33 @@ def test_dataset_header_past_int64_is_truncation(tmp_path, n, d):
         load_dataset(str(path))
 
 
+def test_save_dataset_refuses_a_label_changed_out_of_range(tmp_path):
+    # a Dataset's arrays can change after it was checked; the writer checks again
+    ds = generate_synthetic(10, 4, seed=20)
+    ds.given_labels[2] = NO_LABEL
+    path = tmp_path / "ds.bin"
+    with pytest.raises(ContractError, match=r"given_labels\[2\] = -1 outside \[0, 4\)"):
+        save_dataset(str(path), ds)
+    assert not path.exists()
+
+
+def test_a_well_framed_dataset_with_a_bad_label_is_a_format_error(tmp_path):
+    # framing and crc are sound; the content is not a Dataset
+    ds = generate_synthetic(10, 4, seed=20)
+    w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
+    w.pack("<QQI", 10, 256, 4)
+    w.pack("<BII", 1, 16, 16)
+    w.array(ds.X, np.float32)
+    w.array(np.where(np.arange(10) == 2, NO_LABEL, ds.given_labels), np.int32)
+    w.array(ds.provenance, np.uint8)
+    w.array(ds.true_labels, np.int32)
+    path = tmp_path / "labels.bin"
+    w.save(path)
+    with pytest.raises(FormatError,
+                       match=r"labels\.bin: given_labels\[2\] = -1 outside \[0, 4\)"):
+        load_dataset(str(path))
+
+
 @pytest.mark.parametrize("flag", [0, 2])
 def test_dataset_without_the_grid_flag_is_rejected(tmp_path, flag):
     # every dataset has a grid, so a file is only read with flag 1

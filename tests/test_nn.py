@@ -1,5 +1,8 @@
 """Model init, forward paths, optimizers, and checkpoint round trips."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -560,3 +563,15 @@ def test_checkpoint_error_cases(tmp_path):
     bad_dtype.save(tmp_path / "ckpt_dtype.bin")
     with pytest.raises(FormatError, match="dtype code 7"):
         load_checkpoint(tmp_path / "ckpt_dtype.bin")
+
+
+def test_a_well_framed_checkpoint_of_an_invalid_model_is_a_format_error(tmp_path):
+    # one class, with the crc recomputed: the reader's fault, not a caller's
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, Model.init(SPEC, seed=12), Sgd(), epoch=1, seed=2)
+    raw = bytearray(path.read_bytes()[:-4])
+    # magic, version, input width, hidden count, one hidden width, then classes
+    struct.pack_into("<I", raw, 8 + 4 + 8 + 4 + 8, 1)
+    path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
+    with pytest.raises(FormatError, match=r"ckpt\.bin: num_classes must be at least 2, got 1"):
+        load_checkpoint(path)

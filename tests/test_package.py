@@ -1,8 +1,10 @@
 """The package root is light: importing it loads none of its modules, and
 no module in src/ loads inscorr.tensor, the stub left where the autodiff
 graph was (only the benchmark's tracer imports it). It does set the
-one-thread BLAS default, and tells whether that default took hold."""
+one-thread BLAS default, and tells whether that default took hold. No
+module imports a name it never uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -87,3 +89,29 @@ def test_errors_defines_one_type_per_way_a_failure_is_handled():
     assert all(issubclass(getattr(errors, name), errors.InscorrError) for name in defined)
     assert issubclass(errors.FormatError, OSError)
     assert issubclass(errors.NumericError, ArithmeticError)
+
+
+def unused_imports(source):
+    """Names a module's source imports and never reads again."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds a
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_unused_imports_are_found():
+    assert unused_imports("import os\nimport sys as system\nfrom a.b import c, d\n"
+                          "from e import f as g\nprint(os.sep, c, g)\n") == [
+        (2, "system"), (3, "d")]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in Path(inscorr.__file__).parent.glob("*.py")))
+def test_no_module_imports_a_name_it_never_uses(module):
+    source = (Path(inscorr.__file__).parent / module).read_text(encoding="utf-8")
+    assert unused_imports(source) == []
