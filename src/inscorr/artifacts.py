@@ -111,14 +111,13 @@ def write_run(resolved, root, cache=None):
     try:
         for name, blob in files.items():
             (tmp_dir / name).write_bytes(blob)
-        save_checkpoint(
+        files["model.ckpt"] = save_checkpoint(
             tmp_dir / "model.ckpt",
             result.model,
             result.optimizer,
             epoch=len(result.metrics),
             seed=cfg.seed_epochs,
         )
-        files["model.ckpt"] = (tmp_dir / "model.ckpt").read_bytes()
 
         manifest = {
             "config_hash": digest,

@@ -105,9 +105,9 @@ def cmd_run(args):
 
 
 def _sweep_job(resolved, cache, root):
-    # module level so that a partial of it pickles for process pools;
-    # write_run is looked up at call time, so a patched cli.write_run
-    # reaches forked workers too
+    # module level, so that a partial of it pickles for workers started
+    # by spawn; write_run is looked up at call time, so a patched
+    # cli.write_run reaches forked workers too
     return write_run(resolved, root, cache=cache)[1]["last_ten_mean"]
 
 

@@ -44,6 +44,7 @@ class ContainerWriter:
         data = self.to_bytes()
         with open(path, "wb") as fh:
             fh.write(data)
+        return data
 
 
 class ContainerReader:

@@ -88,12 +88,12 @@ class Model:
     def __init__(self, spec, flat=None, dtype=np.float64):
         """flat, the parameter vector the model takes over, defaults to
         zeros of dtype; a given flat keeps its own dtype."""
-        shapes = spec.shapes()
-        if flat is None:
-            flat = np.zeros(sum(math.prod(s) for s in shapes), dtype=dtype)
         self.spec = spec
+        self.shapes = spec.shapes()
+        if flat is None:
+            flat = np.zeros(sum(math.prod(s) for s in self.shapes), dtype=dtype)
         self.flat = flat
-        views = _views(flat, shapes)
+        views = _views(flat, self.shapes)
         self.weights, self.biases = views[0::2], views[1::2]
         self.grad = None
 
@@ -130,10 +130,11 @@ class Model:
         outputs = [h]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            h = h @ w
+            h += b
             if i != last:
                 # relu with subgradient 0 at the kink; NaN propagates
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
             outputs.append(h)
         return outputs
 
@@ -154,7 +155,7 @@ class Model:
         if not input_grad:
             if self.grad is None:
                 self.grad = np.zeros(self.flat.size, dtype=dtype)
-            grads = _views(self.grad, self.spec.shapes())
+            grads = _views(self.grad, self.shapes)
         for i in reversed(range(len(self.weights))):
             if not input_grad:
                 grads[2 * i + 1] += g.sum(axis=0)
@@ -251,7 +252,7 @@ class Adam:
 
     def _moments(self, model):
         """(first, second) moment vectors for model, zeros at first use."""
-        shapes = model.spec.shapes()
+        shapes = model.shapes
         if self._m is None:
             self._shapes = shapes
             self._m, self._v = np.zeros((2, model.flat.size), dtype=model.flat.dtype)
@@ -301,12 +302,12 @@ def save_checkpoint(path, model, optimizer, epoch, seed):
         m, v = optimizer._moments(model)
         w.pack("<ddd", optimizer.beta1, optimizer.beta2, optimizer.eps)
         w.pack("<Q", optimizer.step_count)
-        for m_p, v_p in zip(_views(m, spec.shapes()), _views(v, spec.shapes())):
+        for m_p, v_p in zip(_views(m, model.shapes), _views(v, model.shapes)):
             w.array(m_p, dtype)
             w.array(v_p, dtype)
     w.pack("<Q", epoch)
     w.pack("<q", seed)
-    w.save(path)
+    return w.save(path)
 
 
 def load_checkpoint(path):
@@ -338,7 +339,7 @@ def load_checkpoint(path):
         opt = Adam(lr, beta1, beta2, eps)
         (opt.step_count,) = r.unpack("<Q")
         m, v = opt._moments(model)
-        for m_p, v_p in zip(_views(m, spec.shapes()), _views(v, spec.shapes())):
+        for m_p, v_p in zip(_views(m, model.shapes), _views(v, model.shapes)):
             m_p[...] = r.array(dtype, m_p.shape)
             v_p[...] = r.array(dtype, v_p.shape)
     else:

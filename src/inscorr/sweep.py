@@ -4,11 +4,11 @@ A cell is a partial config merged over a base config; each of its jobs
 sets every seed stream to one seed. Jobs with the same pipeline.data_key
 form one task, cut into chunks of at most ceil(jobs / workers) jobs when
 there are fewer tasks than workers, so a one-dataset grid still keeps
-every worker busy. A failing job fails alone, also when it kills its
-worker process: that breaks the pool, so each chunk the pool had not
-returned runs again alone, to the same bytes, and the job whose process
-dies there fails with the exit code. Outcomes come back in grid order,
-whatever order tasks finish in.
+every worker busy. With workers > 1 each task runs in a worker process
+of its own, at most workers at once. A failing job fails alone, also
+when it kills its process: it fails with the exit code, the rest of its
+task goes on in a new process, and no job runs twice. Outcomes come
+back in grid order, whatever order tasks finish in.
 
 Inside a task, the jobs run in grid order and share one cache
 (pipeline.run_experiment): the generated data, the state after the
@@ -24,12 +24,11 @@ cannot be generated, each job of the task tries again and reports the
 same error, an extra generation per job paid only by a grid that fails.
 """
 
-import concurrent.futures
 import itertools
 import math
-import multiprocessing
 from collections import namedtuple
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import Pipe, Process
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -50,47 +49,57 @@ def _outcomes(run, jobs):
             yield None, str(error)
 
 
-def _run_task(run, jobs):
-    return list(_outcomes(run, jobs))
-
-
 def _send_outcomes(connection, run, jobs):
     for outcome in _outcomes(run, jobs):
         connection.send(outcome)
 
 
-def _run_alone(run, jobs):
-    """_run_task(run, jobs) in processes of their own, each job's outcome
-    sent back as it ends: a job whose process dies fails alone, naming the
-    exit code, and the jobs after it go on in a new process."""
-    outcomes = []
-    # the pool's default start method, so a rerun starts as a pool worker did
-    while len(outcomes) < len(jobs):
-        receiver, sender = multiprocessing.Pipe(duplex=False)
-        worker = multiprocessing.Process(target=_send_outcomes,
-                                         args=(sender, run, jobs[len(outcomes):]))
-        worker.start()
-        sender.close()
-        with receiver:
-            try:
-                while True:
-                    outcomes.append(receiver.recv())
-            except EOFError:
-                pass
-        worker.join()
-        if len(outcomes) < len(jobs):
-            outcomes.append((None, f"worker process died with exit code {worker.exitcode}"))
-    return outcomes
+def _run_in_processes(run, batches, workers):
+    """The outcomes of each batch, run in worker processes, one per batch
+    and at most workers at once, that send each job's outcome as it ends.
+    A process that dies fails the job it was running, naming the exit
+    code, and the rest of its batch goes on in a new process."""
+    done = [[] for _ in batches]
+    pending = list(range(len(batches)))
+    running = {}  # a process's receiving end: (its batch's index, the process)
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                b = pending.pop(0)
+                receiver, sender = Pipe(duplex=False)
+                process = Process(target=_send_outcomes,
+                                  args=(sender, run, batches[b][len(done[b]):]))
+                process.start()
+                sender.close()  # the child holds the last copy: its exit is our EOF
+                running[receiver] = b, process
+            for receiver in wait(list(running)):
+                try:
+                    done[running[receiver][0]].append(receiver.recv())
+                except EOFError:
+                    b, process = running.pop(receiver)
+                    receiver.close()
+                    process.join()
+                    if len(done[b]) < len(batches[b]):
+                        done[b].append((None, "worker process died with exit code "
+                                              f"{process.exitcode}"))
+                        if len(done[b]) < len(batches[b]):
+                            pending.insert(0, b)
+    finally:
+        # when the parent raises, no worker is left running
+        for _, process in running.values():
+            process.terminate()
+            process.join()
+    return done
 
 
 def sweep(base, cells, seeds, run, workers=1):
     """Call run(resolved, cache) for every cell and seed.
 
     cache is the dict of the job's task, for run to hand on to
-    run_experiment. run returns the job's accuracy or None, and must
-    be picklable when workers > 1. Returns (one CellResult per cell,
-    failures), failures listing (cell index, seed, error message) in grid
-    order.
+    run_experiment. run returns the job's accuracy or None, and must be
+    picklable when workers > 1 under a start method other than fork.
+    Returns (one CellResult per cell, failures), failures listing (cell
+    index, seed, error message) in grid order.
     """
     jobs = []
     for cell in cells:
@@ -106,21 +115,10 @@ def sweep(base, cells, seeds, run, workers=1):
         tasks = [group[lo:lo + size] for group in tasks
                  for lo in range(0, len(group), size)]
     batches = [[jobs[i] for i in task] for task in tasks]
-    if workers > 1 and batches:
-        # a forked pool starts all its workers at once: no more than batches
-        with concurrent.futures.ProcessPoolExecutor(min(workers, len(batches))) as pool:
-            futures = [pool.submit(_run_task, run, batch) for batch in batches]
-        done = []
-        for future, batch in zip(futures, batches):
-            error = future.exception()
-            if isinstance(error, BrokenProcessPool):
-                # a dead worker breaks the pool and every batch it had not
-                # returned: each runs again alone, to the same bytes
-                done.append(_run_alone(run, batch))
-            else:
-                done.append([(None, str(error))] * len(batch) if error else future.result())
+    if workers > 1:
+        done = _run_in_processes(run, batches, workers)
     else:
-        done = [_run_task(run, batch) for batch in batches]
+        done = [list(_outcomes(run, batch)) for batch in batches]
     flat = itertools.chain.from_iterable
     outcomes = dict(zip(flat(tasks), flat(done)))
 

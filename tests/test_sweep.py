@@ -1,8 +1,8 @@
 """The sweep engine: shared data and phase cache, failures, order and
 workers."""
 
-import concurrent.futures
 import dataclasses
+import multiprocessing
 import os
 import time
 from functools import partial
@@ -10,6 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import inscorr.sweep as sweep_module
 from inscorr import pipeline
 from inscorr.artifacts import write_run
 from inscorr.attack import L2
@@ -115,7 +116,7 @@ def test_failing_job_leaves_the_rest_of_its_group_running():
 
 
 def record_pid(resolved, cache, out_dir):
-    # module level so the process pool can pickle it
+    # module level, so that a worker started by spawn could unpickle it
     time.sleep(0.3)
     (out_dir / f"{os.getpid()}-{resolved['method']}").touch()
     return 0.5
@@ -131,48 +132,97 @@ def test_one_group_grid_is_split_over_the_workers(tmp_path):
     assert len(pids) == 3
 
 
-def test_a_pool_starts_no_more_workers_than_batches(monkeypatch):
-    # a forked pool starts every worker it is sized for, so four batches at
-    # 64 workers must ask for four; the stand-in runs each batch at submit
-    sizes = []
+def naps(resolved, cache, seconds=0.2):
+    # module level, so that a worker started by spawn could unpickle it
+    time.sleep(seconds)
+    return 0.5
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+@pytest.fixture
+def started(monkeypatch):
+    """One entry per worker process sweep starts: how many of the
+    processes started so far were alive right after it started."""
+    processes, alive = [], []
 
-        def __exit__(self, *exc):
-            return False
+    class Counted(multiprocessing.Process):
+        def start(self):
+            super().start()
+            processes.append(self)
+            alive.append(sum(p.is_alive() for p in processes))
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+    monkeypatch.setattr(sweep_module, "Process", Counted)
+    return alive
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    cells = [{"method": m} for m in (SELECTION_ONLY, MIX)]
-    results, failures = sweep(BASE, cells, (0, 1), lambda resolved, cache: 0.5, workers=64)
+
+@pytest.mark.parametrize("workers", [64, 2])
+def test_a_sweep_starts_one_worker_per_batch_and_at_most_workers_at_once(started, workers):
+    # one batch per route and seed: four batches, whatever the workers
+    cells = [{"noise": {"route": route}} for route in ("fog", "open_set")]
+    results, failures = sweep(BASE, cells, (0, 1), naps, workers=workers)
     assert failures == [] and [r.mean for r in results] == [0.5, 0.5]
-    assert sizes == [4]
+    assert len(started) == 4
+    assert max(started) <= min(workers, 4)
 
 
-def dies_on_fog_seed_1(resolved, cache):
-    # module level so the process pool can pickle it
-    if resolved["noise"]["route"] == "fog" and resolved["seeds"]["epochs"] == 1:
+METHODS = (SELECTION_ONLY, MIX, INSCORR)
+
+
+def dies_on(resolved, cache, deaths):
+    # module level, so that a worker started by spawn could unpickle it
+    if (resolved["method"], resolved["seeds"]["epochs"]) in deaths:
         os._exit(3)
     return 0.5
 
 
-def test_a_dead_worker_fails_only_its_own_job():
-    # two batches of three jobs on two workers: the death breaks the pool,
-    # each batch it had not returned runs again alone, and within the fog
-    # batch the jobs before and after the dying one keep their outcomes
-    cells = [{"noise": {"route": route}} for route in ("fog", "open_set")]
-    results, failures = sweep(BASE, cells, (0, 1, 2), dies_on_fog_seed_1, workers=2)
+@pytest.mark.parametrize("deaths", [{(SELECTION_ONLY, 1)}, {(MIX, 1)}, {(INSCORR, 1)},
+                                    {(MIX, 0), (INSCORR, 1)}],
+                         ids=["first", "middle", "last", "two_batches"])
+def test_a_dead_worker_fails_only_its_own_job(deaths):
+    # one batch of three jobs per seed, the two running at once on two
+    # workers: the job whose process dies fails with the exit code, and
+    # the jobs before and after it in its batch keep their outcomes
+    results, failures = sweep(BASE, [{"method": m} for m in METHODS], (0, 1),
+                              partial(dies_on, deaths=deaths), workers=2)
+    assert failures == [(c, seed, "worker process died with exit code 3")
+                        for c, method in enumerate(METHODS) for seed in (0, 1)
+                        if (method, seed) in deaths]
+    assert [(r.n_failed, r.mean) for r in results] == [
+        (sum((method, seed) in deaths for seed in (0, 1)), 0.5) for method in METHODS]
+
+
+def marks_then_dies_on_fog_seed_1(resolved, cache, out_dir):
+    # module level, so that a worker started by spawn could unpickle it
+    route, seed = resolved["noise"]["route"], resolved["seeds"]["epochs"]
+    with open(out_dir / f"{route}-{seed}", "a") as mark:
+        mark.write("x")
+    time.sleep(0.1)
+    if route == "fog" and seed == 1:
+        os._exit(3)
+    return 0.5
+
+
+def test_a_dead_worker_reruns_nothing(tmp_path):
+    # the seeds are part of the data key: twelve one-job batches on two
+    # workers, and no job runs twice, the dying one included
+    routes = ("fog", "open_set", "gaussian", "occlusion")
+    results, failures = sweep(BASE, [{"noise": {"route": route}} for route in routes],
+                              (0, 1, 2), partial(marks_then_dies_on_fog_seed_1,
+                                                 out_dir=tmp_path), workers=2)
     assert failures == [(0, 1, "worker process died with exit code 3")]
-    assert [(r.n_failed, r.mean) for r in results] == [(1, 0.5), (0, 0.5)]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+        f"{route}-{seed}": "x" for route in routes for seed in (0, 1, 2)}
+
+
+def test_a_sweep_that_raises_leaves_no_worker_running(started, monkeypatch):
+    def broken_wait(connections, timeout=None):
+        raise RuntimeError("the parent broke")
+
+    monkeypatch.setattr(sweep_module, "wait", broken_wait)
+    cells = [{"noise": {"route": route}} for route in ("fog", "open_set")]
+    with pytest.raises(RuntimeError, match="the parent broke"):
+        sweep(BASE, cells, (0,), partial(naps, seconds=60.0), workers=2)
+    assert len(started) == 2
+    assert multiprocessing.active_children() == []
 
 
 def loss_trace(resolved, cache):
