@@ -35,6 +35,8 @@ import math
 import sys
 from dataclasses import fields
 
+import numpy as np
+
 from .attack import L2, LINF, AttackConfig
 from .data import check_pool_margins, round_half_up
 from .errors import ConfigError, ContractError
@@ -64,6 +66,9 @@ _KEYS = (
 # each key's dataclasses.Field, which holds the key's default and type
 _FIELDS = {dotted: next(f for f in fields(cls) if f.name == name)
            for dotted, cls, name in _KEYS}
+
+# the largest step the attack, run in float32, takes without an inf (0 * inf is NaN)
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _locate(cfg, dotted):
@@ -112,6 +117,7 @@ _RULES = (
         "training.total_epochs", *(f"seeds.{stream}" for stream in DEFAULT_CONFIG["seeds"]))),
     *((dotted, lambda v: v > 0, "be positive") for dotted in (
         "model.lr", "attack.budget", "attack.step_size")),
+    ("attack.step_size", lambda v: v <= _FLOAT32_MAX, f"be at most float32's max {_FLOAT32_MAX}"),
     *((dotted, lambda v: 0 <= v <= 1, "lie in [0, 1]") for dotted in (
         "noise.rate", "noise.occlusion_fraction", "noise.fog_intensity", "training.lambda")),
     *((dotted, lambda v: 0 <= v < 1, "lie in [0, 1)") for dotted in (
@@ -152,8 +158,10 @@ _CROSS_RULES = (
      "keep its parameters, and its layer outputs over data.n_train or data.n_test rows,"
      " under 2**63 bytes at 8 bytes a value"),
     ("attack.budget",
-     lambda c: c["attack"]["step_size"] is not None or 2.5 * c["attack"]["budget"] < math.inf,
-     "keep the derived attack.step_size, 2.5 * budget / max(attack.steps, 1), finite"),
+     lambda c: c["attack"]["step_size"] is not None
+     or 2.5 * c["attack"]["budget"] / max(c["attack"]["steps"], 1) <= _FLOAT32_MAX,
+     "keep the derived attack.step_size, 2.5 * budget / max(attack.steps, 1),"
+     f" at most float32's max {_FLOAT32_MAX}"),
     ("training.refresh_correction",
      lambda c: not c["training"]["refresh_correction"] or c["method"] == INSCORR,
      f"be false unless method is {INSCORR}"),

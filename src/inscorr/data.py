@@ -14,17 +14,16 @@ injection) widens the rows it works on, which is exact.
 
 Provenance records how each instance entered the training set: drawn
 clean, swapped in from the out-of-distribution pool (label kept, truth
-gone), or corrupted in place (pixels damaged, original class retained in
-true_labels).
+gone), or corrupted in place (pixels damaged, class unchanged). The true
+labels derive from it: the given label on every row but an OPEN_SET one.
 
-Dataset container (version 2), fields after magic+version:
+Dataset container (version 3), fields after magic+version:
     n u64 | d u64 | num_classes u32 | has_shape u8 | h u32 | w u32
     (has_shape is 1: every Dataset has a grid; any other flag is rejected)
     X float32 row-major [n, d]
     given_labels int32 [n]      (always a class in [0, num_classes))
-    provenance uint8 [n]
-    true_labels int32 [n]       (-1 for a row from the OOD pool)
-Version 1, which held X as float64, is no longer read.
+    provenance uint8 [n]        (always a Provenance in [0, 3))
+Versions 1 (float64 X) and 2 (with stored true labels) are no longer read.
 """
 
 import enum
@@ -36,7 +35,7 @@ from .containers import ContainerReader, ContainerWriter, read_file
 from .errors import ContractError, FormatError
 
 DATASET_MAGIC = b"INSCDSET"
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
 NO_LABEL = -1
 
@@ -51,7 +50,6 @@ class Provenance(enum.IntEnum):
 class Dataset:
     X: np.ndarray
     given_labels: np.ndarray
-    true_labels: np.ndarray
     provenance: np.ndarray
     num_classes: int
     grid_shape: tuple
@@ -60,30 +58,21 @@ class Dataset:
         # any X given is rounded to float32, the one dtype of X
         self.X = np.asarray(self.X, dtype=np.float32)
         self.given_labels = np.asarray(self.given_labels, dtype=np.int32)
-        self.true_labels = np.asarray(self.true_labels, dtype=np.int32)
         self.provenance = np.asarray(self.provenance, dtype=np.uint8)
         if self.X.ndim != 2:
             raise ContractError(f"X must be 2-D, got shape {self.X.shape}")
         n = self.X.shape[0]
-        for name, arr in (
-            ("given_labels", self.given_labels),
-            ("true_labels", self.true_labels),
-            ("provenance", self.provenance),
-        ):
+        # a given label is always a class, a provenance always a Provenance
+        for name, arr, high in (("given_labels", self.given_labels, self.num_classes),
+                                ("provenance", self.provenance, len(Provenance))):
             if arr.shape != (n,):
                 raise ContractError(
                     f"{name} shape {arr.shape} does not match {n} instances"
                 )
-        # a given label is always a class; a true label is NO_LABEL for a
-        # row swapped in from the out-of-distribution pool
-        for name, arr, low in (("given_labels", self.given_labels, 0),
-                               ("true_labels", self.true_labels, NO_LABEL)):
-            bad = (arr < low) | (arr >= self.num_classes)
+            bad = (arr < 0) | (arr >= high)
             if bad.any():
                 i = int(np.argmax(bad))
-                raise ContractError(
-                    f"{name}[{i}] = {int(arr[i])} outside [{low}, {self.num_classes})"
-                )
+                raise ContractError(f"{name}[{i}] = {int(arr[i])} outside [0, {high})")
         h, w = self.grid_shape
         self.grid_shape = (int(h), int(w))
         if h * w != self.X.shape[1]:
@@ -98,17 +87,19 @@ class Dataset:
     def dim(self):
         return self.X.shape[1]
 
+    @property
+    def true_labels(self):
+        """given_labels with NO_LABEL on the OPEN_SET rows, whose class lies
+        outside the label space; read-only, as writes to it would be lost."""
+        out = np.where(self.provenance == Provenance.OPEN_SET, NO_LABEL, self.given_labels)
+        out.flags.writeable = False
+        return out
+
     def subset(self, indices):
         # indexing with an array already copies
         idx = np.asarray(indices)
-        return Dataset(
-            self.X[idx],
-            self.given_labels[idx],
-            self.true_labels[idx],
-            self.provenance[idx],
-            self.num_classes,
-            self.grid_shape,
-        )
+        return Dataset(self.X[idx], self.given_labels[idx], self.provenance[idx],
+                       self.num_classes, self.grid_shape)
 
     def copy(self):
         return self.subset(np.arange(len(self)))
@@ -188,10 +179,8 @@ def generate_synthetic(n, num_classes, height=16, width=16, seed=0):
         img += (0.0 + _PIXEL_NOISE * z[:, 3:]).reshape(-1, height, width)
         # clamped in float64, rounded once to float32 as it lands in X
         np.clip(img.reshape(hi - lo, -1), 0.0, 1.0, out=X[lo:hi])
-    lab = labels.astype(np.int32)
     return Dataset(
-        X, lab, lab.copy(),
-        np.full(n, Provenance.CLEAN, dtype=np.uint8),
+        X, labels.astype(np.int32), np.full(n, Provenance.CLEAN, dtype=np.uint8),
         num_classes, (height, width),
     )
 
@@ -319,8 +308,8 @@ def permutation_batches(rng, n, batch_size):
 
 
 def save_dataset(path, ds):
-    # checked again, since its arrays may have changed in place: a label
-    # out of range is a ContractError here, not a file load_dataset rejects
+    # checked again, since its arrays may have changed in place: a bad row
+    # is a ContractError here, not a file load_dataset rejects
     ds = replace(ds)
     w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
     n, d = ds.X.shape
@@ -329,7 +318,6 @@ def save_dataset(path, ds):
     w.array(ds.X, np.float32)
     w.array(ds.given_labels, np.int32)
     w.array(ds.provenance, np.uint8)
-    w.array(ds.true_labels, np.int32)
     w.save(path)
 
 
@@ -342,9 +330,8 @@ def load_dataset(path):
     X = r.array(np.float32, (int(n), int(d)))
     given = r.array(np.int32, (int(n),))
     prov = r.array(np.uint8, (int(n),))
-    true = r.array(np.int32, (int(n),))
     r.finish()
     try:
-        return Dataset(X, given, true, prov, int(num_classes), (h, wdt))
+        return Dataset(X, given, prov, int(num_classes), (h, wdt))
     except ContractError as error:
         raise FormatError(f"{path}: {error}") from error

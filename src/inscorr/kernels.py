@@ -89,27 +89,20 @@ def adam_update(p, g, m, v, lr, b1, b2, eps, c1, c2):
 # line convolution with reflect-101 padding (motion blur)
 # ---------------------------------------------------------------------------
 
-def _reflect_index(idx, n):
-    idx = np.abs(idx)
-    while np.any(idx > n - 1):
-        idx = np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
-        idx = np.abs(idx)
-    return idx
-
-
 def line_blur(grids, dys, dxs):
     h, w = grids.shape[-2:]
     k = dys.size
     wgt = 1.0 / k
-    ys = np.arange(h)[:, None]
-    xs = np.arange(w)[None, :]
+    # numpy's reflect is reflect-101, repeated past the axis; one pixel is copied
+    py = int(np.abs(dys).max())
+    px = int(np.abs(dxs).max())
+    pad = [(0, 0)] * (grids.ndim - 2) + [(py, py), (px, px)]
+    padded = np.pad(grids, pad, mode="reflect")
     out = np.zeros(grids.shape)
     for t in range(k):
-        yy = _reflect_index(ys + dys[t], h)
-        xx = _reflect_index(xs + dxs[t], w)
-        tap = grids[..., yy, xx]
-        tap *= wgt
-        out += tap
+        y0 = py + int(dys[t])
+        x0 = px + int(dxs[t])
+        out += padded[..., y0:y0 + h, x0:x0 + w] * wgt
     return out
 
 

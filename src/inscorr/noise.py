@@ -7,10 +7,10 @@ changes; what changes is whether the instance still matches it):
     swapped for rows of an out-of-distribution pool, a bare array of
     pixel rows. pool_sources draws which pool rows are used before any
     pool exists, and inject_open_set takes only those rows. The original
-    label is kept, the true label becomes absent.
+    label is kept, the true label becomes absent (provenance OPEN_SET).
   * corruption: a uniform subset of instances is damaged in place by
-    one of five pixel transforms. The true label is retained since the
-    underlying class is unchanged.
+    one of five pixel transforms. The true label is still the given one,
+    since the underlying class is unchanged.
 
 RNG streams are split so that which instances are hit depends only on
 (seed, route), never on the corruption kind or its parameters; runs
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .data import _BLOCK_ROWS, NO_LABEL, Provenance, round_half_up
+from .data import _BLOCK_ROWS, Provenance, round_half_up
 from .errors import CapacityError, ContractError
 
 
@@ -99,7 +99,8 @@ def corruption_transform(grids, kind, spec, rng):
         out = kernels.block_resample(stack, int(spec.resolution_factor))
     elif kind == NoiseKind.FOG:
         rows = np.arange(h, dtype=np.float64)[:, None]
-        t = spec.fog_intensity * np.exp(-spec.fog_decay * rows / h)
+        with np.errstate(over="ignore"):  # a huge decay: exp(-inf) = 0
+            t = spec.fog_intensity * np.exp(-spec.fog_decay * rows / h)
         out = (1.0 - t) * stack
         out += t * 1.0
     elif kind == NoiseKind.MOTION_BLUR:
@@ -198,7 +199,6 @@ def inject_open_set(ds, pool, rate, seed):
 
     out = ds.copy()
     out.X[targets] = pool
-    out.true_labels[targets] = NO_LABEL
     out.provenance[targets] = Provenance.OPEN_SET
     return out
 

@@ -3,8 +3,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from functools import partial
 from pathlib import Path
@@ -221,6 +224,25 @@ def test_make_data_writes_the_sets_a_run_trains_on(tmp_path, tiny_cfg, route):
         blob = (first / f"{name}.inscd").read_bytes()
         assert (second / f"{name}.inscd").read_bytes() == blob
     assert sorted(p.name for p in first.iterdir()) == ["test.inscd", "train.inscd", "val.inscd"]
+
+
+@pytest.mark.parametrize("verb", ["run", "make-data"])
+@pytest.mark.parametrize("grid", [
+    ("data.width=1",),
+    ("data.height=1", "noise.blur_angle_deg=90"),
+], ids=["one-column", "one-row-vertical-blur"])
+def test_motion_blur_along_a_one_pixel_axis_finishes(tmp_path, tiny_cfg, verb, grid):
+    # in a child process with a timeout, so that an endless reflect loop
+    # fails the test instead of hanging it
+    sets = [arg for key in ("noise.route=motion_blur", *grid) for arg in ("--set", key)]
+    out = ["--output-root" if verb == "run" else "--out", str(tmp_path / "out")]
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from inscorr.cli import main; sys.exit(main())",
+         verb, "--config", tiny_cfg, *sets, *out],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("override", [

@@ -3,6 +3,7 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from inscorr.attack import AttackConfig
@@ -18,6 +19,8 @@ from inscorr.config import (
 from inscorr.errors import ConfigError
 from inscorr.noise import NoiseSpec
 from inscorr.pipeline import ExperimentConfig
+
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def test_load_without_file_copies_defaults():
@@ -188,6 +191,10 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("attack.step_size=0", "attack.step_size"),
     # the derived step size 2.5 * budget / steps would overflow
     ("attack.budget=1e308", "attack.budget"),
+    # the attack runs in float32, where these step sizes round to inf
+    ("attack.step_size=1e308", "attack.step_size"),
+    (f"attack.step_size={float(np.nextafter(F32_MAX, np.inf))}", "attack.step_size"),
+    (f"attack.budget={F32_MAX * 4.0 / 2.5} attack.steps=3", "attack.budget"),
     ("training.lambda=1.5", "training.lambda"),
     ("training.total_epochs=-1", "training.total_epochs"),
     ("training.warmup_epochs=-1", "training.warmup_epochs"),
@@ -252,6 +259,13 @@ def test_cross_key_rules_accept_their_edges():
     # a budget whose derived step size would overflow is fine beside a set one
     resolve_config(apply_overrides(load_config(), ["attack.budget=1e308",
                                                    "attack.step_size=0.01"]))
+    # float32's max is a step size the attack can still take, set or derived
+    out = resolve_config(apply_overrides(load_config(), [f"attack.step_size={F32_MAX}"]))
+    assert out["attack"]["step_size"] == F32_MAX
+    # 2.5 * (2 * max) / 5 is exact
+    out = resolve_config(apply_overrides(load_config(), [f"attack.budget={2 * F32_MAX}",
+                                                         "attack.steps=5"]))
+    assert out["attack"]["step_size"] == F32_MAX
     # 261 x 2**51 parameters of eight bytes stay below numpy's limit
     resolve_config(apply_overrides(load_config(), [
         "data.n_train=10", "data.n_test=10", f"model.hidden=[{2**51}]"]))

@@ -211,16 +211,34 @@ def test_ood_pool_orientations_avoid_class_angles(monkeypatch):
 def test_dataset_label_validation():
     X = np.zeros((3, 4))
     with pytest.raises(ContractError, match=r"given_labels\[1\] = 5"):
-        Dataset(X, np.array([0, 5, 1]), np.full(3, -1), np.zeros(3), 3, (2, 2))
-    with pytest.raises(ContractError, match="-2"):
-        Dataset(X, np.array([0, 1, 1]), np.array([0, -2, 1]), np.zeros(3), 3, (2, 2))
+        Dataset(X, np.array([0, 5, 1]), np.zeros(3), 3, (2, 2))
+
+
+@pytest.mark.parametrize("bad", [len(Provenance), 9, 200])
+def test_a_provenance_is_always_a_provenance(bad):
+    X = np.zeros((3, 4))
+    with pytest.raises(ContractError, match=rf"provenance\[1\] = {bad} outside \[0, 3\)"):
+        Dataset(X, np.array([0, 1, 1]), np.array([0, bad, 1]), 3, (2, 2))
+
+
+def test_true_labels_derive_from_provenance_and_are_read_only():
+    ds = generate_synthetic(6, 3, 2, 2, seed=4)
+    ds.provenance[[1, 4]] = Provenance.OPEN_SET
+    ds.provenance[2] = Provenance.CORRUPTED
+    want = ds.given_labels.copy()
+    want[[1, 4]] = NO_LABEL
+    assert ds.true_labels.dtype == np.int32
+    assert np.array_equal(ds.true_labels, want)
+    # an in-place write would change nothing, so it fails instead
+    with pytest.raises(ValueError, match="read-only"):
+        ds.true_labels[0] = NO_LABEL
 
 
 def test_a_given_label_is_always_a_class():
-    # NO_LABEL marks only a true label the out-of-distribution pool took away
+    # NO_LABEL marks only the true label of a row from the out-of-distribution pool
     X = np.zeros((3, 4))
     with pytest.raises(ContractError, match=r"given_labels\[2\] = -1 outside \[0, 3\)"):
-        Dataset(X, np.array([0, 1, NO_LABEL]), np.array([0, 1, 2]), np.zeros(3), 3, (2, 2))
+        Dataset(X, np.array([0, 1, NO_LABEL]), np.zeros(3), 3, (2, 2))
 
 
 def test_subset_is_a_copy():
@@ -275,7 +293,7 @@ def test_every_dataset_holds_float32_rows():
     assert generate_synthetic(70, 4, seed=1).X.dtype == np.float32
     assert generate_ood_source(70, seed=1, rows=[3, 66]).dtype == np.float32
     wide = np.random.default_rng(2).random((5, 4))
-    ds = Dataset(wide, np.zeros(5), np.zeros(5), np.zeros(5), 2, (2, 2))
+    ds = Dataset(wide, np.zeros(5), np.zeros(5), 2, (2, 2))
     assert ds.X.dtype == np.float32 and np.array_equal(ds.X, wide.astype(np.float32))
     assert ds.subset([4, 1]).X.dtype == np.float32
 
@@ -283,15 +301,16 @@ def test_every_dataset_holds_float32_rows():
 def test_dataset_round_trip_exact(tmp_path):
     ds = generate_synthetic(40, 4, seed=15)
     ds.provenance[3] = Provenance.OPEN_SET
-    ds.true_labels[3] = NO_LABEL
+    ds.provenance[5] = Provenance.CORRUPTED
     path = str(tmp_path / "ds.bin")
     save_dataset(path, ds)
     back = load_dataset(path)
     assert back.X.dtype == np.float32
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.given_labels, ds.given_labels)
-    assert np.array_equal(back.true_labels, ds.true_labels)
     assert np.array_equal(back.provenance, ds.provenance)
+    assert back.true_labels[3] == NO_LABEL
+    assert np.array_equal(back.true_labels, ds.true_labels)
     assert back.num_classes == 4
     assert back.grid_shape == (16, 16)
 
@@ -315,13 +334,29 @@ def test_dataset_file_corruption_detected(tmp_path):
 
 def test_dataset_version_1_is_not_read(tmp_path):
     # version 1 held X as float64
-    assert DATASET_VERSION == 2
+    assert DATASET_VERSION == 3
     path = tmp_path / "ds.bin"
     save_dataset(str(path), generate_synthetic(10, 2, seed=18))
     old = bytearray(path.read_bytes())
     old[8] = 1
     path.write_bytes(bytes(old))
-    with pytest.raises(FormatError, match="version 1 is not the supported version 2"):
+    with pytest.raises(FormatError, match="version 1 is not the supported version 3"):
+        load_dataset(str(path))
+
+
+def test_dataset_version_2_is_not_read(tmp_path):
+    # version 2 stored the true labels after the provenance
+    ds = generate_synthetic(10, 2, 2, 2, seed=18)
+    w = ContainerWriter(DATASET_MAGIC, 2)
+    w.pack("<QQI", 10, 4, 2)
+    w.pack("<BII", 1, 2, 2)
+    w.array(ds.X, np.float32)
+    w.array(ds.given_labels, np.int32)
+    w.array(ds.provenance, np.uint8)
+    w.array(ds.true_labels, np.int32)
+    path = tmp_path / "v2.bin"
+    w.save(path)
+    with pytest.raises(FormatError, match="version 2 is not the supported version 3"):
         load_dataset(str(path))
 
 
@@ -349,20 +384,44 @@ def test_save_dataset_refuses_a_label_changed_out_of_range(tmp_path):
     assert not path.exists()
 
 
+def test_save_dataset_refuses_a_provenance_changed_out_of_range(tmp_path):
+    ds = generate_synthetic(10, 4, seed=20)
+    ds.provenance[7] = 9
+    path = tmp_path / "ds.bin"
+    with pytest.raises(ContractError, match=r"provenance\[7\] = 9 outside \[0, 3\)"):
+        save_dataset(str(path), ds)
+    assert not path.exists()
+
+
+def _write_unchecked(path, ds):
+    """ds in a well-framed dataset file, without save_dataset's checks."""
+    w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
+    w.pack("<QQI", len(ds), ds.dim, ds.num_classes)
+    w.pack("<BII", 1, *ds.grid_shape)
+    w.array(ds.X, np.float32)
+    w.array(ds.given_labels, np.int32)
+    w.array(ds.provenance, np.uint8)
+    w.save(path)
+
+
 def test_a_well_framed_dataset_with_a_bad_label_is_a_format_error(tmp_path):
     # framing and crc are sound; the content is not a Dataset
     ds = generate_synthetic(10, 4, seed=20)
-    w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
-    w.pack("<QQI", 10, 256, 4)
-    w.pack("<BII", 1, 16, 16)
-    w.array(ds.X, np.float32)
-    w.array(np.where(np.arange(10) == 2, NO_LABEL, ds.given_labels), np.int32)
-    w.array(ds.provenance, np.uint8)
-    w.array(ds.true_labels, np.int32)
+    ds.given_labels[2] = NO_LABEL
     path = tmp_path / "labels.bin"
-    w.save(path)
+    _write_unchecked(path, ds)
     with pytest.raises(FormatError,
                        match=r"labels\.bin: given_labels\[2\] = -1 outside \[0, 4\)"):
+        load_dataset(str(path))
+
+
+def test_a_well_framed_dataset_with_a_bad_provenance_is_a_format_error(tmp_path):
+    ds = generate_synthetic(10, 4, seed=20)
+    ds.provenance[2] = 9
+    path = tmp_path / "provenance.bin"
+    _write_unchecked(path, ds)
+    with pytest.raises(FormatError,
+                       match=r"provenance\.bin: provenance\[2\] = 9 outside \[0, 3\)"):
         load_dataset(str(path))
 
 
@@ -376,7 +435,6 @@ def test_dataset_without_the_grid_flag_is_rejected(tmp_path, flag):
     w.array(ds.X, np.float32)
     w.array(ds.given_labels, np.int32)
     w.array(ds.provenance, np.uint8)
-    w.array(ds.true_labels, np.int32)
     path = tmp_path / "flag.bin"
     w.save(path)
     with pytest.raises(FormatError, match=f"has_shape flag {flag} is not 1"):

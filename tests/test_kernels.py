@@ -36,22 +36,26 @@ def _adam_update_loop(p, g, m, v, lr, b1, b2, eps, c1, c2):
         p[i] = p[i] - lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
 
 
-def _line_blur_loop(grid, dys, dxs):
-    def reflect(i, n):
-        i = abs(i)
-        while i > n - 1:
-            i = abs(2 * (n - 1) - i)
-        return i
+def _reflect(i, n):
+    """Reflect-101 index i onto range(n); a one-pixel axis has only index 0."""
+    if n == 1:
+        return 0
+    i = abs(i)
+    while i > n - 1:
+        i = abs(2 * (n - 1) - i)
+    return i
 
+
+def _line_blur_loop(grid, dys, dxs):
     h, w = grid.shape
     k = dys.size
     wgt = 1.0 / k
     out = np.zeros((h, w))
     for t in range(k):
         for i in range(h):
-            yy = reflect(i + dys[t], h)
+            yy = _reflect(i + dys[t], h)
             for j in range(w):
-                out[i, j] += wgt * grid[yy, reflect(j + dxs[t], w)]
+                out[i, j] += wgt * grid[yy, _reflect(j + dxs[t], w)]
     return out
 
 
@@ -250,7 +254,9 @@ def test_line_blur_matches_loop_oracle():
                           _line_blur_loop(grid, dys, dxs))
 
 
-@pytest.mark.parametrize("shape", [(5, 16, 16), (3, 7, 11), (1, 6, 5)])
+# one-pixel axes, and two- and three-pixel ones the taps pass more than once
+@pytest.mark.parametrize("shape", [(5, 16, 16), (3, 7, 11), (1, 6, 5), (2, 1, 1), (2, 1, 7),
+                                   (2, 6, 1), (2, 2, 3), (2, 3, 2)])
 def test_stacked_line_blur_matches_loop_oracle_per_grid(shape):
     rng = np.random.default_rng(sum(shape))
     grids = rng.random(shape)
@@ -275,18 +281,11 @@ def test_line_blur_reflect_padding_pixel_oracle():
     dys = np.array([0, 0, 0], dtype=np.int64)
     dxs = np.array([-1, 0, 1], dtype=np.int64)
     out = K.line_blur(grid, dys, dxs)
-
-    def reflect(i, n):
-        i = abs(i)
-        while i > n - 1:
-            i = abs(2 * (n - 1) - i)
-        return i
-
     for i in range(6):
         for j in range(5):
             acc = 0.0
             for t in range(3):
-                acc += grid[reflect(i + dys[t], 6), reflect(j + dxs[t], 5)] / 3.0
+                acc += grid[_reflect(i + dys[t], 6), _reflect(j + dxs[t], 5)] / 3.0
             assert out[i, j] == pytest.approx(acc, rel=1e-12)
 
 

@@ -1,12 +1,21 @@
 """Noise injection invariants and per-kind transform oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inscorr import kernels
-from inscorr.data import NO_LABEL, Provenance, generate_ood_source, generate_synthetic
+from inscorr.data import (
+    NO_LABEL,
+    Provenance,
+    generate_ood_source,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
 from inscorr.errors import CapacityError, ContractError
 from inscorr.noise import (
     ALL_ROUTES,
@@ -153,6 +162,18 @@ def test_fog_fades_top_rows_more():
     assert out[0, 0] == pytest.approx(0.8)
 
 
+def test_fog_with_a_huge_decay_warns_nothing():
+    # decay * row overflows to inf below row 1, where the haze is exp(-inf) = 0
+    grid = fixed_grid(6, 5, seed=4)
+    spec = NoiseSpec(fog_decay=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = corruption_transform(grid, NoiseKind.FOG, spec, np.random.default_rng(0))
+    t = spec.fog_intensity
+    assert np.array_equal(out[0], (1.0 - t) * grid[0] + t * 1.0)
+    assert np.array_equal(out[1:], grid[1:])
+
+
 def test_motion_blur_smears_point_along_angle():
     grid = np.zeros((9, 9))
     grid[4, 4] = 0.9
@@ -272,6 +293,26 @@ def test_inject_corruption_rate_bounds():
     assert np.all(zero.provenance == Provenance.CLEAN)
 
 
+@pytest.mark.parametrize("route", ALL_ROUTES)
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.6])
+def test_true_labels_follow_provenance_on_every_route(tmp_path, route, rate):
+    ds = generate_synthetic(60, 4, 8, 8, seed=44)
+    pool = generate_ood_source(60, 8, 8, seed=45, rows=pool_sources(60, 60, rate, seed=46))
+    out = apply_noise(ds, route, rate, SPEC, seed=46, pool=pool)
+    hit = out.provenance != Provenance.CLEAN
+    assert hit.sum() == _half_up(rate * 60)
+    open_set = out.provenance == Provenance.OPEN_SET
+    assert np.array_equal(open_set, hit if route == "open_set" else np.zeros(60, bool))
+    # a clean or corrupted row keeps its class; a pool row has none
+    assert np.array_equal(out.true_labels[~open_set], ds.given_labels[~open_set])
+    assert np.all(out.true_labels[open_set] == NO_LABEL)
+    path = str(tmp_path / "noisy.inscd")
+    save_dataset(path, out)
+    back = load_dataset(path)
+    for name in ("X", "given_labels", "provenance", "true_labels"):
+        assert np.array_equal(getattr(back, name), getattr(out, name)), name
+
+
 # -- open-set replacement ---------------------------------------------------
 
 def test_inject_open_set_counts_balance_and_truth():
@@ -333,7 +374,6 @@ def test_inject_open_set_capacity_errors():
 
     lopsided = generate_synthetic(40, 4, seed=24)
     lopsided.given_labels[:] = 0
-    lopsided.true_labels[:] = 0
     pool = generate_ood_source(40, seed=25)
     with pytest.raises(CapacityError, match="class"):
         inject_open_set(lopsided, pool[pool_sources(40, 40, 0.5, seed=26)], 0.5, seed=26)

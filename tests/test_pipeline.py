@@ -172,7 +172,7 @@ class TestPrepareData:
         finally:
             tracemalloc.stop()
         returned = sum(a.nbytes for ds in data
-                       for a in (ds.X, ds.given_labels, ds.true_labels, ds.provenance))
+                       for a in (ds.X, ds.given_labels, ds.provenance))
         assert sum(len(ds) for ds in data) == 3000
         over = (peak - returned) / 2**20
         assert over <= 4.0, f"peak {over:.2f} MiB above the returned sets"
@@ -188,7 +188,7 @@ class TestEvaluate:
 
     def test_rejects_unlabeled_instances(self):
         ds = generate_synthetic(20, 4, 8, 8, seed=3)
-        ds.true_labels[4] = NO_LABEL
+        ds.provenance[4] = Provenance.OPEN_SET
         model = Model.init(tiny_config().model_spec(), seed=0)
         with pytest.raises(ContractError, match="true label"):
             evaluate(model, ds)
@@ -206,8 +206,7 @@ def duplicated_dataset(n, seed=0):
     base = generate_synthetic(1, 4, 8, 8, seed=seed)
     X = np.repeat(base.X, n, axis=0)
     labels = np.repeat(base.given_labels, n)
-    return Dataset(X, labels.copy(), labels.copy(),
-                   np.zeros(n, dtype=np.uint8), 4, (8, 8))
+    return Dataset(X, labels.copy(), np.zeros(n, dtype=np.uint8), 4, (8, 8))
 
 
 class TestPartition:
