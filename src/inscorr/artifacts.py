@@ -112,11 +112,7 @@ def write_run(resolved, root, cache=None):
         for name, blob in files.items():
             (tmp_dir / name).write_bytes(blob)
         files["model.ckpt"] = save_checkpoint(
-            tmp_dir / "model.ckpt",
-            result.model,
-            result.optimizer,
-            epoch=len(result.metrics),
-            seed=cfg.seed_epochs,
+            tmp_dir / "model.ckpt", result.model, result.optimizer
         )
 
         manifest = {

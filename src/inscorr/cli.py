@@ -43,7 +43,8 @@ from .sweep import sweep
 
 # (high, as printed) for a list flag whose values lie in [0, high]
 _FRACTION = (1, "[0, 1]")
-_SEED = (2**63 - 1, "[0, 2**63)")
+# a seed only feeds numpy's seed sequence, which takes any size
+_SEED = (float("inf"), "[0, inf)")
 
 
 def _split(args, flag, parse=str, bounds=None):

@@ -109,9 +109,8 @@ _RULES = (
         "noise.resolution_factor", "noise.blur_length", "selection.ramp_epochs",
         "training.batch_size")),
     ("data.num_classes", lambda v: v >= 2, "be at least 2"),
-    # labels are int32, and the checkpoint stores seed_epochs as an int64
+    # labels are int32
     ("data.num_classes", lambda v: v <= 2**31, "be at most 2**31"),
-    ("seeds.epochs", lambda v: v < 2**63, "be below 2**63"),
     *((dotted, lambda v: v >= 0, "be non-negative") for dotted in (
         "noise.gaussian_sigma", "noise.fog_decay", "attack.steps", "training.warmup_epochs",
         "training.total_epochs", *(f"seeds.{stream}" for stream in DEFAULT_CONFIG["seeds"]))),

@@ -83,11 +83,15 @@ class ContainerReader:
         dtype = np.dtype(dtype)
         # Python ints: a declared shape too large for int64 must still
         # compare as too large rather than wrap
-        count = math.prod(int(s) for s in shape)
+        shape = tuple(int(s) for s in shape)
+        count = math.prod(shape)
         size = count * dtype.itemsize
-        if self._pos + size > self._end:
+        # no dimension may be longer than the body either: zero-width rows
+        # take no bytes, but numpy cannot shape more than int64 of them
+        if self._pos + size > self._end or max(shape, default=0) > self._end:
             raise FormatError(
-                f"needed {size} bytes at offset {self._pos}, body ends at {self._end}"
+                f"needed {size} bytes for shape {shape} at offset {self._pos},"
+                f" body ends at {self._end}"
             )
         arr = np.frombuffer(self._raw, dtype=dtype, count=count, offset=self._pos)
         self._pos += size

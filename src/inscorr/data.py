@@ -17,13 +17,13 @@ clean, swapped in from the out-of-distribution pool (label kept, truth
 gone), or corrupted in place (pixels damaged, class unchanged). The true
 labels derive from it: the given label on every row but an OPEN_SET one.
 
-Dataset container (version 3), fields after magic+version:
-    n u64 | d u64 | num_classes u32 | has_shape u8 | h u32 | w u32
-    (has_shape is 1: every Dataset has a grid; any other flag is rejected)
-    X float32 row-major [n, d]
+Dataset container (version 4), fields after magic+version:
+    n u64 | num_classes u32 | h u32 | w u32
+    X float32 row-major [n, h * w]
     given_labels int32 [n]      (always a class in [0, num_classes))
     provenance uint8 [n]        (always a Provenance in [0, 3))
-Versions 1 (float64 X) and 2 (with stored true labels) are no longer read.
+Versions 1 (float64 X), 2 (with stored true labels) and 3 (with a row
+width beside h and w, and a flag that had to be 1) are no longer read.
 """
 
 import enum
@@ -35,7 +35,7 @@ from .containers import ContainerReader, ContainerWriter, read_file
 from .errors import ContractError, FormatError
 
 DATASET_MAGIC = b"INSCDSET"
-DATASET_VERSION = 3
+DATASET_VERSION = 4
 
 NO_LABEL = -1
 
@@ -57,22 +57,26 @@ class Dataset:
     def __post_init__(self):
         # any X given is rounded to float32, the one dtype of X
         self.X = np.asarray(self.X, dtype=np.float32)
-        self.given_labels = np.asarray(self.given_labels, dtype=np.int32)
-        self.provenance = np.asarray(self.provenance, dtype=np.uint8)
         if self.X.ndim != 2:
             raise ContractError(f"X must be 2-D, got shape {self.X.shape}")
         n = self.X.shape[0]
-        # a given label is always a class, a provenance always a Provenance
-        for name, arr, high in (("given_labels", self.given_labels, self.num_classes),
-                                ("provenance", self.provenance, len(Provenance))):
+        # a given label is always a class, a provenance always a Provenance;
+        # checked as given, since the casts would wrap 2**32 or 256 to 0
+        # and truncate 1.5 to 1
+        for name, high, dtype in (("given_labels", self.num_classes, np.int32),
+                                  ("provenance", len(Provenance), np.uint8)):
+            arr = np.asarray(getattr(self, name))
             if arr.shape != (n,):
                 raise ContractError(
                     f"{name} shape {arr.shape} does not match {n} instances"
                 )
             bad = (arr < 0) | (arr >= high)
+            if arr.dtype.kind == "f":
+                bad |= arr != np.floor(arr)
             if bad.any():
                 i = int(np.argmax(bad))
-                raise ContractError(f"{name}[{i}] = {int(arr[i])} outside [0, {high})")
+                raise ContractError(f"{name}[{i}] = {arr[i]} is not an integer in [0, {high})")
+            setattr(self, name, arr.astype(dtype, copy=False))
         h, w = self.grid_shape
         self.grid_shape = (int(h), int(w))
         if h * w != self.X.shape[1]:
@@ -312,9 +316,7 @@ def save_dataset(path, ds):
     # is a ContractError here, not a file load_dataset rejects
     ds = replace(ds)
     w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
-    n, d = ds.X.shape
-    w.pack("<QQI", n, d, ds.num_classes)
-    w.pack("<BII", 1, *ds.grid_shape)
+    w.pack("<QIII", len(ds), ds.num_classes, *ds.grid_shape)
     w.array(ds.X, np.float32)
     w.array(ds.given_labels, np.int32)
     w.array(ds.provenance, np.uint8)
@@ -323,15 +325,14 @@ def save_dataset(path, ds):
 
 def load_dataset(path):
     r = ContainerReader(read_file(path), DATASET_MAGIC, DATASET_VERSION)
-    n, d, num_classes = r.unpack("<QQI")
-    has_shape, h, wdt = r.unpack("<BII")
-    if has_shape != 1:
-        raise FormatError(f"has_shape flag {has_shape} is not 1: every dataset has a grid")
-    X = r.array(np.float32, (int(n), int(d)))
-    given = r.array(np.int32, (int(n),))
-    prov = r.array(np.uint8, (int(n),))
+    n, num_classes, h, wdt = r.unpack("<QIII")
+    # the row width in Python ints, so that an n * h * w past int64 still
+    # reads as more than the body holds
+    X = r.array(np.float32, (n, h * wdt))
+    given = r.array(np.int32, (n,))
+    prov = r.array(np.uint8, (n,))
     r.finish()
     try:
-        return Dataset(X, given, prov, int(num_classes), (h, wdt))
+        return Dataset(X, given, prov, num_classes, (h, wdt))
     except ContractError as error:
         raise FormatError(f"{path}: {error}") from error

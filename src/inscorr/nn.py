@@ -21,17 +21,17 @@ each cached output (a kept subset of a batch) without running forward
 again. Evaluation (predict, per_example_losses) takes the logits from
 the same forward().
 
-Checkpoint container (version 2), fields in order after magic+version:
+Checkpoint container (version 3), fields in order after magic+version:
     input_dim u64 | n_hidden u32 | hidden widths u64 each | num_classes u32
     parameter dtype u8 (1 = float32, 2 = float64)
-    per layer, input to output: W row-major, then b, in that dtype
+    Model.flat: per layer, input to output, W row-major, then b, in that dtype
     optimizer kind u8 (1 = sgd, 2 = adam) | learning rate f64
-    adam only: beta1 f64 | beta2 f64 | eps f64 | step count u64
-               then per parameter (same order as layers, W before b):
-               first-moment array, second-moment array, in that dtype
-    epoch u64 | experiment seed i64
-Version 1, which had no dtype code and held float64 throughout, is no
-longer read.
+    adam only: step count u64 | first-moment vector | second-moment vector,
+               each laid out as Model.flat, in that dtype
+Adam's betas and eps are constants of the class, so no file stores them.
+Version 1 (float64 without a dtype code) and version 2 (with Adam's
+constants, per-parameter interleaved moments and an epoch/seed trailer)
+are no longer read.
 """
 
 import math
@@ -44,7 +44,7 @@ from .containers import ContainerReader, ContainerWriter, read_file
 from .errors import ContractError, FormatError
 
 CHECKPOINT_MAGIC = b"INSCCKPT"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _DTYPE_CODE = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _CODE_DTYPE = {v: k for k, v in _DTYPE_CODE.items()}
@@ -223,28 +223,29 @@ class Sgd:
 
 
 class Adam:
-    """Adam over the flat parameter vector. Its moments are flat vectors
-    too, allocated in the parameters' dtype at the first step or save for
-    the parameter shapes of that model; a model of other shapes is refused
-    from then on. The kernel sets a first moment to 0 once its step
-    lr * |m| falls below the dtype's smallest normal, so the moments hold no
-    subnormals. The step that flush skips could move only a parameter
-    within about 2e-22 of 0 (float32, eps 1e-8); every other parameter moves
-    bitwise as without it."""
+    """Adam over the flat parameter vector, with the constants below for
+    every run. Its moments are flat vectors too, allocated in the
+    parameters' dtype at the first step or save for the parameter shapes of
+    that model; a model of other shapes is refused from then on. The
+    kernel sets a first moment to 0 once its step lr * |m| falls below the
+    dtype's smallest normal, so the moments hold no subnormals. The step
+    that flush skips could move only a parameter within about 2e-22 of 0
+    (float32, eps 1e-8); every other parameter moves bitwise as without
+    it."""
 
     kind = "adam"
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=0.001):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self._shapes = self._m = self._v = None
 
     def clone(self):
         """An independent copy, with moment vectors of its own."""
-        twin = Adam(self.lr, self.beta1, self.beta2, self.eps)
+        twin = Adam(self.lr)
         twin.step_count = self.step_count
         if self._m is not None:
             twin._shapes, twin._m, twin._v = self._shapes, self._m.copy(), self._v.copy()
@@ -285,7 +286,7 @@ def make_optimizer(kind, lr):
     return OPTIMIZERS[kind](lr)
 
 
-def save_checkpoint(path, model, optimizer, epoch, seed):
+def save_checkpoint(path, model, optimizer):
     w = ContainerWriter(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     spec = model.spec
     w.pack("<Q", spec.input_dim)
@@ -300,19 +301,15 @@ def save_checkpoint(path, model, optimizer, epoch, seed):
     w.pack("<d", optimizer.lr)
     if optimizer.kind == "adam":
         m, v = optimizer._moments(model)
-        w.pack("<ddd", optimizer.beta1, optimizer.beta2, optimizer.eps)
         w.pack("<Q", optimizer.step_count)
-        for m_p, v_p in zip(_views(m, model.shapes), _views(v, model.shapes)):
-            w.array(m_p, dtype)
-            w.array(v_p, dtype)
-    w.pack("<Q", epoch)
-    w.pack("<q", seed)
+        w.array(m, dtype)
+        w.array(v, dtype)
     return w.save(path)
 
 
 def load_checkpoint(path):
-    """Returns (model, optimizer, epoch, seed), the model's parameters and
-    the optimizer's moments in the dtype the checkpoint records."""
+    """Returns (model, optimizer), the model's parameters and the
+    optimizer's moments in the dtype the checkpoint records."""
     r = ContainerReader(read_file(path), CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     (input_dim,) = r.unpack("<Q")
     (n_hidden,) = r.unpack("<I")
@@ -328,23 +325,17 @@ def load_checkpoint(path):
         raise FormatError(f"unknown parameter dtype code {dtype_code} in checkpoint")
     # the parameters are read, size-checked against the body, before
     # anything of the declared shape is allocated
-    model = Model(spec, r.array(dtype, (sum(math.prod(s) for s in spec.shapes()),)))
+    shape = (sum(math.prod(s) for s in spec.shapes()),)
+    model = Model(spec, r.array(dtype, shape))
     (kind_code,) = r.unpack("<B")
     kind = _OPT_CODE_KIND.get(kind_code)
     if kind is None:
         raise FormatError(f"unknown optimizer code {kind_code} in checkpoint")
     (lr,) = r.unpack("<d")
+    opt = OPTIMIZERS[kind](lr)
     if kind == "adam":
-        beta1, beta2, eps = r.unpack("<ddd")
-        opt = Adam(lr, beta1, beta2, eps)
         (opt.step_count,) = r.unpack("<Q")
-        m, v = opt._moments(model)
-        for m_p, v_p in zip(_views(m, model.shapes), _views(v, model.shapes)):
-            m_p[...] = r.array(dtype, m_p.shape)
-            v_p[...] = r.array(dtype, v_p.shape)
-    else:
-        opt = Sgd(lr)
-    (epoch,) = r.unpack("<Q")
-    (seed,) = r.unpack("<q")
+        opt._shapes = model.shapes
+        opt._m, opt._v = r.array(dtype, shape), r.array(dtype, shape)
     r.finish()
-    return model, opt, int(epoch), int(seed)
+    return model, opt

@@ -1,11 +1,14 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and checks for the test suite.
 
-These are deliberately naive reference implementations (python loops,
-central differences) kept independent of the package internals so they
-can serve as ground truth.
+The oracles are deliberately naive reference implementations (python
+loops, central differences) kept independent of the package internals so
+they can serve as ground truth.
 """
 
 import numpy as np
+import pytest
+
+from inscorr.errors import FormatError
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -42,3 +45,17 @@ def softmax_rows(z):
         e = np.exp(row)
         out[i] = e / e.sum()
     return out
+
+
+def assert_every_damage_is_a_format_error(raw, path, load):
+    """load(path) raises FormatError, and nothing else, for raw cut short at
+    every offset and for raw with any one byte flipped (XOR 0xFF)."""
+    damaged = [raw[:cut] for cut in range(len(raw))]
+    for i in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[i] ^= 0xFF
+        damaged.append(bytes(flipped))
+    for blob in damaged:
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            load(path)

@@ -221,8 +221,7 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     (f"data.n_train=10 data.n_test=10 model.hidden=[{2**52}]", "model.hidden"),
     (f"model.hidden=[64,{2**51}]", "model.hidden"),
     (f"data.n_test={2**40} model.hidden=[{2**23}]", "model.hidden"),
-    # checkpoints store seeds.epochs as an int64, and labels are int32
-    (f"seeds.epochs={2**63}", "seeds.epochs"),
+    # labels are int32
     (f"data.num_classes={2**31 + 1} noise.route=fog", "data.num_classes"),
 ])
 def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
@@ -295,14 +294,15 @@ def test_resolve_accepts_integers_for_numbers():
     out = resolve_config(apply_overrides(load_config(), [
         "training.lambda=1", "attack.step_size=1", "selection.tau=0", f"model.lr={2**1000}",
         f"data.n_test={2**52 - 1}", f"attack.steps={2**63 - 1}", f"seeds.data={10**400}",
-        f"seeds.epochs={2**63 - 1}", f"data.num_classes={2**31}", "noise.route=fog",
+        f"seeds.epochs={10**400}", f"data.num_classes={2**31}", "noise.route=fog",
     ]))
     assert out["training"]["lambda"] == 1 and out["attack"]["step_size"] == 1
     # the most 16 x 16 float64 rows one numpy array holds
-    assert out["data"]["n_test"] == 2**52 - 1 and out["seeds"]["data"] == 10**400
-    # the largest int64, on a key no array size bounds, and on the seed a
-    # checkpoint stores; the most classes int32 labels hold
-    assert out["attack"]["steps"] == 2**63 - 1 and out["seeds"]["epochs"] == 2**63 - 1
+    assert out["data"]["n_test"] == 2**52 - 1
+    assert out["seeds"]["data"] == out["seeds"]["epochs"] == 10**400
+    # the largest int64, on a key no array size bounds; the most classes
+    # int32 labels hold
+    assert out["attack"]["steps"] == 2**63 - 1
     assert out["data"]["num_classes"] == 2**31
 
 

@@ -1,5 +1,9 @@
 """Synthetic data properties, splits, and container round trips."""
 
+import math
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +25,8 @@ from inscorr.data import (
     split_validation,
 )
 from inscorr.errors import ContractError, FormatError
+
+from helpers import assert_every_damage_is_a_format_error
 
 
 def linear_probe_accuracy(train, test):
@@ -217,8 +223,23 @@ def test_dataset_label_validation():
 @pytest.mark.parametrize("bad", [len(Provenance), 9, 200])
 def test_a_provenance_is_always_a_provenance(bad):
     X = np.zeros((3, 4))
-    with pytest.raises(ContractError, match=rf"provenance\[1\] = {bad} outside \[0, 3\)"):
+    with pytest.raises(ContractError,
+                       match=rf"provenance\[1\] = {bad} is not an integer in \[0, 3\)"):
         Dataset(X, np.array([0, 1, 1]), np.array([0, bad, 1]), 3, (2, 2))
+
+
+@pytest.mark.parametrize("labels, provenance, match", [
+    # int32 would wrap 2**32 to 0, uint8 256 to 0 and -255 to 1
+    (np.array([0, 2**32]), np.array([256, -255]), r"given_labels\[1\] = 4294967296 "),
+    (np.array([0, 1]), np.array([256, -255]), r"provenance\[0\] = 256 "),
+    # a cast would truncate 1.5 to 1
+    (np.array([0, 1.5]), np.zeros(2), r"given_labels\[1\] = 1\.5 "),
+    (np.array([0, np.nan]), np.zeros(2), r"given_labels\[1\] = nan "),
+    (np.zeros(2), np.array([0.0, 1.5]), r"provenance\[1\] = 1\.5 "),
+])
+def test_labels_and_provenance_are_checked_before_the_cast(labels, provenance, match):
+    with pytest.raises(ContractError, match=match + r"is not an integer in \[0, 3\)"):
+        Dataset(np.zeros((2, 4)), labels, provenance, 3, (2, 2))
 
 
 def test_true_labels_derive_from_provenance_and_are_read_only():
@@ -237,7 +258,8 @@ def test_true_labels_derive_from_provenance_and_are_read_only():
 def test_a_given_label_is_always_a_class():
     # NO_LABEL marks only the true label of a row from the out-of-distribution pool
     X = np.zeros((3, 4))
-    with pytest.raises(ContractError, match=r"given_labels\[2\] = -1 outside \[0, 3\)"):
+    with pytest.raises(ContractError,
+                       match=r"given_labels\[2\] = -1 is not an integer in \[0, 3\)"):
         Dataset(X, np.array([0, 1, NO_LABEL]), np.zeros(3), 3, (2, 2))
 
 
@@ -315,6 +337,31 @@ def test_dataset_round_trip_exact(tmp_path):
     assert back.grid_shape == (16, 16)
 
 
+def _reference_dataset_bytes(ds):
+    """Dataset format v4 written field by field, with struct and zlib alone."""
+    out = b"INSCDSET" + struct.pack("<IQIII", 4, len(ds), ds.num_classes, *ds.grid_shape)
+    out += b"".join(row.astype("<f4").tobytes() for row in ds.X)
+    out += ds.given_labels.astype("<i4").tobytes() + ds.provenance.astype("u1").tobytes()
+    return out + struct.pack("<I", zlib.crc32(out))
+
+
+def test_dataset_file_matches_a_field_by_field_writer(tmp_path):
+    ds = generate_synthetic(12, 3, 3, 5, seed=16)
+    ds.provenance[[2, 7]] = Provenance.OPEN_SET, Provenance.CORRUPTED
+    path = tmp_path / "ds.inscd"
+    save_dataset(str(path), ds)
+    assert path.read_bytes() == _reference_dataset_bytes(ds)
+
+
+def test_every_truncation_or_flipped_byte_of_a_dataset_is_a_format_error(tmp_path):
+    ds = generate_synthetic(3, 2, 2, 2, seed=16)
+    ds.provenance[1] = Provenance.OPEN_SET
+    path = tmp_path / "small.inscd"
+    save_dataset(str(path), ds)
+    assert_every_damage_is_a_format_error(path.read_bytes(), path,
+                                          lambda p: load_dataset(str(p)))
+
+
 def test_dataset_file_corruption_detected(tmp_path):
     ds = generate_synthetic(10, 2, seed=17)
     path = tmp_path / "ds.bin"
@@ -334,13 +381,13 @@ def test_dataset_file_corruption_detected(tmp_path):
 
 def test_dataset_version_1_is_not_read(tmp_path):
     # version 1 held X as float64
-    assert DATASET_VERSION == 3
+    assert DATASET_VERSION == 4
     path = tmp_path / "ds.bin"
     save_dataset(str(path), generate_synthetic(10, 2, seed=18))
     old = bytearray(path.read_bytes())
     old[8] = 1
     path.write_bytes(bytes(old))
-    with pytest.raises(FormatError, match="version 1 is not the supported version 3"):
+    with pytest.raises(FormatError, match="version 1 is not the supported version 4"):
         load_dataset(str(path))
 
 
@@ -356,17 +403,18 @@ def test_dataset_version_2_is_not_read(tmp_path):
     w.array(ds.true_labels, np.int32)
     path = tmp_path / "v2.bin"
     w.save(path)
-    with pytest.raises(FormatError, match="version 2 is not the supported version 3"):
+    with pytest.raises(FormatError, match="version 2 is not the supported version 4"):
         load_dataset(str(path))
 
 
-@pytest.mark.parametrize("n, d", [(2**62, 4), (4, 2**62)])
+@pytest.mark.parametrize("n, d", [(2**62, 4), (4, 2**62), (2**64 - 1, 0)])
 def test_dataset_header_past_int64_is_truncation(tmp_path, n, d):
-    # n * d * 4 bytes overflows int64; the reader must still see it as
-    # more than the body holds
+    # n * d * 4 bytes overflows int64, where d = h * w is the row width the
+    # reader derives; it must still see it as more than the body holds, and
+    # so must more rows than int64 holds of width 0
+    side = math.isqrt(d)
     w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
-    w.pack("<QQI", n, d, 2)
-    w.pack("<BII", 1, 0, 0)
+    w.pack("<QIII", n, 2, side, side)
     w.array(np.zeros(64), np.float32)
     path = tmp_path / "huge.bin"
     w.save(path)
@@ -379,7 +427,8 @@ def test_save_dataset_refuses_a_label_changed_out_of_range(tmp_path):
     ds = generate_synthetic(10, 4, seed=20)
     ds.given_labels[2] = NO_LABEL
     path = tmp_path / "ds.bin"
-    with pytest.raises(ContractError, match=r"given_labels\[2\] = -1 outside \[0, 4\)"):
+    with pytest.raises(ContractError,
+                       match=r"given_labels\[2\] = -1 is not an integer in \[0, 4\)"):
         save_dataset(str(path), ds)
     assert not path.exists()
 
@@ -388,7 +437,8 @@ def test_save_dataset_refuses_a_provenance_changed_out_of_range(tmp_path):
     ds = generate_synthetic(10, 4, seed=20)
     ds.provenance[7] = 9
     path = tmp_path / "ds.bin"
-    with pytest.raises(ContractError, match=r"provenance\[7\] = 9 outside \[0, 3\)"):
+    with pytest.raises(ContractError,
+                       match=r"provenance\[7\] = 9 is not an integer in \[0, 3\)"):
         save_dataset(str(path), ds)
     assert not path.exists()
 
@@ -396,8 +446,7 @@ def test_save_dataset_refuses_a_provenance_changed_out_of_range(tmp_path):
 def _write_unchecked(path, ds):
     """ds in a well-framed dataset file, without save_dataset's checks."""
     w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
-    w.pack("<QQI", len(ds), ds.dim, ds.num_classes)
-    w.pack("<BII", 1, *ds.grid_shape)
+    w.pack("<QIII", len(ds), ds.num_classes, *ds.grid_shape)
     w.array(ds.X, np.float32)
     w.array(ds.given_labels, np.int32)
     w.array(ds.provenance, np.uint8)
@@ -410,8 +459,8 @@ def test_a_well_framed_dataset_with_a_bad_label_is_a_format_error(tmp_path):
     ds.given_labels[2] = NO_LABEL
     path = tmp_path / "labels.bin"
     _write_unchecked(path, ds)
-    with pytest.raises(FormatError,
-                       match=r"labels\.bin: given_labels\[2\] = -1 outside \[0, 4\)"):
+    with pytest.raises(FormatError, match=r"labels\.bin: given_labels\[2\] = -1"
+                                          r" is not an integer in \[0, 4\)"):
         load_dataset(str(path))
 
 
@@ -420,22 +469,21 @@ def test_a_well_framed_dataset_with_a_bad_provenance_is_a_format_error(tmp_path)
     ds.provenance[2] = 9
     path = tmp_path / "provenance.bin"
     _write_unchecked(path, ds)
-    with pytest.raises(FormatError,
-                       match=r"provenance\.bin: provenance\[2\] = 9 outside \[0, 3\)"):
+    with pytest.raises(FormatError, match=r"provenance\.bin: provenance\[2\] = 9"
+                                          r" is not an integer in \[0, 3\)"):
         load_dataset(str(path))
 
 
-@pytest.mark.parametrize("flag", [0, 2])
-def test_dataset_without_the_grid_flag_is_rejected(tmp_path, flag):
-    # every dataset has a grid, so a file is only read with flag 1
+def test_dataset_version_3_is_not_read(tmp_path):
+    # version 3 stored the row width beside h and w, and a grid flag that had to be 1
     ds = generate_synthetic(3, 2, 2, 2, seed=19)
-    w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
+    w = ContainerWriter(DATASET_MAGIC, 3)
     w.pack("<QQI", 3, 4, 2)
-    w.pack("<BII", flag, 2, 2)
+    w.pack("<BII", 1, 2, 2)
     w.array(ds.X, np.float32)
     w.array(ds.given_labels, np.int32)
     w.array(ds.provenance, np.uint8)
-    path = tmp_path / "flag.bin"
+    path = tmp_path / "v3.bin"
     w.save(path)
-    with pytest.raises(FormatError, match=f"has_shape flag {flag} is not 1"):
+    with pytest.raises(FormatError, match="version 3 is not the supported version 4"):
         load_dataset(str(path))

@@ -22,6 +22,8 @@ from inscorr.nn import (
     save_checkpoint,
 )
 
+from helpers import assert_every_damage_is_a_format_error
+
 SPEC = ModelSpec(8, (16,), 3)
 
 
@@ -239,6 +241,8 @@ class _PerParameterAdam:
 
 
 class _PerParameterSgd:
+    kind = "sgd"
+
     def __init__(self, lr):
         self.lr = lr
 
@@ -247,25 +251,21 @@ class _PerParameterSgd:
             p -= self.lr * g
 
 
-def _reference_checkpoint_bytes(model, opt, epoch, seed):
-    """Checkpoint format v2 written field by field from per-parameter arrays."""
-    w = ContainerWriter(CHECKPOINT_MAGIC, 2)
+def _reference_checkpoint_bytes(model, opt):
+    """Checkpoint format v3 written field by field, with struct and zlib
+    alone, from per-parameter arrays and a per-parameter optimizer."""
     spec = model.spec
-    w.pack("<QI", spec.input_dim, len(spec.hidden))
-    for h in spec.hidden:
-        w.pack("<Q", h)
-    w.pack("<I", spec.num_classes)
-    dtype = model.flat.dtype
-    w.pack("<B", {np.float32: 1, np.float64: 2}[dtype.type])
-    for p in _values(model):
-        w.array(p, dtype)
-    w.pack("<Bd", 2, opt.lr)
-    w.pack("<dddQ", opt.beta1, opt.beta2, opt.eps, opt.step_count)
-    for m, v in zip(opt.m, opt.v):
-        w.array(m, dtype)
-        w.array(v, dtype)
-    w.pack("<Qq", epoch, seed)
-    return w.to_bytes()
+    out = b"INSCCKPT" + struct.pack("<IQI", 3, spec.input_dim, len(spec.hidden))
+    out += b"".join(struct.pack("<Q", h) for h in spec.hidden)
+    dtype_code = {np.float32: 1, np.float64: 2}[model.flat.dtype.type]
+    out += struct.pack("<IB", spec.num_classes, dtype_code)
+    out += b"".join(p.tobytes() for p in _values(model))
+    out += struct.pack("<Bd", {"sgd": 1, "adam": 2}[opt.kind], opt.lr)
+    if opt.kind == "adam":
+        # each moment whole: the per-parameter arrays one after another
+        out += struct.pack("<Q", opt.step_count)
+        out += b"".join(m.tobytes() for m in opt.m) + b"".join(v.tobytes() for v in opt.v)
+    return out + struct.pack("<I", zlib.crc32(out))
 
 
 def _deep_problem():
@@ -281,8 +281,8 @@ def test_model_parameters_are_views_of_one_flat_vector(tmp_path):
     assert np.array_equal(model.flat, np.concatenate([p.ravel() for p in params]))
     for p in params:
         assert np.shares_memory(p, model.flat)
-    save_checkpoint(tmp_path / "ckpt.bin", model, Adam(), epoch=0, seed=0)
-    loaded, opt, _, _ = load_checkpoint(tmp_path / "ckpt.bin")
+    save_checkpoint(tmp_path / "ckpt.bin", model, Adam())
+    loaded, opt = load_checkpoint(tmp_path / "ckpt.bin")
     assert np.array_equal(loaded.flat, model.flat) and loaded.grad is None
     for p in _values(loaded):
         assert np.shares_memory(p, loaded.flat)
@@ -302,18 +302,24 @@ def test_flat_adam_matches_per_parameter_steps_bitwise(tmp_path):
         for flat, per_parameter in ((opt._m, ref_opt.m), (opt._v, ref_opt.v)):
             assert np.array_equal(flat, np.concatenate([a.ravel() for a in per_parameter]))
 
-        # checkpoint format v2: same bytes as the field-by-field writer
+        # checkpoint format v3: same bytes as the field-by-field writer
         path = tmp_path / "fused.ckpt"
-        save_checkpoint(path, fused, opt, epoch=5, seed=77)
-        assert path.read_bytes() == _reference_checkpoint_bytes(reference, ref_opt, 5, 77)
+        save_checkpoint(path, fused, opt)
+        assert path.read_bytes() == _reference_checkpoint_bytes(reference, ref_opt)
 
 
-def test_flat_sgd_matches_per_parameter_steps_bitwise():
+def test_flat_sgd_matches_per_parameter_steps_bitwise(tmp_path):
     x, labels = _deep_problem()
-    fused, reference = Model.init(DEEP, seed=5), Model.init(DEEP, seed=5)
-    _train_steps(fused, Sgd(lr=0.05), x, labels, 5)
-    _train_steps(reference, _PerParameterSgd(0.05), x, labels, 5)
-    assert np.array_equal(fused.flat, reference.flat)
+    for dtype in (np.float64, np.float32):
+        fused = Model.init(DEEP, seed=5, dtype=dtype)
+        reference = Model.init(DEEP, seed=5, dtype=dtype)
+        opt, ref_opt = Sgd(lr=0.05), _PerParameterSgd(0.05)
+        _train_steps(fused, opt, x, labels, 5)
+        _train_steps(reference, ref_opt, x, labels, 5)
+        assert np.array_equal(fused.flat, reference.flat)
+        path = tmp_path / "fused.ckpt"
+        save_checkpoint(path, fused, opt)
+        assert path.read_bytes() == _reference_checkpoint_bytes(reference, ref_opt)
 
 
 def test_adam_calls_the_kernel_once_per_step(monkeypatch):
@@ -405,7 +411,7 @@ def test_adam_rejects_a_model_with_another_parameter_count():
 
 def _checkpoint_bytes(tmp_path, model, opt):
     path = tmp_path / "state.ckpt"
-    save_checkpoint(path, model, opt, epoch=3, seed=11)
+    save_checkpoint(path, model, opt)
     return path.read_bytes()
 
 
@@ -470,17 +476,14 @@ def test_checkpoint_round_trip_exact(tmp_path):
         _train_steps(model, opt, x, labels, 5)
 
         path = tmp_path / "ckpt_roundtrip.bin"
-        save_checkpoint(path, model, opt, epoch=5, seed=123)
-        model2, opt2, epoch, seed = load_checkpoint(path)
+        save_checkpoint(path, model, opt)
+        model2, opt2 = load_checkpoint(path)
 
-        assert epoch == 5 and seed == 123
         assert model2.spec == SPEC
         assert model2.flat.dtype == opt2._m.dtype == opt2._v.dtype == dtype
         assert np.array_equal(model.flat, model2.flat)
         assert isinstance(opt2, Adam)
-        assert opt2.step_count == opt.step_count
-        assert (opt2.lr, opt2.beta1, opt2.beta2, opt2.eps) == (
-            opt.lr, opt.beta1, opt.beta2, opt.eps)
+        assert (opt2.lr, opt2.step_count) == (opt.lr, opt.step_count)
         assert np.array_equal(opt._m, opt2._m) and np.array_equal(opt._v, opt2._v)
 
 
@@ -497,8 +500,8 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     opt_h = Adam(lr=0.01)
     _train_steps(half, opt_h, x, labels, 3)
     path = tmp_path / "ckpt_resume.bin"
-    save_checkpoint(path, half, opt_h, epoch=3, seed=10)
-    resumed, opt_r, _, _ = load_checkpoint(path)
+    save_checkpoint(path, half, opt_h)
+    resumed, opt_r = load_checkpoint(path)
     _train_steps(resumed, opt_r, x, labels, 3)
 
     assert np.array_equal(straight.flat, resumed.flat)
@@ -507,8 +510,8 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
 def test_checkpoint_sgd_round_trip(tmp_path):
     model = Model.init(SPEC, seed=11)
     path = tmp_path / "ckpt_sgd.bin"
-    save_checkpoint(path, model, Sgd(lr=0.02), epoch=0, seed=1)
-    _, opt, _, _ = load_checkpoint(path)
+    save_checkpoint(path, model, Sgd(lr=0.02))
+    _, opt = load_checkpoint(path)
     assert isinstance(opt, Sgd)
     assert opt.lr == 0.02
 
@@ -516,7 +519,7 @@ def test_checkpoint_sgd_round_trip(tmp_path):
 def test_checkpoint_error_cases(tmp_path):
     model = Model.init(SPEC, seed=12)
     path = tmp_path / "ckpt_errs.bin"
-    save_checkpoint(path, model, Sgd(), epoch=1, seed=2)
+    save_checkpoint(path, model, Sgd())
     raw = open(path, "rb").read()
 
     bad_magic = b"XXXXXXXX" + raw[8:]
@@ -540,13 +543,16 @@ def test_checkpoint_error_cases(tmp_path):
     with pytest.raises(FormatError, match="container version 99 "):
         load_checkpoint(tmp_path / "ckpt_future.bin")
 
-    # version 1 held float64 without a dtype code; it is not read any more
-    assert CHECKPOINT_VERSION == 2
-    old = bytearray(raw)
-    old[8] = 1
-    open(tmp_path / "ckpt_v1.bin", "wb").write(bytes(old))
-    with pytest.raises(FormatError, match="version 1 is not the supported version 2"):
-        load_checkpoint(tmp_path / "ckpt_v1.bin")
+    # version 1 held float64 without a dtype code, version 2 Adam's
+    # constants and an epoch/seed trailer; neither is read any more
+    assert CHECKPOINT_VERSION == 3
+    for version in (1, 2):
+        old = bytearray(raw)
+        old[8] = version
+        open(tmp_path / "ckpt_old.bin", "wb").write(bytes(old))
+        with pytest.raises(FormatError,
+                           match=f"version {version} is not the supported version 3"):
+            load_checkpoint(tmp_path / "ckpt_old.bin")
 
     # parameter counts the body cannot hold fail before any allocation,
     # even when the count overflows int64
@@ -568,10 +574,19 @@ def test_checkpoint_error_cases(tmp_path):
 def test_a_well_framed_checkpoint_of_an_invalid_model_is_a_format_error(tmp_path):
     # one class, with the crc recomputed: the reader's fault, not a caller's
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, Model.init(SPEC, seed=12), Sgd(), epoch=1, seed=2)
+    save_checkpoint(path, Model.init(SPEC, seed=12), Sgd())
     raw = bytearray(path.read_bytes()[:-4])
     # magic, version, input width, hidden count, one hidden width, then classes
     struct.pack_into("<I", raw, 8 + 4 + 8 + 4 + 8, 1)
     path.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(raw)))
     with pytest.raises(FormatError, match=r"ckpt\.bin: num_classes must be at least 2, got 1"):
         load_checkpoint(path)
+
+
+def test_every_truncation_or_flipped_byte_of_a_checkpoint_is_a_format_error(tmp_path):
+    x, labels = np.random.default_rng(23).random((6, 4)), np.array([0, 1] * 3)
+    model, opt = Model.init(ModelSpec(4, (3,), 2), seed=13, dtype=np.float32), Adam(lr=0.01)
+    _train_steps(model, opt, x, labels, 2)
+    path = tmp_path / "small.ckpt"
+    assert_every_damage_is_a_format_error(save_checkpoint(path, model, opt), path,
+                                          load_checkpoint)
