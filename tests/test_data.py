@@ -487,3 +487,21 @@ def test_dataset_version_3_is_not_read(tmp_path):
     w.save(path)
     with pytest.raises(FormatError, match="version 3 is not the supported version 4"):
         load_dataset(str(path))
+
+
+@pytest.mark.parametrize("flag", [0, 2])
+def test_dataset_without_the_grid_flag_is_rejected(tmp_path, flag):
+    # the version-3 body, grid flag and row width included, labelled as the
+    # current version: the reader takes no flag, so it reads n, classes, h = 0
+    # and w = 2 from the old header and finds the rest of the body left over
+    ds = generate_synthetic(3, 2, 2, 2, seed=19)
+    w = ContainerWriter(DATASET_MAGIC, DATASET_VERSION)
+    w.pack("<QQI", 3, 4, 2)
+    w.pack("<BII", flag, 2, 2)
+    w.array(ds.X, np.float32)
+    w.array(ds.given_labels, np.int32)
+    w.array(ds.provenance, np.uint8)
+    path = tmp_path / "flag.bin"
+    w.save(path)
+    with pytest.raises(FormatError, match="57 unexpected trailing bytes in body"):
+        load_dataset(str(path))
