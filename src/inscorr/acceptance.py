@@ -33,7 +33,6 @@ from .noise import (
     NoiseSpec,
     apply_noise,
     corruption_transform,
-    pool_sources,
 )
 from .pipeline import (
     INSCORR,
@@ -341,7 +340,7 @@ def check_noise():
     spec = NoiseSpec()
     for route in (OPEN_SET,) + tuple(KIND_NAMES):
         for rate in (0.0, 0.2, 0.8):
-            pool = generate_ood_source(n, 8, 8, seed=43, rows=pool_sources(n, n, rate, 5))
+            pool = generate_ood_source(round_half_up(rate * n), 8, 8, seed=43)
             out = apply_noise(ds, route, rate, spec, seed=5, pool=pool)
             if sorted(out.given_labels) != sorted(ds.given_labels):
                 return False, f"label multiset changed for {route} at {rate}"

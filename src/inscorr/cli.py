@@ -116,7 +116,7 @@ def _grid_base(base):
     """The base config as a grid id covers it: resolved, as ids always
     were, or as given when it cannot run on its own. The grid's cells may
     still make it runnable (a fog-only grid with more classes than the
-    open_set pool allows); a job they do not fix fails when the sweep
+    open_set route allows); a job they do not fix fails when the sweep
     resolves it."""
     try:
         return resolve_config(base)

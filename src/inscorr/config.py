@@ -18,9 +18,8 @@ dataclasses, which trust their fields and only derive defaults.
 A null value means "derive the default", and is allowed where the
 field's default is None; the dataclasses derive these: selection.tau
 follows noise.rate, training.warmup_epochs is training.total_epochs // 2,
-data.pool_size matches data.n_train, and attack.step_size is
-2.5 * budget / max(steps, 1). resolve_config reads each back from the
-runnable config.
+and attack.step_size is 2.5 * budget / max(steps, 1). resolve_config
+reads each back from the runnable config.
 
 The run identity is the first 12 hex digits of the sha256 of the fully
 resolved config serialized canonically, so two configs that resolve to
@@ -50,7 +49,7 @@ _KEYS = (
     ("method", ExperimentConfig, "method"),
     *((f"model.{name}", ExperimentConfig, name) for name in ("hidden", "optimizer", "lr")),
     *((f"data.{name}", ExperimentConfig, name) for name in (
-        "n_train", "n_test", "num_classes", "height", "width", "val_fraction", "pool_size")),
+        "n_train", "n_test", "num_classes", "height", "width", "val_fraction")),
     ("noise.route", ExperimentConfig, "noise_route"),
     ("noise.rate", ExperimentConfig, "noise_rate"),
     *((f"noise.{f.name}", NoiseSpec, f.name) for f in fields(NoiseSpec)),
@@ -67,7 +66,8 @@ _KEYS = (
 _FIELDS = {dotted: next(f for f in fields(cls) if f.name == name)
            for dotted, cls, name in _KEYS}
 
-# the largest step the attack, run in float32, takes without an inf (0 * inf is NaN)
+# the largest learning rate or attack step that float32, the dtype runs
+# train and attack in, holds without an inf (0 * inf is NaN)
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -105,7 +105,7 @@ _RULES = (
     _one_of("attack.norm", (LINF, L2)),
     _one_of("training.partition_rule", PARTITION_RULES),
     *((dotted, lambda v: v >= 1, "be at least 1") for dotted in (
-        "data.n_train", "data.n_test", "data.height", "data.width", "data.pool_size",
+        "data.n_train", "data.n_test", "data.height", "data.width",
         "noise.resolution_factor", "noise.blur_length", "selection.ramp_epochs",
         "training.batch_size")),
     ("data.num_classes", lambda v: v >= 2, "be at least 2"),
@@ -116,11 +116,13 @@ _RULES = (
         "training.total_epochs", *(f"seeds.{stream}" for stream in DEFAULT_CONFIG["seeds"]))),
     *((dotted, lambda v: v > 0, "be positive") for dotted in (
         "model.lr", "attack.budget", "attack.step_size")),
-    ("attack.step_size", lambda v: v <= _FLOAT32_MAX, f"be at most float32's max {_FLOAT32_MAX}"),
+    *((dotted, lambda v: v <= _FLOAT32_MAX, f"be at most float32's max {_FLOAT32_MAX}")
+      for dotted in ("model.lr", "attack.step_size")),
     *((dotted, lambda v: 0 <= v <= 1, "lie in [0, 1]") for dotted in (
         "noise.rate", "noise.occlusion_fraction", "noise.fog_intensity", "training.lambda")),
-    *((dotted, lambda v: 0 <= v < 1, "lie in [0, 1)") for dotted in (
-        "data.val_fraction", "selection.tau")),
+    ("data.val_fraction", lambda v: 0 <= v < 1, "lie in [0, 1)"),
+    ("selection.tau", lambda v: 0 <= v < 1,
+     "lie in [0, 1) (a null selection.tau takes noise.rate)"),
 )
 
 
@@ -151,16 +153,15 @@ _CROSS_RULES = (
     # a column of data.height pixels, then one image of them
     _fits_arrays("data.height", ("height",)),
     _fits_arrays("data.width", ("height", "width")),
-    *(_fits_arrays(f"data.{key}", (key, "height", "width"))
-      for key in ("n_train", "n_test", "pool_size")),
+    *(_fits_arrays(f"data.{key}", (key, "height", "width")) for key in ("n_train", "n_test")),
     ("model.hidden", _fits_model,
      "keep its parameters, and its layer outputs over data.n_train or data.n_test rows,"
      " under 2**63 bytes at 8 bytes a value"),
     ("attack.budget",
      lambda c: c["attack"]["step_size"] is not None
-     or 2.5 * c["attack"]["budget"] / max(c["attack"]["steps"], 1) <= _FLOAT32_MAX,
+     or 0 < 2.5 * c["attack"]["budget"] / max(c["attack"]["steps"], 1) <= _FLOAT32_MAX,
      "keep the derived attack.step_size, 2.5 * budget / max(attack.steps, 1),"
-     f" at most float32's max {_FLOAT32_MAX}"),
+     f" above 0 and at most float32's max {_FLOAT32_MAX}"),
     ("training.refresh_correction",
      lambda c: not c["training"]["refresh_correction"] or c["method"] == INSCORR,
      f"be false unless method is {INSCORR}"),
@@ -171,11 +172,6 @@ _CROSS_RULES = (
      lambda c: round_half_up(c["data"]["val_fraction"] * c["data"]["n_train"])
      < c["data"]["n_train"],
      "leave at least one of data.n_train for training"),
-    # a null pool matches n_train, which always holds round(rate * n_train)
-    ("data.pool_size",
-     lambda c: c["noise"]["route"] != OPEN_SET
-     or c["data"]["pool_size"] >= round_half_up(c["noise"]["rate"] * c["data"]["n_train"]),
-     f"be at least round(noise.rate * data.n_train) on the {OPEN_SET} route"),
 )
 
 
@@ -336,7 +332,7 @@ def _check_config(cfg):
             check_pool_margins(classes)
         except ContractError as exc:
             raise ConfigError(
-                f"data.num_classes={classes} leaves no room for the open_set pool: {exc}"
+                f"data.num_classes={classes} leaves no room for the open_set bars: {exc}"
             ) from exc
 
 

@@ -2,9 +2,9 @@
 
 Instances are 16x16 (by default) grayscale grids flattened to rows of a
 float32 matrix, values in [0, 1]. In-distribution classes are oriented
-bars; the out-of-distribution pool holds shorter, noisier bars at
-angles offset from every class angle, so they share the pixel space
-and the visual family but none of the label space.
+bars; out-of-distribution rows (generate_ood_source) are shorter,
+noisier bars at angles offset from every class angle, so they share the
+pixel space and the visual family but none of the label space.
 
 float32 is the one dtype of Dataset.X, the precision runs train in. The
 generators render each block of rows in float64 and round it once into
@@ -13,9 +13,9 @@ enters the model without a cast. Code that needs float64 pixels (noise
 injection) widens the rows it works on, which is exact.
 
 Provenance records how each instance entered the training set: drawn
-clean, swapped in from the out-of-distribution pool (label kept, truth
-gone), or corrupted in place (pixels damaged, class unchanged). The true
-labels derive from it: the given label on every row but an OPEN_SET one.
+clean, swapped for an out-of-distribution row (label kept, truth gone),
+or corrupted in place (pixels damaged, class unchanged). The true labels
+derive from it: the given label on every row but an OPEN_SET one.
 
 Dataset container (version 4), fields after magic+version:
     n u64 | num_classes u32 | h u32 | w u32
@@ -116,8 +116,8 @@ class Dataset:
 # rows rendered per block: larger blocks are no faster and raise peak memory
 _BLOCK_ROWS = 64
 
-# bar shapes: class bars, then the pool's, which are shorter and noisier
-# and keep 4 to 12 degrees from every class angle
+# bar shapes: class bars, then the out-of-distribution ones, which are
+# shorter and noisier and keep 4 to 12 degrees from every class angle
 _FG = 0.92
 _BG = 0.08
 _BAR_WIDTH = 0.8
@@ -190,93 +190,61 @@ def generate_synthetic(n, num_classes, height=16, width=16, seed=0):
 
 
 def check_pool_margins(num_classes):
-    """ContractError unless the pool's angle margins fit between the class
-    angles: the outer margin may be at most half the class spacing, which
-    allows at most 7 classes."""
+    """ContractError unless the out-of-distribution angle margins fit
+    between the class angles: the outer margin may be at most half the
+    class spacing, which allows at most 7 classes."""
     if num_classes < 2:
         raise ContractError(f"num_classes must be at least 2, got {num_classes}")
     half_gap = 180.0 / num_classes / 2.0
     if _POOL_MARGIN_HI_DEG > half_gap:
         raise ContractError(
-            f"pool bars keep {_POOL_MARGIN_LO_DEG} to {_POOL_MARGIN_HI_DEG} degrees "
-            f"from every class angle, but {num_classes} classes leave {half_gap} "
-            f"on each side"
+            f"out-of-distribution bars keep {_POOL_MARGIN_LO_DEG} to {_POOL_MARGIN_HI_DEG} "
+            f"degrees from every class angle, but {num_classes} classes leave "
+            f"{half_gap} on each side"
         )
 
 
-def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4, rows=None):
-    """Bars at orientations deliberately offset from every class angle, as
-    a float32 (len(rows), height * width) array of pixel rows: the pool has
-    no labels, and its pixels are all that open-set noise reads.
+def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4):
+    """n bars at orientations deliberately offset from every class angle,
+    as a float32 (n, height * width) array of pixel rows: the rows have no
+    labels, and their pixels are all that open-set noise reads.
 
     Each instance is a bar whose angle sits 4 to 12 degrees away from
     the nearest class orientation: the same visual family as the labeled
-    classes, but orientation categories outside the label space. Pool bars are shorter and noisier than
-    class bars, so a partially trained classifier stays uncertain about
-    them instead of adopting the nearest class early.
+    classes, but orientation categories outside the label space. These
+    bars are shorter and noisier than class bars, so a partially trained
+    classifier stays uncertain about them instead of adopting the
+    nearest class early.
 
-    The pool has n rows. rows, distinct indices into it in any order,
-    picks the ones returned, in that order (all n when None): the pool
-    is drawn whole, since each row draws from the stream after the ones
-    before it, but only the picked rows are rendered and held, each with
-    the bits it has in the whole pool. With rows=noise.pool_sources(...)
-    the result is the pool inject_open_set takes.
+    Every row's class, margin, side and centre are drawn first, as
+    vectors; the pixel noise follows in row order, one block at a time,
+    so the bits do not depend on the block size.
     """
-    if n < 1:
-        raise ContractError(f"n must be positive, got {n}")
+    if n < 0:
+        raise ContractError(f"n must be non-negative, got {n}")
     check_pool_margins(num_classes)
-    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    if (rows.ndim != 1 or np.any((rows < 0) | (rows >= n))
-            or np.unique(rows).size != rows.size):
-        raise ContractError(f"rows must be distinct indices into a pool of {n}")
-    # where[i]: the output row of pool row i, -1 for a row not picked
-    where = np.full(n, -1, dtype=np.int64)
-    where[rows] = np.arange(rows.size)
     rng = np.random.default_rng(seed)
-    spacing = np.pi / num_classes
+    k = rng.integers(num_classes, size=n)
+    u = rng.random(n)
+    side = rng.integers(2, size=n)
+    centre = rng.random((n, 2))
     # rng.uniform(low, high) computes low + (high - low) * rng.random()
-    margin_span = _POOL_MARGIN_HI_DEG - _POOL_MARGIN_LO_DEG
+    off = np.deg2rad(_POOL_MARGIN_LO_DEG + (_POOL_MARGIN_HI_DEG - _POOL_MARGIN_LO_DEG) * u)
+    theta = (k * (np.pi / num_classes) + off * (2 * side - 1)) % np.pi
     centre_span = _POOL_CENTER_JITTER - -_POOL_CENTER_JITTER
-    middle = np.array([height / 2, width / 2])
-    X = np.empty((rows.size, height * width), dtype=np.float32)
+    cy, cx = (np.array([height / 2, width / 2])
+              + (-_POOL_CENTER_JITTER + centre_span * centre)).T
+    X = np.empty((n, height * width), dtype=np.float32)
     for lo in range(0, n, _BLOCK_ROWS):
-        m = min(lo + _BLOCK_ROWS, n) - lo
-        k, side = np.empty((2, m), dtype=np.int64)
-        u = np.empty(m)
-        centre = np.empty((m, 2))
-        noise = np.empty((m, height, width))
-        # the draws stay per row, in their original order: class, margin,
-        # sign ((-1, 1)[integers(2)] is what rng.choice((-1, 1)) draws),
-        # centre y and x, pixel noise; scalar integer draws cannot be
-        # batched without changing the bits they take from the stream
-        for j in range(m):
-            k[j] = rng.integers(num_classes)
-            u[j] = rng.random()
-            side[j] = rng.integers(2)
-            rng.random(out=centre[j])
-            rng.standard_normal(out=noise[j])
-        pos = where[lo:lo + m]
-        picked = pos >= 0
-        if not picked.any():
-            continue
-        k, side, u = k[picked], side[picked], u[picked]
-        centre, noise = centre[picked], noise[picked]
-        off = np.deg2rad(_POOL_MARGIN_LO_DEG + margin_span * u) * (2 * side - 1)
-        theta = (k * spacing + off) % np.pi
-        cy, cx = (middle + (-_POOL_CENTER_JITTER + centre_span * centre)).T
+        hi = min(lo + _BLOCK_ROWS, n)
         img = _bar_image(
-            height, width, theta, cy, cx,
-            fg=1.0, bg=0.0, bar_width=_BAR_WIDTH, bar_length=_POOL_BAR_LENGTH,
+            height, width, theta[lo:hi], cy[lo:hi], cx[lo:hi],
+            fg=_FG, bg=_BG, bar_width=_BAR_WIDTH, bar_length=_POOL_BAR_LENGTH,
         )
-        img *= _FG - _BG
-        img += _BG
-        # rng.normal(0.0, scale) computes 0.0 + scale * z
-        noise *= _POOL_PIXEL_NOISE
-        noise += 0.0
-        img += noise
-        np.clip(img, 0.0, 1.0, out=img)
-        # rounded to float32 as the rows land in X
-        X[pos[picked]] = img.reshape(len(img), -1)
+        # rng.normal(0.0, scale) computes 0.0 + scale * z, and img > 0
+        img += _POOL_PIXEL_NOISE * rng.standard_normal((hi - lo, height, width))
+        # clamped in float64, rounded once to float32 as it lands in X
+        np.clip(img.reshape(hi - lo, -1), 0.0, 1.0, out=X[lo:hi])
     return X
 
 

@@ -4,10 +4,9 @@ Two injection routes, both label-preserving (the given label never
 changes; what changes is whether the instance still matches it):
 
   * open-set replacement: a class-balanced subset of instances is
-    swapped for rows of an out-of-distribution pool, a bare array of
-    pixel rows. pool_sources draws which pool rows are used before any
-    pool exists, and inject_open_set takes only those rows. The original
-    label is kept, the true label becomes absent (provenance OPEN_SET).
+    swapped for out-of-distribution rows, a bare array of pixel rows
+    holding exactly one row per replaced instance. The original label is
+    kept, the true label becomes absent (provenance OPEN_SET).
   * corruption: a uniform subset of instances is damaged in place by
     one of five pixel transforms. The true label is still the given one,
     since the underlying class is unchanged.
@@ -19,11 +18,12 @@ that differ only in kind therefore damage the same subset.
     [seed, 0]            corruption: which instances
     [seed, 1, kind]      corruption: transform randomness
     [seed, 2]            replacement: which instances per class
-    [seed, 3]            replacement: which pool entries (pool_sources)
+    [seed, 3]            replacement: the rows written (pipeline.prepare_data
+                         draws them with data.generate_ood_source)
 
 The corruptions work in float64 on the float32 rows they hit, widened
 exactly, and store their results rounded to float32, the dtype of every
-Dataset.X; the replacement route copies float32 pool rows as they are.
+Dataset.X; the replacement route copies float32 rows as they are.
 
 Degenerate parameters are exact identities: sigma 0, occlusion fraction
 0, resolution factor 1, fog intensity 0, and blur length 1 all return
@@ -143,26 +143,11 @@ def inject_corruption(ds, kind, rate, spec, seed):
     return out
 
 
-def pool_sources(pool_size, n, rate, seed):
-    """The pool rows that replace round(rate*n) of n instances, in the
-    order inject_open_set writes them: distinct draws from range(pool_size)
-    on the [seed, 3] stream. CapacityError when the pool is too small."""
-    if not 0.0 <= rate <= 1.0:
-        raise ContractError(f"rate must lie in [0, 1], got {rate}")
-    k = round_half_up(rate * n)
-    if k > pool_size:
-        raise CapacityError(
-            f"need {k} replacement instances, pool holds {pool_size}"
-        )
-    return np.random.default_rng([seed, 3]).choice(pool_size, size=k, replace=False)
-
-
 def inject_open_set(ds, pool, rate, seed):
     """Replace a class-balanced round(rate*n) subset with pool rows.
 
     pool is a 2-D array of pixel rows as wide as the dataset's, holding
-    exactly the k = round(rate*n) rows that pool_sources draws, in its
-    order (generate_ood_source's rows); any other shape raises
+    exactly the k = round(rate*n) rows to write; any other shape raises
     ContractError. They are written as they are, the i-th drawn row into
     the i-th replaced instance in ascending order. Counts per class are
     k // c with the remainder spread over seeded distinct classes; a

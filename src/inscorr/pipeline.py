@@ -50,7 +50,7 @@ from .data import (NO_LABEL, generate_ood_source, generate_synthetic, round_half
                    split_validation)
 from .errors import CapacityError, ConfigError, ContractError, NumericError
 from .nn import Model, ModelSpec, make_optimizer
-from .noise import OPEN_SET, NoiseSpec, apply_noise, pool_sources
+from .noise import OPEN_SET, NoiseSpec, apply_noise
 from .select import SelectionSchedule, k_smallest, self_teach_epoch
 
 SELECTION_ONLY = "SelectionOnly"
@@ -75,7 +75,6 @@ class ExperimentConfig:
     height: int = 16
     width: int = 16
     val_fraction: float = 0.1
-    pool_size: int = None
     noise_route: str = OPEN_SET
     noise_rate: float = 0.4
     noise_spec: NoiseSpec = field(default_factory=NoiseSpec)
@@ -98,8 +97,6 @@ class ExperimentConfig:
             object.__setattr__(self, "warmup_epochs", self.total_epochs // 2)
         if self.tau is None:
             object.__setattr__(self, "tau", self.noise_rate)
-        if self.pool_size is None:
-            object.__setattr__(self, "pool_size", self.n_train)
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
     def schedule(self):
@@ -132,13 +129,10 @@ def init_model(cfg):
 
 
 def data_key(cfg):
-    """Everything prepare_data reads: configs with equal keys get equal data.
-
-    pool_size counts only on the open_set route, the one that draws a pool.
-    """
+    """Everything prepare_data reads: configs with equal keys get equal data."""
     return (cfg.n_train, cfg.n_test, cfg.num_classes, cfg.height, cfg.width,
-            cfg.val_fraction, cfg.pool_size if cfg.noise_route == OPEN_SET else None,
-            cfg.noise_route, cfg.noise_rate, cfg.noise_spec, cfg.seed_data, cfg.seed_noise)
+            cfg.val_fraction, cfg.noise_route, cfg.noise_rate, cfg.noise_spec,
+            cfg.seed_data, cfg.seed_noise)
 
 
 def selection_epochs(cfg):
@@ -183,26 +177,26 @@ def correction_key(cfg):
 def prepare_data(cfg):
     """(train, validation, test) per the config's data key.
 
-    Noise is injected into the training pool first; the validation split
+    Noise is injected into the training set first; the validation split
     is carved from the noisy data, so validation labels are noisy too.
     Each set draws from a seed stream of its own, so the order they are
-    made in does not matter. On the open_set route the pool rows the
-    noise reads are drawn first and only they are rendered, in the order
-    they are written. Each intermediate set is dropped as soon as the
-    next step has what it needs, so at most the clean set, the drawn
-    pool rows (or one block of corrupted rows) and one noisy copy are
-    alive together. A noise rate that asks for more replacements than a
-    class holds raises ConfigError naming noise.rate.
+    made in does not matter. On the open_set route the round(rate *
+    n_train) out-of-distribution rows the noise writes are drawn on the
+    [seed_noise, 3] stream, so seed_noise decides both which rows are
+    replaced and what replaces them. Each intermediate set is dropped as
+    soon as the next step has what it needs, so at most the clean set,
+    the drawn rows (or one block of corrupted rows) and one noisy copy
+    are alive together. A noise rate that asks for more replacements
+    than a class holds raises ConfigError naming noise.rate.
     """
-    (n_train, n_test, classes, height, width, val_fraction, pool_size,
+    (n_train, n_test, classes, height, width, val_fraction,
      route, rate, spec, seed_data, seed_noise) = data_key(cfg)
     full = generate_synthetic(n_train, classes, height, width, seed=[seed_data, 0])
     pool = None
     try:
         if route == OPEN_SET:
-            sources = pool_sources(pool_size, n_train, rate, seed_noise)
-            pool = generate_ood_source(pool_size, height, width, seed=[seed_data, 2],
-                                       num_classes=classes, rows=sources)
+            pool = generate_ood_source(round_half_up(rate * n_train), height, width,
+                                       seed=[seed_noise, 3], num_classes=classes)
         noisy = apply_noise(full, route, rate, spec, seed=seed_noise, pool=pool)
     except CapacityError as error:
         raise ConfigError(f"noise.rate={rate} asks for more open_set replacements "

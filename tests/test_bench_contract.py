@@ -21,7 +21,7 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 TINY_MIX = (
     "method=Mix", "model.hidden=[8]", "data.n_train=120", "data.n_test=60",
-    "data.height=8", "data.width=8", "data.pool_size=120",
+    "data.height=8", "data.width=8",
     "noise.route=open_set", "noise.rate=0.3", "training.total_epochs=4",
     "training.warmup_epochs=2", "training.batch_size=32",
 )
@@ -59,8 +59,8 @@ def test_tracer_sees_selection_forward_and_mixed_loss(tmp_path, perfbench_layers
     # data generation is wrapped as pipeline looks it up, and Adam steps
     # the whole flat parameter vector in one kernel call
     assert metrics["data.gen_calls"] > 0
-    # the train set, the 36 pool rows it draws and the test set; 120 + 36 +
-    # 60 rows, 30% noisy
+    # the train set, the 36 out-of-distribution rows it draws and the test
+    # set; 120 + 36 + 60 rows, 30% noisy
     assert metrics["data.gen_calls"] == 3
     assert metrics["data.rows_generated"] == 216
     assert metrics["noise.rows_touched"] == 36

@@ -31,7 +31,7 @@ from inscorr.pipeline import evaluate, prepare_data
 from inscorr.sweep import sweep
 
 TINY = {
-    "data": {"n_train": 120, "n_test": 60, "pool_size": 120},
+    "data": {"n_train": 120, "n_test": 60},
     "training": {"total_epochs": 4, "warmup_epochs": 2, "batch_size": 32},
     "attack": {"steps": 3},
 }
@@ -199,7 +199,7 @@ def test_make_data_injects_requested_noise(tmp_path, capsys):
                         for name in ("train", "val", "test"))
     assert (len(train), len(val), len(test)) == (90, 10, 40)
     noisy = [int((ds.provenance != 0).sum()) for ds in (train, val, test)]
-    # 30 of the 100 training rows come from the pool; the test set is clean
+    # 30 of the 100 training rows are out-of-distribution; the test set is clean
     assert noisy[0] + noisy[1] == 30 and noisy[2] == 0
     assert np.all(train.provenance[train.provenance != 0] == Provenance.OPEN_SET)
     lines = capsys.readouterr().out.splitlines()
@@ -250,9 +250,9 @@ def test_motion_blur_along_a_one_pixel_axis_finishes(tmp_path, tiny_cfg, verb, g
     "data.height=0",
     "data.width=0",
     "data.n_train=0",
-    # the open_set pool keeps 4 to 12 degrees from class angles 22.5 apart
+    # open_set bars keep 4 to 12 degrees from class angles 22.5 apart
     "data.num_classes=8",
-    # 800 of the 2000 training rows are replaced from the pool
+    # a retired key: open_set draws its replacement rows directly
     "data.pool_size=10",
     "attack.budget=0",
 ])
@@ -324,6 +324,8 @@ def test_a_huge_integer_fails_by_key(tmp_path, capsys, verb, key, rule):
 @pytest.mark.parametrize("key,value,rule", [
     # labels are int32, so a larger count would wrap them
     ("data.num_classes", 3_000_000_000, "be at most 2**31"),
+    # runs train in float32, where this learning rate would be inf
+    ("model.lr", 1e300, f"be at most float32's max {float(np.finfo(np.float32).max)}"),
 ])
 def test_a_value_its_storage_cannot_hold_fails_by_key(tmp_path, capsys, verb, key, value, rule):
     source = ["--set", "noise.route=fog", "--set", f"{key}={value}"]
@@ -484,7 +486,7 @@ def test_a_seed_past_int64_feeds_every_stream(tmp_path, tiny_cfg):
 
 
 def test_a_base_that_only_its_cells_make_runnable_is_swept(tmp_path, tiny_cfg):
-    # the open_set pool refuses 8 classes, but no job of this grid runs open_set
+    # the open_set route refuses 8 classes, but no job of this grid runs open_set
     root = tmp_path / "runs"
     assert main(["campaign", "--config", tiny_cfg, "--output-root", str(root),
                  "--routes", "fog", "--rates", "0.4", "--methods", "SelectionOnly",

@@ -5,6 +5,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from inscorr.attack import AttackConfig
 from inscorr.config import (
@@ -94,7 +96,6 @@ def test_resolve_fills_derived_defaults():
     out = resolve_config(load_config())
     assert out["selection"]["tau"] == out["noise"]["rate"]
     assert out["training"]["warmup_epochs"] == out["training"]["total_epochs"] // 2
-    assert out["data"]["pool_size"] == out["data"]["n_train"]
     budget, steps = out["attack"]["budget"], out["attack"]["steps"]
     assert out["attack"]["step_size"] == pytest.approx(2.5 * budget / steps)
 
@@ -118,8 +119,8 @@ def test_resolve_rejects_refresh_without_correction_method():
 
 
 def test_resolve_rejects_open_set_with_too_many_classes_for_the_pool():
-    # pool bars keep 4 to 12 degrees from every class angle, and class
-    # angles 180 / 8 = 22.5 degrees apart leave only 11.25 on each side
+    # out-of-distribution bars keep 4 to 12 degrees from every class angle,
+    # and class angles 180 / 8 = 22.5 degrees apart leave only 11.25 on each side
     with pytest.raises(ConfigError, match=r"data\.num_classes"):
         resolve_config(apply_overrides(load_config(), ["data.num_classes=8"]))
     resolve_config(apply_overrides(load_config(), ["data.num_classes=7"]))
@@ -146,23 +147,21 @@ def test_resolve_rejects_an_empty_data_size_by_key(key):
 
 
 def test_size_and_seed_checks_leave_valid_hashes_alone():
-    # hashes as they were before these checks: the defaults, and every
-    # checked size at its floor
-    assert config_hash(resolve_config(load_config())) == "77b25c6c7085"
+    # hashes as they were before these checks, and since data.pool_size left
+    # the resolved config: the defaults, and every checked size at its floor
+    assert config_hash(resolve_config(load_config())) == "3f556479294c"
     floor = ["data.height=1", "data.width=1", "data.n_train=1", "data.n_test=1",
              "noise.route=fog"]
-    assert config_hash(resolve_config(apply_overrides(load_config(), floor))) == "82f8c245bad1"
-    # and every value rule at its edge, on a route that draws no pool: on
-    # open_set a pool of 1 cannot replace the 2000 rows noise.rate=1 asks for
-    edge = ["data.pool_size=1", "data.val_fraction=0", "noise.rate=1", "selection.tau=0.99",
+    assert config_hash(resolve_config(apply_overrides(load_config(), floor))) == "cabe3ce28b1f"
+    # and every value rule at its edge, on fog: on open_set noise.rate=1
+    # asks for more replacements than a class of the data holds
+    edge = ["data.val_fraction=0", "noise.rate=1", "selection.tau=0.99",
             "selection.ramp_epochs=1", "model.optimizer=sgd", "model.lr=1e-9",
             "data.num_classes=2", "noise.route=fog"]
-    assert config_hash(resolve_config(apply_overrides(load_config(), edge))) == "6f5a2708bac8"
+    assert config_hash(resolve_config(apply_overrides(load_config(), edge))) == "97813d72b13a"
 
 
 @pytest.mark.parametrize("overrides,key", [
-    ("data.pool_size=0", "data.pool_size"),
-    ("data.pool_size=-3", "data.pool_size"),
     ("data.val_fraction=1.5", "data.val_fraction"),
     ("data.val_fraction=-0.1", "data.val_fraction"),
     ("data.num_classes=1 noise.route=fog", "data.num_classes"),
@@ -175,6 +174,10 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("model.optimizer=foo", "model.optimizer"),
     ("model.lr=0", "model.lr"),
     ("model.lr=-1", "model.lr"),
+    # runs train in float32, where these learning rates round to inf
+    ("model.lr=1e300", "model.lr"),
+    ("model.lr=3.5e38 model.optimizer=sgd", "model.lr"),
+    (f"model.lr={float(np.nextafter(F32_MAX, np.inf))}", "model.lr"),
     ("model.hidden=[0]", "model.hidden"),
     ("model.hidden=[16,-2]", "model.hidden"),
     ("method=Bagging", "method"),
@@ -195,6 +198,8 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("attack.step_size=1e308", "attack.step_size"),
     (f"attack.step_size={float(np.nextafter(F32_MAX, np.inf))}", "attack.step_size"),
     (f"attack.budget={F32_MAX * 4.0 / 2.5} attack.steps=3", "attack.budget"),
+    # and this one rounds to 0
+    ("attack.budget=5e-324", "attack.budget"),
     ("training.lambda=1.5", "training.lambda"),
     ("training.total_epochs=-1", "training.total_epochs"),
     ("training.warmup_epochs=-1", "training.warmup_epochs"),
@@ -202,15 +207,12 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("training.batch_size=0", "training.batch_size"),
     ("training.partition_rule=loss_median", "training.partition_rule"),
     ("method=Mix training.refresh_correction=true", "training.refresh_correction"),
-    # open_set replaces round(0.4 * 2000) = 800 training rows from the pool
-    ("data.pool_size=799", "data.pool_size"),
     # round(0.95 * 10) = 10 validation rows leave none to train on
     ("data.val_fraction=0.95 data.n_train=10", "data.val_fraction"),
     # numpy makes no array of 2**63 bytes: at 16 x 16 float64 pixels a row,
     # that is 2**52 rows
     (f"data.n_train={2**52}", "data.n_train"),
     (f"data.n_test={2**62}", "data.n_test"),
-    (f"data.pool_size={2**52}", "data.pool_size"),
     # an image size is named before the row counts it multiplies
     (f"data.height={2**62}", "data.height"),
     (f"data.width={2**62}", "data.width"),
@@ -241,7 +243,7 @@ def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
     # integers past the float range or past int64
     *(pytest.param(f"{key}={value}", key, id=f"{key}-huge") for key, value in (
         ("model.lr", 10**400), ("data.n_train", 10**400), ("data.n_test", 10**400),
-        ("data.pool_size", 2**63), ("model.hidden", [2**63]), ("seeds.data", "1" + "0" * 5000))),
+        ("data.num_classes", 2**63), ("model.hidden", [2**63]), ("seeds.data", "1" + "0" * 5000))),
 ])
 def test_resolve_rejects_ill_typed_values_by_key(override, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
@@ -249,9 +251,6 @@ def test_resolve_rejects_ill_typed_values_by_key(override, key):
 
 
 def test_cross_key_rules_accept_their_edges():
-    resolve_config(apply_overrides(load_config(), ["data.pool_size=800"]))
-    # a pool is drawn only on the open_set route
-    resolve_config(apply_overrides(load_config(), ["data.pool_size=1", "noise.route=fog"]))
     resolve_config(apply_overrides(load_config(), ["data.val_fraction=0.94", "data.n_train=10"]))
     resolve_config(apply_overrides(load_config(), ["training.warmup_epochs=6",
                                                    "training.total_epochs=6"]))
@@ -292,11 +291,13 @@ def test_dataclass_defaults_match_default_config():
 def test_resolve_accepts_integers_for_numbers():
     # seeds feed numpy's seed sequence, which takes an integer of any size
     out = resolve_config(apply_overrides(load_config(), [
-        "training.lambda=1", "attack.step_size=1", "selection.tau=0", f"model.lr={2**1000}",
+        "training.lambda=1", "attack.step_size=1", "selection.tau=0", f"model.lr={2**127}",
         f"data.n_test={2**52 - 1}", f"attack.steps={2**63 - 1}", f"seeds.data={10**400}",
         f"seeds.epochs={10**400}", f"data.num_classes={2**31}", "noise.route=fog",
     ]))
     assert out["training"]["lambda"] == 1 and out["attack"]["step_size"] == 1
+    # the largest power of two float32, the dtype runs train in, holds
+    assert out["model"]["lr"] == 2**127
     # the most 16 x 16 float64 rows one numpy array holds
     assert out["data"]["n_test"] == 2**52 - 1
     assert out["seeds"]["data"] == out["seeds"]["epochs"] == 10**400
@@ -348,3 +349,34 @@ def test_to_experiment_config_wraps_value_errors():
         # resolve_config builds the runnable config, so it rejects the same value
         with pytest.raises(ConfigError, match=bad):
             resolve_config(resolved)
+
+
+# JSON values of every kind, leaning to the ones a key refuses: huge and
+# negative integers, floats (non-finite and subnormal ones included),
+# strings, lists, sections and null
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=8),
+    st.integers(), st.integers(min_value=2**31), st.integers(max_value=-1),
+    st.sampled_from([2**63, 2**64, 10**39, 10**400, -2**63 - 1]),
+    st.floats(), st.sampled_from([float("inf"), float("-inf"), float("nan"), 5e-324]),
+)
+_JSON = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("dotted", [dotted for dotted, _, _ in _KEYS])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(value=_JSON)
+# a null selection.tau takes noise.rate, and a subnormal attack.budget
+# derives a step size of 0
+@example(value=1)
+@example(value=5e-324)
+def test_any_value_of_a_key_resolves_or_fails_by_that_key(dotted, value):
+    cfg = load_config()
+    *section, key = dotted.split(".")
+    (cfg[section[0]] if section else cfg)[key] = value
+    try:
+        resolve_config(cfg)
+    except ConfigError as error:
+        assert dotted in str(error), str(error)

@@ -25,7 +25,6 @@ from inscorr.noise import (
     corruption_transform,
     inject_corruption,
     inject_open_set,
-    pool_sources,
 )
 
 SPEC = NoiseSpec()
@@ -81,7 +80,8 @@ def _reference_corruption(ds, kind, rate, spec, seed):
 
 
 def _reference_open_set(ds, pool, rate, seed):
-    """inject_open_set one replaced row at a time."""
+    """inject_open_set one replaced row at a time: the i-th row of pool
+    into the i-th replaced instance."""
     n, c = len(ds), ds.num_classes
     k = _half_up(rate * n)
     which = np.random.default_rng([seed, 2])
@@ -93,10 +93,9 @@ def _reference_open_set(ds, pool, rate, seed):
                      replace=False)
         for cls in range(c)
     ]))
-    sources = np.random.default_rng([seed, 3]).choice(len(pool), size=k, replace=False)
     X, true, prov = ds.X.copy(), ds.true_labels.copy(), ds.provenance.copy()
-    for dst, src in zip(targets, sources):
-        X[dst] = pool[src]
+    for dst, row in zip(targets, pool):
+        X[dst] = row
         true[dst] = NO_LABEL
         prov[dst] = Provenance.OPEN_SET
     return X, true, prov
@@ -244,8 +243,8 @@ def test_inject_corruption_matches_row_loop_reference(kind):
 @pytest.mark.parametrize("rate", [0.0, 0.3, 0.45])
 def test_inject_open_set_matches_row_loop_reference(rate):
     ds = generate_synthetic(90, 4, 12, 20, seed=32)
-    pool = generate_ood_source(80, 12, 20, seed=33)
-    out = inject_open_set(ds, pool[pool_sources(80, 90, rate, seed=34)], rate, seed=34)
+    pool = generate_ood_source(_half_up(rate * 90), 12, 20, seed=33)
+    out = inject_open_set(ds, pool, rate, seed=34)
     X, true, prov = _reference_open_set(ds, pool, rate, seed=34)
     assert np.array_equal(out.X, X)
     assert np.array_equal(out.true_labels, true)
@@ -297,13 +296,13 @@ def test_inject_corruption_rate_bounds():
 @pytest.mark.parametrize("rate", [0.0, 0.3, 0.6])
 def test_true_labels_follow_provenance_on_every_route(tmp_path, route, rate):
     ds = generate_synthetic(60, 4, 8, 8, seed=44)
-    pool = generate_ood_source(60, 8, 8, seed=45, rows=pool_sources(60, 60, rate, seed=46))
+    pool = generate_ood_source(_half_up(rate * 60), 8, 8, seed=45)
     out = apply_noise(ds, route, rate, SPEC, seed=46, pool=pool)
     hit = out.provenance != Provenance.CLEAN
     assert hit.sum() == _half_up(rate * 60)
     open_set = out.provenance == Provenance.OPEN_SET
     assert np.array_equal(open_set, hit if route == "open_set" else np.zeros(60, bool))
-    # a clean or corrupted row keeps its class; a pool row has none
+    # a clean or corrupted row keeps its class; an out-of-distribution row has none
     assert np.array_equal(out.true_labels[~open_set], ds.given_labels[~open_set])
     assert np.all(out.true_labels[open_set] == NO_LABEL)
     path = str(tmp_path / "noisy.inscd")
@@ -317,8 +316,7 @@ def test_true_labels_follow_provenance_on_every_route(tmp_path, route, rate):
 
 def test_inject_open_set_counts_balance_and_truth():
     ds = generate_synthetic(200, 4, seed=15)
-    pool = generate_ood_source(150, seed=16)
-    out = inject_open_set(ds, pool[pool_sources(150, 200, 0.4, seed=17)], 0.4, seed=17)
+    out = inject_open_set(ds, generate_ood_source(80, seed=16), 0.4, seed=17)
     hit = out.provenance == Provenance.OPEN_SET
     assert hit.sum() == 80
     # labels stay put even where the instance was swapped
@@ -333,56 +331,48 @@ def test_inject_open_set_counts_balance_and_truth():
 
 def test_inject_open_set_uses_distinct_pool_rows():
     ds = generate_synthetic(100, 4, seed=18)
-    pool = generate_ood_source(60, seed=19)
-    out = inject_open_set(ds, pool[pool_sources(60, 100, 0.5, seed=20)], 0.5, seed=20)
+    pool = generate_ood_source(50, seed=19)
+    out = inject_open_set(ds, pool, 0.5, seed=20)
     hit = np.flatnonzero(out.provenance == Provenance.OPEN_SET)
-    pool_rows = {tuple(row) for row in pool}
-    seen = set()
-    for i in hit:
-        row = tuple(out.X[i])
-        assert row in pool_rows
-        assert row not in seen
-        seen.add(row)
+    # every given row lands once
+    assert sorted(tuple(out.X[i]) for i in hit) == sorted(tuple(row) for row in pool)
+    assert len({tuple(row) for row in pool}) == 50
 
 
-@pytest.mark.parametrize("pool_size", [40, 90])
-def test_inject_open_set_writes_drawn_rows_as_given(pool_size):
-    ds = generate_synthetic(100, 4, seed=35)
-    pool = generate_ood_source(pool_size, seed=36)
-    drawn = pool[pool_sources(pool_size, 100, 0.4, seed=37)]
+@pytest.mark.parametrize("n", [40, 90])
+def test_inject_open_set_writes_drawn_rows_as_given(n):
+    ds = generate_synthetic(n, 4, seed=35)
+    k = _half_up(0.4 * n)
+    drawn = generate_ood_source(k, seed=36)
     out = inject_open_set(ds, drawn, 0.4, seed=37)
     # the i-th drawn row lands in the i-th replaced instance
     hit = np.flatnonzero(out.provenance == Provenance.OPEN_SET)
     assert np.array_equal(out.X[hit], drawn)
-    with pytest.raises(ContractError, match="40 replacement rows"):
-        inject_open_set(ds, pool[:39], 0.4, seed=37)
+    for wrong in (drawn[:-1], generate_ood_source(k + 1, seed=36)):
+        with pytest.raises(ContractError, match=f"{k} replacement rows, got {len(wrong)}"):
+            inject_open_set(ds, wrong, 0.4, seed=37)
 
 
 def test_inject_open_set_takes_only_rows_of_the_dataset_width():
     ds = generate_synthetic(100, 4, seed=38)
-    drawn = generate_ood_source(100, seed=39, rows=pool_sources(100, 100, 0.4, seed=40))
-    narrow = generate_ood_source(100, 8, 8, seed=39, rows=pool_sources(100, 100, 0.4, seed=40))
+    drawn = generate_ood_source(40, seed=39)
+    narrow = generate_ood_source(40, 8, 8, seed=39)
     for pool in (drawn.ravel(), drawn[0], narrow):
         with pytest.raises(ContractError, match="pool must be 2-D rows of dataset width 256"):
             inject_open_set(ds, pool, 0.4, seed=40)
 
 
 def test_inject_open_set_capacity_errors():
-    ds = generate_synthetic(100, 4, seed=21)
-    with pytest.raises(CapacityError, match="pool holds 10"):
-        pool_sources(10, len(ds), 0.5, seed=23)
-
     lopsided = generate_synthetic(40, 4, seed=24)
     lopsided.given_labels[:] = 0
-    pool = generate_ood_source(40, seed=25)
-    with pytest.raises(CapacityError, match="class"):
-        inject_open_set(lopsided, pool[pool_sources(40, 40, 0.5, seed=26)], 0.5, seed=26)
+    pool = generate_ood_source(20, seed=25)
+    with pytest.raises(CapacityError, match="class 1 has 0 members, cannot replace 5"):
+        inject_open_set(lopsided, pool, 0.5, seed=26)
 
 
 def test_apply_noise_dispatch():
     ds = generate_synthetic(40, 4, seed=27)
-    pool = generate_ood_source(30, seed=28)
-    drawn = pool[pool_sources(30, 40, 0.25, seed=29)]
+    drawn = generate_ood_source(10, seed=28)
     out = apply_noise(ds, "open_set", 0.25, SPEC, seed=29, pool=drawn)
     assert int(np.sum(out.provenance == Provenance.OPEN_SET)) == 10
     out2 = apply_noise(ds, "fog", 0.25, SPEC, seed=29)
@@ -392,9 +382,9 @@ def test_apply_noise_dispatch():
     with pytest.raises(ContractError, match="unknown noise route 'saltpepper'"):
         apply_noise(ds, "saltpepper", 0.25, SPEC, seed=29)
     assert "open_set" in ALL_ROUTES and "fog" in ALL_ROUTES
-    # the whole pool is not the 10 rows pool_sources draws from it
+    # 30 rows are not the 10 replaced
     with pytest.raises(ContractError, match="10 replacement rows, got 30"):
-        apply_noise(ds, "open_set", 0.25, SPEC, seed=29, pool=pool)
+        apply_noise(ds, "open_set", 0.25, SPEC, seed=29, pool=generate_ood_source(30, seed=28))
     # a route name is apply_noise's input, not inject_corruption's
     with pytest.raises(ContractError, match="corruption kind 'fog'"):
         inject_corruption(ds, "fog", 0.25, SPEC, seed=29)

@@ -18,7 +18,7 @@ from inscorr.data import (
 )
 from inscorr.errors import ConfigError, ContractError, NumericError
 from inscorr.nn import Adam, Model, ModelSpec
-from inscorr.noise import ALL_ROUTES, inject_open_set, pool_sources
+from inscorr.noise import ALL_ROUTES, inject_open_set
 from inscorr.pipeline import (
     AGREEMENT,
     INSCORR,
@@ -72,9 +72,6 @@ class TestConfig:
         cfg = tiny_config(noise_rate=0.25, tau=0.5)
         assert cfg.tau == 0.5
 
-    def test_pool_size_defaults_to_n_train(self):
-        assert tiny_config().pool_size == 120
-
     def test_warmup_defaults_to_half(self):
         cfg = tiny_config(total_epochs=8, warmup_epochs=None)
         assert cfg.warmup_epochs == 4
@@ -123,30 +120,31 @@ class TestPrepareData:
         assert np.array_equal(test.given_labels, test.true_labels)
 
     def test_open_set_pool_follows_the_class_count(self):
-        # the pool must avoid the angles of the data's own classes
+        # the out-of-distribution rows must avoid the angles of the data's
+        # own classes
         cfg = tiny_config(noise_route="open_set", num_classes=3, n_train=150,
                           val_fraction=0.0, noise_rate=0.4)
         train, _, _ = prepare_data(cfg)
         replaced = {row.tobytes() for row in train.X[train.provenance == Provenance.OPEN_SET]}
         assert len(replaced) == 60
 
-        def pool_rows(num_classes):
-            pool = generate_ood_source(150, 8, 8, seed=[cfg.seed_data, 2],
+        def ood_rows(num_classes):
+            rows = generate_ood_source(60, 8, 8, seed=[cfg.seed_noise, 3],
                                        num_classes=num_classes)
-            return {row.tobytes() for row in pool}
+            return {row.tobytes() for row in rows}
 
-        assert replaced <= pool_rows(3)
-        # the two pools share their class-0 rows, which draw the same bits
-        assert not replaced <= pool_rows(4)
+        assert replaced == ood_rows(3)
+        # the two sets may share class-0 rows, which draw the same bits
+        assert replaced != ood_rows(4)
 
-    @pytest.mark.parametrize("pool_size", [None, 48, 300])
-    def test_open_set_matches_rendering_the_whole_pool(self, pool_size):
-        # 48 is exactly the round(0.4 * 120) rows replaced
-        cfg = tiny_config(noise_route="open_set", noise_rate=0.4, pool_size=pool_size)
+    @pytest.mark.parametrize("noise_rate", [0.0, 0.25, 0.4])
+    def test_open_set_draws_its_replacement_rows_directly(self, noise_rate):
+        # round(rate * 120) rows on the [seed_noise, 3] stream, written in order
+        cfg = tiny_config(noise_route="open_set", noise_rate=noise_rate)
         full = generate_synthetic(cfg.n_train, 4, 8, 8, seed=[cfg.seed_data, 0])
-        pool = generate_ood_source(cfg.pool_size, 8, 8, seed=[cfg.seed_data, 2])
-        sources = pool_sources(cfg.pool_size, cfg.n_train, cfg.noise_rate, cfg.seed_noise)
-        noisy = inject_open_set(full, pool[sources], cfg.noise_rate, cfg.seed_noise)
+        k = round(noise_rate * cfg.n_train)
+        pool = generate_ood_source(k, 8, 8, seed=[cfg.seed_noise, 3])
+        noisy = inject_open_set(full, pool, cfg.noise_rate, cfg.seed_noise)
         train, val = split_validation(noisy, cfg.val_fraction, seed=[cfg.seed_data, 3])
         test = generate_synthetic(cfg.n_test, 4, 8, 8, seed=[cfg.seed_data, 1])
         for got, want in zip(prepare_data(cfg), (train, val, test)):
@@ -160,8 +158,8 @@ class TestPrepareData:
 
     @pytest.mark.parametrize("route", ALL_ROUTES)
     def test_peak_memory_stays_near_the_returned_sets(self, route):
-        # the clean set and the drawn pool rows, or one block of corrupted
-        # rows, fit in 4 MiB; the whole pool or a stack of every hit row
+        # the clean set and the drawn out-of-distribution rows, or one
+        # block of corrupted rows, fit in 4 MiB; a stack of every hit row
         # beside them does not
         cfg = ExperimentConfig(n_train=2000, n_test=1000, height=16, width=16,
                                noise_rate=0.4, noise_route=route)

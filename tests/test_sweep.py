@@ -262,7 +262,6 @@ FIELD_PHASES = {
     "height": ("data", 8),
     "width": ("data", 8),
     "val_fraction": ("data", 0.2),
-    "pool_size": ("data", 5),
     "noise_route": ("data", "fog"),
     "noise_rate": ("data", 0.2),
     "noise_spec.gaussian_sigma": ("data", 0.1),
@@ -326,11 +325,10 @@ def test_phase_keys_cover_every_config_field():
 
 
 def test_data_key_ignores_what_prepare_data_does_not_read():
-    # a pool is drawn only on the open_set route
-    cfg = ExperimentConfig(noise_route="fog")
+    cfg = ExperimentConfig()
     for change in (dict(method=MIX), dict(lam=0.3), dict(seed_init=9),
                    dict(seed_epochs=9), dict(hidden=(8,)), dict(lr=0.5),
-                   dict(total_epochs=300), dict(pool_size=5)):
+                   dict(total_epochs=300)):
         assert data_key(dataclasses.replace(cfg, **change)) == data_key(cfg), change
 
 
@@ -338,7 +336,7 @@ def test_data_key_changes_with_every_field_prepare_data_reads():
     cfg = ExperimentConfig()
     for change in (dict(n_train=100), dict(n_test=100), dict(num_classes=3),
                    dict(height=8), dict(width=8), dict(val_fraction=0.2),
-                   dict(pool_size=5), dict(noise_route="fog"), dict(noise_rate=0.2),
+                   dict(noise_route="fog"), dict(noise_rate=0.2),
                    dict(noise_spec=NoiseSpec(gaussian_sigma=0.1)),
                    dict(seed_data=1), dict(seed_noise=1)):
         assert data_key(dataclasses.replace(cfg, **change)) != data_key(cfg), change
