@@ -8,10 +8,9 @@ the input gradient and leaving the model's parameters alone. The rows
 never mix, so a row's result matches the one it gets alone, up to the
 rounding of batched matmuls:
 
-  * the backward weighs the per-row losses by ones, not by a mean, so
-    every row gets its own single-row input gradient;
-  * random starts come from default_rng([seed, j]), j the row's index
-    in the call;
+  * every row starts at delta = 0, and the backward weighs the per-row
+    losses by ones, not by a mean, so every row gets its own single-row
+    input gradient;
   * each row keeps its best iterate (the lowest targeted loss, the
     unperturbed start counting as iteration 0, replaced only on a
     strict improvement), so the reported loss never exceeds the start;
@@ -62,7 +61,6 @@ class AttackConfig:
     budget: float = 8.0 / 255.0
     steps: int = 40
     step_size: float = None
-    random_start: bool = False
 
     def __post_init__(self):
         if self.step_size is None:
@@ -88,24 +86,6 @@ def _losses_and_grads(model, x, targets):
     return losses, model.backward(outputs, probs, targets, np.ones(len(x)), input_grad=True)
 
 
-def _starts(x, cfg, radius, seed):
-    """The starting perturbations of the rows of x: zeros, or for a random
-    start one draw per row j within radius from default_rng([seed, j])."""
-    if not cfg.random_start:
-        return np.zeros_like(x)
-    delta = np.empty_like(x)
-    d = x.shape[1]
-    for j in range(len(x)):
-        rng = np.random.default_rng([seed, j])
-        if cfg.norm == LINF:
-            delta[j] = rng.uniform(-radius, radius, size=d)
-        else:
-            raw = rng.normal(size=d)
-            length = radius * rng.uniform() ** (1.0 / d)
-            delta[j] = raw * (length / max(float(np.linalg.norm(raw)), 1e-12))
-    return np.clip(x + delta, 0.0, 1.0) - x
-
-
 def _row_norms(a):
     """np.linalg.norm(a, axis=1) bit for bit, squaring _NORM_ROWS rows at
     a time instead of the whole array."""
@@ -126,20 +106,21 @@ def _project(delta, cfg, radius):
         delta[over] *= (radius / norm[over])[:, None]
 
 
-def _correct_rows(model, x, targets, delta, cfg, radius, failed, errors):
-    """Batched PGD over the rows of x from the starts delta; returns the
-    arrays (corrected, loss, success, best_iteration), one entry per row.
+def _correct_rows(model, x, targets, cfg, radius, failed, errors):
+    """Batched PGD over the rows of x from delta = 0; returns the arrays
+    (corrected, loss, success, best_iteration), one entry per row.
 
     failed marks the rows that are not attacked, errors holds their
     messages; a row whose gradient turns non-finite joins them with
     NON_FINITE. A failed row stays in the batch with a zero step, is never
     a best iterate and gets loss NaN and best iteration 0; the caller
-    restores its corrected row. delta is updated in place, and the perturbed
+    restores its corrected row. delta is stepped in place, and the perturbed
     inputs are written into one buffer, so the working set is delta, the
     best iterate, that buffer and the gradient, all in the dtype of x.
     """
     m = len(x)
-    best_delta = delta.copy()
+    delta = np.zeros_like(x)
+    best_delta = np.zeros_like(x)
     best_loss = np.full(m, np.inf, dtype=x.dtype)
     best_iter = np.zeros(m, dtype=np.int64)
     inputs = np.empty_like(x)
@@ -176,7 +157,7 @@ def _correct_rows(model, x, targets, delta, cfg, radius, failed, errors):
     return corrected, best_loss, success, best_iter
 
 
-def correct_set(model, instances, targets, cfg, seed=None):
+def correct_set(model, instances, targets, cfg):
     """Correct every row toward its target in one batched attack, in order.
 
     Model parameters are read-only. The instances are converted once to
@@ -194,8 +175,6 @@ def correct_set(model, instances, targets, cfg, seed=None):
         raise ContractError(
             f"{len(instances)} instances vs {len(targets)} targets"
         )
-    if cfg.random_start and seed is None:
-        raise ContractError("random_start needs a seed for correct_set")
     num_classes = model.spec.num_classes
     dtype = model.flat.dtype
     # tested before the conversion, and written so that NaN fails too
@@ -213,11 +192,10 @@ def correct_set(model, instances, targets, cfg, seed=None):
     eps, d = float(np.finfo(x.dtype).eps), x.shape[1]
     margin = 2 * eps if cfg.norm == LINF else eps * (d ** 0.5 + cfg.budget * d)
     radius = max(cfg.budget - margin, 0.0)
-    delta = _starts(x, cfg, radius, seed)
     # a rejected target is never attacked; 0 only gives its loss an index
     targets = np.where(bad_targets, 0, targets).astype(np.int64)
     corrected, loss, success, best_iter = _correct_rows(
-        model, x, targets, delta, cfg, radius, failed, errors)
+        model, x, targets, cfg, radius, failed, errors)
     # every failed row comes back as its given row clamped in the model's
     # dtype, where a pixel past its range converts to inf
     with np.errstate(over="ignore"):

@@ -182,12 +182,10 @@ def cmd_ablate(args):
     base = _load(args)
     weights = sorted(_split(args, "weights", float, _FRACTION))
     seeds = _split(args, "seeds", int, _SEED)
-    # the swept weight is lambda itself, or its complement under the
-    # discarded interpretation; cells run in order of lambda
-    discarded = args.interpretation == "discarded"
-    grid = sorted(((1.0 - w) if discarded else w, w) for w in weights)
-    return _run_grid(args, base, seeds, "ablate", "ablation",
-                     {"weights": weights, "interpretation": args.interpretation},
+    # a weight is the discarded term's, so lambda is its complement;
+    # cells run in order of lambda
+    grid = sorted((1.0 - w, w) for w in weights)
+    return _run_grid(args, base, seeds, "ablate", "ablation", {"weights": weights},
                      [{"weight": w, "lambda": lam} for lam, w in grid],
                      [{"training": {"lambda": lam}} for lam, _ in grid])
 
@@ -241,10 +239,6 @@ def build_parser():
     p_abl = sub.add_parser("ablate", help="sweep the mixing weight")
     add_run_args(p_abl)
     p_abl.add_argument("--weights", default="0.05,0.1,0.15,0.2,0.25,0.3")
-    p_abl.add_argument("--interpretation", default="discarded",
-                       choices=("discarded", "clean"),
-                       help="whether swept values weight the corrected term "
-                            "(discarded) or the clean term (clean)")
     p_abl.add_argument("--seeds", default="0,1,2")
     p_abl.add_argument("--workers", type=int, default=1)
     p_abl.set_defaults(func=cmd_ablate)

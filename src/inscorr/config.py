@@ -66,9 +66,14 @@ _KEYS = (
 _FIELDS = {dotted: next(f for f in fields(cls) if f.name == name)
            for dotted, cls, name in _KEYS}
 
-# the largest learning rate or attack step that float32, the dtype runs
-# train and attack in, holds without an inf (0 * inf is NaN)
+# the largest learning rate, attack budget or attack step that float32,
+# the dtype runs train and attack in, holds without an inf (0 * inf is NaN)
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _float32_positive(v):
+    """Whether v, at most float32's max, stays above 0 in float32."""
+    return np.float32(v) > 0
 
 
 def _locate(cfg, dotted):
@@ -117,7 +122,9 @@ _RULES = (
     *((dotted, lambda v: v > 0, "be positive") for dotted in (
         "model.lr", "attack.budget", "attack.step_size")),
     *((dotted, lambda v: v <= _FLOAT32_MAX, f"be at most float32's max {_FLOAT32_MAX}")
-      for dotted in ("model.lr", "attack.step_size")),
+      for dotted in ("model.lr", "attack.budget", "attack.step_size")),
+    *((dotted, _float32_positive, "not round to 0 in float32")
+      for dotted in ("model.lr", "attack.budget", "attack.step_size")),
     *((dotted, lambda v: 0 <= v <= 1, "lie in [0, 1]") for dotted in (
         "noise.rate", "noise.occlusion_fraction", "noise.fog_intensity", "training.lambda")),
     ("data.val_fraction", lambda v: 0 <= v < 1, "lie in [0, 1)"),
@@ -145,6 +152,16 @@ def _fits_model(c):
     return max(params, outputs) * 8 < 2**63
 
 
+def _derived_step_fits(c):
+    """Whether a null attack.step_size derives a step, 2.5 * budget /
+    max(steps, 1), that stays above 0 and at most max in float32."""
+    attack = c["attack"]
+    if attack["step_size"] is not None:
+        return True
+    step = 2.5 * attack["budget"] / max(attack["steps"], 1)
+    return step <= _FLOAT32_MAX and _float32_positive(step)
+
+
 # rules that tie a key to others, in the same form except that the test
 # takes the whole config; checked once every key holds its own rule. A
 # grid dimension comes before the row counts it multiplies, so that the
@@ -157,11 +174,9 @@ _CROSS_RULES = (
     ("model.hidden", _fits_model,
      "keep its parameters, and its layer outputs over data.n_train or data.n_test rows,"
      " under 2**63 bytes at 8 bytes a value"),
-    ("attack.budget",
-     lambda c: c["attack"]["step_size"] is not None
-     or 0 < 2.5 * c["attack"]["budget"] / max(c["attack"]["steps"], 1) <= _FLOAT32_MAX,
+    ("attack.budget", _derived_step_fits,
      "keep the derived attack.step_size, 2.5 * budget / max(attack.steps, 1),"
-     f" above 0 and at most float32's max {_FLOAT32_MAX}"),
+     f" above 0 in float32 and at most float32's max {_FLOAT32_MAX}"),
     ("training.refresh_correction",
      lambda c: not c["training"]["refresh_correction"] or c["method"] == INSCORR,
      f"be false unless method is {INSCORR}"),

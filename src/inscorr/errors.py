@@ -16,7 +16,7 @@ class ContractError(InscorrError, ValueError):
 
 
 class CapacityError(InscorrError, ValueError):
-    """A resource pool is too small for the requested operation."""
+    """A class holds fewer rows than the open_set noise asks to replace."""
 
 
 class NumericError(InscorrError, ArithmeticError):

@@ -29,15 +29,15 @@ and enter it without a cast, and evaluation forwards whole sets without
 a copy. The correction attack (attack.correct_set) runs in the model's
 dtype too, so the corrected rows it returns are float32 as well.
 
-RNG streams: epoch shuffles use [seed_epochs, T]; attacks draw their
-optional random starts from [seed_noise, 4, T]. Since nothing else
-carries over from one epoch to the next but the model and its optimizer,
-each phase's output is a function of the config fields its key holds:
-runs with one data_key train on equal sets, runs with one warmup_key
-pass one state at the end of the warmup, runs with one split_key split
-alike, and runs with one correction_key attack alike. A cache handed to
-run_experiment keeps those outputs, so the runs of a sweep task generate
-their data, train a warmup, split and attack once each.
+RNG streams: epoch shuffles use [seed_epochs, T], and the attack draws
+nothing. Since nothing else carries over from one epoch to the next but
+the model and its optimizer, each phase's output is a function of the
+config fields its key holds: runs with one data_key train on equal sets,
+runs with one warmup_key pass one state at the end of the warmup, runs
+with one split_key split alike, and runs with one correction_key attack
+alike. A cache handed to run_experiment keeps those outputs, so the runs
+of a sweep task generate their data, train a warmup, split and attack
+once each.
 """
 
 import math
@@ -170,7 +170,7 @@ def split_key(cfg):
 
 def correction_key(cfg):
     """Everything the first correction reads: the split, the method and the
-    attack, whose random starts draw from seed_noise and the split epoch."""
+    attack."""
     return ("correction", split_key(cfg), cfg.method, cfg.attack)
 
 
@@ -313,17 +313,14 @@ def _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y, lam, batch_
     return loss_sum / steps
 
 
-def _build_corrected(cfg, model, train, noisy_idx, epoch):
+def _build_corrected(cfg, model, train, noisy_idx):
     """The mislabeled side of the mix in the model's dtype: attacked for
     inscorr, raw for mix."""
     xs = train.X[noisy_idx]  # a gather, so already a copy of the rows
     ys = train.given_labels[noisy_idx]
     if cfg.method == MIX:
         return xs, ys, None
-    results = correct_set(
-        model, xs, ys, cfg.attack,
-        seed=[cfg.seed_noise, 4, epoch] if cfg.attack.random_start else None,
-    )
+    results = correct_set(model, xs, ys, cfg.attack)
     corrected = np.stack([r.corrected for r in results]) if results else xs
     success = float(np.mean([r.success for r in results])) if results else None
     return corrected, ys, success
@@ -393,10 +390,10 @@ def run_experiment(cfg, on_epoch=None, cache=None):
     refresh = cfg.refresh_correction and cfg.method == INSCORR
     corr_x, corr_y, success = _cached(
         cache if cfg.method == INSCORR and not refresh else None, correction_key(cfg),
-        lambda: _build_corrected(cfg, model, train, noisy_idx, n_select))
+        lambda: _build_corrected(cfg, model, train, noisy_idx))
     for epoch in range(n_select, cfg.total_epochs):
         if refresh and epoch > n_select:
-            corr_x, corr_y, success = _build_corrected(cfg, model, train, noisy_idx, epoch)
+            corr_x, corr_y, success = _build_corrected(cfg, model, train, noisy_idx)
         rng = np.random.default_rng([cfg.seed_epochs, epoch])
         train_loss = _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y,
                                   cfg.lam, cfg.batch_size, rng)

@@ -7,6 +7,7 @@ they can serve as ground truth.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from inscorr.errors import FormatError
 
@@ -59,3 +60,14 @@ def assert_every_damage_is_a_format_error(raw, path, load):
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             load(path)
+
+
+def damaged(data, raw):
+    """raw cut short at an offset drawn from data (hypothesis st.data()), or
+    with one drawn byte XORed by a drawn nonzero mask."""
+    if data.draw(st.booleans(), label="truncate"):
+        return raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    out = bytearray(raw)
+    out[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+        st.integers(1, 255), label="mask")
+    return bytes(out)

@@ -101,9 +101,8 @@ def test_l2_budget_and_clamp_exact():
 
 
 @pytest.mark.parametrize("steps", [0, 15])
-@pytest.mark.parametrize("random_start", [False, True])
 @pytest.mark.parametrize("norm,budget", [(LINF, 8.0 / 255.0), (L2, 0.25)])
-def test_float32_rows_are_attacked_in_float32_within_budget(norm, budget, random_start, steps):
+def test_float32_rows_are_attacked_in_float32_within_budget(norm, budget, steps):
     """A run's float32 model attacks its float32 rows in float32. x + delta
     rounds by up to half an ulp, yet every result is a float32 row inside
     the budget, measured in float64 against the row at the usual 1e-9
@@ -118,8 +117,8 @@ def test_float32_rows_are_attacked_in_float32_within_budget(norm, budget, random
     ]).astype(np.float32)
     xs[4, 3] = 1.5
     targets = rng.integers(0, 2, size=len(xs))
-    cfg = AttackConfig(norm=norm, budget=budget, steps=steps, random_start=random_start)
-    results = correct_set(model, xs, targets, cfg, seed=9)
+    cfg = AttackConfig(norm=norm, budget=budget, steps=steps)
+    results = correct_set(model, xs, targets, cfg)
     assert results[4].error == "instance values must lie in [0, 1]"
     assert np.array_equal(results[4].corrected, np.clip(xs[4], 0.0, 1.0))
     sizes = []
@@ -216,20 +215,6 @@ def test_correct_set_isolates_failures_and_keeps_order():
 def test_correct_set_empty_input():
     model = small_trained_model(seed=18)
     assert correct_set(model, np.zeros((0, 12)), np.zeros(0, dtype=int), AttackConfig()) == []
-
-
-def test_random_start_deterministic_per_seed():
-    model = small_trained_model(seed=19)
-    xs = np.clip(np.random.default_rng(20).normal(0.5, 0.1, size=(3, 12)), 0, 1)
-    cfg = AttackConfig(random_start=True, steps=5)
-    with pytest.raises(ContractError, match="seed"):
-        correct_set(model, xs, np.ones(3, dtype=int), cfg)
-    a = correct_set(model, xs, np.ones(3, dtype=int), cfg, seed=21)
-    b = correct_set(model, xs, np.ones(3, dtype=int), cfg, seed=21)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.corrected, rb.corrected)
-    for j, r in enumerate(a):
-        assert np.max(np.abs(r.corrected - xs[j])) <= cfg.budget + 1e-9
 
 
 def test_parameters_read_only_through_attack():

@@ -11,8 +11,6 @@ from inscorr.nn import Model, ModelSpec, cross_entropy
 
 from test_attack import small_trained_model
 
-SEED = 31
-
 
 def loss_and_grad(model, x, target):
     """One row's targeted loss and input gradient from the model's own backward."""
@@ -22,17 +20,9 @@ def loss_and_grad(model, x, target):
     return float(loss[0]), grad[0]
 
 
-def reference_row(model, x, target, cfg, rng):
-    """The per-row PGD loop, one single-row gradient per step."""
-    if not cfg.random_start:
-        delta = np.zeros_like(x)
-    elif cfg.norm == LINF:
-        delta = rng.uniform(-cfg.budget, cfg.budget, size=x.shape)
-    else:
-        raw = rng.normal(size=x.shape)
-        radius = cfg.budget * rng.uniform() ** (1.0 / x.size)
-        delta = raw * (radius / max(float(np.linalg.norm(raw)), 1e-12))
-    delta = np.clip(x + delta, 0.0, 1.0) - x
+def reference_row(model, x, target, cfg):
+    """The per-row PGD loop from delta = 0, one single-row gradient per step."""
+    delta = np.zeros_like(x)
     best_loss, best_delta, best_iter = np.inf, delta, 0
     for k in range(cfg.steps + 1):
         loss, grad = loss_and_grad(model, x + delta, target)
@@ -54,12 +44,8 @@ def reference_row(model, x, target, cfg, rng):
 
 
 def reference_rows(model, xs, targets, cfg, rows):
-    """reference_row over the given rows, each with the start its index gets."""
-    return [
-        reference_row(model, xs[j], int(targets[j]), cfg,
-                      np.random.default_rng([SEED, j]) if cfg.random_start else None)
-        for j in rows
-    ]
+    """reference_row over the given rows."""
+    return [reference_row(model, xs[j], int(targets[j]), cfg) for j in rows]
 
 
 def assert_same(batched, alone):
@@ -71,14 +57,13 @@ def assert_same(batched, alone):
 
 
 @pytest.mark.parametrize("norm,budget", [(LINF, 0.1), (L2, 0.3)])
-@pytest.mark.parametrize("random_start", [False, True])
-def test_batched_rows_match_solo_rows(norm, budget, random_start):
+def test_batched_rows_match_solo_rows(norm, budget):
     model = small_trained_model(seed=30)
     rng = np.random.default_rng(32)
     xs = np.clip(rng.normal(0.5, 0.2, size=(9, 12)), 0.0, 1.0)
     targets = rng.integers(0, 2, size=9)
-    cfg = AttackConfig(norm=norm, budget=budget, steps=12, random_start=random_start)
-    batched = correct_set(model, xs, targets, cfg, seed=SEED)
+    cfg = AttackConfig(norm=norm, budget=budget, steps=12)
+    batched = correct_set(model, xs, targets, cfg)
     for b, a in zip(batched, reference_rows(model, xs, targets, cfg, range(9))):
         assert_same(b, a)
     # the fixture exercises both outcomes and a best iterate past the start
@@ -100,18 +85,17 @@ def gated_overflow_model():
     return model
 
 
-@pytest.mark.parametrize("random_start", [False, True])
-def test_non_finite_row_leaves_batch_alone(random_start):
+def test_non_finite_row_leaves_batch_alone():
     model = gated_overflow_model()
     rng = np.random.default_rng(34)
     xs = np.clip(rng.normal(0.5, 0.2, size=(6, 12)), 0.0, 1.0)
     xs[2] = 1.0
     targets = np.array([1, 0, 1, 1, 0, 1])
-    cfg = AttackConfig(norm=LINF, budget=0.1, steps=8, random_start=random_start)
+    cfg = AttackConfig(norm=LINF, budget=0.1, steps=8)
     with np.errstate(all="ignore"):
-        batched = correct_set(model, xs, targets, cfg, seed=SEED)
+        batched = correct_set(model, xs, targets, cfg)
         alone = reference_rows(model, xs, targets, cfg, (0, 1, 3, 4, 5))
-        (solo,) = correct_set(model, xs[2:3], targets[2:3], cfg, seed=SEED)
+        (solo,) = correct_set(model, xs[2:3], targets[2:3], cfg)
     assert "non-finite" in solo.error
     bad = batched[2]
     assert "non-finite" in bad.error
@@ -121,18 +105,17 @@ def test_non_finite_row_leaves_batch_alone(random_start):
         assert_same(b, a)
 
 
-@pytest.mark.parametrize("random_start", [False, True])
 @pytest.mark.parametrize("kind", ["nan", "above_one", "target"])
-def test_nan_pixel_rejected(kind, random_start):
+def test_nan_pixel_rejected(kind):
     # the rejected row stays in the batch; its neighbours still get their
     # results alone
     model = small_trained_model(seed=35)
-    cfg = AttackConfig(budget=0.1, steps=3, step_size=0.01, random_start=random_start)
+    cfg = AttackConfig(budget=0.1, steps=3, step_size=0.01)
     x = np.full(12, 0.5)
     x[3] = {"nan": np.nan, "above_one": 1.5, "target": 0.5}[kind]
     xs = np.stack([np.full(12, 0.3), x, np.full(12, 0.6)])
     targets = np.array([1, 2 if kind == "target" else 1, 0])
-    results = correct_set(model, xs, targets, cfg, seed=SEED)
+    results = correct_set(model, xs, targets, cfg)
     bad = results[1]
     if kind == "target":
         assert bad.error == "target 2 outside [0, 2)"

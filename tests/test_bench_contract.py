@@ -83,7 +83,7 @@ def test_bench_reads_kernel_names():
 
 
 def test_campaign_workers_reach_the_patched_write_run(tmp_path, perfbench_layers):
-    # the sweep's pool workers must call write_run through cli's module
+    # the sweep's worker processes must call write_run through cli's module
     # global, which the tracer patches; each run then exports one cell
     Tracer, layer_metrics = perfbench_layers
     (tmp_path / "exports").mkdir()

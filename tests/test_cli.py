@@ -104,11 +104,14 @@ def test_run_without_validation_rows_leaves_val_accuracy_empty(tmp_path, tiny_cf
     assert all(r["test_accuracy"] is not None for r in records)
 
 
-def test_run_rejects_unknown_override(tmp_path, capsys):
-    code = main(["run", "--set", "model.depth=3",
+# a key never defined, and one the attack no longer has
+@pytest.mark.parametrize("override", ["model.depth=3", "attack.random_start=false"])
+def test_run_rejects_unknown_override(tmp_path, tiny_cfg, capsys, override):
+    code = main(["run", "--config", tiny_cfg, "--set", override,
                  "--output-root", str(tmp_path / "runs")])
     assert code == 1
-    assert "unknown config key" in capsys.readouterr().err
+    key = override.split("=")[0]
+    assert f"unknown config key: {key}" in capsys.readouterr().err
 
 
 def test_run_rejects_ill_typed_override_by_key(tmp_path, capsys):
@@ -320,15 +323,35 @@ def test_a_huge_integer_fails_by_key(tmp_path, capsys, verb, key, rule):
                          f"config key {key} must be {rule}, got {10**400}", capsys)
 
 
-@pytest.mark.parametrize("verb", VERBS)
-@pytest.mark.parametrize("key,value,rule", [
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+# (key, value, the rule it breaks, other overrides it is set beside)
+UNHELD_VALUES = [
     # labels are int32, so a larger count would wrap them
-    ("data.num_classes", 3_000_000_000, "be at most 2**31"),
-    # runs train in float32, where this learning rate would be inf
-    ("model.lr", 1e300, f"be at most float32's max {float(np.finfo(np.float32).max)}"),
-])
-def test_a_value_its_storage_cannot_hold_fails_by_key(tmp_path, capsys, verb, key, value, rule):
+    ("data.num_classes", 3_000_000_000, "be at most 2**31", ()),
+    # runs train and attack in float32, where these values would be inf
+    ("model.lr", 1e300, f"be at most float32's max {F32_MAX}", ()),
+    ("attack.budget", 1e39, f"be at most float32's max {F32_MAX}", ()),
+    # and where these would be 0, set or derived
+    ("model.lr", 1e-320, "not round to 0 in float32", ()),
+    ("attack.step_size", 1e-50, "not round to 0 in float32", ()),
+    ("attack.budget", 1e-50, "not round to 0 in float32", ("attack.step_size=0.01",)),
+    ("attack.budget", 1e-44,
+     "keep the derived attack.step_size, 2.5 * budget / max(attack.steps, 1),"
+     f" above 0 in float32 and at most float32's max {F32_MAX}", ("attack.steps=1000",)),
+]
+
+
+@pytest.mark.parametrize("verb", VERBS)
+# each id spells its other overrides out, where pytest would number them
+@pytest.mark.parametrize("key,value,rule,others", UNHELD_VALUES,
+                         ids=["-".join(map(str, (k, v, r, *o))) for k, v, r, o in UNHELD_VALUES])
+def test_a_value_its_storage_cannot_hold_fails_by_key(tmp_path, capsys, verb, key, value, rule,
+                                                      others):
     source = ["--set", "noise.route=fog", "--set", f"{key}={value}"]
+    for other in others:
+        source += ["--set", other]
     assert_fails_by_name(verb, tmp_path / "out", source, f"{key} must {rule}, got {value}", capsys)
 
 
@@ -386,31 +409,18 @@ def test_ablate_writes_sorted_sweep(tmp_path, tiny_cfg, capsys):
     with open(sweep_dir / "ablation.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["weight", "lambda", "n_seeds", "n_failed", "mean_acc", "std_acc"]
-    # discarded interpretation: lambda = 1 - weight, rows sorted by lambda
+    # a weight is the discarded term's: lambda = 1 - weight, rows sorted by lambda
     assert [r[:4] for r in rows[1:]] == [["0.3", "0.7", "1", "0"], ["0.1", "0.9", "1", "0"]]
     assert all(0.0 <= float(r[4]) <= 1.0 for r in rows[1:])
     report = json.loads((sweep_dir / "ablation.json").read_text())
     assert sorted(report) == ["cells", "failures", "grid_id"]
     assert sweep_dir.name == f"ablate-{report['grid_id']}"
-    # each cell's weight and lambda say which interpretation ran
+    # each cell states its weight beside the lambda it ran with
     assert [(r["weight"], r["lambda"]) for r in report["cells"]] == [(0.3, 0.7), (0.1, 0.9)]
     assert report["failures"] == []
     out = capsys.readouterr().out
     assert "weight=0.3 lambda=0.7:" in out
     assert "weight=0.1 lambda=0.9:" in out
-
-
-def test_ablate_interpretations_weight_opposite_terms(tmp_path, tiny_cfg):
-    # weight 0.1 maps to lambda 0.9 under 'discarded' but 0.1 under 'clean',
-    # so the two sweeps execute runs with different config hashes
-    root_a, root_b = tmp_path / "a", tmp_path / "b"
-    for root, interp in ((root_a, "discarded"), (root_b, "clean")):
-        assert main(["ablate", "--config", tiny_cfg, "--output-root", str(root),
-                     "--weights", "0.1", "--seeds", "0",
-                     "--interpretation", interp]) == 0
-    runs_a = {p.name for p in root_a.iterdir() if not p.name.startswith("ablate-")}
-    runs_b = {p.name for p in root_b.iterdir() if not p.name.startswith("ablate-")}
-    assert runs_a.isdisjoint(runs_b)
 
 
 def test_default_ablate_splits_and_attacks_once_per_seed(tmp_path, tiny_cfg, monkeypatch):
@@ -654,8 +664,7 @@ def test_verify_rejects_an_empty_only_list(monkeypatch, capsys):
     (["ablate", "--weights", "1.5"], "--weights must lie in [0, 1], got 1.5"),
     (["ablate", "--weights", "0.1,-0.2"], "--weights must lie in [0, 1], got -0.2"),
     (["ablate", "--weights", "nan"], "--weights must lie in [0, 1], got nan"),
-    (["ablate", "--interpretation", "clean", "--weights", "1.5"],
-     "--weights must lie in [0, 1], got 1.5"),
+    (["ablate", "--weights", "1.5,0.1"], "--weights must lie in [0, 1], got 1.5"),
     # the flag is named, not the config key its value would fail under
     (["campaign", "--seeds", "-99999999999999999999"],
      "--seeds must lie in [0, inf), got -99999999999999999999"),

@@ -23,6 +23,7 @@ from inscorr.noise import NoiseSpec
 from inscorr.pipeline import ExperimentConfig
 
 F32_MAX = float(np.finfo(np.float32).max)
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 
 
 def test_load_without_file_copies_defaults():
@@ -147,18 +148,19 @@ def test_resolve_rejects_an_empty_data_size_by_key(key):
 
 
 def test_size_and_seed_checks_leave_valid_hashes_alone():
-    # hashes as they were before these checks, and since data.pool_size left
-    # the resolved config: the defaults, and every checked size at its floor
-    assert config_hash(resolve_config(load_config())) == "3f556479294c"
+    # hashes as they were before these checks, and since data.pool_size and
+    # the attack's random start left the resolved config: the defaults, and
+    # every checked size at its floor
+    assert config_hash(resolve_config(load_config())) == "66df507bb2f7"
     floor = ["data.height=1", "data.width=1", "data.n_train=1", "data.n_test=1",
              "noise.route=fog"]
-    assert config_hash(resolve_config(apply_overrides(load_config(), floor))) == "cabe3ce28b1f"
+    assert config_hash(resolve_config(apply_overrides(load_config(), floor))) == "1d30da33c445"
     # and every value rule at its edge, on fog: on open_set noise.rate=1
     # asks for more replacements than a class of the data holds
     edge = ["data.val_fraction=0", "noise.rate=1", "selection.tau=0.99",
             "selection.ramp_epochs=1", "model.optimizer=sgd", "model.lr=1e-9",
             "data.num_classes=2", "noise.route=fog"]
-    assert config_hash(resolve_config(apply_overrides(load_config(), edge))) == "97813d72b13a"
+    assert config_hash(resolve_config(apply_overrides(load_config(), edge))) == "f96d71cbd332"
 
 
 @pytest.mark.parametrize("overrides,key", [
@@ -192,14 +194,19 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("attack.budget=0", "attack.budget"),
     ("attack.steps=-1", "attack.steps"),
     ("attack.step_size=0", "attack.step_size"),
-    # the derived step size 2.5 * budget / steps would overflow
+    # the attack runs in float32, where these budgets and step sizes round to inf
     ("attack.budget=1e308", "attack.budget"),
-    # the attack runs in float32, where these step sizes round to inf
+    ("attack.budget=1e308 attack.step_size=0.01", "attack.budget"),
+    (f"attack.budget={float(np.nextafter(F32_MAX, np.inf))}", "attack.budget"),
     ("attack.step_size=1e308", "attack.step_size"),
     (f"attack.step_size={float(np.nextafter(F32_MAX, np.inf))}", "attack.step_size"),
     (f"attack.budget={F32_MAX * 4.0 / 2.5} attack.steps=3", "attack.budget"),
-    # and this one rounds to 0
+    # and this derived step size, 2.5 * budget / steps
+    (f"attack.budget={F32_MAX} attack.steps=1", "attack.budget"),
+    # these values round to 0 in float32, set or derived (more in
+    # tests/test_cli.py::test_a_value_its_storage_cannot_hold_fails_by_key)
     ("attack.budget=5e-324", "attack.budget"),
+    (f"attack.budget={F32_TINY} attack.steps=5", "attack.budget"),
     ("training.lambda=1.5", "training.lambda"),
     ("training.total_epochs=-1", "training.total_epochs"),
     ("training.warmup_epochs=-1", "training.warmup_epochs"),
@@ -235,7 +242,6 @@ def test_resolve_rejects_out_of_range_values_by_key(overrides, key):
     ('training.total_epochs="abc"', "training.total_epochs"),
     ("training.total_epochs=60.5", "training.total_epochs"),
     ("training.warmup_epochs=true", "training.warmup_epochs"),
-    ("attack.random_start=1", "attack.random_start"),
     ("training.lambda=half", "training.lambda"),
     ("model.hidden=[64.5]", "model.hidden"),
     ("noise.route=3", "noise.route"),
@@ -255,15 +261,24 @@ def test_cross_key_rules_accept_their_edges():
     resolve_config(apply_overrides(load_config(), ["training.warmup_epochs=6",
                                                    "training.total_epochs=6"]))
     # a budget whose derived step size would overflow is fine beside a set one
-    resolve_config(apply_overrides(load_config(), ["attack.budget=1e308",
+    resolve_config(apply_overrides(load_config(), [f"attack.budget={F32_MAX}",
                                                    "attack.step_size=0.01"]))
     # float32's max is a step size the attack can still take, set or derived
     out = resolve_config(apply_overrides(load_config(), [f"attack.step_size={F32_MAX}"]))
     assert out["attack"]["step_size"] == F32_MAX
-    # 2.5 * (2 * max) / 5 is exact
-    out = resolve_config(apply_overrides(load_config(), [f"attack.budget={2 * F32_MAX}",
-                                                         "attack.steps=5"]))
+    # 2.5 * (0.8 * max) / 2 is max exactly
+    out = resolve_config(apply_overrides(load_config(), [f"attack.budget={0.8 * F32_MAX}",
+                                                         "attack.steps=2"]))
     assert out["attack"]["step_size"] == F32_MAX
+    # float32's smallest subnormal is still above 0, set or derived
+    out = resolve_config(apply_overrides(load_config(), [
+        f"model.lr={F32_TINY}", f"attack.step_size={F32_TINY}",
+        "attack.budget=1e-44"]))
+    assert out["model"]["lr"] == out["attack"]["step_size"] == F32_TINY
+    # 2.5 * tiny / 4 rounds up to tiny (2.5 * tiny / 5, a tie, rounds to 0)
+    out = resolve_config(apply_overrides(load_config(), [f"attack.budget={F32_TINY}",
+                                                         "attack.steps=4"]))
+    assert np.float32(out["attack"]["step_size"]) == F32_TINY
     # 261 x 2**51 parameters of eight bytes stay below numpy's limit
     resolve_config(apply_overrides(load_config(), [
         "data.n_train=10", "data.n_test=10", f"model.hidden=[{2**51}]"]))
@@ -369,7 +384,7 @@ _JSON = st.recursive(_LEAVES, lambda inner: st.one_of(
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(value=_JSON)
 # a null selection.tau takes noise.rate, and a subnormal attack.budget
-# derives a step size of 0
+# rounds to 0 in float32
 @example(value=1)
 @example(value=5e-324)
 def test_any_value_of_a_key_resolves_or_fails_by_that_key(dotted, value):

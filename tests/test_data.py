@@ -6,6 +6,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from inscorr import data
 from inscorr.containers import ContainerWriter
@@ -24,7 +27,7 @@ from inscorr.data import (
 )
 from inscorr.errors import ContractError, FormatError
 
-from helpers import assert_every_damage_is_a_format_error
+from helpers import assert_every_damage_is_a_format_error, damaged
 
 
 def linear_probe_accuracy(train, test):
@@ -232,6 +235,49 @@ def test_labels_and_provenance_are_checked_before_the_cast(labels, provenance, m
         Dataset(np.zeros((2, 4)), labels, provenance, 3, (2, 2))
 
 
+@st.composite
+def _label_arrays(draw):
+    """(num_classes, given_labels, provenance): integer arrays of one length,
+    each of any integer dtype and byte order, holding small values (mostly
+    valid) or any value of the dtype, past int32 and uint8 included."""
+    n = draw(st.integers(0, 6))
+    num_classes = draw(st.sampled_from([2, 3, 7, 2**31]))
+
+    def values():
+        dtype = draw(st.one_of(hnp.integer_dtypes(), hnp.unsigned_integer_dtypes()))
+        return draw(hnp.arrays(dtype, n, elements=st.one_of(
+            st.integers(0, 3), hnp.from_dtype(dtype))))
+
+    return num_classes, values(), values()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=_label_arrays())
+# the casts would wrap 2**32 to 0, 256 to 0 and -255 to 1
+@example(case=(3, np.array([0, 2**32]), np.array([256, -255])))
+@example(case=(3, np.array([0, 1]), np.array([256, -255], dtype=np.int16)))
+def test_integer_labels_build_as_given_or_name_their_first_bad_row(case):
+    num_classes, labels, provenance = case
+    n = len(labels)
+    try:
+        ds = Dataset(np.zeros((n, 4)), labels, provenance, num_classes, (2, 2))
+    except ContractError as error:
+        for name, arr, high in (("given_labels", labels, num_classes),
+                                ("provenance", provenance, len(Provenance))):
+            bad = [i for i, v in enumerate(arr.tolist()) if not 0 <= v < high]
+            if bad:
+                i = bad[0]
+                assert str(error) == (
+                    f"{name}[{i}] = {arr.tolist()[i]} is not an integer in [0, {high})")
+                break
+        else:
+            raise AssertionError(f"no row is bad, yet: {error}")
+    else:
+        assert ds.given_labels.dtype == np.int32 and ds.provenance.dtype == np.uint8
+        assert ds.given_labels.tolist() == labels.tolist()
+        assert ds.provenance.tolist() == provenance.tolist()
+
+
 def test_true_labels_derive_from_provenance_and_are_read_only():
     ds = generate_synthetic(6, 3, 2, 2, seed=4)
     ds.provenance[[1, 4]] = Provenance.OPEN_SET
@@ -350,6 +396,22 @@ def test_every_truncation_or_flipped_byte_of_a_dataset_is_a_format_error(tmp_pat
     save_dataset(str(path), ds)
     assert_every_damage_is_a_format_error(path.read_bytes(), path,
                                           lambda p: load_dataset(str(p)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(0, 5), height=st.integers(1, 4), width=st.integers(1, 4),
+       num_classes=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), damage=st.data())
+def test_any_small_dataset_cut_short_or_with_a_byte_changed_is_a_format_error(
+        tmp_path, n, height, width, num_classes, seed, damage):
+    rng = np.random.default_rng(seed)
+    ds = Dataset(rng.random((n, height * width)), rng.integers(num_classes, size=n),
+                 rng.integers(len(Provenance), size=n), num_classes, (height, width))
+    path = tmp_path / "any.inscd"
+    save_dataset(str(path), ds)
+    path.write_bytes(damaged(damage, path.read_bytes()))
+    with pytest.raises(FormatError):
+        load_dataset(str(path))
 
 
 def test_dataset_file_corruption_detected(tmp_path):

@@ -5,6 +5,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from inscorr import kernels
 from inscorr.containers import ContainerWriter
@@ -22,7 +24,7 @@ from inscorr.nn import (
     save_checkpoint,
 )
 
-from helpers import assert_every_damage_is_a_format_error
+from helpers import assert_every_damage_is_a_format_error, damaged
 
 SPEC = ModelSpec(8, (16,), 3)
 
@@ -590,3 +592,23 @@ def test_every_truncation_or_flipped_byte_of_a_checkpoint_is_a_format_error(tmp_
     path = tmp_path / "small.ckpt"
     assert_every_damage_is_a_format_error(save_checkpoint(path, model, opt), path,
                                           load_checkpoint)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(input_dim=st.integers(1, 6), hidden=st.lists(st.integers(1, 5), max_size=3),
+       num_classes=st.integers(2, 4), dtype=st.sampled_from([np.float32, np.float64]),
+       kind=st.sampled_from(["sgd", "adam"]), steps=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1), damage=st.data())
+def test_any_small_checkpoint_cut_short_or_with_a_byte_changed_is_a_format_error(
+        tmp_path, input_dim, hidden, num_classes, dtype, kind, steps, seed, damage):
+    rng = np.random.default_rng(seed)
+    model = Model.init(ModelSpec(input_dim, hidden, num_classes), seed=seed, dtype=dtype)
+    opt = make_optimizer(kind, 0.01)
+    _train_steps(model, opt, rng.random((4, input_dim)), rng.integers(num_classes, size=4),
+                 steps)
+    path = tmp_path / "any.ckpt"
+    save_checkpoint(path, model, opt)
+    path.write_bytes(damaged(damage, path.read_bytes()))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)

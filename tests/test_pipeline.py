@@ -425,9 +425,9 @@ class TestReductions:
 
     @pytest.mark.parametrize("route", ["gaussian", "fog", "open_set"])
     def test_zero_step_correction_trains_as_mix(self, route):
-        # a zero-step attack without a random start hands the discarded
-        # rows back unchanged, so InsCorr mixes exactly what Mix does
-        attack = AttackConfig(budget=0.1, steps=0, random_start=False)
+        # a zero-step attack hands the discarded rows back unchanged, so
+        # InsCorr mixes exactly what Mix does
+        attack = AttackConfig(budget=0.1, steps=0)
         trajectories = []
         for method in (INSCORR, MIX):
             digests = []

@@ -277,7 +277,6 @@ FIELD_PHASES = {
     "attack.budget": ("correction", 0.1),
     "attack.steps": ("correction", 7),
     "attack.step_size": ("correction", 0.5),
-    "attack.random_start": ("correction", True),
     "lam": ("mixed", 0.3),
     "warmup_epochs": ("warmup", 5),
     "total_epochs": ("mixed", 9),
