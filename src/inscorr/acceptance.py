@@ -337,11 +337,10 @@ def check_noise():
     """Injection counts, label multisets, ranges, and exact identities."""
     n = 150
     ds = generate_synthetic(n, 4, 8, 8, seed=42)
-    spec = NoiseSpec()
     for route in (OPEN_SET,) + tuple(KIND_NAMES):
         for rate in (0.0, 0.2, 0.8):
-            pool = generate_ood_source(round_half_up(rate * n), 8, 8, seed=43)
-            out = apply_noise(ds, route, rate, spec, seed=5, pool=pool)
+            ood_rows = generate_ood_source(round_half_up(rate * n), 8, 8, seed=43)
+            out = apply_noise(ds, route, rate, seed=5, ood_rows=ood_rows)
             if sorted(out.given_labels) != sorted(ds.given_labels):
                 return False, f"label multiset changed for {route} at {rate}"
             touched = int((out.provenance != 0).sum())

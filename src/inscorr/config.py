@@ -1,8 +1,8 @@
 """JSON experiment configs: defaults, validation, overrides, hashing.
 
 A config is a nested dict with the sections and keys of _KEYS. Each key
-fills the field of the runnable dataclasses (ExperimentConfig, NoiseSpec
-and AttackConfig) that _KEYS names, and the field's default is the key's:
+fills the field of the runnable dataclasses (ExperimentConfig and
+AttackConfig) that _KEYS names, and the field's default is the key's:
 the dataclasses state every default once, and DEFAULT_CONFIG is built
 from them. Unknown keys are rejected by their dotted path, and so is a
 value whose type differs from its field's (an integer may stand for a
@@ -37,11 +37,11 @@ from dataclasses import fields
 import numpy as np
 
 from .attack import L2, LINF, AttackConfig
-from .data import check_pool_margins, round_half_up
+from .data import check_ood_margins, round_half_up
 from .errors import ConfigError, ContractError
-from .nn import OPTIMIZERS
-from .noise import ALL_ROUTES, OPEN_SET, NoiseSpec
-from .pipeline import INSCORR, METHODS, PARTITION_RULES, ExperimentConfig
+from .nn import OPTIMIZERS, ModelSpec
+from .noise import ALL_ROUTES, OPEN_SET
+from .pipeline import METHODS, PARTITION_RULES, ExperimentConfig
 
 # every config key, in the order DEFAULT_CONFIG takes: (dotted key, the
 # dataclass it fills, the field it fills); the field's default is the key's
@@ -52,12 +52,11 @@ _KEYS = (
         "n_train", "n_test", "num_classes", "height", "width", "val_fraction")),
     ("noise.route", ExperimentConfig, "noise_route"),
     ("noise.rate", ExperimentConfig, "noise_rate"),
-    *((f"noise.{f.name}", NoiseSpec, f.name) for f in fields(NoiseSpec)),
     *((f"selection.{name}", ExperimentConfig, name) for name in ("tau", "ramp_epochs")),
     *((f"attack.{f.name}", AttackConfig, f.name) for f in fields(AttackConfig)),
     ("training.lambda", ExperimentConfig, "lam"),
     *((f"training.{name}", ExperimentConfig, name) for name in (
-        "warmup_epochs", "total_epochs", "batch_size", "refresh_correction", "partition_rule")),
+        "warmup_epochs", "total_epochs", "batch_size", "partition_rule")),
     *((f"seeds.{stream}", ExperimentConfig, f"seed_{stream}")
       for stream in ("data", "noise", "init", "epochs")),
 )
@@ -110,23 +109,22 @@ _RULES = (
     _one_of("attack.norm", (LINF, L2)),
     _one_of("training.partition_rule", PARTITION_RULES),
     *((dotted, lambda v: v >= 1, "be at least 1") for dotted in (
-        "data.n_train", "data.n_test", "data.height", "data.width",
-        "noise.resolution_factor", "noise.blur_length", "selection.ramp_epochs",
+        "data.n_train", "data.n_test", "data.height", "data.width", "selection.ramp_epochs",
         "training.batch_size")),
     ("data.num_classes", lambda v: v >= 2, "be at least 2"),
     # labels are int32
     ("data.num_classes", lambda v: v <= 2**31, "be at most 2**31"),
     *((dotted, lambda v: v >= 0, "be non-negative") for dotted in (
-        "noise.gaussian_sigma", "noise.fog_decay", "attack.steps", "training.warmup_epochs",
-        "training.total_epochs", *(f"seeds.{stream}" for stream in DEFAULT_CONFIG["seeds"]))),
+        "attack.steps", "training.warmup_epochs", "training.total_epochs",
+        *(f"seeds.{stream}" for stream in DEFAULT_CONFIG["seeds"]))),
     *((dotted, lambda v: v > 0, "be positive") for dotted in (
         "model.lr", "attack.budget", "attack.step_size")),
     *((dotted, lambda v: v <= _FLOAT32_MAX, f"be at most float32's max {_FLOAT32_MAX}")
       for dotted in ("model.lr", "attack.budget", "attack.step_size")),
     *((dotted, _float32_positive, "not round to 0 in float32")
       for dotted in ("model.lr", "attack.budget", "attack.step_size")),
-    *((dotted, lambda v: 0 <= v <= 1, "lie in [0, 1]") for dotted in (
-        "noise.rate", "noise.occlusion_fraction", "noise.fog_intensity", "training.lambda")),
+    *((dotted, lambda v: 0 <= v <= 1, "lie in [0, 1]")
+      for dotted in ("noise.rate", "training.lambda")),
     ("data.val_fraction", lambda v: 0 <= v < 1, "lie in [0, 1)"),
     ("selection.tau", lambda v: 0 <= v < 1,
      "lie in [0, 1) (a null selection.tau takes noise.rate)"),
@@ -146,19 +144,18 @@ def _fits_model(c):
     """Whether the float64 parameter vector model.hidden makes, and each
     hidden layer's outputs over the larger data set, stay under 2**63 bytes."""
     data, hidden = c["data"], c["model"]["hidden"]
-    dims = (data["height"] * data["width"], *hidden, data["num_classes"])
-    params = sum((n_in + 1) * n_out for n_in, n_out in zip(dims, dims[1:]))
+    params = ModelSpec(data["height"] * data["width"], hidden, data["num_classes"]).param_count()
     outputs = max(data["n_train"], data["n_test"]) * max(hidden, default=0)
     return max(params, outputs) * 8 < 2**63
 
 
 def _derived_step_fits(c):
-    """Whether a null attack.step_size derives a step, 2.5 * budget /
-    max(steps, 1), that stays above 0 and at most max in float32."""
+    """Whether a null attack.step_size derives a step (AttackConfig's)
+    that stays above 0 and at most max in float32."""
     attack = c["attack"]
     if attack["step_size"] is not None:
         return True
-    step = 2.5 * attack["budget"] / max(attack["steps"], 1)
+    step = AttackConfig(budget=attack["budget"], steps=attack["steps"]).step_size
     return step <= _FLOAT32_MAX and _float32_positive(step)
 
 
@@ -177,9 +174,6 @@ _CROSS_RULES = (
     ("attack.budget", _derived_step_fits,
      "keep the derived attack.step_size, 2.5 * budget / max(attack.steps, 1),"
      f" above 0 in float32 and at most float32's max {_FLOAT32_MAX}"),
-    ("training.refresh_correction",
-     lambda c: not c["training"]["refresh_correction"] or c["method"] == INSCORR,
-     f"be false unless method is {INSCORR}"),
     ("training.warmup_epochs",
      lambda c: c["training"]["warmup_epochs"] <= c["training"]["total_epochs"],
      "not exceed training.total_epochs"),
@@ -209,8 +203,6 @@ def _is_int64(value):
 
 def _expected(value, kind, dotted):
     """What value should have been, or None if it may fill a field of type kind."""
-    if kind is bool:
-        return None if isinstance(value, bool) else "true or false"
     if kind is int:
         if dotted.startswith("seeds."):
             # a seed only feeds numpy's seed sequence, which takes any size
@@ -317,8 +309,7 @@ def resolve_config(cfg):
     and a config that cannot run fails here, with a ConfigError.
     """
     runnable = to_experiment_config(cfg)
-    parts = {ExperimentConfig: runnable, NoiseSpec: runnable.noise_spec,
-             AttackConfig: runnable.attack}
+    parts = {ExperimentConfig: runnable, AttackConfig: runnable.attack}
     out = copy.deepcopy(cfg)
     for dotted, cls, name in _KEYS:
         node, key = _locate(out, dotted)
@@ -344,7 +335,7 @@ def _check_config(cfg):
     if cfg["noise"]["route"] == OPEN_SET:
         classes = cfg["data"]["num_classes"]
         try:
-            check_pool_margins(classes)
+            check_ood_margins(classes)
         except ContractError as exc:
             raise ConfigError(
                 f"data.num_classes={classes} leaves no room for the open_set bars: {exc}"
@@ -355,10 +346,9 @@ def to_experiment_config(resolved):
     """Build the runnable config, once _check_config passes it; each key
     fills the dataclass field that _KEYS names."""
     _check_config(resolved)
-    values = {ExperimentConfig: {}, NoiseSpec: {}, AttackConfig: {}}
+    values = {ExperimentConfig: {}, AttackConfig: {}}
     for dotted, cls, name in _KEYS:
         node, key = _locate(resolved, dotted)
         values[cls][name] = node[key]
     return ExperimentConfig(**values[ExperimentConfig],
-                            noise_spec=NoiseSpec(**values[NoiseSpec]),
                             attack=AttackConfig(**values[AttackConfig]))

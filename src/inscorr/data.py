@@ -125,11 +125,11 @@ _BAR_LENGTH = 3.5
 _ANGLE_JITTER_DEG = 3.5
 _CENTER_JITTER = 0.3
 _PIXEL_NOISE = 0.18
-_POOL_BAR_LENGTH = 3.0
-_POOL_MARGIN_LO_DEG = 4.0
-_POOL_MARGIN_HI_DEG = 12.0
-_POOL_CENTER_JITTER = 0.9
-_POOL_PIXEL_NOISE = 0.2
+_OOD_BAR_LENGTH = 3.0
+_OOD_MARGIN_LO_DEG = 4.0
+_OOD_MARGIN_HI_DEG = 12.0
+_OOD_CENTER_JITTER = 0.9
+_OOD_PIXEL_NOISE = 0.2
 
 
 def _bar_image(height, width, theta, cy, cx, fg, bg, bar_width, bar_length):
@@ -189,16 +189,16 @@ def generate_synthetic(n, num_classes, height=16, width=16, seed=0):
     )
 
 
-def check_pool_margins(num_classes):
+def check_ood_margins(num_classes):
     """ContractError unless the out-of-distribution angle margins fit
     between the class angles: the outer margin may be at most half the
     class spacing, which allows at most 7 classes."""
     if num_classes < 2:
         raise ContractError(f"num_classes must be at least 2, got {num_classes}")
     half_gap = 180.0 / num_classes / 2.0
-    if _POOL_MARGIN_HI_DEG > half_gap:
+    if _OOD_MARGIN_HI_DEG > half_gap:
         raise ContractError(
-            f"out-of-distribution bars keep {_POOL_MARGIN_LO_DEG} to {_POOL_MARGIN_HI_DEG} "
+            f"out-of-distribution bars keep {_OOD_MARGIN_LO_DEG} to {_OOD_MARGIN_HI_DEG} "
             f"degrees from every class angle, but {num_classes} classes leave "
             f"{half_gap} on each side"
         )
@@ -222,27 +222,27 @@ def generate_ood_source(n, height=16, width=16, seed=0, num_classes=4):
     """
     if n < 0:
         raise ContractError(f"n must be non-negative, got {n}")
-    check_pool_margins(num_classes)
+    check_ood_margins(num_classes)
     rng = np.random.default_rng(seed)
     k = rng.integers(num_classes, size=n)
     u = rng.random(n)
     side = rng.integers(2, size=n)
     centre = rng.random((n, 2))
     # rng.uniform(low, high) computes low + (high - low) * rng.random()
-    off = np.deg2rad(_POOL_MARGIN_LO_DEG + (_POOL_MARGIN_HI_DEG - _POOL_MARGIN_LO_DEG) * u)
+    off = np.deg2rad(_OOD_MARGIN_LO_DEG + (_OOD_MARGIN_HI_DEG - _OOD_MARGIN_LO_DEG) * u)
     theta = (k * (np.pi / num_classes) + off * (2 * side - 1)) % np.pi
-    centre_span = _POOL_CENTER_JITTER - -_POOL_CENTER_JITTER
+    centre_span = _OOD_CENTER_JITTER - -_OOD_CENTER_JITTER
     cy, cx = (np.array([height / 2, width / 2])
-              + (-_POOL_CENTER_JITTER + centre_span * centre)).T
+              + (-_OOD_CENTER_JITTER + centre_span * centre)).T
     X = np.empty((n, height * width), dtype=np.float32)
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
         img = _bar_image(
             height, width, theta[lo:hi], cy[lo:hi], cx[lo:hi],
-            fg=_FG, bg=_BG, bar_width=_BAR_WIDTH, bar_length=_POOL_BAR_LENGTH,
+            fg=_FG, bg=_BG, bar_width=_BAR_WIDTH, bar_length=_OOD_BAR_LENGTH,
         )
         # rng.normal(0.0, scale) computes 0.0 + scale * z, and img > 0
-        img += _POOL_PIXEL_NOISE * rng.standard_normal((hi - lo, height, width))
+        img += _OOD_PIXEL_NOISE * rng.standard_normal((hi - lo, height, width))
         # clamped in float64, rounded once to float32 as it lands in X
         np.clip(img.reshape(hi - lo, -1), 0.0, 1.0, out=X[lo:hi])
     return X

@@ -73,6 +73,10 @@ class ModelSpec:
         dims = (self.input_dim, *self.hidden, self.num_classes)
         return [s for n_in, n_out in zip(dims[:-1], dims[1:]) for s in ((n_in, n_out), (n_out,))]
 
+    def param_count(self):
+        """The length of Model.flat: every weight and bias."""
+        return sum(math.prod(s) for s in self.shapes())
+
 
 def _views(flat, shapes):
     """Consecutive slices of flat, each reshaped to the next of shapes."""
@@ -91,7 +95,7 @@ class Model:
         self.spec = spec
         self.shapes = spec.shapes()
         if flat is None:
-            flat = np.zeros(sum(math.prod(s) for s in self.shapes), dtype=dtype)
+            flat = np.zeros(spec.param_count(), dtype=dtype)
         self.flat = flat
         views = _views(flat, self.shapes)
         self.weights, self.biases = views[0::2], views[1::2]
@@ -325,7 +329,7 @@ def load_checkpoint(path):
         raise FormatError(f"unknown parameter dtype code {dtype_code} in checkpoint")
     # the parameters are read, size-checked against the body, before
     # anything of the declared shape is allocated
-    shape = (sum(math.prod(s) for s in spec.shapes()),)
+    shape = (spec.param_count(),)
     model = Model(spec, r.array(dtype, shape))
     (kind_code,) = r.unpack("<B")
     kind = _OPT_CODE_KIND.get(kind_code)

@@ -25,9 +25,10 @@ The corruptions work in float64 on the float32 rows they hit, widened
 exactly, and store their results rounded to float32, the dtype of every
 Dataset.X; the replacement route copies float32 rows as they are.
 
-Degenerate parameters are exact identities: sigma 0, occlusion fraction
-0, resolution factor 1, fog intensity 0, and blur length 1 all return
-bit-equal pixels.
+Runs damage their rows with NoiseSpec()'s defaults (apply_noise); the
+transforms take any NoiseSpec. Degenerate parameters are exact
+identities: sigma 0, occlusion fraction 0, resolution factor 1, fog
+intensity 0, and blur length 1 all return bit-equal pixels.
 """
 
 import enum
@@ -143,27 +144,27 @@ def inject_corruption(ds, kind, rate, spec, seed):
     return out
 
 
-def inject_open_set(ds, pool, rate, seed):
-    """Replace a class-balanced round(rate*n) subset with pool rows.
+def inject_open_set(ds, ood_rows, rate, seed):
+    """Replace a class-balanced round(rate*n) subset with ood_rows.
 
-    pool is a 2-D array of pixel rows as wide as the dataset's, holding
-    exactly the k = round(rate*n) rows to write; any other shape raises
-    ContractError. They are written as they are, the i-th drawn row into
-    the i-th replaced instance in ascending order. Counts per class are
-    k // c with the remainder spread over seeded distinct classes; a
-    class without enough members raises CapacityError.
+    ood_rows is a 2-D array of pixel rows as wide as the dataset's,
+    holding exactly the k = round(rate*n) rows to write; any other shape
+    raises ContractError. They are written as they are, the i-th drawn
+    row into the i-th replaced instance in ascending order. Counts per
+    class are k // c with the remainder spread over seeded distinct
+    classes; a class without enough members raises CapacityError.
     """
     if not 0.0 <= rate <= 1.0:
         raise ContractError(f"rate must lie in [0, 1], got {rate}")
-    if pool.ndim != 2 or pool.shape[1] != ds.dim:
+    if ood_rows.ndim != 2 or ood_rows.shape[1] != ds.dim:
         raise ContractError(
-            f"pool must be 2-D rows of dataset width {ds.dim}, got shape {pool.shape}"
+            f"ood_rows must be 2-D rows of dataset width {ds.dim}, got shape {ood_rows.shape}"
         )
     n, c = len(ds), ds.num_classes
     k = round_half_up(rate * n)
-    if len(pool) != k:
+    if len(ood_rows) != k:
         raise ContractError(
-            f"a drawn pool must hold the {k} replacement rows, got {len(pool)}"
+            f"ood_rows must hold the {k} replacement rows, got {len(ood_rows)}"
         )
     which_rng = np.random.default_rng([seed, 2])
     counts = np.full(c, k // c, dtype=np.int64)
@@ -183,21 +184,22 @@ def inject_open_set(ds, pool, rate, seed):
     targets = np.sort(np.concatenate(targets)) if targets else np.empty(0, dtype=np.int64)
 
     out = ds.copy()
-    out.X[targets] = pool
+    out.X[targets] = ood_rows
     out.provenance[targets] = Provenance.OPEN_SET
     return out
 
 
-def apply_noise(ds, route, rate, spec, seed, pool=None):
+def apply_noise(ds, route, rate, seed, ood_rows=None):
     """Dispatch on route name: 'open_set' or one of the corruption kinds.
 
-    On the open_set route pool goes to inject_open_set; a corruption
-    route becomes the NoiseKind that inject_corruption takes.
+    On the open_set route ood_rows goes to inject_open_set; a corruption
+    route becomes the NoiseKind that inject_corruption takes, with
+    NoiseSpec()'s defaults.
     """
     if route == OPEN_SET:
-        if pool is None:
-            raise ContractError("open_set noise requires a replacement pool")
-        return inject_open_set(ds, pool, rate, seed)
+        if ood_rows is None:
+            raise ContractError("open_set noise requires out-of-distribution rows")
+        return inject_open_set(ds, ood_rows, rate, seed)
     if route in KIND_NAMES:
-        return inject_corruption(ds, KIND_NAMES[route], rate, spec, seed)
+        return inject_corruption(ds, KIND_NAMES[route], rate, NoiseSpec(), seed)
     raise ContractError(f"unknown noise route {route!r}; valid: {ALL_ROUTES}")

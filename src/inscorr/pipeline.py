@@ -13,9 +13,9 @@ Three methods share one engine:
     unmodified.
 
 During the mixed phase every step draws a clean sub-batch and a
-corrected sub-batch whose sizes split the configured batch size
-proportionally to the partition sizes; each epoch runs
-ceil(n / batch_size) steps with modular wraparound over per-epoch
+corrected sub-batch whose sizes split the configured batch size, or n
+when that is smaller, proportionally to the partition sizes; each epoch
+runs ceil(n / batch_size) steps with modular wraparound over per-epoch
 permutations. The clean permutation is always drawn before the
 corrected one from the epoch's generator, so runs whose corrected term
 cannot influence training (weight 1 on the clean term, or an empty
@@ -50,7 +50,7 @@ from .data import (NO_LABEL, generate_ood_source, generate_synthetic, round_half
                    split_validation)
 from .errors import CapacityError, ConfigError, ContractError, NumericError
 from .nn import Model, ModelSpec, make_optimizer
-from .noise import OPEN_SET, NoiseSpec, apply_noise
+from .noise import OPEN_SET, apply_noise
 from .select import SelectionSchedule, k_smallest, self_teach_epoch
 
 SELECTION_ONLY = "SelectionOnly"
@@ -77,7 +77,6 @@ class ExperimentConfig:
     val_fraction: float = 0.1
     noise_route: str = OPEN_SET
     noise_rate: float = 0.4
-    noise_spec: NoiseSpec = field(default_factory=NoiseSpec)
     tau: float = None
     ramp_epochs: int = 10
     attack: AttackConfig = field(default_factory=AttackConfig)
@@ -85,7 +84,6 @@ class ExperimentConfig:
     warmup_epochs: int = None
     total_epochs: int = 200
     batch_size: int = 128
-    refresh_correction: bool = False
     partition_rule: str = AGREEMENT
     seed_data: int = 0
     seed_noise: int = 0
@@ -131,8 +129,7 @@ def init_model(cfg):
 def data_key(cfg):
     """Everything prepare_data reads: configs with equal keys get equal data."""
     return (cfg.n_train, cfg.n_test, cfg.num_classes, cfg.height, cfg.width,
-            cfg.val_fraction, cfg.noise_route, cfg.noise_rate, cfg.noise_spec,
-            cfg.seed_data, cfg.seed_noise)
+            cfg.val_fraction, cfg.noise_route, cfg.noise_rate, cfg.seed_data, cfg.seed_noise)
 
 
 def selection_epochs(cfg):
@@ -148,8 +145,8 @@ def prefix_key(cfg):
     """Everything a run's selection epochs read: configs with equal keys
     train bit-identical models through their common selection epochs.
 
-    Method, lambda, the attack, warmup and total epochs, the partition
-    rule and refresh only act once selection ends, so they are left out.
+    Method, lambda, the attack, warmup and total epochs and the partition
+    rule only act once selection ends, so they are left out.
     """
     return (data_key(cfg), cfg.hidden, cfg.optimizer, cfg.lr, cfg.tau,
             cfg.ramp_epochs, cfg.batch_size, cfg.seed_init, cfg.seed_epochs)
@@ -169,7 +166,7 @@ def split_key(cfg):
 
 
 def correction_key(cfg):
-    """Everything the first correction reads: the split, the method and the
+    """Everything the correction reads: the split, the method and the
     attack."""
     return ("correction", split_key(cfg), cfg.method, cfg.attack)
 
@@ -190,18 +187,18 @@ def prepare_data(cfg):
     than a class holds raises ConfigError naming noise.rate.
     """
     (n_train, n_test, classes, height, width, val_fraction,
-     route, rate, spec, seed_data, seed_noise) = data_key(cfg)
+     route, rate, seed_data, seed_noise) = data_key(cfg)
     full = generate_synthetic(n_train, classes, height, width, seed=[seed_data, 0])
-    pool = None
+    ood_rows = None
     try:
         if route == OPEN_SET:
-            pool = generate_ood_source(round_half_up(rate * n_train), height, width,
-                                       seed=[seed_noise, 3], num_classes=classes)
-        noisy = apply_noise(full, route, rate, spec, seed=seed_noise, pool=pool)
+            ood_rows = generate_ood_source(round_half_up(rate * n_train), height, width,
+                                           seed=[seed_noise, 3], num_classes=classes)
+        noisy = apply_noise(full, route, rate, seed=seed_noise, ood_rows=ood_rows)
     except CapacityError as error:
         raise ConfigError(f"noise.rate={rate} asks for more open_set replacements "
                           f"than the data allow: {error}") from error
-    del full, pool
+    del full, ood_rows
     train, val = split_validation(noisy, val_fraction, seed=[seed_data, 3])
     del noisy
     test = generate_synthetic(n_test, classes, height, width, seed=[seed_data, 1])
@@ -293,8 +290,11 @@ def _wrap_positions(perm, step, size, chunk):
 
 def _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y, lam, batch_size, rng):
     """One epoch of proportional two-part batches over the rows of train,
-    either part possibly an empty array; returns mean step loss."""
+    either part possibly an empty array; returns mean step loss. A batch
+    larger than train is one batch of every row, as a selection epoch
+    makes it."""
     n_total, n_clean, n_corr = len(train), len(clean_idx), len(corr_x)
+    batch_size = min(batch_size, n_total)
     clean_bs = round_half_up(batch_size * n_clean / n_total)
     corr_bs = batch_size - clean_bs
     steps = math.ceil(n_total / batch_size)
@@ -350,12 +350,12 @@ def run_experiment(cfg, on_epoch=None, cache=None):
     cache, a dict shared by runs, keeps the sets prepare_data made under
     ("data", data_key), the state after the first min(warmup_epochs,
     selection_epochs) selection epochs under warmup_key, the split under
-    split_key and, for InsCorr unless refresh_correction is set, the first
-    correction under correction_key. A run takes each phase a run before
-    stored, skipping on_epoch for the epochs of a stored warmup, and
-    continues on copies of the warmup state, so SelectionOnly trains its
-    remaining epochs as a run alone does; a phase that raises stores
-    nothing. The result is bit for bit that of a run without a cache.
+    split_key and, for InsCorr, the correction under correction_key. A
+    run takes each phase a run before stored, skipping on_epoch for the
+    epochs of a stored warmup, and continues on copies of the warmup
+    state, so SelectionOnly trains its remaining epochs as a run alone
+    does; a phase that raises stores nothing. The result is bit for bit
+    that of a run without a cache.
     """
     train, val, test = _cached(cache, ("data", data_key(cfg)), lambda: prepare_data(cfg))
     schedule = cfg.schedule()
@@ -387,16 +387,13 @@ def run_experiment(cfg, on_epoch=None, cache=None):
 
     clean_idx, noisy_idx = _cached(cache, split_key(cfg), lambda: partition_clean_mislabeled(
         model, train, cfg.partition_rule, cfg.tau))
-    refresh = cfg.refresh_correction and cfg.method == INSCORR
     corr_x, corr_y, success = _cached(
-        cache if cfg.method == INSCORR and not refresh else None, correction_key(cfg),
+        cache if cfg.method == INSCORR else None, correction_key(cfg),
         lambda: _build_corrected(cfg, model, train, noisy_idx))
     for epoch in range(n_select, cfg.total_epochs):
-        if refresh and epoch > n_select:
-            corr_x, corr_y, success = _build_corrected(cfg, model, train, noisy_idx)
         rng = np.random.default_rng([cfg.seed_epochs, epoch])
         train_loss = _mixed_epoch(model, optimizer, train, clean_idx, corr_x, corr_y,
                                   cfg.lam, cfg.batch_size, rng)
         end_epoch(model, metrics, epoch, train_loss,
-                  attack_success=success if refresh or epoch == n_select else None)
+                  attack_success=success if epoch == n_select else None)
     return RunResult(model, optimizer, metrics)

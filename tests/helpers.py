@@ -12,6 +12,20 @@ from hypothesis import strategies as st
 from inscorr.errors import FormatError
 
 
+# JSON values of every kind, leaning to the ones a config key refuses:
+# huge and negative integers, floats (non-finite and subnormal ones
+# included), strings, lists, sections and null
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=8),
+    st.integers(), st.integers(min_value=2**31), st.integers(max_value=-1),
+    st.sampled_from([2**63, 2**64, 10**39, 10**400, -2**63 - 1]),
+    st.floats(), st.sampled_from([float("inf"), float("-inf"), float("nan"), 5e-324]),
+)
+JSON_VALUES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
 def fd_gradient(f, x, h=1e-5):
     """Central-difference gradient of scalar f at x, one coordinate at a time."""
     x = np.array(x, dtype=np.float64)

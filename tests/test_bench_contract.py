@@ -6,7 +6,9 @@ leave its spans empty without failing any run, so this test traces one
 tiny Mix run, which covers both selection epochs and mixed epochs, and
 requires the per-layer counts those entry points feed; an InsCorr run
 does the same for the attack hook, which reads correct_set's results.
-perfbench/run.py also reads kernels.BACKEND and times kernels.warmup().
+perfbench/run.py also reads kernels.BACKEND and times kernels.warmup(),
+and its workloads pin config keys by name, each of which must still
+resolve.
 """
 
 import sys
@@ -28,14 +30,34 @@ TINY_MIX = (
 
 
 @pytest.fixture
-def perfbench_layers(monkeypatch):
+def perfbench_modules(monkeypatch):
+    """perfbench/ on sys.path; the modules imported from it are dropped after."""
     monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.delitem(sys.modules, "layers", raising=False)
+    for name in ("layers", "run", "benchstats"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield
+    for name in ("layers", "run", "benchstats"):
+        sys.modules.pop(name, None)
+
+
+@pytest.fixture
+def perfbench_layers(perfbench_modules):
     from layers import Tracer, layer_metrics
 
-    yield Tracer, layer_metrics
-    sys.modules.pop("layers", None)
-    sys.modules.pop("benchstats", None)
+    return Tracer, layer_metrics
+
+
+def test_every_workload_config_resolves(perfbench_modules):
+    # a retired key that the bench still sets would fail every iteration
+    import run
+
+    for workload in run.SINGLE:
+        run.single_resolved(workload, 0)
+    for route in run.CAMPAIGN_ROUTES:
+        for method in run.CAMPAIGN_METHODS:
+            resolve_config(apply_overrides(load_config(), (
+                *run.ORDERING, "training.lambda=0.5", f"noise.route={route}",
+                "noise.rate=0.4", f"method={method}", *run.seed_overrides(0))))
 
 
 @pytest.mark.parametrize("method", ["Mix", "InsCorr"])

@@ -6,7 +6,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from inscorr.attack import AttackConfig
 from inscorr.config import (
@@ -19,8 +18,9 @@ from inscorr.config import (
     to_experiment_config,
 )
 from inscorr.errors import ConfigError
-from inscorr.noise import NoiseSpec
 from inscorr.pipeline import ExperimentConfig
+
+from helpers import JSON_VALUES
 
 F32_MAX = float(np.finfo(np.float32).max)
 F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
@@ -68,12 +68,12 @@ def test_overrides_parse_json_values():
     cfg = apply_overrides(load_config(), [
         "training.lambda=0.7",
         "model.hidden=[32,16]",
-        "training.refresh_correction=true",
+        "selection.tau=null",
         "noise.route=fog",
     ])
     assert cfg["training"]["lambda"] == 0.7
     assert cfg["model"]["hidden"] == [32, 16]
-    assert cfg["training"]["refresh_correction"] is True
+    assert cfg["selection"]["tau"] is None
     assert cfg["noise"]["route"] == "fog"
 
 
@@ -111,14 +111,6 @@ def test_resolve_keeps_explicit_values():
     assert out["attack"]["step_size"] == 0.01
 
 
-def test_resolve_rejects_refresh_without_correction_method():
-    cfg = apply_overrides(load_config(), [
-        "method=Mix", "training.refresh_correction=true",
-    ])
-    with pytest.raises(ConfigError, match="refresh_correction"):
-        resolve_config(cfg)
-
-
 def test_resolve_rejects_open_set_with_too_many_classes_for_the_pool():
     # out-of-distribution bars keep 4 to 12 degrees from every class angle,
     # and class angles 180 / 8 = 22.5 degrees apart leave only 11.25 on each side
@@ -148,19 +140,20 @@ def test_resolve_rejects_an_empty_data_size_by_key(key):
 
 
 def test_size_and_seed_checks_leave_valid_hashes_alone():
-    # hashes as they were before these checks, and since data.pool_size and
-    # the attack's random start left the resolved config: the defaults, and
-    # every checked size at its floor
-    assert config_hash(resolve_config(load_config())) == "66df507bb2f7"
+    # hashes as they were before these checks, and since data.pool_size, the
+    # attack's random start, the corruption severities and the correction's
+    # refresh left the resolved config: the defaults, and every checked size
+    # at its floor
+    assert config_hash(resolve_config(load_config())) == "a7497d8dd498"
     floor = ["data.height=1", "data.width=1", "data.n_train=1", "data.n_test=1",
              "noise.route=fog"]
-    assert config_hash(resolve_config(apply_overrides(load_config(), floor))) == "1d30da33c445"
+    assert config_hash(resolve_config(apply_overrides(load_config(), floor))) == "be301e28cc58"
     # and every value rule at its edge, on fog: on open_set noise.rate=1
     # asks for more replacements than a class of the data holds
     edge = ["data.val_fraction=0", "noise.rate=1", "selection.tau=0.99",
             "selection.ramp_epochs=1", "model.optimizer=sgd", "model.lr=1e-9",
             "data.num_classes=2", "noise.route=fog"]
-    assert config_hash(resolve_config(apply_overrides(load_config(), edge))) == "f96d71cbd332"
+    assert config_hash(resolve_config(apply_overrides(load_config(), edge))) == "1648c2abf104"
 
 
 @pytest.mark.parametrize("overrides,key", [
@@ -184,12 +177,6 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("model.hidden=[16,-2]", "model.hidden"),
     ("method=Bagging", "method"),
     ("noise.route=bogus", "noise.route"),
-    ("noise.gaussian_sigma=-0.1", "noise.gaussian_sigma"),
-    ("noise.occlusion_fraction=1.5", "noise.occlusion_fraction"),
-    ("noise.resolution_factor=0", "noise.resolution_factor"),
-    ("noise.fog_intensity=-0.2", "noise.fog_intensity"),
-    ("noise.fog_decay=-1", "noise.fog_decay"),
-    ("noise.blur_length=0", "noise.blur_length"),
     ("attack.norm=l1", "attack.norm"),
     ("attack.budget=0", "attack.budget"),
     ("attack.steps=-1", "attack.steps"),
@@ -213,7 +200,6 @@ def test_size_and_seed_checks_leave_valid_hashes_alone():
     ("training.warmup_epochs=7 training.total_epochs=6", "training.warmup_epochs"),
     ("training.batch_size=0", "training.batch_size"),
     ("training.partition_rule=loss_median", "training.partition_rule"),
-    ("method=Mix training.refresh_correction=true", "training.refresh_correction"),
     # round(0.95 * 10) = 10 validation rows leave none to train on
     ("data.val_fraction=0.95 data.n_train=10", "data.val_fraction"),
     # numpy makes no array of 2**63 bytes: at 16 x 16 float64 pixels a row,
@@ -286,8 +272,8 @@ def test_cross_key_rules_accept_their_edges():
 
 def test_key_table_fills_each_field_once():
     # a field that no key fills could not be configured
-    classes = (ExperimentConfig, NoiseSpec, AttackConfig)
-    nested = {(ExperimentConfig, "noise_spec"), (ExperimentConfig, "attack")}
+    classes = (ExperimentConfig, AttackConfig)
+    nested = {(ExperimentConfig, "attack")}
     filled = sorted((cls.__name__, name) for _, cls, name in _KEYS)
     assert filled == sorted((cls.__name__, f.name) for cls in classes for f in fields(cls)
                             if (cls, f.name) not in nested)
@@ -351,7 +337,6 @@ def test_to_experiment_config_maps_fields():
     assert cfg.lam == 0.7
     assert cfg.hidden == (32, 16)
     assert cfg.tau == resolved["selection"]["tau"]
-    assert cfg.noise_spec.occlusion_fraction == resolved["noise"]["occlusion_fraction"]
     assert cfg.attack.step_size == resolved["attack"]["step_size"]
 
 
@@ -366,23 +351,9 @@ def test_to_experiment_config_wraps_value_errors():
             resolve_config(resolved)
 
 
-# JSON values of every kind, leaning to the ones a key refuses: huge and
-# negative integers, floats (non-finite and subnormal ones included),
-# strings, lists, sections and null
-_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.text(max_size=8),
-    st.integers(), st.integers(min_value=2**31), st.integers(max_value=-1),
-    st.sampled_from([2**63, 2**64, 10**39, 10**400, -2**63 - 1]),
-    st.floats(), st.sampled_from([float("inf"), float("-inf"), float("nan"), 5e-324]),
-)
-_JSON = st.recursive(_LEAVES, lambda inner: st.one_of(
-    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
-    max_leaves=6)
-
-
 @pytest.mark.parametrize("dotted", [dotted for dotted, _, _ in _KEYS])
 @settings(max_examples=10, derandomize=True, deadline=None)
-@given(value=_JSON)
+@given(value=JSON_VALUES)
 # a null selection.tau takes noise.rate, and a subnormal attack.budget
 # rounds to 0 in float32
 @example(value=1)

@@ -193,7 +193,7 @@ def test_ood_pool_orientations_avoid_class_angles(monkeypatch):
     # the pool contract: bar angles keep a margin from every labeled
     # orientation; measured on noiseless instances where the moment
     # estimator is reliable
-    monkeypatch.setattr(data, "_POOL_PIXEL_NOISE", 0.0)
+    monkeypatch.setattr(data, "_OOD_PIXEL_NOISE", 0.0)
     pool = generate_ood_source(200, seed=9)
     class_angles = np.array([0.0, 45.0, 90.0, 135.0, 180.0])
     dists = np.array([

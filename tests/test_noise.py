@@ -296,8 +296,8 @@ def test_inject_corruption_rate_bounds():
 @pytest.mark.parametrize("rate", [0.0, 0.3, 0.6])
 def test_true_labels_follow_provenance_on_every_route(tmp_path, route, rate):
     ds = generate_synthetic(60, 4, 8, 8, seed=44)
-    pool = generate_ood_source(_half_up(rate * 60), 8, 8, seed=45)
-    out = apply_noise(ds, route, rate, SPEC, seed=46, pool=pool)
+    ood_rows = generate_ood_source(_half_up(rate * 60), 8, 8, seed=45)
+    out = apply_noise(ds, route, rate, seed=46, ood_rows=ood_rows)
     hit = out.provenance != Provenance.CLEAN
     assert hit.sum() == _half_up(rate * 60)
     open_set = out.provenance == Provenance.OPEN_SET
@@ -358,7 +358,7 @@ def test_inject_open_set_takes_only_rows_of_the_dataset_width():
     drawn = generate_ood_source(40, seed=39)
     narrow = generate_ood_source(40, 8, 8, seed=39)
     for pool in (drawn.ravel(), drawn[0], narrow):
-        with pytest.raises(ContractError, match="pool must be 2-D rows of dataset width 256"):
+        with pytest.raises(ContractError, match="ood_rows must be 2-D rows of dataset width 256"):
             inject_open_set(ds, pool, 0.4, seed=40)
 
 
@@ -373,18 +373,20 @@ def test_inject_open_set_capacity_errors():
 def test_apply_noise_dispatch():
     ds = generate_synthetic(40, 4, seed=27)
     drawn = generate_ood_source(10, seed=28)
-    out = apply_noise(ds, "open_set", 0.25, SPEC, seed=29, pool=drawn)
+    out = apply_noise(ds, "open_set", 0.25, seed=29, ood_rows=drawn)
     assert int(np.sum(out.provenance == Provenance.OPEN_SET)) == 10
-    out2 = apply_noise(ds, "fog", 0.25, SPEC, seed=29)
+    out2 = apply_noise(ds, "fog", 0.25, seed=29)
     assert int(np.sum(out2.provenance == Provenance.CORRUPTED)) == 10
-    with pytest.raises(ContractError, match="pool"):
-        apply_noise(ds, "open_set", 0.25, SPEC, seed=29)
+    # a run damages its rows with the default severities
+    assert np.array_equal(out2.X, inject_corruption(ds, NoiseKind.FOG, 0.25, SPEC, seed=29).X)
+    with pytest.raises(ContractError, match="requires out-of-distribution rows"):
+        apply_noise(ds, "open_set", 0.25, seed=29)
     with pytest.raises(ContractError, match="unknown noise route 'saltpepper'"):
-        apply_noise(ds, "saltpepper", 0.25, SPEC, seed=29)
+        apply_noise(ds, "saltpepper", 0.25, seed=29)
     assert "open_set" in ALL_ROUTES and "fog" in ALL_ROUTES
     # 30 rows are not the 10 replaced
     with pytest.raises(ContractError, match="10 replacement rows, got 30"):
-        apply_noise(ds, "open_set", 0.25, SPEC, seed=29, pool=generate_ood_source(30, seed=28))
+        apply_noise(ds, "open_set", 0.25, seed=29, ood_rows=generate_ood_source(30, seed=28))
     # a route name is apply_noise's input, not inject_corruption's
     with pytest.raises(ContractError, match="corruption kind 'fog'"):
         inject_corruption(ds, "fog", 0.25, SPEC, seed=29)

@@ -375,11 +375,15 @@ class TestRunShapes:
         metrics = run_experiment(tiny_config(method=MIX)).metrics
         assert all(m.attack_success is None for m in metrics)
 
-    def test_refresh_reattacks_every_epoch(self):
-        cfg = tiny_config(refresh_correction=True)
-        metrics = run_experiment(cfg).metrics
-        for m in metrics[3:]:
-            assert m.attack_success is not None
+    @pytest.mark.parametrize("method", [MIX, INSCORR])
+    def test_a_batch_larger_than_the_training_rows_is_one_batch_of_them(self, method):
+        # a mixed epoch reads it as a selection epoch does, without
+        # repeating rows to fill the batch
+        n = len(prepare_data(tiny_config())[0])
+        whole = run_experiment(tiny_config(method=method, batch_size=n))
+        huge = run_experiment(tiny_config(method=method, batch_size=2**62))
+        assert np.array_equal(huge.model.flat, whole.model.flat)
+        assert huge.metrics == whole.metrics
 
     def test_selection_only_never_partitions(self):
         cfg = tiny_config(method=SELECTION_ONLY)

@@ -23,7 +23,6 @@ from inscorr.config import (
     resolve_config,
     to_experiment_config,
 )
-from inscorr.noise import NoiseSpec
 from inscorr.pipeline import (
     INSCORR,
     MIX,
@@ -264,13 +263,6 @@ FIELD_PHASES = {
     "val_fraction": ("data", 0.2),
     "noise_route": ("data", "fog"),
     "noise_rate": ("data", 0.2),
-    "noise_spec.gaussian_sigma": ("data", 0.1),
-    "noise_spec.occlusion_fraction": ("data", 0.5),
-    "noise_spec.resolution_factor": ("data", 2),
-    "noise_spec.fog_intensity": ("data", 0.5),
-    "noise_spec.fog_decay": ("data", 2.0),
-    "noise_spec.blur_length": ("data", 3),
-    "noise_spec.blur_angle_deg": ("data", 45.0),
     "tau": ("warmup", 0.2),
     "ramp_epochs": ("warmup", 3),
     "attack.norm": ("correction", L2),
@@ -281,8 +273,6 @@ FIELD_PHASES = {
     "warmup_epochs": ("warmup", 5),
     "total_epochs": ("mixed", 9),
     "batch_size": ("warmup", 64),
-    # a run that refreshes its correction shares nothing after the split
-    "refresh_correction": ("mixed", True),
     "partition_rule": ("split", SMALL_LOSS_GLOBAL),
     "seed_data": ("data", 1),
     "seed_noise": ("data", 1),
@@ -336,7 +326,6 @@ def test_data_key_changes_with_every_field_prepare_data_reads():
     for change in (dict(n_train=100), dict(n_test=100), dict(num_classes=3),
                    dict(height=8), dict(width=8), dict(val_fraction=0.2),
                    dict(noise_route="fog"), dict(noise_rate=0.2),
-                   dict(noise_spec=NoiseSpec(gaussian_sigma=0.1)),
                    dict(seed_data=1), dict(seed_noise=1)):
         assert data_key(dataclasses.replace(cfg, **change)) != data_key(cfg), change
 
